@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Compare the numba kernels against the pure-numpy fallback.
 
-Spawns one worker subprocess per backend (the flag is read at import
+Spawns one worker subprocess per requested backend (the flag is read at import
 time, so each backend needs a fresh interpreter) and times two things
 after a warmup pass that absorbs JIT compilation:
 
   * kernel:     raw adaptive stepping loop (`_kernels.adaptive_path`)
   * end-to-end: `integrate_original`, i.e. kernel plus event detection,
                 sheet tracking and trajectory assembly in Python
+
+Rows are labelled with the backend each worker reports as active; when
+numba is not installed only the numpy row is printed, with no speedup.
 
     python benchmarks/bench_backends.py [--orbits N] [--t-max T]
 """
@@ -82,8 +85,10 @@ def main() -> int:
         run_worker(args)
         return 0
 
+    # each worker reports the backend that actually ran: asking for numba
+    # without numba installed gives a second numpy run, which is dropped
     results = {}
-    for backend, flag in (("numpy", "0"), ("numba", "1")):
+    for flag in ("0", "1"):
         env = dict(os.environ, DUFFING_AA_NUMBA=flag)
         cmd = [
             sys.executable, os.path.abspath(__file__), "--worker",
@@ -93,17 +98,20 @@ def main() -> int:
         if out.returncode != 0:
             sys.stderr.write(out.stderr)
             return 1
-        results[backend] = json.loads(out.stdout.strip().splitlines()[-1])
+        r = json.loads(out.stdout.strip().splitlines()[-1])
+        results.setdefault(r["backend"], r)
 
-    n = results["numba"]["samples"]
+    n = results["numpy"]["samples"]
     print(f"{args.orbits} orbits to t={args.t_max:g}, {n} accepted steps total")
     print(f"{'':>8} {'kernel':>10} {'end-to-end':>12}")
-    for backend in ("numpy", "numba"):
-        r = results[backend]
+    for backend, r in results.items():
         print(f"{backend:>8} {r['kernel_s']:9.3f}s {r['full_s']:11.3f}s")
-    ks = results["numpy"]["kernel_s"] / results["numba"]["kernel_s"]
-    fs = results["numpy"]["full_s"] / results["numba"]["full_s"]
-    print(f"{'speedup':>8} {ks:9.1f}x {fs:11.1f}x")
+    if "numba" in results:
+        ks = results["numpy"]["kernel_s"] / results["numba"]["kernel_s"]
+        fs = results["numpy"]["full_s"] / results["numba"]["full_s"]
+        print(f"{'speedup':>8} {ks:9.1f}x {fs:11.1f}x")
+    else:
+        print("numba is not available: only the numpy backend ran")
     return 0
 
 

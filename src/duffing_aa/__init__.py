@@ -32,7 +32,6 @@ from .covering import (
     Sheet,
     cover_map,
     covered_field,
-    crosses_cut,
     inverse_cover,
     toggle_sheet,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "Sheet",
     "cover_map",
     "covered_field",
-    "crosses_cut",
     "inverse_cover",
     "toggle_sheet",
     "Params",

@@ -18,6 +18,7 @@ import numpy as np
 STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
 STATUS_MAX_STEPS = 2
+STATUS_NONFINITE = 3
 
 FIELD_ORIGINAL = 0
 FIELD_COVERED = 1
@@ -82,6 +83,7 @@ def adaptive_path(field, u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
 
     Returns (t, u, v, du, dv, status) where du/dv are the field values at
     the accepted nodes (used downstream for cubic Hermite dense output).
+    A step whose error norm is NaN stops the loop with STATUS_NONFINITE.
     """
     # Butcher tableau, 7 stages, 5th order propagated
     a21 = 1.0 / 5.0
@@ -212,6 +214,11 @@ def adaptive_path(field, u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
                     fac = 0.2
             h = h * fac
         else:
+            # a NaN error norm (overflowed stages) would shrink h to NaN and
+            # spin through the whole step budget; inf still shrinks h
+            if math.isnan(err):
+                status = STATUS_NONFINITE
+                break
             fac = 0.9 * err ** -0.2
             if fac < 0.2:
                 fac = 0.2

@@ -49,8 +49,10 @@ from .integrate import (
     IntegratorConfig,
     Trajectory,
     find_period,
+    hermite_steps,
     integrate_covered,
     integrate_original,
+    locate_roots,
 )
 
 CENTER_EXCLUSION = 1e-9
@@ -177,9 +179,10 @@ def action_covered(
     """Action from the covered loop: (1/2pi) * integral of y1 dx1 over one
     global revolution (theta down by exactly 2pi), sign-normalized.
 
-    The revolution endpoint is refined by bisection on the dense output;
-    quadrature is trapezoidal with the partial last segment and the
-    closing segment back to the start added explicitly.
+    The revolution endpoint is refined on the dense output by the event
+    locator, ``locate_roots``; quadrature is trapezoidal with the partial
+    last segment and the closing segment back to the start added
+    explicitly.
     """
     s0 = State(float(s0[0]), float(s0[1]))
     _reject_nonperiodic(s0, p)
@@ -195,26 +198,21 @@ def action_covered(
         )
     k = int(below[0])
 
-    raw = _principal_thetas(traj)
+    # theta_u - target on the step k-1 -> k, unwrapped against sample k-1
+    at = hermite_steps(traj.t, traj.covered, traj.derivs, np.array([k - 1]))
+    raw_prev = np.arctan2(traj.covered[k - 1, 1], traj.covered[k - 1, 0] - 1.0)
 
-    def theta_u_at(tq: float) -> float:
-        x1q, y1q = traj.dense_point(tq)
-        th = math.atan2(y1q, x1q - 1.0)
-        dd = th - raw[k - 1]
-        dd -= TWO_PI * round(dd / TWO_PI)
-        return theta_u[k - 1] + dd
+    def excess(j, tq):
+        x1q, y1q = at(j, tq)
+        dd = np.arctan2(y1q, x1q - 1.0) - raw_prev
+        dd -= TWO_PI * np.round(dd / TWO_PI)
+        return theta_u[k - 1] - target + dd
 
-    ta, tb = float(traj.t[k - 1]), float(traj.t[k])
-    for _ in range(200):
-        tm = 0.5 * (ta + tb)
-        if theta_u_at(tm) > target:
-            ta = tm
-        else:
-            tb = tm
-        if (tb - ta) <= 1e-15 * (1.0 + abs(tb)):
-            break
-    t_star = 0.5 * (ta + tb)
-    x1_star, y1_star = traj.dense_point(t_star)
+    t_star = locate_roots(
+        excess, traj.t[k - 1 : k], traj.t[k : k + 1],
+        [theta_u[k - 1] - target], [theta_u[k] - target], 0.0,
+    )
+    x1_star, y1_star = map(float, at(0, t_star[0]))
 
     x1 = traj.covered[: k, 0]
     y1 = traj.covered[: k, 1]

@@ -29,15 +29,16 @@ self-contained: one polyline per orbit, viewBox fitted to the data with a
 the Upper sheet, green for Lower).
 
 Exit codes: run 0/2/3 (ok / config error / integration failure), verify
-0/1 (all passed / failures listed on stderr).  The environment variable
-DUFFING_SEED overrides the default verification seed 42; --seed overrides
-both.
+0/1/2 (all passed / failures listed on stderr / unknown check or bad
+seed).  The environment variable DUFFING_SEED overrides the default
+verification seed 42; --seed overrides both.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -90,11 +91,34 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _finite(v, where: str) -> float:
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"{where}: expected a finite number, got {v!r}")
+
+
 def _num(obj: dict, key: str, where: str) -> float:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
-    return float(v)
+    return _finite(obj[key], f"{where}.{key}")
+
+
+class _Constant(str):
+    """A NaN, Infinity or -Infinity token, which strict JSON does not have."""
+
+
+def _reject_constants(obj, where: str) -> None:
+    if isinstance(obj, _Constant):
+        raise ConfigError(f"{where}: {obj} is not valid in strict JSON")
+    if isinstance(obj, dict):
+        for key, v in obj.items():
+            _reject_constants(v, f"{where}.{key}")
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            _reject_constants(v, f"{where}[{i}]")
 
 
 def _unknown(keys, allowed, where: str) -> None:
@@ -117,7 +141,8 @@ def _expand_grid(grid: dict) -> tuple[State, ...]:
         rng = grid[key]
         if not (isinstance(rng, list) and len(rng) == 2):
             raise ConfigError(f"grid.{key}: expected [lo, hi], got {rng!r}")
-        ranges[key] = (float(rng[0]), float(rng[1]))
+        ranges[key] = (_finite(rng[0], f"grid.{key}[0]"),
+                       _finite(rng[1], f"grid.{key}[1]"))
     xs = np.linspace(*ranges["x_range"], grid["nx"])
     ys = np.linspace(*ranges["y_range"], grid["ny"])
     return tuple(State(float(x), float(y)) for x in xs for y in ys)
@@ -128,7 +153,7 @@ def load_scenario(path: str) -> Scenario:
     resolved = _resolve_config_path(path)
     try:
         with open(resolved, encoding="utf-8") as f:
-            raw = json.load(f)
+            raw = json.load(f, parse_constant=_Constant)
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
@@ -137,6 +162,7 @@ def load_scenario(path: str) -> Scenario:
         ) from e
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    _reject_constants(raw, "scenario")
     _unknown(raw.keys(), _SCENARIO_KEYS, "scenario")
 
     for key in ("mu", "t_max", "outputs"):
@@ -164,7 +190,9 @@ def load_scenario(path: str) -> Scenario:
                 raise ConfigError(
                     f"scenario.initial_states[{i}]: expected [x, y], got {pair!r}"
                 )
-            states.append(State(float(pair[0]), float(pair[1])))
+            where = f"scenario.initial_states[{i}]"
+            states.append(State(_finite(pair[0], f"{where}[0]"),
+                                _finite(pair[1], f"{where}[1]")))
         initial_states = tuple(states)
     else:
         if not isinstance(raw["grid"], dict):
@@ -179,7 +207,7 @@ def load_scenario(path: str) -> Scenario:
     _unknown(integ_raw.keys(), _INTEGRATOR_KEYS, "integrator")
     try:
         integrator = IntegratorConfig(t_max=t_max, **integ_raw)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"integrator: {e}") from e
 
     outs_raw = raw["outputs"]
@@ -231,36 +259,41 @@ def bundled_scenarios() -> list[str]:
     return sorted(p.name for p in d.iterdir() if p.name.endswith(".json"))
 
 
-def _csv_rows(kind: str, traj: Trajectory, curve: np.ndarray | None):
-    if kind == "original":
-        for i in range(len(traj)):
-            yield (_fmt(traj.t[i]), _fmt(traj.states[i, 0]), _fmt(traj.states[i, 1]))
-    elif kind == "covered":
-        for i in range(len(traj)):
-            yield (
-                _fmt(traj.t[i]),
-                _fmt(traj.covered[i, 0]),
-                _fmt(traj.covered[i, 1]),
-                traj.sheet_at(i).value,
-            )
-    else:
-        for i in range(curve.shape[0]):
-            yield (_fmt(curve[i, 0]), _fmt(curve[i, 1]))
-
-
 _CSV_HEADERS = {
     "original": "t,x,y",
     "covered": "t,x1,y1,sheet",
     "energy_angle": "theta_unwrapped,h",
 }
+_CSV_ROWS = {
+    "original": "%.17g,%.17g,%.17g\n",
+    "covered": "%.17g,%.17g,%.17g,%s\n",
+    "energy_angle": "%.17g,%.17g\n",
+}
+
+
+def _csv_columns(kind: str, traj: Trajectory, curve: np.ndarray | None):
+    if kind == "original":
+        return traj.t, traj.states[:, 0], traj.states[:, 1]
+    if kind == "covered":
+        sheet = np.where(traj.sheets > 0, Sheet.UPPER.value, Sheet.LOWER.value)
+        return traj.t, traj.covered[:, 0], traj.covered[:, 1], sheet
+    return curve[:, 0], curve[:, 1]
 
 
 def _write_csv(path: str, kind: str, trajs, curves) -> None:
+    """One header, then every orbit's rows; each orbit is formatted in one
+    %-operation (%.17g prints exactly as format(v, ".17g")), one orbit at
+    a time so that memory stays bounded by the largest orbit."""
+    row = _CSV_ROWS[kind]
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(_CSV_HEADERS[kind] + "\n")
         for traj, curve in zip(trajs, curves):
-            for row in _csv_rows(kind, traj, curve):
-                f.write(",".join(row) + "\n")
+            cols = [c.tolist() for c in _csv_columns(kind, traj, curve)]
+            n = len(cols[0])
+            values = [None] * (n * len(cols))
+            for j, col in enumerate(cols):
+                values[j :: len(cols)] = col
+            f.write(row * n % tuple(values))
 
 
 def _polylines(kind: str, trajs, curves):
@@ -402,7 +435,11 @@ def _cmd_field(args) -> int:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("DUFFING_SEED", "42"))
+    raw = os.environ.get("DUFFING_SEED", "42")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"DUFFING_SEED: expected an integer, got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -440,7 +477,11 @@ def main(argv=None) -> int:
     if args.command == "run":
         return run_scenario(args.config, quiet=args.quiet)
     if args.command == "verify":
-        seed = args.seed if args.seed is not None else _default_seed()
+        try:
+            seed = args.seed if args.seed is not None else _default_seed()
+        except ConfigError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return 2
         return verify_all(seed, tolerance=args.tolerance, only=args.only)
     return _cmd_field(args)
 

@@ -33,15 +33,14 @@ dissipative flow.  The field does not depend on the sheet tag.
 from __future__ import annotations
 
 import enum
-import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import Params, State, _require_finite
-from .exceptions import DegenerateCrossing
 
 BRANCH_TOL = 1e-12
+_TINY = np.finfo(np.float64).tiny
 
 
 class Sheet(enum.Enum):
@@ -73,24 +72,36 @@ def cover_map(s: State) -> CoveredState:
     return CoveredState(x * x - y * y, 2.0 * x * y, sheet)
 
 
-def inverse_cover(c: CoveredState) -> State:
-    """The unique preimage of a covered point on its tagged sheet.
+def principal_root(x1, y1):
+    """Principal square root (x, y) of x1 + i*y1, elementwise.
 
-    Computed as the principal square root of x1 + i*y1 (the root with
-    x > 0, or x = 0 and y >= 0), negated on the Lower sheet.  Uses the
-    cancellation-free real formulation rather than complex sqrt so the
-    cut side is decided by an explicit sign test.
+    The root with x > 0, or x = 0 and y >= 0; y is negative iff y1 < 0.
+    The larger component is sqrt((r + |x1|)/2) with r = |x1 + i*y1| and
+    the smaller |y1| / (2 * larger), so neither suffers the cancellation
+    of sqrt((r - |x1|)/2) near the axes.  At the origin the larger root is
+    0 and so is |y1|; flooring the divisor at the smallest normal float
+    makes the smaller root 0 there and changes no other value, since the
+    larger root exceeds 1e-162 whenever y1 != 0.
     """
+    r = np.hypot(x1, y1)
+    big = np.sqrt(0.5 * (r + np.abs(x1)))
+    small = np.abs(y1) / (2.0 * np.maximum(big, _TINY))
+    right = x1 >= 0.0
+    x = np.where(right, big, small)
+    y = np.where(right, small, big)
+    return x, np.where(y1 < 0.0, -y, y)
+
+
+def inverse_cover(c: CoveredState) -> State:
+    """The unique preimage of a covered point on its tagged sheet: the
+    principal square root of x1 + i*y1 (see principal_root), negated on
+    the Lower sheet.  The cut side is decided by an explicit sign test."""
     if not (np.isfinite(c.x1) and np.isfinite(c.y1)):
         raise ValueError(f"covered state must be finite, got {c!r}")
-    r = math.hypot(c.x1, c.y1)
-    x = math.sqrt(max(0.5 * (r + c.x1), 0.0))
-    y = math.sqrt(max(0.5 * (r - c.x1), 0.0))
-    if c.y1 < 0.0:
-        y = -y
+    x, y = principal_root(c.x1, c.y1)
     if c.sheet is Sheet.LOWER:
         x, y = -x, -y
-    return State(x, y)
+    return State(float(x), float(y))
 
 
 def covered_field(c: CoveredState, p: Params) -> tuple[float, float]:
@@ -107,42 +118,6 @@ def covered_field(c: CoveredState, p: Params) -> tuple[float, float]:
     du = 0.5 * (x1 + r) * y1 + p.mu * (r - x1)
     dv = -x1 * x1 - 0.5 * y1 * y1 + r * (2.0 - x1) - p.mu * y1
     return du, dv
-
-
-def crosses_cut(
-    a: tuple[float, float], b: tuple[float, float]
-) -> Optional[float]:
-    """Crossing fraction of the cut {y1 = 0, x1 < 0} on the segment a->b.
-
-    Returns lambda in [0, 1) such that a + lambda*(b - a) sits on the cut,
-    using linear interpolation, or None when the segment does not cross.
-    A sample landing exactly on the cut belongs to the *next* segment
-    (half-open convention), so long trajectories count each transit once.
-    Callers with dense integrator output refine the returned fraction by
-    bisection.
-
-    Raises DegenerateCrossing when the interpolated crossing lies within
-    BRANCH_TOL of the branch point, where the sheet hand-off is undefined.
-    """
-    y1a, y1b = a[1], b[1]
-    if y1a == 0.0:
-        if y1b == 0.0 or a[0] >= 0.0:
-            return None
-        lam = 0.0
-    elif y1b != 0.0 and (y1a > 0.0) != (y1b > 0.0):
-        # sign test, not a product: opposite tiny values must not underflow
-        lam = y1a / (y1a - y1b)
-    else:
-        return None
-    x_at = a[0] + lam * (b[0] - a[0])
-    if abs(x_at) <= BRANCH_TOL:
-        raise DegenerateCrossing(
-            f"segment {a}->{b} meets the cut at x1={x_at:.3e}, inside the "
-            f"branch-point tolerance {BRANCH_TOL:g}"
-        )
-    if x_at > 0.0:
-        return None
-    return lam
 
 
 def toggle_sheet(sh: Sheet) -> Sheet:

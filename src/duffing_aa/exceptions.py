@@ -10,7 +10,8 @@ class ConfigError(DuffingError):
 
 
 class StepFailure(DuffingError):
-    """The adaptive integrator could not keep its step above 1e-14."""
+    """The adaptive integrator could not keep its step above 1e-14, or its
+    error estimate became non-finite (the state overflowed)."""
 
 
 class MaxStepsExceeded(DuffingError):

@@ -3,17 +3,25 @@
 Two steppers are provided: a fixed-step classic RK4 baseline and an
 embedded Dormand-Prince 5(4) adaptive pair (the default).  Both record the
 field value at every accepted node, so trajectories support cubic Hermite
-dense output -- accurate enough to bisect event times far below the step
+dense output -- accurate enough to locate event times far below the step
 size.
 
 Event kinds:
 
   * ``cut_crossing``: the covered-plane path crossed {y1 = 0, x1 < 0}.
-    The sheet tag toggles there.  Crossing times are refined by bisection
-    on the dense output until |y1| <= 1e-12.
+    The sheet tag toggles there.  Crossing times are refined on the dense
+    output until |y1| <= 1e-12.
   * ``section_return``: the original-plane path crossed the section
     {y = 0} (recorded only when requested; used for period measurement),
     refined until |y| <= 1e-10.
+
+Both kinds come from one locator.  A numpy sign walk over the samples
+(exact zeros skipped) brackets every sign change of one trajectory at
+once; ``hermite_steps`` evaluates the Hermite cubic of each bracket's own
+step, and ``locate_roots`` refines all brackets together by the Illinois
+variant of regula falsi (Hairer, Norsett & Wanner, Solving ODEs I, II.6;
+Shampine & Thompson, "Event location for ODEs", 2000).  The same routine
+finds the revolution endpoint of ``actionangle.action_covered``.
 
 The sheet column of a trajectory is *evolved*: it starts from the initial
 tag and toggles at each cut crossing, rather than being recomputed per
@@ -29,13 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
 from . import _kernels
 from .covering import BRANCH_TOL as BRANCH_CUT_TOL
-from .covering import CoveredState, Sheet, cover_map, inverse_cover
+from .covering import CoveredState, Sheet, cover_map, principal_root
 from .dynamics import Params, State, _require_finite, hamiltonian
 from .exceptions import (
     BranchPointApproach,
@@ -53,6 +61,7 @@ CUT_REFINE_TOL = 1e-12
 SECTION_REFINE_TOL = 1e-10
 BRANCH_RADIUS = 1e-10
 SEPARATRIX_TOL = 1e-9
+MAX_REFINE_ITER = 200
 
 _SHEET_SIGN = {Sheet.UPPER: 1, Sheet.LOWER: -1}
 _SIGN_SHEET = {1: Sheet.UPPER, -1: Sheet.LOWER}
@@ -153,27 +162,8 @@ class Trajectory:
         if tq >= t[-1]:
             return float(pts[-1, 0]), float(pts[-1, 1])
         i = int(np.searchsorted(t, tq, side="right")) - 1
-        return (
-            _hermite(tq, t[i], t[i + 1], pts[i, 0], pts[i + 1, 0],
-                     self.derivs[i, 0], self.derivs[i + 1, 0]),
-            _hermite(tq, t[i], t[i + 1], pts[i, 1], pts[i + 1, 1],
-                     self.derivs[i, 1], self.derivs[i + 1, 1]),
-        )
-
-
-def _hermite(tq, t0, t1, u0, u1, f0, f1) -> float:
-    h = t1 - t0
-    if h == 0.0:
-        return float(u0)
-    s = (tq - t0) / h
-    s2 = s * s
-    s3 = s2 * s
-    return float(
-        (2.0 * s3 - 3.0 * s2 + 1.0) * u0
-        + (s3 - 2.0 * s2 + s) * h * f0
-        + (-2.0 * s3 + 3.0 * s2) * u1
-        + (s3 - s2) * h * f1
-    )
+        u, v = hermite_steps(t, pts, self.derivs, np.array([i]))(0, tq)
+        return float(u), float(v)
 
 
 def _run_kernel(field_id: int, u0: float, v0: float, p: Params, cfg: IntegratorConfig):
@@ -190,6 +180,10 @@ def _run_kernel(field_id: int, u0: float, v0: float, p: Params, cfg: IntegratorC
         raise StepFailure(
             f"adaptive step fell below {_kernels.MIN_STEP:g} at t={t[-1]:.6g}"
         )
+    if status == _kernels.STATUS_NONFINITE:
+        raise StepFailure(
+            f"non-finite error estimate at t={t[-1]:.6g}: the state overflows"
+        )
     if status == _kernels.STATUS_MAX_STEPS:
         reached = t[-1] if len(t) else 0.0
         raise MaxStepsExceeded(
@@ -198,89 +192,128 @@ def _run_kernel(field_id: int, u0: float, v0: float, p: Params, cfg: IntegratorC
     return t, u, v, du, dv
 
 
-def _sign(v: float) -> int:
-    if v > 0.0:
-        return 1
-    if v < 0.0:
-        return -1
-    return 0
+def hermite_steps(t, pts, derivs, ks, squared=False):
+    """Dense output of a path on its steps ks[j] -> ks[j] + 1.
 
-
-def _bisect_crossing(
-    g: Callable[[float], float], ta: float, tb: float, sign_a: int, tol: float
-) -> tuple[float, float]:
-    """Bisect g on [ta, tb] (opposite signs at the ends) until |g| <= tol.
-
-    Returns (t_star, g(t_star)).  The interval-width stop only kicks in if
-    g is steep enough that |g| <= tol is unreachable in double precision.
+    Returns at(j, tq) -> (u, v): the cubic Hermite interpolant of step
+    ks[j] at times tq, for indices j and times tq of one shape.  Every
+    query names its step, so refinement needs no search per evaluation.
+    With ``squared`` the values are the covered image (u^2 - v^2, 2uv) of
+    an original-plane path.
     """
-    a, b = ta, tb
-    m = 0.5 * (a + b)
-    gm = g(m)
-    for _ in range(200):
-        if abs(gm) <= tol or (b - a) <= 1e-15 * (1.0 + abs(b)):
+    t0 = t[ks]
+    dt = t[ks + 1] - t0
+    p0, p1 = pts[ks], pts[ks + 1]
+    f0, f1 = derivs[ks], derivs[ks + 1]
+
+    def at(j, tq):
+        h = dt[j][..., None]
+        s = (tq - t0[j])[..., None] / h
+        s2 = s * s
+        s3 = s2 * s
+        w = (
+            (2.0 * s3 - 3.0 * s2 + 1.0) * p0[j]
+            + (s3 - 2.0 * s2 + s) * h * f0[j]
+            + (-2.0 * s3 + 3.0 * s2) * p1[j]
+            + (s3 - s2) * h * f1[j]
+        )
+        u, v = w[..., 0], w[..., 1]
+        if squared:
+            return u * u - v * v, 2.0 * u * v
+        return u, v
+
+    return at
+
+
+def locate_roots(g, a, b, ga, gb, tol):
+    """Roots of g on every bracket [a, b] at once.
+
+    ga and gb are g at the ends, of opposite signs (or gb = 0, when b is
+    the root).  g(j, tq) evaluates brackets j at times tq (arrays).  All
+    brackets are refined together by the Illinois variant of regula falsi,
+    bisecting wherever the secant point leaves its bracket.  A bracket
+    stops once |g| <= tol, or once its width is down to 1e-15*(1 + |b|),
+    the only stop reachable when g is too steep for tol in double
+    precision.  Returns the last point evaluated in each bracket.
+    """
+    a, b, ga, gb = (np.array(v, dtype=np.float64) for v in (a, b, ga, gb))
+    root = b.copy()
+    kept = np.zeros(a.shape, dtype=np.int8)  # end kept by the last step: -1 a, 1 b
+    live = np.flatnonzero(np.abs(gb) > tol)
+    for _ in range(MAX_REFINE_ITER):
+        if live.size == 0:
             break
-        if _sign(gm) == sign_a:
-            a = m
-        else:
-            b = m
-        m = 0.5 * (a + b)
-        gm = g(m)
-    return m, gm
+        al, bl, fa, fb = a[live], b[live], ga[live], gb[live]
+        c = bl - fb * (bl - al) / (fb - fa)
+        off = ~((c >= al) & (c <= bl))
+        c[off] = 0.5 * (al[off] + bl[off])
+        fc = g(live, c)
+        root[live] = c
+        # sign tests, not products: opposite tiny values must not underflow
+        left = np.sign(fc) == np.sign(fb)
+        to_b, to_a = live[left], live[~left]
+        b[to_b], gb[to_b] = c[left], fc[left]
+        a[to_a], ga[to_a] = c[~left], fc[~left]
+        # Illinois: an end kept twice in a row has its value halved
+        ga[to_b[kept[to_b] == -1]] *= 0.5
+        gb[to_a[kept[to_a] == 1]] *= 0.5
+        kept[to_b], kept[to_a] = -1, 1
+        width = b[live] - a[live]
+        live = live[(np.abs(fc) > tol) & (width > 1e-15 * (1.0 + np.abs(b[live])))]
+    return root
+
+
+def _refine_sign_changes(t, g, dense, tol, trailing=False):
+    """Sign changes of the sampled g = component 1 of ``dense``, refined.
+
+    Walks the sign of g skipping exact zeros; each strict flip between
+    nonzero samples k and n brackets a root on the step k -> k + 1, where
+    g[k + 1] = 0 if zeros lie between, making that sample the root.  With
+    ``trailing``, a zero sample after the last nonzero one is a root too.
+    Returns the k, the refined times and component 0 of ``dense`` there.
+    """
+    sg = np.sign(g)
+    nz = np.flatnonzero(sg)
+    ks = nz[:-1][sg[nz[1:]] != sg[nz[:-1]]]
+    if trailing and nz.size and nz[-1] + 1 < g.size:
+        ks = np.append(ks, nz[-1])
+    at = dense(ks)
+    t_star = locate_roots(
+        lambda j, tq: at(j, tq)[1], t[ks], t[ks + 1], g[ks], g[ks + 1], tol
+    )
+    return ks, t_star, at(np.arange(ks.size), t_star)[0]
 
 
 def _cut_crossings(
-    t: np.ndarray,
-    x1: np.ndarray,
-    y1: np.ndarray,
-    dense_cov: Callable[[float], tuple[float, float]],
+    t: np.ndarray, y1: np.ndarray, dense
 ) -> tuple[list[Event], list[int]]:
     """Locate cut crossings along sampled covered coordinates.
 
-    Walks the sign of y1, skipping exact zeros (a sample *on* the cut,
-    e.g. a trajectory launched from the y-axis, carries the conventional
-    tag already and must not toggle).  A strict sign flip brackets a root
-    of y1; the root is refined on the dense output and kept only when it
-    lies on the cut (x1 < 0).  Returns the events plus, for each, the
-    sample index from which the toggled sheet applies.
+    ``dense(ks)`` is the covered-plane dense output on steps ks (see
+    hermite_steps).  Each sign flip of y1 is refined until |y1| <= 1e-12
+    and kept when it lies on the cut (x1 < 0).  Exact zeros are skipped:
+    a sample *on* the cut, e.g. a trajectory launched from the y-axis,
+    carries the conventional tag already and must not toggle.  A trailing
+    sample landing exactly on the cut toggles there: the transversal flow
+    assigns on-cut points to the destination sheet.  Returns the events
+    plus, for each, the sample index from which the toggled sheet applies.
     """
-    events: list[Event] = []
-    toggle_from: list[int] = []
-    prev_sign = 0
-    prev_idx = -1
-    for i in range(t.shape[0]):
-        s = _sign(y1[i])
-        if s == 0:
-            continue
-        if prev_sign != 0 and s != prev_sign:
-            t_star, _ = _bisect_crossing(
-                lambda tq: dense_cov(tq)[1], t[prev_idx], t[i], prev_sign,
-                CUT_REFINE_TOL,
-            )
-            x1_star = dense_cov(t_star)[0]
-            if abs(x1_star) <= BRANCH_CUT_TOL:
-                raise DegenerateCrossing(
-                    f"trajectory met the cut at x1={x1_star:.3e}, t={t_star:.6g}, "
-                    "within tolerance of the branch point"
-                )
-            if x1_star < 0.0:
-                events.append(Event(t_star, CUT_CROSSING, {"x1": x1_star}))
-                toggle_from.append(prev_idx + 1)
-        prev_sign = s
-        prev_idx = i
-    # a trailing sample landing exactly on the cut: the transversal flow
-    # assigns on-cut points to the destination sheet, so toggle there too
-    z = prev_idx + 1
-    if prev_sign != 0 and z < t.shape[0] and y1[z] == 0.0:
-        if abs(x1[z]) <= BRANCH_CUT_TOL:
-            raise DegenerateCrossing(
-                f"trajectory ended on the cut at x1={x1[z]:.3e}, t={t[z]:.6g}, "
-                "within tolerance of the branch point"
-            )
-        if x1[z] < 0.0:
-            events.append(Event(float(t[z]), CUT_CROSSING, {"x1": float(x1[z])}))
-            toggle_from.append(z)
-    return events, toggle_from
+    ks, t_star, x1_star = _refine_sign_changes(
+        t, y1, dense, CUT_REFINE_TOL, trailing=True
+    )
+    near = np.flatnonzero(np.abs(x1_star) <= BRANCH_CUT_TOL)
+    if near.size:
+        i = near[0]
+        raise DegenerateCrossing(
+            f"trajectory met the cut at x1={x1_star[i]:.3e}, t={t_star[i]:.6g}, "
+            "within tolerance of the branch point"
+        )
+    on_cut = x1_star < 0.0
+    events = [
+        Event(ts, CUT_CROSSING, {"x1": xs})
+        for ts, xs in zip(t_star[on_cut].tolist(), x1_star[on_cut].tolist())
+    ]
+    return events, (ks + 1)[on_cut].tolist()
 
 
 def _evolve_sheets(n: int, start_sign: int, toggle_from: list[int]) -> np.ndarray:
@@ -295,29 +328,17 @@ def _evolve_sheets(n: int, start_sign: int, toggle_from: list[int]) -> np.ndarra
     return sheets
 
 
-def _section_crossings(
-    t: np.ndarray, y: np.ndarray, dense: Callable[[float], tuple[float, float]]
-) -> list[Event]:
-    """Sign-walk y to locate transversal returns to the section {y = 0}."""
-    events: list[Event] = []
-    prev_sign = 0
-    prev_idx = -1
-    for i in range(t.shape[0]):
-        s = _sign(y[i])
-        if s == 0:
-            continue
-        if prev_sign != 0 and s != prev_sign:
-            t_star, _ = _bisect_crossing(
-                lambda tq: dense(tq)[1], t[prev_idx], t[i], prev_sign,
-                SECTION_REFINE_TOL,
-            )
-            x_star = dense(t_star)[0]
-            events.append(
-                Event(t_star, SECTION_RETURN, {"x": x_star, "direction": s})
-            )
-        prev_sign = s
-        prev_idx = i
-    return events
+def _section_crossings(t: np.ndarray, y: np.ndarray, dense) -> list[Event]:
+    """Locate transversal returns to the section {y = 0} by the same sign
+    walk on y, refined on ``dense`` (original plane) until |y| <= 1e-10;
+    ``direction`` is the sign of y after the return."""
+    ks, t_star, x_star = _refine_sign_changes(t, y, dense, SECTION_REFINE_TOL)
+    return [
+        Event(ts, SECTION_RETURN, {"x": xs, "direction": d})
+        for ts, xs, d in zip(
+            t_star.tolist(), x_star.tolist(), (-np.sign(y[ks])).astype(int).tolist()
+        )
+    ]
 
 
 def integrate_original(
@@ -339,19 +360,13 @@ def integrate_original(
     covered = np.column_stack((x * x - y * y, 2.0 * x * y))
     derivs = np.column_stack((dx, dy))
 
-    traj_plane = Trajectory(
-        t, states, covered, np.zeros(len(t), dtype=np.int8), derivs,
-        (), p, cfg, "original",
+    dense = partial(hermite_steps, t, states, derivs)
+    events, toggle_from = _cut_crossings(
+        t, covered[:, 1], partial(dense, squared=True)
     )
-
-    def dense_cov(tq: float) -> tuple[float, float]:
-        xa, ya = traj_plane.dense_point(tq)
-        return xa * xa - ya * ya, 2.0 * xa * ya
-
-    events, toggle_from = _cut_crossings(t, covered[:, 0], covered[:, 1], dense_cov)
     if detect_sections:
         events = sorted(
-            events + _section_crossings(t, y, traj_plane.dense_point),
+            events + _section_crossings(t, y, dense),
             key=lambda e: (e.t, 0 if e.kind == CUT_CROSSING else 1),
         )
     sheets = _evolve_sheets(len(t), _SHEET_SIGN[cover_map(s0).sheet], toggle_from)
@@ -384,18 +399,12 @@ def integrate_covered(
     covered = np.column_stack((x1, y1))
     derivs = np.column_stack((dx1, dy1))
 
-    traj_plane = Trajectory(
-        t, np.zeros_like(covered), covered, np.zeros(len(t), dtype=np.int8),
-        derivs, (), p, cfg, "covered",
+    events, toggle_from = _cut_crossings(
+        t, y1, partial(hermite_steps, t, covered, derivs)
     )
-    events, toggle_from = _cut_crossings(t, x1, y1, traj_plane.dense_point)
     sheets = _evolve_sheets(len(t), _SHEET_SIGN[c0.sheet], toggle_from)
-
-    states = np.empty_like(covered)
-    for i in range(len(t)):
-        states[i] = inverse_cover(
-            CoveredState(x1[i], y1[i], _SIGN_SHEET[int(sheets[i])])
-        )
+    x, y = principal_root(x1, y1)
+    states = np.column_stack((x * sheets, y * sheets))
 
     return Trajectory(t, states, covered, sheets, derivs, tuple(events), p, cfg,
                       "covered")
@@ -427,7 +436,7 @@ def find_period(
     returns = [e for e in traj.events if e.kind == SECTION_RETURN]
 
     if s0.y == 0.0:
-        d0 = _sign(s0.x - s0.x**3)
+        d0 = int(np.sign(s0.x - s0.x**3))
         if d0 == 0:
             raise NoReturn("initial state is a fixed point; no section return")
         for e in returns:

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from duffing_aa import Params, State, integrate_original
 from duffing_aa.cli import bundled_scenarios, load_scenario, main
 from duffing_aa.exceptions import ConfigError
 
@@ -245,3 +246,66 @@ def test_energy_angle_output(tmp_path, monkeypatch):
     order = np.argsort(theta)
     assert np.all(np.diff(h[order]) >= -1e-12)
     assert theta[0] == math.pi  # launch from the y-axis covers to the cut
+
+
+def _base_text(states: str = "[[1.2, 0.0]]", mu: str = "0.0", grid: str = "") -> str:
+    where = f'"grid": {grid}' if grid else f'"initial_states": {states}'
+    return (
+        f'{{"mu": {mu}, "t_max": 1.0, {where}, '
+        '"outputs": [{"kind": "original", "format": "csv", "path": "o.csv"}]}'
+    )
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        (_base_text(states="[[NaN, 0.0]]"), "scenario.initial_states[0][0]"),
+        (_base_text(mu="Infinity"), "scenario.mu"),
+        (_base_text(states='[[1.2, 0.0], [0.5, "fast"]]'), "initial_states[1][1]"),
+        (_base_text(states="[[1e400, 0.0]]"), "initial_states[0][0]"),
+        (_base_text(grid='{"x_range": ["a", 1], "y_range": [0, 1], "nx": 2, '
+                         '"ny": 2}'), "grid.x_range[0]"),
+        (_base_text(grid='{"x_range": [0, 1], "y_range": [0, -1e999], "nx": 2, '
+                         '"ny": 2}'), "grid.y_range[1]"),
+    ],
+    ids=["nan-constant", "infinity-constant", "non-numeric-state",
+         "non-finite-state", "non-numeric-grid", "non-finite-grid"],
+)
+def test_bad_numbers_exit_2_naming_the_field(tmp_path, monkeypatch, capsys, text, field):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err, err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_bad_seed_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("DUFFING_SEED", "abc")
+    assert main(["verify", "--only", "check_roundtrip"]) == 2
+    assert "DUFFING_SEED" in capsys.readouterr().err
+
+
+def test_overflowing_state_exits_3(tmp_path, capsys):
+    cfg = small_scenario(tmp_path, initial_states=[[1e200, 0.0]])
+    assert main(["run", cfg]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_csv_matches_per_value_format(tmp_path, monkeypatch):
+    # the bulk writer must print every value as format(v, ".17g") does
+    monkeypatch.chdir(tmp_path)
+    cfg = small_scenario(tmp_path, initial_states=[[0.0, 1.0], [-1.3, -0.0]])
+    assert main(["run", "--quiet", cfg]) == 0
+    p = Params()
+    cfg_obj = load_scenario(cfg).integrator
+    expected = ["t,x1,y1,sheet"]
+    for s0 in (State(0.0, 1.0), State(-1.3, -0.0)):
+        traj = integrate_original(s0, p, cfg_obj)
+        for i in range(len(traj)):
+            expected.append(",".join(
+                [format(float(v), ".17g") for v in
+                 (traj.t[i], traj.covered[i, 0], traj.covered[i, 1])]
+                + [traj.sheet_at(i).value]))
+    assert (tmp_path / "cov.csv").read_text().splitlines() == expected

@@ -1,19 +1,18 @@
 import numpy as np
-import pytest
 
 from duffing_aa import (
     CoveredState,
-    DegenerateCrossing,
     Params,
     Sheet,
     State,
     cover_map,
     covered_field,
-    crosses_cut,
     duffing_field,
     inverse_cover,
     toggle_sheet,
 )
+from duffing_aa.covering import principal_root
+from duffing_aa.verify import check_roundtrip
 
 
 def pushforward(s: State, p: Params) -> tuple[float, float]:
@@ -133,34 +132,36 @@ def test_equivariance(rng):
         assert d.sheet is toggle_sheet(c.sheet)
 
 
-def test_crosses_cut_examples():
-    assert crosses_cut((-1.0, 0.5), (-1.0, -0.5)) == 0.5
-    assert crosses_cut((1.0, 0.5), (1.0, -0.5)) is None
-    assert crosses_cut((-1.0, 0.3), (-1.0, 0.1)) is None
+def test_round_trip_near_axes(rng):
+    # |x| or |y| tiny: the smaller root must not come from sqrt(r - |x1|),
+    # which cancels there
+    worst = 0.0
+    for _ in range(2_000):
+        big = rng.uniform(0.1, 3.0) * rng.choice((-1.0, 1.0))
+        tiny = rng.uniform(-1e-8, 1e-8)
+        for s in (State(tiny, big), State(big, tiny)):
+            back = inverse_cover(cover_map(s))
+            worst = max(worst, abs(back.x - s.x), abs(back.y - s.y))
+    assert worst <= 1e-12
 
 
-def test_crosses_cut_half_open():
-    # a segment starting on the cut owns the crossing at fraction 0
-    assert crosses_cut((-1.0, 0.0), (-1.0, 0.5)) == 0.0
-    # a segment ending on the cut leaves it to the next one
-    assert crosses_cut((-1.0, -0.5), (-1.0, 0.0)) is None
-    # positive-axis zero start is not on the cut
-    assert crosses_cut((1.0, 0.0), (1.0, 0.5)) is None
+def test_round_trip_seed_49_sample():
+    # the worst sample of check_roundtrip at seed 49, once off by 1.9e-10
+    s = State(-0.8587931318958812, -6.930102225410906e-08)
+    back = inverse_cover(cover_map(s))
+    assert abs(back.x - s.x) <= 1e-12 and abs(back.y - s.y) <= 1e-12
+    assert check_roundtrip(seed=49).passed
 
 
-def test_crosses_cut_interpolates():
-    lam = crosses_cut((-2.0, 1.0), (-1.0, -3.0))
-    assert abs(lam - 0.25) <= 1e-15
-
-
-def test_crosses_cut_subnormal_values():
-    # opposite signs whose product underflows still count as a crossing
-    assert crosses_cut((-1.0, 1e-200), (-1.0, -1e-200)) == 0.5
-
-
-def test_crosses_cut_degenerate():
-    with pytest.raises(DegenerateCrossing):
-        crosses_cut((-0.5, 0.1), (0.5, -0.1))
+def test_principal_root_on_axes_cut_and_origin():
+    # the array form used by integrate_covered: a point on the cut takes
+    # y >= 0 whatever the sign of its zero, and the origin maps to itself
+    x1 = np.array([4.0, -4.0, -4.0, 0.0, 0.0, 0.0])
+    y1 = np.array([0.0, 0.0, -0.0, 0.0, 2.0, -2.0])
+    x, y = principal_root(x1, y1)
+    assert x.tolist() == [2.0, 0.0, 0.0, 0.0, 1.0, 1.0]
+    assert y.tolist() == [0.0, 2.0, 2.0, 0.0, 1.0, -1.0]
+    assert not np.any(np.signbit(y[:5]))
 
 
 def test_toggle_involution():

@@ -1,14 +1,19 @@
 import math
+import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from duffing_aa import (
     CUT_CROSSING,
     DEFAULT_CONFIG,
     SECTION_RETURN,
     BranchPointApproach,
+    DegenerateCrossing,
     IntegratorConfig,
     MaxStepsExceeded,
     NoReturn,
@@ -23,6 +28,8 @@ from duffing_aa import (
     integrate_original,
     state_on_level,
 )
+from duffing_aa import integrate
+from duffing_aa.cli import load_scenario
 
 
 def test_config_validation():
@@ -260,3 +267,186 @@ def test_typed_accessors(p0):
     c = traj.covered_at(0)
     assert (c.x1, c.y1) == (-1.0, 0.0)
     assert c.sheet is cover_map(State(0.0, 1.0)).sheet
+
+
+def test_nonfinite_state_fails_fast():
+    # stages overflow to NaN at once; the default budget of 10^7 steps
+    # must not be spent before the failure is reported
+    t0 = time.perf_counter()
+    with pytest.raises(StepFailure, match="non-finite"):
+        integrate_original(State(1e200, 0.0), Params())
+    assert time.perf_counter() - t0 < 1.0
+
+
+# ---------------------------------------------------------------- locator
+
+
+def cut_events(x1, y1, t=None):
+    """(event times, event x1, toggle indices) of a synthetic covered path
+    through the given samples; node slopes from np.gradient, so a
+    two-sample path is the straight segment between them."""
+    x1 = np.asarray(x1, dtype=float)
+    y1 = np.asarray(y1, dtype=float)
+    t = np.arange(x1.size, dtype=float) if t is None else np.asarray(t, float)
+    pts = np.column_stack((x1, y1))
+    derivs = np.gradient(pts, t, axis=0)
+    events, toggles = integrate._cut_crossings(
+        t, y1, partial(integrate.hermite_steps, t, pts, derivs)
+    )
+    return [e.t for e in events], [e.data["x1"] for e in events], toggles
+
+
+def test_cut_locator_examples():
+    assert cut_events([-1.0, -1.0], [0.5, -0.5]) == ([0.5], [-1.0], [1])
+    assert cut_events([1.0, 1.0], [0.5, -0.5]) == ([], [], [])  # x1 > 0
+    assert cut_events([-1.0, -1.0], [0.3, 0.1]) == ([], [], [])
+
+
+def test_cut_locator_half_open():
+    # a sample exactly on the cut belongs to the destination sheet: the
+    # crossing is that sample, and the toggled sheet applies from it on
+    assert cut_events([-1.0] * 3, [-0.5, 0.0, 0.5]) == ([1.0], [-1.0], [1])
+    # a trailing sample on the cut toggles there too
+    assert cut_events([-1.0] * 2, [-0.5, 0.0]) == ([1.0], [-1.0], [1])
+    # a path launched on the cut keeps its launch tag
+    assert cut_events([-1.0] * 2, [0.0, 0.5]) == ([], [], [])
+    # touching the cut without crossing it is no transit
+    assert cut_events([-1.0] * 3, [0.5, 0.0, 0.5]) == ([], [], [])
+    # a zero on the positive x1-axis is not on the cut
+    assert cut_events([1.0] * 3, [-0.5, 0.0, 0.5]) == ([], [], [])
+
+
+def test_cut_locator_interpolates():
+    (t_star,), (x1_star,), toggles = cut_events([-2.0, -1.0], [1.0, -3.0])
+    assert toggles == [1]
+    assert abs(t_star - 0.25) <= 1e-12 / 4.0 + 1e-15
+    assert abs(x1_star + 1.75) <= 1e-12
+
+
+def test_cut_locator_subnormal_values():
+    # opposite signs whose product underflows still count as a crossing
+    for tiny in (1e-200, 5e-324):
+        times, _, toggles = cut_events([-1.0, -1.0], [tiny, -tiny])
+        assert toggles == [1] and 0.0 <= times[0] <= 1.0
+
+
+def test_cut_locator_degenerate():
+    with pytest.raises(DegenerateCrossing):
+        cut_events([-0.5, 0.5], [0.1, -0.1])
+    with pytest.raises(DegenerateCrossing):
+        cut_events([-1.0, 0.0], [0.5, 0.0])  # trailing sample at the branch point
+
+
+def test_locate_roots_tolerances():
+    # brackets refined together: one already at its root, one curved, and
+    # one too steep for |g| <= tol, which must stop on the width instead
+    g = [lambda tq: tq - 0.3, lambda tq: np.cbrt(tq - 0.7),
+         lambda tq: 1e20 * (tq - 1.0 / 3.0)]
+
+    def f(j, tq):
+        return np.array([g[i](t) for i, t in zip(j, tq)])
+
+    a = np.zeros(3)
+    b = np.array([0.3, 1.0, 1.0])
+    roots = integrate.locate_roots(f, a, b, f([0, 1, 2], a), f([0, 1, 2], b), 1e-12)
+    assert roots[0] == 0.3
+    assert abs(g[1](roots[1])) <= 1e-12
+    assert abs(roots[2] - 1.0 / 3.0) <= 4e-15
+
+
+def _bisect_reference(dense, t, g, plane_to_g, tol):
+    """The scalar sign walk and bisection the locator replaced, kept as the
+    reference.  plane_to_g maps a dense-output point to (abscissa, g);
+    returns (first sample after the flip, refined time, abscissa there)
+    for every sign flip of the sampled g."""
+    out = []
+    prev_sign, prev_idx = 0, -1
+    for i in range(t.shape[0]):
+        s = int(np.sign(g[i]))
+        if s == 0:
+            continue
+        if prev_sign != 0 and s != prev_sign:
+            a, b = t[prev_idx], t[i]
+            m = 0.5 * (a + b)
+            xm, gm = plane_to_g(*dense(m))
+            for _ in range(200):
+                if abs(gm) <= tol or (b - a) <= 1e-15 * (1.0 + abs(b)):
+                    break
+                if np.sign(gm) == prev_sign:
+                    a = m
+                else:
+                    b = m
+                m = 0.5 * (a + b)
+                xm, gm = plane_to_g(*dense(m))
+            out.append((prev_idx + 1, m, xm))
+        prev_sign, prev_idx = s, i
+    return out
+
+
+def _reference_orbits():
+    orbits = []
+    for name in ("fig1", "fig2", "fig3", "fig4"):
+        scn = load_scenario(name)
+        p = Params(mu=scn.mu, c=scn.c)
+        orbits += [(s0, p, scn.integrator) for s0 in scn.initial_states]
+    rng = np.random.default_rng(7)
+    cfg = replace(DEFAULT_CONFIG, t_max=15.0)
+    for mu in (0.0, 0.05):
+        for x, y in rng.uniform(-2.0, 2.0, size=(12, 2)):
+            orbits.append((State(float(x), float(y)), Params(mu=mu), cfg))
+    return orbits
+
+
+def test_locator_matches_scalar_bisection():
+    def covered(u, v):
+        return u * u - v * v, 2.0 * u * v
+
+    for s0, p, cfg in _reference_orbits():
+        traj = integrate_original(s0, p, cfg, detect_sections=True)
+        toggles = list(np.flatnonzero(traj.sheets[1:] != traj.sheets[:-1]) + 1)
+        ref = _bisect_reference(
+            traj.dense_point, traj.t, traj.covered[:, 1], covered, 1e-12
+        )
+        assert toggles == [k for k, _, x1 in ref if x1 < 0.0], s0
+        cuts = [e for e in traj.events if e.kind == CUT_CROSSING]
+        assert len(cuts) == len(toggles)
+        for e, (_, t_ref, _) in zip(cuts, (r for r in ref if r[2] < 0.0)):
+            x1, y1 = covered(*traj.dense_point(e.t))
+            assert abs(y1) <= 1e-12 and x1 < 0.0
+            assert abs(e.t - t_ref) <= 1e-9
+        sections = [e for e in traj.events if e.kind == SECTION_RETURN]
+        ref = _bisect_reference(
+            traj.dense_point, traj.t, traj.states[:, 1], lambda u, v: (u, v), 1e-10
+        )
+        assert len(sections) == len(ref)
+        for e, (_, t_ref, _) in zip(sections, ref):
+            assert abs(traj.dense_point(e.t)[1]) <= 1e-10
+            assert abs(e.t - t_ref) <= 1e-8
+
+        if p.mu == 0.0 and math.hypot(*s0) > 0.1:
+            cov = integrate_covered(cover_map(s0), p, cfg)
+            toggles = list(np.flatnonzero(cov.sheets[1:] != cov.sheets[:-1]) + 1)
+            ref = _bisect_reference(
+                cov.dense_point, cov.t, cov.covered[:, 1], lambda u, v: (u, v), 1e-12
+            )
+            assert toggles == [k for k, _, x1 in ref if x1 < 0.0], s0
+            for e in cov.events:
+                assert abs(cov.dense_point(e.t)[1]) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.floats(-2.0, 2.0),
+    y=st.floats(-2.0, 2.0),
+    mu=st.sampled_from((0.0, 0.1)),
+)
+def test_sheet_parity_equals_cut_count(x, y, mu):
+    try:
+        traj = integrate_original(
+            State(x, y), Params(mu=mu), replace(DEFAULT_CONFIG, t_max=8.0)
+        )
+    except DegenerateCrossing:
+        assume(False)
+    cuts = sum(e.kind == CUT_CROSSING for e in traj.events)
+    assert int(traj.sheets[-1]) == int(traj.sheets[0]) * (-1) ** cuts
+    assert int(np.sum(traj.sheets[1:] != traj.sheets[:-1])) == cuts
