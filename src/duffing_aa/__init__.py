@@ -5,7 +5,7 @@ every orbit turns clockwise around the single center (1, 0), so one global
 angle (and an action built on it) describes all three orbit regions at
 once.  Subpackage map:
 
-  dynamics     the original vector field, Hamiltonian and fixed points
+  dynamics     the original vector field and its Hamiltonian
   covering     the two-sheeted covering map, its inverse and the cut
   integrate    RK4 / adaptive RK45 integration with events and sheets
   actionangle  the global angle, its unwrapping and the action integrals
@@ -15,14 +15,10 @@ once.  Subpackage map:
 
 from ._kernels import USING_NUMBA
 from .actionangle import (
-    EnergyAngleSample,
-    PolarState,
     action_covered,
     action_original,
-    covered_from_polar,
     dH_dtheta,
     energy_angle_curve,
-    polar_of,
     theta_dot_of,
     theta_of,
     unwrap_theta,
@@ -33,14 +29,12 @@ from .covering import (
     cover_map,
     covered_field,
     inverse_cover,
-    toggle_sheet,
 )
 from .dynamics import (
     Params,
     State,
     duffing_field,
     energy_rate,
-    fixed_points,
     hamiltonian,
     state_on_level,
 )
@@ -74,14 +68,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "USING_NUMBA",
-    "EnergyAngleSample",
-    "PolarState",
     "action_covered",
     "action_original",
-    "covered_from_polar",
     "dH_dtheta",
     "energy_angle_curve",
-    "polar_of",
     "theta_dot_of",
     "theta_of",
     "unwrap_theta",
@@ -90,12 +80,10 @@ __all__ = [
     "cover_map",
     "covered_field",
     "inverse_cover",
-    "toggle_sheet",
     "Params",
     "State",
     "duffing_field",
     "energy_rate",
-    "fixed_points",
     "hamiltonian",
     "state_on_level",
     "BranchPointApproach",

@@ -4,7 +4,9 @@ Every function here is written as a plain scalar loop so that it compiles
 under numba's nopython mode.  When numba is unavailable, or when the
 environment variable ``DUFFING_AA_NUMBA`` is set to ``0``/``false``/``off``,
 the same source runs uncompiled on top of numpy -- slower but bit-for-bit
-the same arithmetic.  ``benchmarks/bench_backends.py`` compares the two.
+the same arithmetic.  The benchmark reports the backend that ran and, with
+``--trace 1``, the kernel's time per accepted step; time the numpy path with
+``DUFFING_AA_NUMBA=0 python3 perfbench/run.py --workload grid --trace 1``.
 
 Kernels return raw arrays plus an integer status; the ``integrate`` module
 wraps them in typed trajectories and exceptions.
@@ -231,7 +233,11 @@ def adaptive_path(field, u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
 
 @njit(cache=True)
 def rk4_path(field, u0, v0, mu, t_end, h, max_steps):
-    """Classic fixed-step fourth-order loop; the transparent baseline."""
+    """Classic fixed-step fourth-order loop; the transparent baseline.
+
+    A state that overflows stops the loop with STATUS_NONFINITE, returning
+    the samples up to the last finite one.
+    """
     nsteps = int(math.ceil(t_end / h - 1e-12))
     if nsteps < 1:
         nsteps = 1
@@ -264,6 +270,9 @@ def rk4_path(field, u0, v0, mu, t_end, h, max_steps):
         k4u, k4v = rhs(field, u + hi * k3u, v + hi * k3v, mu)
         u = u + hi / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         v = v + hi / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if not (math.isfinite(u) and math.isfinite(v)):
+            n = i + 1
+            return ts[:n], us[:n], vs[:n], dus[:n], dvs[:n], STATUS_NONFINITE
         t = t_end if i == nsteps - 1 else t + hi
         k1u, k1v = rhs(field, u, v, mu)
         ts[i + 1] = t

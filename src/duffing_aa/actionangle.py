@@ -3,7 +3,7 @@
 Every orbit of the covered flow turns clockwise around the single center
 (1, 0): the angle
 
-    theta = atan2(y1, x1 - 1)        (range (-pi, pi])
+    theta = arg((x1 - 1) + i*y1)     (range (-pi, pi], computed by _angle)
 
 decreases strictly along every trajectory except at the origin, so its
 continuous unwrapping serves as a global clock.  The angular velocity has
@@ -31,23 +31,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import NamedTuple
 
 import numpy as np
 
-from .covering import CoveredState, Sheet, cover_map
-from .dynamics import Params, State, _require_finite, energy_rate, hamiltonian
-from .exceptions import (
-    CenterSingular,
-    NoReturn,
-    OnSeparatrix,
-    OriginSingular,
-    UnwrapAmbiguous,
-)
+from .covering import cover_map, square
+from .dynamics import Params, State, _require_finite, energy_rate
+from .exceptions import CenterSingular, NoReturn, OriginSingular, UnwrapAmbiguous
 from .integrate import (
     DEFAULT_CONFIG,
     IntegratorConfig,
     Trajectory,
+    _require_closed_orbit,
     find_period,
     hermite_steps,
     integrate_covered,
@@ -60,38 +54,6 @@ ORIGIN_EXCLUSION = 1e-9
 TWO_PI = 2.0 * math.pi
 
 
-class PolarState(NamedTuple):
-    """Polar coordinates about the covered-plane center (1, 0)."""
-
-    rho: float
-    theta: float
-
-
-class EnergyAngleSample(NamedTuple):
-    """One point of the (unwrapped angle, energy) representation."""
-
-    theta_unwrapped: float
-    h: float
-
-
-def polar_of(c: CoveredState) -> PolarState:
-    """Polar chart of a covered point: x1 = 1 + rho*cos(theta),
-    y1 = rho*sin(theta)."""
-    dx = c.x1 - 1.0
-    rho = math.hypot(dx, c.y1)
-    theta = math.atan2(c.y1, dx)
-    if theta == -math.pi:
-        theta = math.pi
-    return PolarState(rho, theta)
-
-
-def covered_from_polar(ps: PolarState, sheet: Sheet = Sheet.UPPER) -> CoveredState:
-    """Inverse of the polar chart (sheet tag supplied by the caller)."""
-    return CoveredState(
-        1.0 + ps.rho * math.cos(ps.theta), ps.rho * math.sin(ps.theta), sheet
-    )
-
-
 def _check_away_from_centers(x, y) -> None:
     d2_plus = (np.asarray(x) - 1.0) ** 2 + np.asarray(y) ** 2
     d2_minus = (np.asarray(x) + 1.0) ** 2 + np.asarray(y) ** 2
@@ -102,21 +64,24 @@ def _check_away_from_centers(x, y) -> None:
         )
 
 
+def _angle(x1, y1):
+    """Angle of covered points about the center (1, 0), in (-pi, pi]."""
+    theta = np.arctan2(y1, x1 - 1.0)
+    return np.where(theta == -math.pi, math.pi, theta)[()]  # 0-d -> scalar
+
+
 def theta_of(s: State) -> float:
-    """Global angle of a state, via its covered image, in (-pi, pi]."""
+    """Global angle of a state, via its covered image, in (-pi, pi];
+    elementwise when the coordinates are arrays."""
     _require_finite(s)
     _check_away_from_centers(s.x, s.y)
-    c = cover_map(State(float(s[0]), float(s[1])))
-    theta = math.atan2(c.y1, c.x1 - 1.0)
-    if theta == -math.pi:
-        theta = math.pi
-    return theta
+    return _angle(*square(s.x, s.y))
 
 
 def theta_dot_of(s: State) -> float:
     """Angular velocity of the conservative flow at s (closed form).
 
-    Equal to d/dt atan2(y1, x1 - 1) along the mu = 0 flow.  Always <= 0;
+    Equal to d/dt theta_of along the mu = 0 flow.  Always <= 0;
     zero exactly at the origin.  The numerator decomposes as
     x^2 (x^2 - 1)^2 + y^2 (x^4 + y^2 + 1) and the denominator equals
     rho^2 = (x1 - 1)^2 + y1^2, which pins the 0/0 points to (+-1, 0).
@@ -131,12 +96,6 @@ def theta_dot_of(s: State) -> float:
     return -2.0 * num / den
 
 
-def _principal_thetas(traj: Trajectory) -> np.ndarray:
-    x1 = traj.covered[:, 0]
-    y1 = traj.covered[:, 1]
-    return np.arctan2(y1, x1 - 1.0)
-
-
 def unwrap_theta(traj: Trajectory) -> np.ndarray:
     """Continuous angle along a trajectory, as an (n, 2) array [t, theta].
 
@@ -147,7 +106,7 @@ def unwrap_theta(traj: Trajectory) -> np.ndarray:
     UnwrapAmbiguous.
     """
     _check_away_from_centers(traj.states[:, 0], traj.states[:, 1])
-    raw = _principal_thetas(traj)
+    raw = _angle(traj.covered[:, 0], traj.covered[:, 1])
     d = np.diff(raw)
     d -= TWO_PI * np.round(d / TWO_PI)
     if d.size and np.any(np.abs(d) >= math.pi):
@@ -155,22 +114,11 @@ def unwrap_theta(traj: Trajectory) -> np.ndarray:
             "consecutive angle samples differ by half a turn or more; "
             "sampling is too sparse to unwrap"
         )
-    theta0 = raw[0] if raw[0] != -math.pi else math.pi
     theta_u = np.empty_like(raw)
-    theta_u[0] = theta0
+    theta_u[0] = raw[0]
     if d.size:
-        theta_u[1:] = theta0 + np.cumsum(d)
+        theta_u[1:] = raw[0] + np.cumsum(d)
     return np.column_stack((np.asarray(traj.t, dtype=np.float64), theta_u))
-
-
-def _reject_nonperiodic(s0: State, p: Params) -> None:
-    if p.mu != 0.0:
-        raise ValueError("actions are defined for the conservative flow (mu = 0)")
-    level = hamiltonian(s0, p) - p.c
-    if abs(level) < 1e-9:
-        raise OnSeparatrix(
-            f"|H - c| = {abs(level):.2e} < 1e-9: no closed orbit on the separatrix"
-        )
 
 
 def action_covered(
@@ -185,7 +133,7 @@ def action_covered(
     explicitly.
     """
     s0 = State(float(s0[0]), float(s0[1]))
-    _reject_nonperiodic(s0, p)
+    _require_closed_orbit(s0, p)
     traj = integrate_covered(cover_map(s0), p, cfg)
     tw = unwrap_theta(traj)
     theta_u = tw[:, 1]
@@ -200,11 +148,10 @@ def action_covered(
 
     # theta_u - target on the step k-1 -> k, unwrapped against sample k-1
     at = hermite_steps(traj.t, traj.covered, traj.derivs, np.array([k - 1]))
-    raw_prev = np.arctan2(traj.covered[k - 1, 1], traj.covered[k - 1, 0] - 1.0)
+    raw_prev = _angle(traj.covered[k - 1, 0], traj.covered[k - 1, 1])
 
     def excess(j, tq):
-        x1q, y1q = at(j, tq)
-        dd = np.arctan2(y1q, x1q - 1.0) - raw_prev
+        dd = _angle(*at(j, tq)) - raw_prev
         dd -= TWO_PI * np.round(dd / TWO_PI)
         return theta_u[k - 1] - target + dd
 
@@ -228,7 +175,6 @@ def action_original(
     """Classical action: (1/2pi) * integral of y dx over one original
     period (measured by find_period), sign-normalized."""
     s0 = State(float(s0[0]), float(s0[1]))
-    _reject_nonperiodic(s0, p)
     period = find_period(s0, p, cfg)
     traj = integrate_original(s0, p, replace(cfg, t_max=period))
     x = traj.states[:, 0]
@@ -242,11 +188,12 @@ def dH_dtheta(s: State, p: Params) -> float:
     """Energy change per unit of global angle, dH/dtheta = H'/theta'.
 
     Zero for mu = 0 or on the axis y = 0; strictly positive elsewhere when
-    mu > 0 (both rates are negative).  Raises OriginSingular at the origin
-    where the angular velocity vanishes, CenterSingular near (+-1, 0).
+    mu > 0 (both rates are negative).  Elementwise when the coordinates are
+    arrays.  Raises OriginSingular at the origin where the angular velocity
+    vanishes, CenterSingular near (+-1, 0).
     """
     td = theta_dot_of(s)
-    if td == 0.0:
+    if np.any(td == 0.0):
         raise OriginSingular("theta' = 0 at the origin; dH/dtheta is undefined")
     return energy_rate(s, p) / td
 

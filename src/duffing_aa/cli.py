@@ -11,7 +11,8 @@ reproduces the same figure or not at all.  Fields:
 
   mu, c              system parameters
   initial_states     list of [x, y] pairs -- or instead:
-  grid               {"x_range": [a,b], "y_range": [a,b], "nx": n, "ny": m}
+  grid               {"x_range": [a,b], "y_range": [a,b], "nx": n, "ny": m},
+                     at most MAX_GRID_STATES orbits (nx*ny)
   t_max              integration horizon (top level, not inside integrator)
   integrator         optional {"method","step","rel_tol","abs_tol","max_steps"}
   outputs            list of {"kind","format","path"}; kind is one of
@@ -63,6 +64,10 @@ _SCENARIO_KEYS = {
 _GRID_KEYS = {"x_range", "y_range", "nx", "ny"}
 _INTEGRATOR_KEYS = {"method", "step", "rel_tol", "abs_tol", "max_steps"}
 _OUTPUT_KEYS = {"kind", "format", "path"}
+
+# run holds every orbit in memory until its outputs are written, so the grid
+# size bounds its memory (400 orbits at t_max = 20 peak near 64 MB)
+MAX_GRID_STATES = 10_000
 
 _STROKE = "#1f4e9c"
 _STROKE_UPPER = "#c0392b"
@@ -136,6 +141,11 @@ def _expand_grid(grid: dict) -> tuple[State, ...]:
         v = grid[key]
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ConfigError(f"grid.{key}: expected an integer >= 1, got {v!r}")
+    if grid["nx"] * grid["ny"] > MAX_GRID_STATES:
+        raise ConfigError(
+            f"grid: nx*ny = {grid['nx'] * grid['ny']} orbits exceeds the limit "
+            f"of {MAX_GRID_STATES}"
+        )
     ranges = {}
     for key in ("x_range", "y_range"):
         rng = grid[key]
@@ -305,14 +315,11 @@ def _polylines(kind: str, trajs, curves):
         elif kind == "energy_angle":
             lines.append((curve, _STROKE))
         else:
-            sheets = traj.sheets
-            start = 0
-            for i in range(1, len(traj) + 1):
-                if i == len(traj) or sheets[i] != sheets[start]:
-                    stop = min(i + 1, len(traj))  # overlap keeps the curve joined
-                    color = _STROKE_UPPER if sheets[start] > 0 else _STROKE_LOWER
-                    lines.append((traj.covered[start:stop], color))
-                    start = i
+            flips = (np.flatnonzero(np.diff(traj.sheets)) + 1).tolist()
+            for start, stop in zip([0] + flips, flips + [len(traj)]):
+                color = _STROKE_UPPER if traj.sheets[start] > 0 else _STROKE_LOWER
+                # one sample of overlap keeps the curve joined
+                lines.append((traj.covered[start : stop + 1], color))
     return lines
 
 

@@ -58,18 +58,26 @@ class CoveredState(NamedTuple):
     sheet: Sheet
 
 
+def square(x, y):
+    """The covering map (x, y) -> (x^2 - y^2, 2xy), elementwise."""
+    return x * x - y * y, 2.0 * x * y
+
+
+def sheet_sign(x, y):
+    """Sheet of the image of (x, y), elementwise: +1 Upper, -1 Lower.
+
+    Upper for x > 0, and on the y-axis for y >= 0 (so the origin too).
+    """
+    return np.where((x > 0.0) | ((x == 0.0) & (y >= 0.0)), 1, -1)
+
+
 def cover_map(s: State) -> CoveredState:
     """Forward map (x, y) -> (x^2 - y^2, 2xy) with the sheet conventions
     documented in the module docstring."""
     _require_finite(s)
     x, y = float(s[0]), float(s[1])
-    if x > 0.0:
-        sheet = Sheet.UPPER
-    elif x < 0.0:
-        sheet = Sheet.LOWER
-    else:
-        sheet = Sheet.UPPER if y >= 0.0 else Sheet.LOWER
-    return CoveredState(x * x - y * y, 2.0 * x * y, sheet)
+    sheet = Sheet.UPPER if sheet_sign(x, y) > 0 else Sheet.LOWER
+    return CoveredState(*square(x, y), sheet)
 
 
 def principal_root(x1, y1):
@@ -96,8 +104,7 @@ def inverse_cover(c: CoveredState) -> State:
     """The unique preimage of a covered point on its tagged sheet: the
     principal square root of x1 + i*y1 (see principal_root), negated on
     the Lower sheet.  The cut side is decided by an explicit sign test."""
-    if not (np.isfinite(c.x1) and np.isfinite(c.y1)):
-        raise ValueError(f"covered state must be finite, got {c!r}")
+    _require_finite(c)
     x, y = principal_root(c.x1, c.y1)
     if c.sheet is Sheet.LOWER:
         x, y = -x, -y
@@ -111,15 +118,10 @@ def covered_field(c: CoveredState, p: Params) -> tuple[float, float]:
     field vectors and an opposite-signed Jacobian, so both push to the
     same covered vector.
     """
-    if not (np.all(np.isfinite(c.x1)) and np.all(np.isfinite(c.y1))):
-        raise ValueError(f"covered state must be finite, got {c!r}")
+    _require_finite(c)
     x1, y1 = c.x1, c.y1
     r = np.sqrt(x1 * x1 + y1 * y1)
     du = 0.5 * (x1 + r) * y1 + p.mu * (r - x1)
     dv = -x1 * x1 - 0.5 * y1 * y1 + r * (2.0 - x1) - p.mu * y1
     return du, dv
 
-
-def toggle_sheet(sh: Sheet) -> Sheet:
-    """The other sheet; involutive."""
-    return Sheet.LOWER if sh is Sheet.UPPER else Sheet.UPPER

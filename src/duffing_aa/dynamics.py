@@ -45,9 +45,11 @@ class Params:
             raise ValueError(f"c must be finite, got {self.c}")
 
 
-def _require_finite(s: State) -> None:
-    if not (np.all(np.isfinite(s.x)) and np.all(np.isfinite(s.y))):
-        raise ValueError(f"state must be finite, got {s!r}")
+def _require_finite(s) -> None:
+    """Reject a State or CoveredState whose coordinates (scalars or
+    arrays) are not all finite."""
+    if not (np.all(np.isfinite(s[0])) and np.all(np.isfinite(s[1]))):
+        raise ValueError(f"{type(s).__name__} must be finite, got {s!r}")
 
 
 def duffing_field(s: State, p: Params) -> tuple[float, float]:
@@ -83,15 +85,6 @@ def energy_rate(s: State, p: Params) -> float:
     """
     _require_finite(s)
     return -p.mu * s.y**2
-
-
-def fixed_points(p: Params) -> list[State]:
-    """Equilibria of the field: the saddle (0,0) and the wells (+-1, 0).
-
-    The y-component of the field vanishes iff y = 0, where the damping term
-    drops out, so the set is the same for every mu >= 0.
-    """
-    return [State(0.0, 0.0), State(1.0, 0.0), State(-1.0, 0.0)]
 
 
 def state_on_level(h: float) -> State:

@@ -28,8 +28,8 @@ class NoReturn(DuffingError):
 
 
 class OnSeparatrix(DuffingError):
-    """Period finding rejected a state on (or within 1e-9 of) the
-    separatrix energy level, where no finite period exists."""
+    """A period or action was asked of a state within SEPARATRIX_TOL of
+    the separatrix energy level, where no closed orbit exists."""
 
 
 class CenterSingular(DuffingError):

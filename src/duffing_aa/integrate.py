@@ -35,7 +35,6 @@ marked read-only) and safe to share between threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -43,7 +42,7 @@ import numpy as np
 
 from . import _kernels
 from .covering import BRANCH_TOL as BRANCH_CUT_TOL
-from .covering import CoveredState, Sheet, cover_map, principal_root
+from .covering import CoveredState, Sheet, principal_root, sheet_sign, square
 from .dynamics import Params, State, _require_finite, hamiltonian
 from .exceptions import (
     BranchPointApproach,
@@ -62,9 +61,6 @@ SECTION_REFINE_TOL = 1e-10
 BRANCH_RADIUS = 1e-10
 SEPARATRIX_TOL = 1e-9
 MAX_REFINE_ITER = 200
-
-_SHEET_SIGN = {Sheet.UPPER: 1, Sheet.LOWER: -1}
-_SIGN_SHEET = {1: Sheet.UPPER, -1: Sheet.LOWER}
 
 
 @dataclass(frozen=True)
@@ -133,22 +129,9 @@ class Trajectory:
     def __len__(self) -> int:
         return self.t.shape[0]
 
-    def state_at(self, i: int) -> State:
-        return State(float(self.states[i, 0]), float(self.states[i, 1]))
-
-    def covered_at(self, i: int) -> CoveredState:
-        return CoveredState(
-            float(self.covered[i, 0]), float(self.covered[i, 1]), self.sheet_at(i)
-        )
-
-    def sheet_at(self, i: int) -> Sheet:
-        return _SIGN_SHEET[int(self.sheets[i])]
-
     def energies(self) -> np.ndarray:
         """H evaluated at every sample."""
-        x = self.states[:, 0]
-        y = self.states[:, 1]
-        return x**4 / 4.0 + y**2 / 2.0 - x**2 / 2.0 + self.params.c
+        return hamiltonian(State(self.states[:, 0], self.states[:, 1]), self.params)
 
     def dense_point(self, tq: float) -> tuple[float, float]:
         """Cubic Hermite interpolant in the integrated plane at time tq."""
@@ -181,9 +164,7 @@ def _run_kernel(field_id: int, u0: float, v0: float, p: Params, cfg: IntegratorC
             f"adaptive step fell below {_kernels.MIN_STEP:g} at t={t[-1]:.6g}"
         )
     if status == _kernels.STATUS_NONFINITE:
-        raise StepFailure(
-            f"non-finite error estimate at t={t[-1]:.6g}: the state overflows"
-        )
+        raise StepFailure(f"the state became non-finite after t={t[-1]:.6g}")
     if status == _kernels.STATUS_MAX_STEPS:
         reached = t[-1] if len(t) else 0.0
         raise MaxStepsExceeded(
@@ -218,9 +199,7 @@ def hermite_steps(t, pts, derivs, ks, squared=False):
             + (s3 - s2) * h * f1[j]
         )
         u, v = w[..., 0], w[..., 1]
-        if squared:
-            return u * u - v * v, 2.0 * u * v
-        return u, v
+        return square(u, v) if squared else (u, v)
 
     return at
 
@@ -317,14 +296,9 @@ def _cut_crossings(
 
 
 def _evolve_sheets(n: int, start_sign: int, toggle_from: list[int]) -> np.ndarray:
-    sheets = np.empty(n, dtype=np.int8)
-    cur = start_sign
-    last = 0
-    for k in toggle_from:
-        sheets[last:k] = cur
-        cur = -cur
-        last = k
-    sheets[last:] = cur
+    sheets = np.full(n, start_sign, dtype=np.int8)
+    for on, off in zip(toggle_from[::2], toggle_from[1::2] + [n]):
+        sheets[on:off] = -start_sign  # every other toggle leaves the start sheet
     return sheets
 
 
@@ -357,7 +331,7 @@ def integrate_original(
     _require_finite(s0)
     t, x, y, dx, dy = _run_kernel(_kernels.FIELD_ORIGINAL, s0.x, s0.y, p, cfg)
     states = np.column_stack((x, y))
-    covered = np.column_stack((x * x - y * y, 2.0 * x * y))
+    covered = np.column_stack(square(x, y))
     derivs = np.column_stack((dx, dy))
 
     dense = partial(hermite_steps, t, states, derivs)
@@ -369,7 +343,7 @@ def integrate_original(
             events + _section_crossings(t, y, dense),
             key=lambda e: (e.t, 0 if e.kind == CUT_CROSSING else 1),
         )
-    sheets = _evolve_sheets(len(t), _SHEET_SIGN[cover_map(s0).sheet], toggle_from)
+    sheets = _evolve_sheets(len(t), int(sheet_sign(s0.x, s0.y)), toggle_from)
     return Trajectory(t, states, covered, sheets, derivs, tuple(events), p, cfg,
                       "original")
 
@@ -385,10 +359,10 @@ def integrate_covered(
     point aborts with BranchPointApproach (the inverse loses accuracy
     there); integrate the original plane instead for saddle studies.
     """
-    x10, y10 = float(c0[0]), float(c0[1])
-    if not (math.isfinite(x10) and math.isfinite(y10)):
-        raise ValueError(f"covered state must be finite, got {c0!r}")
-    t, x1, y1, dx1, dy1 = _run_kernel(_kernels.FIELD_COVERED, x10, y10, p, cfg)
+    _require_finite(c0)
+    t, x1, y1, dx1, dy1 = _run_kernel(
+        _kernels.FIELD_COVERED, float(c0[0]), float(c0[1]), p, cfg
+    )
     radius = np.hypot(x1, y1)
     if np.any(radius < BRANCH_RADIUS):
         i = int(np.argmin(radius))
@@ -402,12 +376,25 @@ def integrate_covered(
     events, toggle_from = _cut_crossings(
         t, y1, partial(hermite_steps, t, covered, derivs)
     )
-    sheets = _evolve_sheets(len(t), _SHEET_SIGN[c0.sheet], toggle_from)
+    sheets = _evolve_sheets(len(t), 1 if c0.sheet is Sheet.UPPER else -1, toggle_from)
     x, y = principal_root(x1, y1)
     states = np.column_stack((x * sheets, y * sheets))
 
     return Trajectory(t, states, covered, sheets, derivs, tuple(events), p, cfg,
                       "covered")
+
+
+def _require_closed_orbit(s0: State, p: Params) -> None:
+    """Periods and actions need a closed orbit: ValueError for mu != 0,
+    OnSeparatrix within SEPARATRIX_TOL of the separatrix level."""
+    if p.mu != 0.0:
+        raise ValueError("closed orbits need the conservative flow (mu = 0)")
+    level = hamiltonian(s0, p) - p.c
+    if abs(level) < SEPARATRIX_TOL:
+        raise OnSeparatrix(
+            f"|H - c| = {abs(level):.2e} < {SEPARATRIX_TOL:g}: state is on the "
+            "separatrix (or the saddle), which has no closed orbit"
+        )
 
 
 def find_period(
@@ -420,35 +407,24 @@ def find_period(
     off it, the time between the first two same-direction crossings.
     Section times are refined to |y| <= 1e-10.
 
-    Raises OnSeparatrix within 1e-9 of the separatrix level (no finite
-    period), NoReturn if t_max expires first, and ValueError for mu != 0.
+    Raises what ``_require_closed_orbit`` raises, and NoReturn if t_max
+    expires first.
     """
     s0 = State(float(s0[0]), float(s0[1]))
-    if p.mu != 0.0:
-        raise ValueError("period is defined for the conservative flow (mu = 0) only")
-    level = hamiltonian(s0, p) - p.c
-    if abs(level) < SEPARATRIX_TOL:
-        raise OnSeparatrix(
-            f"|H - c| = {abs(level):.2e} < {SEPARATRIX_TOL:g}: state is on the "
-            "separatrix (or the saddle), which has no finite period"
-        )
+    _require_closed_orbit(s0, p)
     traj = integrate_original(s0, p, cfg, detect_sections=True)
     returns = [e for e in traj.events if e.kind == SECTION_RETURN]
 
     if s0.y == 0.0:
-        d0 = int(np.sign(s0.x - s0.x**3))
+        t_ref, d0 = 0.0, int(np.sign(s0.x - s0.x**3))
         if d0 == 0:
             raise NoReturn("initial state is a fixed point; no section return")
-        for e in returns:
-            if e.data["direction"] == d0:
-                return e.t
-        raise NoReturn(f"no same-direction section return before t_max={cfg.t_max:g}")
-
-    if not returns:
+    elif returns:
+        t_ref, d0 = returns[0].t, returns[0].data["direction"]
+        returns = returns[1:]
+    else:
         raise NoReturn(f"no section crossing before t_max={cfg.t_max:g}")
-    t_ref = returns[0].t
-    d0 = returns[0].data["direction"]
-    for e in returns[1:]:
+    for e in returns:
         if e.data["direction"] == d0:
             return e.t - t_ref
     raise NoReturn(f"no same-direction section return before t_max={cfg.t_max:g}")

@@ -25,10 +25,22 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .actionangle import dH_dtheta, theta_dot_of, theta_of, unwrap_theta
-from .covering import CoveredState, Sheet, cover_map, covered_field, inverse_cover
+from .covering import (
+    CoveredState,
+    Sheet,
+    covered_field,
+    principal_root,
+    sheet_sign,
+    square,
+)
 from .dynamics import Params, State, duffing_field, energy_rate, state_on_level
 from .exceptions import OnSeparatrix
-from .integrate import DEFAULT_CONFIG, find_period, integrate_original
+from .integrate import (
+    DEFAULT_CONFIG,
+    SEPARATRIX_TOL,
+    find_period,
+    integrate_original,
+)
 
 DEFAULT_N = 10_000
 DEFAULT_SEED = 42
@@ -71,22 +83,44 @@ def lcg_uniform(seed: int, n: int) -> np.ndarray:
     return out
 
 
-def _sample_box(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _sample_box(
+    seed: int, n: int, center_r2: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """n seeded states of the box, less those within squared distance
+    center_r2 of (+-1, 0)."""
+    if n <= 0:
+        raise ValueError(f"sample count must be > 0, got {n}")
     u = lcg_uniform(seed, 2 * n)
     x = -SAMPLE_BOX + 2.0 * SAMPLE_BOX * u[0::2]
     y = -SAMPLE_BOX + 2.0 * SAMPLE_BOX * u[1::2]
-    return x, y
-
-
-def _require_positive(n: int) -> None:
-    if n <= 0:
-        raise ValueError(f"sample count must be > 0, got {n}")
+    keep = ((x - 1.0) ** 2 + y**2 >= center_r2) & ((x + 1.0) ** 2 + y**2 >= center_r2)
+    return x[keep], y[keep]
 
 
 def _max_rel(diff: np.ndarray, ref: np.ndarray) -> float:
-    if diff.size == 0:
-        return 0.0
-    return float(np.max(np.abs(diff) / np.maximum(np.abs(ref), 1e-300)))
+    return float(np.max(np.abs(diff) / np.maximum(np.abs(ref), 1e-300), initial=0.0))
+
+
+def _levels_report(name: str, errors, tolerance: float) -> CheckReport:
+    """One report from (error, scale) pairs, one per energy level; the
+    governing metric is the max absolute error."""
+    max_abs = max((e for e, _ in errors), default=0.0)
+    max_rel = max((e / scale for e, scale in errors), default=0.0)
+    return CheckReport(
+        name, len(errors), max_abs, max_rel, max_abs <= tolerance, tolerance
+    )
+
+
+def _chain_rule_theta_dot(x, y):
+    """Oracle for theta': ((x1-1)*y1' - y1*x1') / ((x1-1)^2 + y1^2), with
+    the covered velocity pushed forward from the raw conservative field by
+    the Jacobian [[2x, -2y], [2y, 2x]]."""
+    fx, fy = duffing_field(State(x, y), Params(mu=0.0))
+    x1 = x * x - y * y
+    y1 = 2.0 * x * y
+    du = 2.0 * x * fx - 2.0 * y * fy
+    dv = 2.0 * y * fx + 2.0 * x * fy
+    return ((x1 - 1.0) * dv - y1 * du) / ((x1 - 1.0) ** 2 + y1**2)
 
 
 def check_pushforward(
@@ -99,15 +133,12 @@ def check_pushforward(
     field at the covered images.  Governing metric: max absolute
     componentwise difference.
     """
-    _require_positive(n)
     x, y = _sample_box(seed, n)
     p = Params(mu=mu)
     fx, fy = duffing_field(State(x, y), p)
     oracle_u = 2.0 * x * fx - 2.0 * y * fy
     oracle_v = 2.0 * y * fx + 2.0 * x * fy
-    got_u, got_v = covered_field(
-        CoveredState(x * x - y * y, 2.0 * x * y, Sheet.UPPER), p
-    )
+    got_u, got_v = covered_field(CoveredState(*square(x, y), Sheet.UPPER), p)
     diff = np.concatenate((got_u - oracle_u, got_v - oracle_v))
     ref = np.concatenate((oracle_u, oracle_v))
     max_abs = float(np.max(np.abs(diff)))
@@ -128,21 +159,11 @@ def check_theta_dot(
     (0, 1) and (2, 0) are always included.  Governing metric: max
     relative difference.
     """
-    _require_positive(n)
-    x, y = _sample_box(seed, n)
-    keep = ((x - 1.0) ** 2 + y**2 >= 1e-6) & ((x + 1.0) ** 2 + y**2 >= 1e-6)
-    x = np.append(x[keep], [0.0, 2.0])
-    y = np.append(y[keep], [1.0, 0.0])
-
+    x, y = _sample_box(seed, n, 1e-6)
+    x = np.append(x, [0.0, 2.0])
+    y = np.append(y, [1.0, 0.0])
     closed = theta_dot_of(State(x, y))
-    p0 = Params(mu=0.0)
-    fx, fy = duffing_field(State(x, y), p0)
-    x1 = x * x - y * y
-    y1 = 2.0 * x * y
-    du = 2.0 * x * fx - 2.0 * y * fy
-    dv = 2.0 * y * fx + 2.0 * x * fy
-    oracle = ((x1 - 1.0) * dv - y1 * du) / ((x1 - 1.0) ** 2 + y1**2)
-
+    oracle = _chain_rule_theta_dot(x, y)
     diff = closed - oracle
     max_rel = _max_rel(diff, oracle)
     return CheckReport(
@@ -160,23 +181,14 @@ def check_conservation(
     tolerances 1e-10.  Governing metric: max |H(t) - H(0)| over all
     samples of all orbits.  Separatrix levels are rejected.
     """
-    cfg = DEFAULT_CONFIG
-    if t_max != cfg.t_max:
-        cfg = replace(cfg, t_max=t_max)
-    p = Params(mu=0.0)
-    max_abs = 0.0
-    max_rel = 0.0
+    cfg = replace(DEFAULT_CONFIG, t_max=t_max)
+    drifts = []
     for h in h_levels:
-        if abs(h) < 1e-9:
+        if abs(h) < SEPARATRIX_TOL:
             raise OnSeparatrix(f"level {h} is the separatrix; no drift check there")
-        traj = integrate_original(state_on_level(h), p, cfg)
-        drift = float(np.max(np.abs(traj.energies() - h)))
-        max_abs = max(max_abs, drift)
-        max_rel = max(max_rel, drift / abs(h))
-    n = len(list(h_levels))
-    return CheckReport(
-        "check_conservation", n, max_abs, max_rel, max_abs <= tolerance, tolerance
-    )
+        traj = integrate_original(state_on_level(h), Params(mu=0.0), cfg)
+        drifts.append((float(np.max(np.abs(traj.energies() - h))), abs(h)))
+    return _levels_report("check_conservation", drifts, tolerance)
 
 
 def check_winding(h_levels, tolerance: float = 1e-6) -> CheckReport:
@@ -187,40 +199,30 @@ def check_winding(h_levels, tolerance: float = 1e-6) -> CheckReport:
     Governing metric: max |total - expected|.
     """
     p = Params(mu=0.0)
-    max_abs = 0.0
-    max_rel = 0.0
+    errors = []
     for h in h_levels:
-        if abs(h) < 1e-9:
-            raise OnSeparatrix(f"level {h} is the separatrix; no period there")
         s0 = state_on_level(h)
         period = find_period(s0, p, DEFAULT_CONFIG)
         traj = integrate_original(s0, p, replace(DEFAULT_CONFIG, t_max=period))
         tw = unwrap_theta(traj)
         total = float(tw[-1, 1] - tw[0, 1])
         expected = -2.0 * math.pi if h < 0 else -4.0 * math.pi
-        err = abs(total - expected)
-        max_abs = max(max_abs, err)
-        max_rel = max(max_rel, err / abs(expected))
-    n = len(list(h_levels))
-    return CheckReport(
-        "check_winding", n, max_abs, max_rel, max_abs <= tolerance, tolerance
-    )
+        errors.append((abs(total - expected), abs(expected)))
+    return _levels_report("check_winding", errors, tolerance)
 
 
 def check_roundtrip(
     n: int = DEFAULT_N, seed: int = DEFAULT_SEED, tolerance: float = 1e-12
 ) -> CheckReport:
-    """inverse_cover(cover_map(s)) = s, componentwise, on sampled states."""
-    _require_positive(n)
+    """inverse_cover(cover_map(s)) = s, componentwise, on sampled states,
+    through their array forms: the principal root of the square, signed
+    by the sheet."""
     x, y = _sample_box(seed, n)
-    max_abs = 0.0
-    max_rel = 0.0
-    for i in range(n):
-        s = State(float(x[i]), float(y[i]))
-        back = inverse_cover(cover_map(s))
-        err = max(abs(back.x - s.x), abs(back.y - s.y))
-        max_abs = max(max_abs, err)
-        max_rel = max(max_rel, err / max(abs(s.x), abs(s.y), 1e-300))
+    sign = sheet_sign(x, y)
+    back_x, back_y = principal_root(*square(x, y))
+    err = np.maximum(np.abs(back_x * sign - x), np.abs(back_y * sign - y))
+    max_abs = float(np.max(err))
+    max_rel = float(np.max(err / np.maximum(np.maximum(np.abs(x), np.abs(y)), 1e-300)))
     return CheckReport(
         "check_roundtrip", n, max_abs, max_rel, max_abs <= tolerance, tolerance
     )
@@ -233,7 +235,6 @@ def check_energy_rate(
     tolerance: float = 1e-12,
 ) -> CheckReport:
     """Closed-form dH/dt = -mu*y^2 vs. the gradient product grad(H).f."""
-    _require_positive(n)
     x, y = _sample_box(seed, n)
     p = Params(mu=mu)
     fx, fy = duffing_field(State(x, y), p)
@@ -261,23 +262,14 @@ def check_theta_angle(
 
     Governing metric: max of the two scaled residuals.
     """
-    _require_positive(n)
-    x, y = _sample_box(seed, n)
-    keep = ((x - 1.0) ** 2 + y**2 >= 1e-4) & ((x + 1.0) ** 2 + y**2 >= 1e-4)
-    x, y = x[keep], y[keep]
-    worst = 0.0
-    for i in range(x.size):
-        s = State(float(x[i]), float(y[i]))
-        th = theta_of(s)
-        c = cover_map(s)
-        rho = math.hypot(c.x1 - 1.0, c.y1)
-        r1 = abs((c.x1 - 1.0) * math.sin(th) - c.y1 * math.cos(th)) / rho
-        den = (
-            s.x**4 + 2.0 * s.x**2 * s.y**2 + s.y**4
-            - 2.0 * s.x**2 + 2.0 * s.y**2 + 1.0
-        )
-        r2 = abs(den - rho * rho) / (rho * rho)
-        worst = max(worst, r1, r2)
+    x, y = _sample_box(seed, n, 1e-4)
+    th = theta_of(State(x, y))
+    x1, y1 = square(x, y)
+    rho = np.hypot(x1 - 1.0, y1)
+    r1 = np.abs((x1 - 1.0) * np.sin(th) - y1 * np.cos(th)) / rho
+    den = x**4 + 2.0 * x**2 * y**2 + y**4 - 2.0 * x**2 + 2.0 * y**2 + 1.0
+    r2 = np.abs(den - rho * rho) / (rho * rho)
+    worst = float(max(np.max(r1, initial=0.0), np.max(r2, initial=0.0)))
     return CheckReport(
         "check_theta_angle", int(x.size), worst, worst, worst <= tolerance, tolerance
     )
@@ -296,108 +288,64 @@ def check_dh_dtheta(
     1e-6 disk around the origin.  Governing metric: max relative
     difference.
     """
-    _require_positive(n)
-    x, y = _sample_box(seed, n)
-    keep = (
-        ((x - 1.0) ** 2 + y**2 >= 1e-6)
-        & ((x + 1.0) ** 2 + y**2 >= 1e-6)
-        & (x**2 + y**2 >= 1e-12)
-    )
+    x, y = _sample_box(seed, n, 1e-6)
+    keep = x**2 + y**2 >= 1e-12
     x, y = x[keep], y[keep]
     p = Params(mu=mu)
-    p0 = Params(mu=0.0)
-    max_abs = 0.0
-    max_rel = 0.0
-    for i in range(x.size):
-        s = State(float(x[i]), float(y[i]))
-        got = dH_dtheta(s, p)
-        fx, fy = duffing_field(s, p)
-        h_dot = (s.x * s.x * s.x - s.x) * fx + s.y * fy
-        gx, gy = duffing_field(s, p0)
-        du = 2.0 * s.x * gx - 2.0 * s.y * gy
-        dv = 2.0 * s.y * gx + 2.0 * s.x * gy
-        x1 = s.x**2 - s.y**2
-        y1 = 2.0 * s.x * s.y
-        th_dot = ((x1 - 1.0) * dv - y1 * du) / ((x1 - 1.0) ** 2 + y1**2)
-        oracle = h_dot / th_dot
-        err = abs(got - oracle)
-        max_abs = max(max_abs, err)
-        max_rel = max(max_rel, err / max(abs(oracle), 1e-300))
+    got = dH_dtheta(State(x, y), p)
+    fx, fy = duffing_field(State(x, y), p)
+    oracle = ((x * x * x - x) * fx + y * fy) / _chain_rule_theta_dot(x, y)
+    diff = got - oracle
+    max_abs = float(np.max(np.abs(diff), initial=0.0))
+    max_rel = _max_rel(diff, oracle)
     return CheckReport(
         "check_dh_dtheta", int(x.size), max_abs, max_rel,
         max_rel <= tolerance, tolerance,
     )
 
 
-def _merged(name: str, reports: list[CheckReport], tolerance: float) -> CheckReport:
-    return CheckReport(
-        name,
-        sum(r.n_samples for r in reports),
-        max(r.max_abs_error for r in reports),
-        max(r.max_rel_error for r in reports),
-        all(r.passed for r in reports),
-        tolerance,
-    )
+def _tol(tolerance: float | None) -> dict:
+    return {} if tolerance is None else {"tolerance": tolerance}
 
 
-def _run_pushforward(seed: int, tolerance: float | None) -> CheckReport:
-    tol = 1e-10 if tolerance is None else tolerance
-    return _merged(
-        "check_pushforward",
-        [check_pushforward(DEFAULT_N, mu, seed, tol) for mu in PUSHFORWARD_MUS],
-        tol,
-    )
+def _over_mus(check):
+    """Registry entry running check at each of PUSHFORWARD_MUS, merged."""
+
+    def run(seed: int, tolerance: float | None = None) -> CheckReport:
+        reports = [check(DEFAULT_N, mu, seed, **_tol(tolerance))
+                   for mu in PUSHFORWARD_MUS]
+        return CheckReport(
+            reports[0].name,
+            sum(r.n_samples for r in reports),
+            max(r.max_abs_error for r in reports),
+            max(r.max_rel_error for r in reports),
+            all(r.passed for r in reports),
+            reports[0].tolerance,
+        )
+
+    return run
 
 
-def _run_theta_dot(seed: int, tolerance: float | None) -> CheckReport:
-    return check_theta_dot(DEFAULT_N, seed, 1e-10 if tolerance is None else tolerance)
+def _sampled(check):
+    """Registry entry running check on DEFAULT_N samples of the seed."""
+    return lambda seed, tolerance=None: check(DEFAULT_N, seed, **_tol(tolerance))
 
 
-def _run_conservation(seed: int, tolerance: float | None) -> CheckReport:
-    return check_conservation(
-        CONSERVATION_LEVELS, 100.0, 1e-8 if tolerance is None else tolerance
-    )
+def _on_levels(check, levels):
+    """Registry entry running check on fixed energy levels (seed unused)."""
+    return lambda seed, tolerance=None: check(levels, **_tol(tolerance))
 
 
-def _run_winding(seed: int, tolerance: float | None) -> CheckReport:
-    return check_winding(WINDING_LEVELS, 1e-6 if tolerance is None else tolerance)
-
-
-def _run_roundtrip(seed: int, tolerance: float | None) -> CheckReport:
-    return check_roundtrip(DEFAULT_N, seed, 1e-12 if tolerance is None else tolerance)
-
-
-def _run_energy_rate(seed: int, tolerance: float | None) -> CheckReport:
-    tol = 1e-12 if tolerance is None else tolerance
-    return _merged(
-        "check_energy_rate",
-        [check_energy_rate(DEFAULT_N, mu, seed, tol) for mu in PUSHFORWARD_MUS],
-        tol,
-    )
-
-
-def _run_theta_angle(seed: int, tolerance: float | None) -> CheckReport:
-    return check_theta_angle(DEFAULT_N, seed, 1e-12 if tolerance is None else tolerance)
-
-
-def _run_dh_dtheta(seed: int, tolerance: float | None) -> CheckReport:
-    tol = 1e-10 if tolerance is None else tolerance
-    return _merged(
-        "check_dh_dtheta",
-        [check_dh_dtheta(DEFAULT_N, mu, seed, tol) for mu in PUSHFORWARD_MUS],
-        tol,
-    )
-
-
+# name -> runner(seed, tolerance=None); None keeps the check's own default
 CHECKS = {
-    "check_pushforward": _run_pushforward,
-    "check_theta_dot": _run_theta_dot,
-    "check_conservation": _run_conservation,
-    "check_winding": _run_winding,
-    "check_roundtrip": _run_roundtrip,
-    "check_energy_rate": _run_energy_rate,
-    "check_theta_angle": _run_theta_angle,
-    "check_dh_dtheta": _run_dh_dtheta,
+    "check_pushforward": _over_mus(check_pushforward),
+    "check_theta_dot": _sampled(check_theta_dot),
+    "check_conservation": _on_levels(check_conservation, CONSERVATION_LEVELS),
+    "check_winding": _on_levels(check_winding, WINDING_LEVELS),
+    "check_roundtrip": _sampled(check_roundtrip),
+    "check_energy_rate": _over_mus(check_energy_rate),
+    "check_theta_angle": _sampled(check_theta_angle),
+    "check_dh_dtheta": _over_mus(check_dh_dtheta),
 }
 
 # formula -> checks exercising it; the registry test keeps this total

@@ -3,15 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from duffing_aa import (
     DEFAULT_CONFIG,
     CenterSingular,
-    CoveredState,
     OnSeparatrix,
     OriginSingular,
     Params,
-    PolarState,
     Sheet,
     State,
     Trajectory,
@@ -20,14 +20,12 @@ from duffing_aa import (
     action_original,
     cover_map,
     covered_field,
-    covered_from_polar,
     dH_dtheta,
     duffing_field,
     energy_angle_curve,
     find_period,
     hamiltonian,
     integrate_original,
-    polar_of,
     state_on_level,
     theta_dot_of,
     theta_of,
@@ -73,6 +71,21 @@ def test_theta_range(rng):
         assert -math.pi < th <= math.pi
     # the lower-axis image lands on the closed end of the branch
     assert theta_of(State(0.0, -1.0)) == math.pi
+
+
+_point = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    _point.filter(lambda s: min(math.hypot(s[0] - 1.0, s[1]),
+                                math.hypot(s[0] + 1.0, s[1])) > 1e-9),
+    min_size=1, max_size=40,
+))
+def test_theta_of_arrays_match_scalars(points):
+    x, y = np.array(points).T
+    got = theta_of(State(x, y))
+    assert got.tolist() == [theta_of(State(a, b)) for a, b in points]
 
 
 def test_theta_center_singular():
@@ -128,15 +141,6 @@ def test_denominator_is_rho_squared(rng):
         assert abs(den - rho2) <= 1e-12 * rho2
 
 
-def test_polar_chart_round_trip(rng):
-    for _ in range(2000):
-        x1, y1 = rng.uniform(-4.0, 4.0, size=2)
-        ps = polar_of(CoveredState(x1, y1, Sheet.UPPER))
-        back = covered_from_polar(ps)
-        assert abs(back.x1 - x1) <= 1e-12 and abs(back.y1 - y1) <= 1e-12
-    assert polar_of(CoveredState(2.0, 0.0, Sheet.UPPER)) == PolarState(1.0, 0.0)
-
-
 def test_unwrap_constant_trajectory():
     tw = unwrap_theta(constant_trajectory(State(0.0, 1.0)))
     np.testing.assert_array_equal(tw[:, 1], math.pi)
@@ -180,6 +184,16 @@ def test_theta_strictly_decreasing_along_flow(p_damped):
     )
     tw = unwrap_theta(traj)
     assert np.all(np.diff(tw[:, 1]) < 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_point)
+def test_unwrapped_theta_decreases_on_conservative_orbits(point):
+    s0 = State(*point)
+    assume(abs(hamiltonian(s0, Params())) >= 1e-3)
+    assume(min(math.hypot(s0.x - 1.0, s0.y), math.hypot(s0.x + 1.0, s0.y)) >= 1e-2)
+    traj = integrate_original(s0, Params(), replace(DEFAULT_CONFIG, t_max=10.0))
+    assert np.all(np.diff(unwrap_theta(traj)[:, 1]) < 0.0)
 
 
 def test_action_covered_harmonic_limit(p0):

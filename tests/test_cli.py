@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from duffing_aa import Params, State, integrate_original
-from duffing_aa.cli import bundled_scenarios, load_scenario, main
+from duffing_aa.cli import MAX_GRID_STATES, bundled_scenarios, load_scenario, main
 from duffing_aa.exceptions import ConfigError
 
 
@@ -293,6 +293,32 @@ def test_overflowing_state_exits_3(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_rk4_overflowing_state_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = small_scenario(
+        tmp_path, initial_states=[[1e200, 0.0]], integrator={"method": "rk4"}
+    )
+    assert main(["run", cfg]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_oversize_grid_exits_2_before_expanding(tmp_path, monkeypatch, capsys):
+    def grid(nx, ny):
+        return _base_text(grid=f'{{"x_range": [0, 1], "y_range": [0, 1], '
+                               f'"nx": {nx}, "ny": {ny}}}')
+
+    path = tmp_path / "grid.json"
+    path.write_text(grid(100, MAX_GRID_STATES // 100))
+    assert len(load_scenario(str(path)).initial_states) == MAX_GRID_STATES
+    # 10^18 orbits must be refused from nx and ny alone, before any array
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("expanded"))
+    path.write_text(grid(10**9, 10**9))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid") and str(MAX_GRID_STATES) in err
+
+
 def test_csv_matches_per_value_format(tmp_path, monkeypatch):
     # the bulk writer must print every value as format(v, ".17g") does
     monkeypatch.chdir(tmp_path)
@@ -307,5 +333,5 @@ def test_csv_matches_per_value_format(tmp_path, monkeypatch):
             expected.append(",".join(
                 [format(float(v), ".17g") for v in
                  (traj.t[i], traj.covered[i, 0], traj.covered[i, 1])]
-                + [traj.sheet_at(i).value]))
+                + ["U" if traj.sheets[i] > 0 else "L"]))
     assert (tmp_path / "cov.csv").read_text().splitlines() == expected

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duffing_aa import (
     CoveredState,
@@ -9,9 +11,8 @@ from duffing_aa import (
     covered_field,
     duffing_field,
     inverse_cover,
-    toggle_sheet,
 )
-from duffing_aa.covering import principal_root
+from duffing_aa.covering import principal_root, sheet_sign, square
 from duffing_aa.verify import check_roundtrip
 
 
@@ -129,7 +130,7 @@ def test_equivariance(rng):
         c = cover_map(s)
         d = cover_map(State(-s.x, -s.y))
         assert (c.x1, c.y1) == (d.x1, d.y1)
-        assert d.sheet is toggle_sheet(c.sheet)
+        assert d.sheet is not c.sheet
 
 
 def test_round_trip_near_axes(rng):
@@ -164,11 +165,24 @@ def test_principal_root_on_axes_cut_and_origin():
     assert not np.any(np.signbit(y[:5]))
 
 
-def test_toggle_involution():
-    assert toggle_sheet(Sheet.UPPER) is Sheet.LOWER
-    assert toggle_sheet(Sheet.LOWER) is Sheet.UPPER
-    for sh in Sheet:
-        assert toggle_sheet(toggle_sheet(sh)) is sh
+# zeros of both signs put points on both axes; magnitudes stay above 1e-100
+# so that no square underflows
+_coord = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.builds(lambda v, sign: sign * v, st.floats(1e-100, 3.0),
+              st.sampled_from((1.0, -1.0))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=40))
+def test_signed_root_of_square_is_identity(points):
+    x, y = np.array(points).T
+    sign = sheet_sign(x, y)
+    back_x, back_y = principal_root(*square(x, y))
+    bound = 2.0 * np.finfo(np.float64).eps * np.hypot(x, y)
+    assert np.all(np.abs(back_x * sign - x) <= bound)
+    assert np.all(np.abs(back_y * sign - y) <= bound)
 
 
 def test_covered_field_vectorized(p0):

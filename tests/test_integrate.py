@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from duffing_aa import (
@@ -19,6 +19,7 @@ from duffing_aa import (
     NoReturn,
     OnSeparatrix,
     Params,
+    Sheet,
     State,
     StepFailure,
     cover_map,
@@ -28,7 +29,7 @@ from duffing_aa import (
     integrate_original,
     state_on_level,
 )
-from duffing_aa import integrate
+from duffing_aa import _kernels, integrate
 from duffing_aa.cli import load_scenario
 
 
@@ -190,7 +191,8 @@ def test_find_period_conserves_energy(p0):
     s0 = State(0.0, 0.1)
     period = find_period(s0, p0)
     assert 0.0 < period < 100.0
-    end = integrate_original(s0, p0, replace(DEFAULT_CONFIG, t_max=period)).state_at(-1)
+    traj = integrate_original(s0, p0, replace(DEFAULT_CONFIG, t_max=period))
+    end = State(*traj.states[-1])
     assert abs(hamiltonian(end, p0) - hamiltonian(s0, p0)) <= 1e-8
     # and the endpoint is back at the start
     assert abs(end.x - s0.x) <= 1e-6 and abs(end.y - s0.y) <= 1e-6
@@ -260,15 +262,6 @@ def test_time_strictly_increasing(p0):
     assert traj.t[0] == 0.0 and traj.t[-1] == 30.0
 
 
-def test_typed_accessors(p0):
-    traj = integrate_original(State(0.0, 1.0), p0, replace(DEFAULT_CONFIG, t_max=1.0))
-    s = traj.state_at(0)
-    assert isinstance(s, State) and s == State(0.0, 1.0)
-    c = traj.covered_at(0)
-    assert (c.x1, c.y1) == (-1.0, 0.0)
-    assert c.sheet is cover_map(State(0.0, 1.0)).sheet
-
-
 def test_nonfinite_state_fails_fast():
     # stages overflow to NaN at once; the default budget of 10^7 steps
     # must not be spent before the failure is reported
@@ -276,6 +269,19 @@ def test_nonfinite_state_fails_fast():
     with pytest.raises(StepFailure, match="non-finite"):
         integrate_original(State(1e200, 0.0), Params())
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_rk4_nonfinite_state_fails_fast():
+    # the fixed-step loop must not return NaN samples without an error
+    with pytest.raises(StepFailure, match="non-finite"):
+        integrate_original(
+            State(1e200, 0.0), Params(), IntegratorConfig(method="rk4", t_max=10.0)
+        )
+    t, u, v, du, dv, status = _kernels.rk4_path(
+        _kernels.FIELD_ORIGINAL, 1e200, 0.0, 0.0, 10.0, 0.01, 10**7
+    )
+    assert status == _kernels.STATUS_NONFINITE
+    assert t.tolist() == [0.0] and u.tolist() == [1e200]
 
 
 # ---------------------------------------------------------------- locator
@@ -440,6 +446,7 @@ def test_locator_matches_scalar_bisection():
     y=st.floats(-2.0, 2.0),
     mu=st.sampled_from((0.0, 0.1)),
 )
+@example(x=0.0, y=1.0, mu=0.0)  # launched on the cut
 def test_sheet_parity_equals_cut_count(x, y, mu):
     try:
         traj = integrate_original(
@@ -447,6 +454,10 @@ def test_sheet_parity_equals_cut_count(x, y, mu):
         )
     except DegenerateCrossing:
         assume(False)
+    c0 = cover_map(State(x, y))
+    assert traj.states[0].tolist() == [x, y]
+    assert traj.covered[0].tolist() == [c0.x1, c0.y1]
+    assert int(traj.sheets[0]) == (1 if c0.sheet is Sheet.UPPER else -1)
     cuts = sum(e.kind == CUT_CROSSING for e in traj.events)
     assert int(traj.sheets[-1]) == int(traj.sheets[0]) * (-1) ** cuts
     assert int(np.sum(traj.sheets[1:] != traj.sheets[:-1])) == cuts
