@@ -80,12 +80,24 @@ def _grow(arr, cap):
 
 
 @njit(cache=True)
-def adaptive_path(field, u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
+def adaptive_path(
+    field, u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, max_samples
+):
     """Dormand-Prince 5(4) loop with FSAL, recording every accepted step.
 
-    Returns (t, u, v, du, dv, status) where du/dv are the field values at
-    the accepted nodes (used downstream for cubic Hermite dense output).
-    A step whose error norm is NaN stops the loop with STATUS_NONFINITE.
+    Integrates from (t0, u0, v0) towards t_end with first step h0 and at
+    most max_steps attempted steps, and pauses once it holds max_samples
+    samples (the start included).  Returns
+    (t, u, v, du, dv, status, h, steps): du/dv are the field values at the
+    accepted nodes (used downstream for cubic Hermite dense output), h the
+    proposed next step and steps the attempted steps used.  A pause
+    returns STATUS_OK with t[-1] < t_end; calling again from the last
+    sample with that h, the remaining step budget and the same t_end
+    continues the very same step sequence, bit for bit, because the FSAL
+    stage is recomputed from the same state.  So callers that only need
+    the path up to some event can stop at the first pause after it and
+    hold a prefix of the full-horizon path.  A step whose error norm is
+    NaN stops the loop with STATUS_NONFINITE.
     """
     # Butcher tableau, 7 stages, 5th order propagated
     a21 = 1.0 / 5.0
@@ -115,14 +127,14 @@ def adaptive_path(field, u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
     e6 = 22.0 / 525.0
     e7 = -1.0 / 40.0
 
-    cap = 4096
+    cap = min(4096, max_samples)
     ts = np.empty(cap, dtype=np.float64)
     us = np.empty(cap, dtype=np.float64)
     vs = np.empty(cap, dtype=np.float64)
     dus = np.empty(cap, dtype=np.float64)
     dvs = np.empty(cap, dtype=np.float64)
 
-    t = 0.0
+    t = t0
     u = u0
     v = v0
     k1u, k1v = rhs(field, u, v, mu)
@@ -146,6 +158,8 @@ def adaptive_path(field, u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
         if h < MIN_STEP:
             status = STATUS_STEP_UNDERFLOW
             break
+        if n == max_samples:
+            break  # pause: the caller may resume from the last sample
         last = False
         if t + h >= t_end:
             h = t_end - t
@@ -228,7 +242,7 @@ def adaptive_path(field, u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
                 fac = 1.0
             h = h * fac
 
-    return ts[:n], us[:n], vs[:n], dus[:n], dvs[:n], status
+    return ts[:n], us[:n], vs[:n], dus[:n], dvs[:n], status, h, steps
 
 
 @njit(cache=True)

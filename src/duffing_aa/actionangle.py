@@ -41,10 +41,10 @@ from .integrate import (
     DEFAULT_CONFIG,
     IntegratorConfig,
     Trajectory,
+    _integrate_covered,
     _require_closed_orbit,
     find_period,
     hermite_steps,
-    integrate_covered,
     integrate_original,
     locate_roots,
 )
@@ -96,6 +96,11 @@ def theta_dot_of(s: State) -> float:
     return -2.0 * num / den
 
 
+def _wrap(d):
+    """Angle differences shifted by multiples of 2pi into [-pi, pi]."""
+    return d - TWO_PI * np.round(d / TWO_PI)
+
+
 def unwrap_theta(traj: Trajectory) -> np.ndarray:
     """Continuous angle along a trajectory, as an (n, 2) array [t, theta].
 
@@ -107,8 +112,7 @@ def unwrap_theta(traj: Trajectory) -> np.ndarray:
     """
     _check_away_from_centers(traj.states[:, 0], traj.states[:, 1])
     raw = _angle(traj.covered[:, 0], traj.covered[:, 1])
-    d = np.diff(raw)
-    d -= TWO_PI * np.round(d / TWO_PI)
+    d = _wrap(np.diff(raw))
     if d.size and np.any(np.abs(d) >= math.pi):
         raise UnwrapAmbiguous(
             "consecutive angle samples differ by half a turn or more; "
@@ -121,20 +125,55 @@ def unwrap_theta(traj: Trajectory) -> np.ndarray:
     return np.column_stack((np.asarray(traj.t, dtype=np.float64), theta_u))
 
 
+def _one_revolution():
+    """A ``done`` predicate for the covered kernel path: true once the
+    angle, unwrapped as unwrap_theta does, has fallen by 2pi.  It keeps the
+    last principal angle and the running sum of increments, accumulated in
+    unwrap_theta's order, so each chunk is read once and the verdict
+    matches unwrap_theta on the whole path."""
+    first = last = total = None
+
+    def done(t, x1, y1, dx1, dy1):
+        nonlocal first, last, total
+        raw = _angle(x1, y1)
+        if first is None:
+            first, total = raw[0], np.zeros(1)
+        else:
+            raw = np.concatenate((last, raw))
+        sums = np.cumsum(np.concatenate((total, _wrap(np.diff(raw)))))
+        last, total = raw[-1:], sums[-1:]
+        return bool(np.any(first + sums[1:] <= first - TWO_PI))
+
+    return done
+
+
 def action_covered(
     s0: State, p: Params, cfg: IntegratorConfig = DEFAULT_CONFIG
 ) -> float:
     """Action from the covered loop: (1/2pi) * integral of y1 dx1 over one
     global revolution (theta down by exactly 2pi), sign-normalized.
 
-    The revolution endpoint is refined on the dense output by the event
-    locator, ``locate_roots``; quadrature is trapezoidal with the partial
-    last segment and the closing segment back to the start added
-    explicitly.
+    The integration stops after the first kernel chunk that completes the
+    revolution, not at t_max; the path is a prefix of the full-horizon one,
+    so the action equals, bit for bit, that of ``integrate_covered`` over
+    [0, t_max] (see ``_revolution_action``).
     """
     s0 = State(float(s0[0]), float(s0[1]))
     _require_closed_orbit(s0, p)
-    traj = integrate_covered(cover_map(s0), p, cfg)
+    return _revolution_action(
+        _integrate_covered(cover_map(s0), p, cfg, _one_revolution())
+    )
+
+
+def _revolution_action(traj: Trajectory) -> float:
+    """(1/2pi) * |integral of y1 dx1| along a covered trajectory over its
+    first global revolution.
+
+    The revolution endpoint is refined on the dense output by the event
+    locator, ``locate_roots``; quadrature is trapezoidal with the partial
+    last segment and the closing segment back to the start added
+    explicitly.  NoReturn if the angle never falls by 2pi.
+    """
     tw = unwrap_theta(traj)
     theta_u = tw[:, 1]
     target = theta_u[0] - TWO_PI
@@ -142,7 +181,7 @@ def action_covered(
     if below.size == 0:
         raise NoReturn(
             f"angle decreased by only {theta_u[0] - theta_u.min():.4g} rad "
-            f"within t_max={cfg.t_max:g}; increase t_max"
+            f"within t_max={traj.config.t_max:g}; increase t_max"
         )
     k = int(below[0])
 
@@ -151,9 +190,7 @@ def action_covered(
     raw_prev = _angle(traj.covered[k - 1, 0], traj.covered[k - 1, 1])
 
     def excess(j, tq):
-        dd = _angle(*at(j, tq)) - raw_prev
-        dd -= TWO_PI * np.round(dd / TWO_PI)
-        return theta_u[k - 1] - target + dd
+        return theta_u[k - 1] - target + _wrap(_angle(*at(j, tq)) - raw_prev)
 
     t_star = locate_roots(
         excess, traj.t[k - 1 : k], traj.t[k : k + 1],

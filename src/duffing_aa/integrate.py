@@ -23,6 +23,12 @@ variant of regula falsi (Hairer, Norsett & Wanner, Solving ODEs I, II.6;
 Shampine & Thompson, "Event location for ODEs", 2000).  The same routine
 finds the revolution endpoint of ``actionangle.action_covered``.
 
+Period and action queries need one orbit, not all of t_max:
+``find_period`` and ``actionangle.action_covered`` run the adaptive kernel
+in chunks that resume exactly where the last one paused, and stop after
+the first chunk that completes their event.  Their paths are prefixes of
+the full-horizon ones, so their results are bit-identical to it.
+
 The sheet column of a trajectory is *evolved*: it starts from the initial
 tag and toggles at each cut crossing, rather than being recomputed per
 sample.  Within one accepted step, cut crossings are located before
@@ -149,16 +155,46 @@ class Trajectory:
         return float(u), float(v)
 
 
-def _run_kernel(field_id: int, u0: float, v0: float, p: Params, cfg: IntegratorConfig):
-    if cfg.method == "rk45":
-        t, u, v, du, dv, status = _kernels.adaptive_path(
-            field_id, u0, v0, p.mu, cfg.t_max, cfg.rel_tol, cfg.abs_tol,
-            cfg.step, int(cfg.max_steps),
-        )
-    else:
-        t, u, v, du, dv, status = _kernels.rk4_path(
+# samples per kernel call when a caller stops at an event (see _run_kernel)
+_CHUNK_SAMPLES = 128
+
+
+def _run_kernel(field_id, u0, v0, p: Params, cfg: IntegratorConfig, done=None):
+    """(t, u, v, du, dv) of the path from (u0, v0) over [0, t_max].
+
+    With ``done`` the rk45 path is integrated in chunks of _CHUNK_SAMPLES
+    samples and stops after the first chunk for which done(t, u, v, du, dv),
+    called with each chunk's new samples in order, is true.  The kernel
+    resumes exactly where it paused, so the result is a prefix of the
+    full-horizon path, bit for bit.  rk4 always covers the whole horizon.
+    """
+    if cfg.method == "rk4":
+        *path, status = _kernels.rk4_path(
             field_id, u0, v0, p.mu, cfg.t_max, cfg.step, int(cfg.max_steps)
         )
+    else:
+        budget = int(cfg.max_steps)
+        # a path never holds more samples than attempted steps + 1
+        cap = _CHUNK_SAMPLES if done is not None else budget + 1
+        t0, h, chunks = 0.0, cfg.step, []
+        while True:
+            *chunk, status, h, used = _kernels.adaptive_path(
+                field_id, u0, v0, p.mu, t0, cfg.t_max, cfg.rel_tol, cfg.abs_tol,
+                h, budget, cap,
+            )
+            budget -= used
+            # a resumed chunk starts with the sample that ended the last one
+            chunks.append([a[1:] for a in chunk] if chunks else chunk)
+            # Python floats: numpy scalars would slow the uncompiled kernel
+            t0, u0, v0 = (float(a[-1]) for a in chunk[:3])
+            if status != _kernels.STATUS_OK or t0 >= cfg.t_max or (
+                done is not None and done(*chunks[-1])
+            ):
+                break
+        path = chunks[0]
+        if len(chunks) > 1:
+            path = [np.concatenate(a) for a in zip(*chunks)]
+    t = path[0]
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise StepFailure(
             f"adaptive step fell below {_kernels.MIN_STEP:g} at t={t[-1]:.6g}"
@@ -170,7 +206,7 @@ def _run_kernel(field_id: int, u0: float, v0: float, p: Params, cfg: IntegratorC
         raise MaxStepsExceeded(
             f"{cfg.max_steps} steps exhausted at t={reached:.6g} (t_max={cfg.t_max:g})"
         )
-    return t, u, v, du, dv
+    return path
 
 
 def hermite_steps(t, pts, derivs, ks, squared=False):
@@ -242,6 +278,14 @@ def locate_roots(g, a, b, ga, gb, tol):
     return root
 
 
+def _sign_flips(sg):
+    """The sign walk: indices k of the nonzero entries of the signs sg
+    that the next nonzero entry (past any exact zeros) opposes, and the
+    indices of all nonzero entries."""
+    nz = np.flatnonzero(sg)
+    return nz[:-1][sg[nz[1:]] != sg[nz[:-1]]], nz
+
+
 def _refine_sign_changes(t, g, dense, tol, trailing=False):
     """Sign changes of the sampled g = component 1 of ``dense``, refined.
 
@@ -251,9 +295,7 @@ def _refine_sign_changes(t, g, dense, tol, trailing=False):
     ``trailing``, a zero sample after the last nonzero one is a root too.
     Returns the k, the refined times and component 0 of ``dense`` there.
     """
-    sg = np.sign(g)
-    nz = np.flatnonzero(sg)
-    ks = nz[:-1][sg[nz[1:]] != sg[nz[:-1]]]
+    ks, nz = _sign_flips(np.sign(g))
     if trailing and nz.size and nz[-1] + 1 < g.size:
         ks = np.append(ks, nz[-1])
     at = dense(ks)
@@ -359,9 +401,15 @@ def integrate_covered(
     point aborts with BranchPointApproach (the inverse loses accuracy
     there); integrate the original plane instead for saddle studies.
     """
+    return _integrate_covered(c0, p, cfg)
+
+
+def _integrate_covered(c0: CoveredState, p: Params, cfg: IntegratorConfig,
+                       done=None) -> Trajectory:
+    """integrate_covered, stopped early by ``done`` as in _run_kernel."""
     _require_finite(c0)
     t, x1, y1, dx1, dy1 = _run_kernel(
-        _kernels.FIELD_COVERED, float(c0[0]), float(c0[1]), p, cfg
+        _kernels.FIELD_COVERED, float(c0[0]), float(c0[1]), p, cfg, done
     )
     radius = np.hypot(x1, y1)
     if np.any(radius < BRANCH_RADIUS):
@@ -397,6 +445,43 @@ def _require_closed_orbit(s0: State, p: Params) -> None:
         )
 
 
+def _period_bounds(d0, directions):
+    """Indices (i, j) of the section returns bounding the first period.
+
+    ``directions`` are those of the returns in time order.  The period
+    runs from return i -- or from t = 0 when i is None, for a start on the
+    section heading d0 -- to the first later return j in the same
+    direction; None while there is no such pair.
+    """
+    i = None
+    if d0 is None:
+        if not directions:
+            return None
+        i, d0 = 0, directions[0]
+    later = [j for j in range(len(directions)) if j != i and directions[j] == d0]
+    return (i, later[0]) if later else None
+
+
+def _section_walk(d0):
+    """A ``done`` predicate for _run_kernel: true once the sign walk of
+    the sampled y, as _section_crossings takes it, holds a pair of returns
+    that _period_bounds accepts.  It keeps the last nonzero sign and the
+    directions found, so each chunk is read once."""
+    directions = []
+    last = np.zeros(1)
+
+    def done(t, x, y, dx, dy):
+        nonlocal last
+        sg = np.concatenate((last, np.sign(y)))
+        ks, nz = _sign_flips(sg)
+        directions.extend((-sg[ks]).astype(int).tolist())
+        if nz.size:
+            last = sg[nz[-1:]]
+        return _period_bounds(d0, directions) is not None
+
+    return done
+
+
 def find_period(
     s0: State, p: Params, cfg: IntegratorConfig = DEFAULT_CONFIG
 ) -> float:
@@ -407,24 +492,32 @@ def find_period(
     off it, the time between the first two same-direction crossings.
     Section times are refined to |y| <= 1e-10.
 
+    The integration stops after the first kernel chunk (of
+    _CHUNK_SAMPLES samples) that completes that return, not at t_max; the
+    path is a prefix of the full-horizon one, so the period equals, bit
+    for bit, the one the full horizon would give.
+
     Raises what ``_require_closed_orbit`` raises, and NoReturn if t_max
     expires first.
     """
     s0 = State(float(s0[0]), float(s0[1]))
     _require_closed_orbit(s0, p)
-    traj = integrate_original(s0, p, cfg, detect_sections=True)
-    returns = [e for e in traj.events if e.kind == SECTION_RETURN]
-
+    d0 = None
     if s0.y == 0.0:
-        t_ref, d0 = 0.0, int(np.sign(s0.x - s0.x**3))
+        d0 = int(np.sign(s0.x - s0.x**3))
         if d0 == 0:
             raise NoReturn("initial state is a fixed point; no section return")
-    elif returns:
-        t_ref, d0 = returns[0].t, returns[0].data["direction"]
-        returns = returns[1:]
-    else:
-        raise NoReturn(f"no section crossing before t_max={cfg.t_max:g}")
-    for e in returns:
-        if e.data["direction"] == d0:
-            return e.t - t_ref
-    raise NoReturn(f"no same-direction section return before t_max={cfg.t_max:g}")
+    t, x, y, dx, dy = _run_kernel(
+        _kernels.FIELD_ORIGINAL, s0.x, s0.y, p, cfg, _section_walk(d0)
+    )
+    dense = partial(
+        hermite_steps, t, np.column_stack((x, y)), np.column_stack((dx, dy))
+    )
+    returns = _section_crossings(t, y, dense)
+    bounds = _period_bounds(d0, [e.data["direction"] for e in returns])
+    if bounds is None:
+        what = "section crossing" if d0 is None and not returns else (
+            "same-direction section return")
+        raise NoReturn(f"no {what} before t_max={cfg.t_max:g}")
+    i, j = bounds
+    return returns[j].t - (0.0 if i is None else returns[i].t)

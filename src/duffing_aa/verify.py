@@ -3,7 +3,8 @@
 Each closed-form formula in the library is re-derived here by a second
 route (Jacobian pushforward, gradient products, chain rules, round trips,
 long integrations) and compared against the production implementation on
-a deterministic sample set.  Reports are plain data, not assertions: the
+a deterministic sample set; measured periods are compared against their
+elliptic closed forms.  Reports are plain data, not assertions: the
 test suite asserts on ``report.passed``, while the CLI streams them as
 JSON for diagnostic runs.
 
@@ -49,6 +50,7 @@ SAMPLE_BOX = 3.0
 PUSHFORWARD_MUS = (0.0, 0.1, 0.5)
 CONSERVATION_LEVELS = (-0.2, 0.005, 0.5)
 WINDING_LEVELS = (-0.2, 0.5)
+PERIOD_LEVELS = (-0.24, -0.2, -0.01, 0.005, 0.5, 2.0)
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -74,13 +76,20 @@ class CheckReport:
 
 
 def lcg_uniform(seed: int, n: int) -> np.ndarray:
-    """n floats in [0, 1) from a 64-bit linear congruential generator."""
-    out = np.empty(n, dtype=np.float64)
-    s = seed & _LCG_MASK
-    for i in range(n):
-        s = (s * _LCG_MULT + _LCG_INC) & _LCG_MASK
-        out[i] = (s >> 11) * 2.0**-53
-    return out
+    """n floats in [0, 1) from a 64-bit linear congruential generator.
+
+    State k is s_k = a^k s_0 + C_k (mod 2^64), with C_k = c(a^(k-1) + ...
+    + 1); the jump-ahead tables a^k and C_k are doubled in uint64
+    arithmetic, which wraps mod 2^64, so no state is stepped in Python:
+    s_(m+k) = a^k s_m + C_k gives a^(m+k) = a^k a^m, C_(m+k) = a^k C_m + C_k.
+    """
+    mult = np.array([_LCG_MULT], dtype=np.uint64)  # a^k for k = 1, 2, ...
+    inc = np.array([_LCG_INC], dtype=np.uint64)  # C_k
+    while mult.size < n:
+        inc = np.concatenate((inc, mult * inc[-1] + inc))
+        mult = np.concatenate((mult, mult * mult[-1]))
+    states = mult[:n] * np.uint64(seed & _LCG_MASK) + inc[:n]
+    return (states >> np.uint64(11)) * 2.0**-53
 
 
 def _sample_box(
@@ -101,13 +110,17 @@ def _max_rel(diff: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(diff) / np.maximum(np.abs(ref), 1e-300), initial=0.0))
 
 
-def _levels_report(name: str, errors, tolerance: float) -> CheckReport:
+def _levels_report(
+    name: str, errors, tolerance: float, relative: bool = False
+) -> CheckReport:
     """One report from (error, scale) pairs, one per energy level; the
-    governing metric is the max absolute error."""
+    governing metric is the max absolute error, or with ``relative`` the
+    max of error / scale."""
     max_abs = max((e for e, _ in errors), default=0.0)
     max_rel = max((e / scale for e, scale in errors), default=0.0)
+    governing = max_rel if relative else max_abs
     return CheckReport(
-        name, len(errors), max_abs, max_rel, max_abs <= tolerance, tolerance
+        name, len(errors), max_abs, max_rel, governing <= tolerance, tolerance
     )
 
 
@@ -209,6 +222,45 @@ def check_winding(h_levels, tolerance: float = 1e-6) -> CheckReport:
         expected = -2.0 * math.pi if h < 0 else -4.0 * math.pi
         errors.append((abs(total - expected), abs(expected)))
     return _levels_report("check_winding", errors, tolerance)
+
+
+def _ellipk(m: float) -> float:
+    """Complete elliptic integral of the first kind, K(m) = pi / (2 M),
+    with M the arithmetic-geometric mean of 1 and sqrt(1 - m), 0 <= m < 1."""
+    a, b = 1.0, math.sqrt(1.0 - m)
+    for _ in range(64):  # quadratic convergence: a handful of rounds
+        if a == b:
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / (2.0 * a)
+
+
+def closed_form_period(h: float) -> float:
+    """Period of the conservative orbit on level h (c = 0), from the
+    roots a^2 = 1 - sqrt(1 + 4h), b^2 = 1 + sqrt(1 + 4h) of the quartic:
+    2 sqrt2 K(1 - a^2/b^2) / b in a well (-1/4 < h < 0) and
+    4 sqrt2 K(b^2/(b^2 - a^2)) / sqrt(b^2 - a^2) outside the separatrix."""
+    s = math.sqrt(1.0 + 4.0 * h)
+    a2, b2 = 1.0 - s, 1.0 + s
+    if h < 0.0:
+        return 2.0 * math.sqrt(2.0) * _ellipk(1.0 - a2 / b2) / math.sqrt(b2)
+    return 4.0 * math.sqrt(2.0) * _ellipk(b2 / (b2 - a2)) / math.sqrt(b2 - a2)
+
+
+def check_period(h_levels, tolerance: float = 1e-7) -> CheckReport:
+    """find_period vs. the elliptic closed form, one orbit per level.
+
+    Each orbit starts from (x, 0) on the level set, at the default
+    integrator settings.  Governing metric: max relative difference.
+    Separatrix levels are rejected (by find_period).
+    """
+    p = Params(mu=0.0)
+    errors = []
+    for h in h_levels:
+        got = find_period(state_on_level(h), p, DEFAULT_CONFIG)
+        period = closed_form_period(h)
+        errors.append((abs(got - period), period))
+    return _levels_report("check_period", errors, tolerance, relative=True)
 
 
 def check_roundtrip(
@@ -346,6 +398,7 @@ CHECKS = {
     "check_energy_rate": _over_mus(check_energy_rate),
     "check_theta_angle": _sampled(check_theta_angle),
     "check_dh_dtheta": _over_mus(check_dh_dtheta),
+    "check_period": _on_levels(check_period, PERIOD_LEVELS),
 }
 
 # formula -> checks exercising it; the registry test keeps this total
@@ -359,6 +412,7 @@ FORMULA_COVERAGE = {
     "theta_of": ("check_theta_angle", "check_winding"),
     "theta_dot_of": ("check_theta_dot", "check_dh_dtheta"),
     "dH_dtheta": ("check_dh_dtheta",),
+    "find_period": ("check_period", "check_winding"),
 }
 
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from duffing_aa import (
     DEFAULT_CONFIG,
     CenterSingular,
+    MaxStepsExceeded,
+    NoReturn,
     OnSeparatrix,
     OriginSingular,
     Params,
@@ -25,12 +27,15 @@ from duffing_aa import (
     energy_angle_curve,
     find_period,
     hamiltonian,
+    integrate_covered,
     integrate_original,
     state_on_level,
     theta_dot_of,
     theta_of,
     unwrap_theta,
 )
+from duffing_aa import actionangle, integrate
+from duffing_aa.actionangle import _revolution_action
 
 TWO_PI = 2.0 * math.pi
 
@@ -205,8 +210,6 @@ def test_action_covered_harmonic_limit(p0):
 
 
 def test_action_covered_polygon_oracle(p0):
-    from duffing_aa import integrate_covered
-
     s0 = State(1.2, 0.0)
     got = action_covered(s0, p0)
     traj = integrate_covered(cover_map(s0), p0, DEFAULT_CONFIG)
@@ -215,6 +218,43 @@ def test_action_covered_polygon_oracle(p0):
     x1, y1 = traj.covered[:k, 0], traj.covered[:k, 1]
     area = 0.5 * abs(np.sum(x1 * np.roll(y1, -1) - np.roll(x1, -1) * y1))
     assert abs(got - area / TWO_PI) <= 1e-4
+
+
+def test_action_covered_equals_full_horizon_action(closed_orbit_start, p0):
+    s0 = closed_orbit_start
+    full = integrate_covered(cover_map(s0), p0, DEFAULT_CONFIG)
+    assert action_covered(s0, p0) == _revolution_action(full)
+
+
+@pytest.mark.parametrize("size", [1, 7, 128])
+def test_revolution_predicate_matches_unwrap_theta(closed_orbit_start, p0, size):
+    traj = integrate_covered(cover_map(closed_orbit_start), p0, DEFAULT_CONFIG)
+    theta = unwrap_theta(traj)[:, 1]
+    k = int(np.nonzero(theta <= theta[0] - TWO_PI)[0][0])
+    done = actionangle._one_revolution()
+    cols = (traj.t, *traj.covered.T, *traj.derivs.T)
+    first = next(
+        start for start in range(0, len(traj), size)
+        if done(*(c[start : start + size] for c in cols))
+    )
+    assert first == k - k % size
+
+
+def test_action_covered_stops_after_one_revolution(
+    closed_orbit_start, p0, kernel_samples
+):
+    s0 = closed_orbit_start
+    period = find_period(s0, p0)
+    c0 = cover_map(s0)
+    one = len(integrate_covered(c0, p0, replace(DEFAULT_CONFIG, t_max=period)))
+    kernel_samples.clear()
+    action_covered(s0, p0)
+    assert sum(kernel_samples) < 2 * one + integrate._CHUNK_SAMPLES
+    # outside the separatrix one revolution takes half a period
+    with pytest.raises(MaxStepsExceeded):
+        action_covered(s0, p0, replace(DEFAULT_CONFIG, max_steps=one // 4))
+    with pytest.raises(NoReturn):
+        action_covered(s0, p0, replace(DEFAULT_CONFIG, t_max=period / 4.0))
 
 
 def test_action_covered_errors(p0):

@@ -211,6 +211,49 @@ def test_find_period_errors(p0):
         find_period(State(0.0, 0.1), p0, replace(DEFAULT_CONFIG, t_max=1.0))
 
 
+def _full_horizon_period(s0, p, cfg=DEFAULT_CONFIG):
+    """find_period's same-direction selection on a full-horizon path."""
+    traj = integrate_original(s0, p, cfg, detect_sections=True)
+    returns = [e for e in traj.events if e.kind == SECTION_RETURN]
+    if s0.y == 0.0:
+        t_ref, d0 = 0.0, int(np.sign(s0.x - s0.x**3))
+    else:
+        t_ref, d0 = returns[0].t, returns[0].data["direction"]
+        returns = returns[1:]
+    return next(e.t - t_ref for e in returns if e.data["direction"] == d0)
+
+
+def test_find_period_equals_full_horizon_selection(closed_orbit_start, p0):
+    s0 = closed_orbit_start
+    assert find_period(s0, p0) == _full_horizon_period(s0, p0)
+
+
+def test_find_period_stops_after_one_period(closed_orbit_start, p0, kernel_samples):
+    s0 = closed_orbit_start
+    period = find_period(s0, p0)
+    one = len(integrate_original(s0, p0, replace(DEFAULT_CONFIG, t_max=period)))
+    kernel_samples.clear()
+    find_period(s0, p0)
+    assert sum(kernel_samples) < 2 * one + integrate._CHUNK_SAMPLES
+    with pytest.raises(MaxStepsExceeded):
+        find_period(s0, p0, replace(DEFAULT_CONFIG, max_steps=one // 2))
+    with pytest.raises(NoReturn):
+        find_period(s0, p0, replace(DEFAULT_CONFIG, t_max=period / 4.0))
+
+
+def test_section_walk_spans_chunk_boundaries():
+    # flips between chunks, and across exact zeros, count as in one array
+    y = [0.5, 0.0, -0.5, 0.5, 0.0, 0.0, -0.5]
+    done = integrate._section_walk(None)  # needs returns 0 and 2: -1, +1, -1
+    assert [done(None, None, np.array([v]), None, None) for v in y] == (
+        [False] * 6 + [True]
+    )
+    done = integrate._section_walk(1)  # from t = 0 heading up: needs a +1
+    assert [done(None, None, np.array([v]), None, None) for v in y[2:]] == (
+        [False, True, True, True, True]
+    )
+
+
 def test_section_events_recorded(p0):
     traj = integrate_original(
         State(1.2, 0.0), p0, replace(DEFAULT_CONFIG, t_max=20.0),

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from duffing_aa import OnSeparatrix
@@ -10,11 +11,13 @@ from duffing_aa.verify import (
     check_conservation,
     check_dh_dtheta,
     check_energy_rate,
+    check_period,
     check_pushforward,
     check_roundtrip,
     check_theta_angle,
     check_theta_dot,
     check_winding,
+    closed_form_period,
     lcg_uniform,
     run_all,
     run_check,
@@ -83,6 +86,48 @@ def test_lcg_is_stable():
     assert lcg_uniform(42, 4)[3] == u[3]
 
 
+def test_ellipk_matches_scipy():
+    from scipy.special import ellipk
+
+    from duffing_aa.verify import _ellipk
+
+    for m in (0.0, 1e-12, 0.1, 0.5, 0.9, 0.999999):
+        assert abs(_ellipk(m) - ellipk(m)) <= 4e-16 * ellipk(m)
+
+
+def test_period_check_on_both_sides_of_the_separatrix():
+    rep = check_period((-0.2, 0.005, 0.5))
+    assert rep.passed and rep.n_samples == 3 and rep.tolerance <= 1e-7
+    assert rep.max_rel_error <= 1e-8
+    # governed by the relative error: at h = 0.005 (T ~ 16) about 2e-9
+    # relative is about 4e-8 absolute
+    assert check_period((0.005,), tolerance=1e-8).passed
+    # the harmonic limit of a well, period 2pi/sqrt(2)
+    harmonic = 2.0 * np.pi / np.sqrt(2.0)
+    assert abs(closed_form_period(-0.25 + 1e-12) - harmonic) <= 1e-5
+    assert not check_period((-0.2,), tolerance=1e-16).passed
+    with pytest.raises(OnSeparatrix):
+        check_period((0.0,))
+
+
+def _scalar_lcg(seed, n):
+    # the generator stepped one state at a time, in Python integers
+    out = np.empty(n, dtype=np.float64)
+    s = seed & ((1 << 64) - 1)
+    for i in range(n):
+        s = (s * 6364136223846793005 + 1442695040888963407) & ((1 << 64) - 1)
+        out[i] = (s >> 11) * 2.0**-53
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, -12345])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, 1025])
+def test_lcg_matches_scalar_loop(seed, n):
+    got = lcg_uniform(seed, n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == _scalar_lcg(seed, n).tobytes()
+
+
 def test_tolerance_override_fails():
     rep = run_check("check_roundtrip", tolerance=1e-16)
     assert not rep.passed and rep.tolerance == 1e-16
@@ -97,7 +142,7 @@ def test_registry_covers_every_formula():
     formulas = {
         "duffing_field", "hamiltonian", "energy_rate",
         "cover_map", "inverse_cover", "covered_field",
-        "theta_of", "theta_dot_of", "dH_dtheta",
+        "theta_of", "theta_dot_of", "dH_dtheta", "find_period",
     }
     assert set(FORMULA_COVERAGE) == formulas
     for formula, checks in FORMULA_COVERAGE.items():
