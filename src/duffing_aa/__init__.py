@@ -54,7 +54,6 @@ from .exceptions import (
 from .integrate import (
     CUT_CROSSING,
     DEFAULT_CONFIG,
-    SECTION_RETURN,
     Event,
     IntegratorConfig,
     Trajectory,
@@ -99,7 +98,6 @@ __all__ = [
     "UnwrapAmbiguous",
     "CUT_CROSSING",
     "DEFAULT_CONFIG",
-    "SECTION_RETURN",
     "Event",
     "IntegratorConfig",
     "Trajectory",

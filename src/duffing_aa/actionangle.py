@@ -23,8 +23,8 @@ Two action integrals are provided:
 Near a well the covering map scales areas by |det J| = 4(x^2+y^2) ~= 4,
 so the covered action approaches 4x the classical one there; for orbits
 outside the separatrix one global revolution is half an original period.
-Both integrals use trapezoid quadrature on the adaptive samples with the
-closing segment added explicitly.
+Both integrals use one trapezoid quadrature on the adaptive samples,
+``_loop_action``, with the closing segment added explicitly.
 """
 
 from __future__ import annotations
@@ -101,50 +101,46 @@ def _wrap(d):
     return d - TWO_PI * np.round(d / TWO_PI)
 
 
+def _unwrap(x1, y1):
+    """The angle of covered points, unwrapped, and its increments: each
+    principal-value jump is shifted by a multiple of 2pi into [-pi, pi]
+    and added up from the first angle, which is kept as is."""
+    raw = _angle(x1, y1)
+    d = _wrap(np.diff(raw))
+    return np.concatenate((raw[:1], raw[:1] + np.cumsum(d))), d
+
+
 def unwrap_theta(traj: Trajectory) -> np.ndarray:
     """Continuous angle along a trajectory, as an (n, 2) array [t, theta].
 
-    Each consecutive principal-value jump is shifted by a multiple of 2pi
-    into (-pi, pi) and accumulated.  The integrator's step control keeps
-    true increments well below pi; an adjusted increment of magnitude pi
-    or more therefore means the branch is unrecoverable and raises
-    UnwrapAmbiguous.
+    The angle is unwrapped by ``_unwrap``.  The integrator's step control
+    keeps true increments well below pi; an adjusted increment of
+    magnitude pi or more therefore means the branch is unrecoverable and
+    raises UnwrapAmbiguous.
     """
     _check_away_from_centers(traj.states[:, 0], traj.states[:, 1])
-    raw = _angle(traj.covered[:, 0], traj.covered[:, 1])
-    d = _wrap(np.diff(raw))
-    if d.size and np.any(np.abs(d) >= math.pi):
+    theta, d = _unwrap(traj.covered[:, 0], traj.covered[:, 1])
+    if np.any(np.abs(d) >= math.pi):
         raise UnwrapAmbiguous(
             "consecutive angle samples differ by half a turn or more; "
             "sampling is too sparse to unwrap"
         )
-    theta_u = np.empty_like(raw)
-    theta_u[0] = raw[0]
-    if d.size:
-        theta_u[1:] = raw[0] + np.cumsum(d)
-    return np.column_stack((np.asarray(traj.t, dtype=np.float64), theta_u))
+    return np.column_stack((np.asarray(traj.t, dtype=np.float64), theta))
 
 
-def _one_revolution():
-    """A ``done`` predicate for the covered kernel path: true once the
-    angle, unwrapped as unwrap_theta does, has fallen by 2pi.  It keeps the
-    last principal angle and the running sum of increments, accumulated in
-    unwrap_theta's order, so each chunk is read once and the verdict
-    matches unwrap_theta on the whole path."""
-    first = last = total = None
+def _revolution_end(theta):
+    """Index of the first sample at which the unwrapped angle theta has
+    fallen by 2pi, or None."""
+    below = np.flatnonzero(theta <= theta[0] - TWO_PI)
+    return int(below[0]) if below.size else None
 
-    def done(t, x1, y1, dx1, dy1):
-        nonlocal first, last, total
-        raw = _angle(x1, y1)
-        if first is None:
-            first, total = raw[0], np.zeros(1)
-        else:
-            raw = np.concatenate((last, raw))
-        sums = np.cumsum(np.concatenate((total, _wrap(np.diff(raw)))))
-        last, total = raw[-1:], sums[-1:]
-        return bool(np.any(first + sums[1:] <= first - TWO_PI))
 
-    return done
+def _loop_action(x, y) -> float:
+    """(1/2pi) * |integral of y dx| along the points, by the trapezoid
+    rule, with the closing segment back to the first point."""
+    s = np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    s += 0.5 * (y[-1] + y[0]) * (x[0] - x[-1])  # close the loop
+    return abs(float(s)) / TWO_PI
 
 
 def action_covered(
@@ -153,16 +149,18 @@ def action_covered(
     """Action from the covered loop: (1/2pi) * integral of y1 dx1 over one
     global revolution (theta down by exactly 2pi), sign-normalized.
 
-    The integration stops after the first kernel chunk that completes the
-    revolution, not at t_max; the path is a prefix of the full-horizon one,
-    so the action equals, bit for bit, that of ``integrate_covered`` over
-    [0, t_max] (see ``_revolution_action``).
+    The integration stops after the first kernel chunk on which
+    ``_revolution_end``, read off the whole path so far, finds the
+    revolution, not at t_max; the path is a prefix of the full-horizon
+    one, so the action equals, bit for bit, that of ``integrate_covered``
+    over [0, t_max] (see ``_revolution_action``).
     """
     s0 = State(float(s0[0]), float(s0[1]))
     _require_closed_orbit(s0, p)
-    return _revolution_action(
-        _integrate_covered(cover_map(s0), p, cfg, _one_revolution())
-    )
+    return _revolution_action(_integrate_covered(
+        cover_map(s0), p, cfg,
+        lambda t, x1, y1, *_: _revolution_end(_unwrap(x1, y1)[0]) is not None,
+    ))
 
 
 def _revolution_action(traj: Trajectory) -> float:
@@ -170,20 +168,18 @@ def _revolution_action(traj: Trajectory) -> float:
     first global revolution.
 
     The revolution endpoint is refined on the dense output by the event
-    locator, ``locate_roots``; quadrature is trapezoidal with the partial
-    last segment and the closing segment back to the start added
-    explicitly.  NoReturn if the angle never falls by 2pi.
+    locator, ``locate_roots``; the loop runs through the samples before
+    it, then the endpoint, and closes back to the start.  NoReturn if the
+    angle never falls by 2pi.
     """
-    tw = unwrap_theta(traj)
-    theta_u = tw[:, 1]
+    theta_u = unwrap_theta(traj)[:, 1]
     target = theta_u[0] - TWO_PI
-    below = np.nonzero(theta_u <= target)[0]
-    if below.size == 0:
+    k = _revolution_end(theta_u)
+    if k is None:
         raise NoReturn(
             f"angle decreased by only {theta_u[0] - theta_u.min():.4g} rad "
             f"within t_max={traj.config.t_max:g}; increase t_max"
         )
-    k = int(below[0])
 
     # theta_u - target on the step k-1 -> k, unwrapped against sample k-1
     at = hermite_steps(traj.t, traj.covered, traj.derivs, np.array([k - 1]))
@@ -196,14 +192,11 @@ def _revolution_action(traj: Trajectory) -> float:
         excess, traj.t[k - 1 : k], traj.t[k : k + 1],
         [theta_u[k - 1] - target], [theta_u[k] - target], 0.0,
     )
-    x1_star, y1_star = map(float, at(0, t_star[0]))
-
-    x1 = traj.covered[: k, 0]
-    y1 = traj.covered[: k, 1]
-    s = float(np.sum(0.5 * (y1[1:] + y1[:-1]) * np.diff(x1)))
-    s += 0.5 * (y1[-1] + y1_star) * (x1_star - x1[-1])
-    s += 0.5 * (y1_star + y1[0]) * (x1[0] - x1_star)  # close the loop
-    return abs(s) / TWO_PI
+    x1_star, y1_star = at(0, t_star[0])
+    return _loop_action(
+        np.append(traj.covered[:k, 0], x1_star),
+        np.append(traj.covered[:k, 1], y1_star),
+    )
 
 
 def action_original(
@@ -214,11 +207,7 @@ def action_original(
     s0 = State(float(s0[0]), float(s0[1]))
     period = find_period(s0, p, cfg)
     traj = integrate_original(s0, p, replace(cfg, t_max=period))
-    x = traj.states[:, 0]
-    y = traj.states[:, 1]
-    s = float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
-    s += 0.5 * (y[-1] + y[0]) * (x[0] - x[-1])  # close the loop
-    return abs(s) / TWO_PI
+    return _loop_action(traj.states[:, 0], traj.states[:, 1])
 
 
 def dH_dtheta(s: State, p: Params) -> float:

@@ -6,14 +6,11 @@ field value at every accepted node, so trajectories support cubic Hermite
 dense output -- accurate enough to locate event times far below the step
 size.
 
-Event kinds:
-
-  * ``cut_crossing``: the covered-plane path crossed {y1 = 0, x1 < 0}.
-    The sheet tag toggles there.  Crossing times are refined on the dense
-    output until |y1| <= 1e-12.
-  * ``section_return``: the original-plane path crossed the section
-    {y = 0} (recorded only when requested; used for period measurement),
-    refined until |y| <= 1e-10.
+A trajectory's events are its ``cut_crossing``s: the covered-plane path
+crossed {y1 = 0, x1 < 0}.  The sheet tag toggles there.  Crossing times
+are refined on the dense output until |y1| <= 1e-12.  ``find_period``
+locates the returns to the section {y = 0} on its own path, refined until
+|y| <= 1e-10.
 
 Both kinds come from one locator.  A numpy sign walk over the samples
 (exact zeros skipped) brackets every sign change of one trajectory at
@@ -26,13 +23,13 @@ finds the revolution endpoint of ``actionangle.action_covered``.
 Period and action queries need one orbit, not all of t_max:
 ``find_period`` and ``actionangle.action_covered`` run the adaptive kernel
 in chunks that resume exactly where the last one paused, and stop after
-the first chunk that completes their event.  Their paths are prefixes of
-the full-horizon ones, so their results are bit-identical to it.
+the first chunk on which the rule that computes their result finds its
+event on the whole path so far.  Their paths are prefixes of the
+full-horizon ones, so their results are bit-identical to it.
 
 The sheet column of a trajectory is *evolved*: it starts from the initial
 tag and toggles at each cut crossing, rather than being recomputed per
-sample.  Within one accepted step, cut crossings are located before
-section returns, and multiple events are emitted in increasing time.
+sample.  Events are emitted in increasing time.
 
 Each integration is an independent single-threaded computation over
 immutable inputs; returned trajectories are frozen (array buffers are
@@ -41,8 +38,10 @@ marked read-only) and safe to share between threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -60,7 +59,6 @@ from .exceptions import (
 )
 
 CUT_CROSSING = "cut_crossing"
-SECTION_RETURN = "section_return"
 
 CUT_REFINE_TOL = 1e-12
 SECTION_REFINE_TOL = 1e-10
@@ -90,10 +88,14 @@ class IntegratorConfig:
             raise ValueError(f"method must be 'rk4' or 'rk45', got {self.method!r}")
         for name in ("step", "rel_tol", "abs_tol", "t_max"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
-        if int(self.max_steps) <= 0:
-            raise ValueError(f"max_steps must be > 0, got {self.max_steps}")
+            # a comparison, not float(v): an integer may exceed the float range
+            if isinstance(v, bool) or not isinstance(v, Real) or not (
+                0.0 < v <= sys.float_info.max
+            ):
+                raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
+        v = self.max_steps
+        if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
+            raise ValueError(f"max_steps must be an integer >= 1, got {v!r}")
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -164,9 +166,9 @@ def _run_kernel(field_id, u0, v0, p: Params, cfg: IntegratorConfig, done=None):
 
     With ``done`` the rk45 path is integrated in chunks of _CHUNK_SAMPLES
     samples and stops after the first chunk for which done(t, u, v, du, dv),
-    called with each chunk's new samples in order, is true.  The kernel
-    resumes exactly where it paused, so the result is a prefix of the
-    full-horizon path, bit for bit.  rk4 always covers the whole horizon.
+    called with the whole path so far, is true.  The kernel resumes exactly
+    where it paused, so the result is a prefix of the full-horizon path,
+    bit for bit.  rk4 always covers the whole horizon.
     """
     if cfg.method == "rk4":
         *path, status = _kernels.rk4_path(
@@ -176,7 +178,7 @@ def _run_kernel(field_id, u0, v0, p: Params, cfg: IntegratorConfig, done=None):
         budget = int(cfg.max_steps)
         # a path never holds more samples than attempted steps + 1
         cap = _CHUNK_SAMPLES if done is not None else budget + 1
-        t0, h, chunks = 0.0, cfg.step, []
+        t0, h, path = 0.0, cfg.step, None
         while True:
             *chunk, status, h, used = _kernels.adaptive_path(
                 field_id, u0, v0, p.mu, t0, cfg.t_max, cfg.rel_tol, cfg.abs_tol,
@@ -184,16 +186,15 @@ def _run_kernel(field_id, u0, v0, p: Params, cfg: IntegratorConfig, done=None):
             )
             budget -= used
             # a resumed chunk starts with the sample that ended the last one
-            chunks.append([a[1:] for a in chunk] if chunks else chunk)
+            path = chunk if path is None else [
+                np.concatenate((a, b[1:])) for a, b in zip(path, chunk)
+            ]
             # Python floats: numpy scalars would slow the uncompiled kernel
             t0, u0, v0 = (float(a[-1]) for a in chunk[:3])
             if status != _kernels.STATUS_OK or t0 >= cfg.t_max or (
-                done is not None and done(*chunks[-1])
+                done is not None and done(*path)
             ):
                 break
-        path = chunks[0]
-        if len(chunks) > 1:
-            path = [np.concatenate(a) for a in zip(*chunks)]
     t = path[0]
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise StepFailure(
@@ -344,25 +345,26 @@ def _evolve_sheets(n: int, start_sign: int, toggle_from: list[int]) -> np.ndarra
     return sheets
 
 
+def _directions(y) -> list[int]:
+    """Directions of the returns to the section {y = 0} that the sign walk
+    of the sampled y finds: the sign of y after each return."""
+    sg = np.sign(y)
+    return (-sg[_sign_flips(sg)[0]]).astype(int).tolist()
+
+
 def _section_crossings(t: np.ndarray, y: np.ndarray, dense) -> list[Event]:
     """Locate transversal returns to the section {y = 0} by the same sign
     walk on y, refined on ``dense`` (original plane) until |y| <= 1e-10;
     ``direction`` is the sign of y after the return."""
-    ks, t_star, x_star = _refine_sign_changes(t, y, dense, SECTION_REFINE_TOL)
+    _, t_star, x_star = _refine_sign_changes(t, y, dense, SECTION_REFINE_TOL)
     return [
-        Event(ts, SECTION_RETURN, {"x": xs, "direction": d})
-        for ts, xs, d in zip(
-            t_star.tolist(), x_star.tolist(), (-np.sign(y[ks])).astype(int).tolist()
-        )
+        Event(ts, "section_return", {"x": xs, "direction": d})
+        for ts, xs, d in zip(t_star.tolist(), x_star.tolist(), _directions(y))
     ]
 
 
 def integrate_original(
-    s0: State,
-    p: Params,
-    cfg: IntegratorConfig = DEFAULT_CONFIG,
-    *,
-    detect_sections: bool = False,
+    s0: State, p: Params, cfg: IntegratorConfig = DEFAULT_CONFIG
 ) -> Trajectory:
     """Advance the original-plane field from s0 over [0, t_max].
 
@@ -376,15 +378,9 @@ def integrate_original(
     covered = np.column_stack(square(x, y))
     derivs = np.column_stack((dx, dy))
 
-    dense = partial(hermite_steps, t, states, derivs)
     events, toggle_from = _cut_crossings(
-        t, covered[:, 1], partial(dense, squared=True)
+        t, covered[:, 1], partial(hermite_steps, t, states, derivs, squared=True)
     )
-    if detect_sections:
-        events = sorted(
-            events + _section_crossings(t, y, dense),
-            key=lambda e: (e.t, 0 if e.kind == CUT_CROSSING else 1),
-        )
     sheets = _evolve_sheets(len(t), int(sheet_sign(s0.x, s0.y)), toggle_from)
     return Trajectory(t, states, covered, sheets, derivs, tuple(events), p, cfg,
                       "original")
@@ -462,26 +458,6 @@ def _period_bounds(d0, directions):
     return (i, later[0]) if later else None
 
 
-def _section_walk(d0):
-    """A ``done`` predicate for _run_kernel: true once the sign walk of
-    the sampled y, as _section_crossings takes it, holds a pair of returns
-    that _period_bounds accepts.  It keeps the last nonzero sign and the
-    directions found, so each chunk is read once."""
-    directions = []
-    last = np.zeros(1)
-
-    def done(t, x, y, dx, dy):
-        nonlocal last
-        sg = np.concatenate((last, np.sign(y)))
-        ks, nz = _sign_flips(sg)
-        directions.extend((-sg[ks]).astype(int).tolist())
-        if nz.size:
-            last = sg[nz[-1:]]
-        return _period_bounds(d0, directions) is not None
-
-    return done
-
-
 def find_period(
     s0: State, p: Params, cfg: IntegratorConfig = DEFAULT_CONFIG
 ) -> float:
@@ -493,9 +469,10 @@ def find_period(
     Section times are refined to |y| <= 1e-10.
 
     The integration stops after the first kernel chunk (of
-    _CHUNK_SAMPLES samples) that completes that return, not at t_max; the
-    path is a prefix of the full-horizon one, so the period equals, bit
-    for bit, the one the full horizon would give.
+    _CHUNK_SAMPLES samples) on which the same rule, read off the whole
+    path so far, finds that return, not at t_max; the path is a prefix of
+    the full-horizon one, so the period equals, bit for bit, the one the
+    full horizon would give.
 
     Raises what ``_require_closed_orbit`` raises, and NoReturn if t_max
     expires first.
@@ -508,7 +485,8 @@ def find_period(
         if d0 == 0:
             raise NoReturn("initial state is a fixed point; no section return")
     t, x, y, dx, dy = _run_kernel(
-        _kernels.FIELD_ORIGINAL, s0.x, s0.y, p, cfg, _section_walk(d0)
+        _kernels.FIELD_ORIGINAL, s0.x, s0.y, p, cfg,
+        lambda t, x, y, *_: _period_bounds(d0, _directions(y)) is not None,
     )
     dense = partial(
         hermite_steps, t, np.column_stack((x, y)), np.column_stack((dx, dy))

@@ -223,7 +223,8 @@ def test_action_covered_polygon_oracle(p0):
 def test_action_covered_equals_full_horizon_action(closed_orbit_start, p0):
     s0 = closed_orbit_start
     full = integrate_covered(cover_map(s0), p0, DEFAULT_CONFIG)
-    assert action_covered(s0, p0) == _revolution_action(full)
+    got = action_covered(s0, p0)
+    assert type(got) is float and got == _revolution_action(full)
 
 
 @pytest.mark.parametrize("size", [1, 7, 128])
@@ -231,13 +232,15 @@ def test_revolution_predicate_matches_unwrap_theta(closed_orbit_start, p0, size)
     traj = integrate_covered(cover_map(closed_orbit_start), p0, DEFAULT_CONFIG)
     theta = unwrap_theta(traj)[:, 1]
     k = int(np.nonzero(theta <= theta[0] - TWO_PI)[0][0])
-    done = actionangle._one_revolution()
-    cols = (traj.t, *traj.covered.T, *traj.derivs.T)
-    first = next(
-        start for start in range(0, len(traj), size)
-        if done(*(c[start : start + size] for c in cols))
-    )
-    assert first == k - k % size
+
+    def done(end):  # action_covered's stop, on the samples up to end
+        x1, y1 = traj.covered[: end + 1].T
+        return actionangle._revolution_end(actionangle._unwrap(x1, y1)[0]) is not None
+
+    # prefixes grown by size samples at a time, as a chunked path grows
+    ends = [min(n, len(traj)) - 1 for n in range(size, len(traj) + size, size)]
+    assert next(end for end in ends if done(end)) == next(e for e in ends if e >= k)
+    assert not done(k - 1) and done(k)
 
 
 def test_action_covered_stops_after_one_revolution(
@@ -286,7 +289,7 @@ def test_action_derivative_is_period(p0):
 
 def test_action_original_positive(p0):
     a = action_original(State(0.0, 0.1), p0)
-    assert a > 0.0 and np.isfinite(a)
+    assert type(a) is float and a > 0.0 and np.isfinite(a)
 
 
 def test_dh_dtheta_values(p0, p_damped):

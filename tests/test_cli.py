@@ -248,10 +248,11 @@ def test_energy_angle_output(tmp_path, monkeypatch):
     assert theta[0] == math.pi  # launch from the y-axis covers to the cut
 
 
-def _base_text(states: str = "[[1.2, 0.0]]", mu: str = "0.0", grid: str = "") -> str:
+def _base_text(states: str = "[[1.2, 0.0]]", mu: str = "0.0", grid: str = "",
+               integrator: str = "{}") -> str:
     where = f'"grid": {grid}' if grid else f'"initial_states": {states}'
     return (
-        f'{{"mu": {mu}, "t_max": 1.0, {where}, '
+        f'{{"mu": {mu}, "t_max": 1.0, {where}, "integrator": {integrator}, '
         '"outputs": [{"kind": "original", "format": "csv", "path": "o.csv"}]}'
     )
 
@@ -267,9 +268,16 @@ def _base_text(states: str = "[[1.2, 0.0]]", mu: str = "0.0", grid: str = "") ->
                          '"ny": 2}'), "grid.x_range[0]"),
         (_base_text(grid='{"x_range": [0, 1], "y_range": [0, -1e999], "nx": 2, '
                          '"ny": 2}'), "grid.y_range[1]"),
+        (_base_text(integrator='{"max_steps": 2.5}'), "max_steps"),
+        (_base_text(integrator='{"max_steps": true}'), "max_steps"),
+        (_base_text(integrator='{"step": true}'), "step"),
+        (_base_text(integrator='{"max_steps": 1e400}'), "max_steps"),
+        (_base_text(integrator='{"rel_tol": "1e-10"}'), "rel_tol"),
     ],
     ids=["nan-constant", "infinity-constant", "non-numeric-state",
-         "non-finite-state", "non-numeric-grid", "non-finite-grid"],
+         "non-finite-state", "non-numeric-grid", "non-finite-grid",
+         "fractional-max-steps", "boolean-max-steps", "boolean-step",
+         "non-finite-max-steps", "string-tolerance"],
 )
 def test_bad_numbers_exit_2_naming_the_field(tmp_path, monkeypatch, capsys, text, field):
     monkeypatch.chdir(tmp_path)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from duffing_aa import (
     CUT_CROSSING,
     DEFAULT_CONFIG,
-    SECTION_RETURN,
     BranchPointApproach,
     DegenerateCrossing,
     IntegratorConfig,
@@ -211,10 +210,16 @@ def test_find_period_errors(p0):
         find_period(State(0.0, 0.1), p0, replace(DEFAULT_CONFIG, t_max=1.0))
 
 
+def section_returns(traj):
+    """The section returns of an original-plane trajectory, located on
+    its own path as find_period locates them."""
+    dense = partial(integrate.hermite_steps, traj.t, traj.states, traj.derivs)
+    return integrate._section_crossings(traj.t, traj.states[:, 1], dense)
+
+
 def _full_horizon_period(s0, p, cfg=DEFAULT_CONFIG):
     """find_period's same-direction selection on a full-horizon path."""
-    traj = integrate_original(s0, p, cfg, detect_sections=True)
-    returns = [e for e in traj.events if e.kind == SECTION_RETURN]
+    returns = section_returns(integrate_original(s0, p, cfg))
     if s0.y == 0.0:
         t_ref, d0 = 0.0, int(np.sign(s0.x - s0.x**3))
     else:
@@ -241,27 +246,30 @@ def test_find_period_stops_after_one_period(closed_orbit_start, p0, kernel_sampl
         find_period(s0, p0, replace(DEFAULT_CONFIG, t_max=period / 4.0))
 
 
-def test_section_walk_spans_chunk_boundaries():
-    # flips between chunks, and across exact zeros, count as in one array
-    y = [0.5, 0.0, -0.5, 0.5, 0.0, 0.0, -0.5]
-    done = integrate._section_walk(None)  # needs returns 0 and 2: -1, +1, -1
-    assert [done(None, None, np.array([v]), None, None) for v in y] == (
-        [False] * 6 + [True]
-    )
-    done = integrate._section_walk(1)  # from t = 0 heading up: needs a +1
-    assert [done(None, None, np.array([v]), None, None) for v in y[2:]] == (
-        [False, True, True, True, True]
-    )
+def test_section_directions_skip_exact_zeros():
+    # flips across exact zeros count once; find_period's stop reads every
+    # prefix of the path, so each prefix is checked
+    y = np.array([0.5, 0.0, -0.5, 0.5, 0.0, 0.0, -0.5])
+    assert integrate._directions(y) == [-1, 1, -1]
+    assert integrate._directions(np.array([0.0, 0.0, 0.5, 0.0])) == []
+
+    def stops(d0, y):
+        return [integrate._period_bounds(d0, integrate._directions(y[:n]))
+                is not None for n in range(1, len(y) + 1)]
+
+    # needs returns 0 and 2: -1, +1, -1
+    assert stops(None, y) == [False] * 6 + [True]
+    # from t = 0 heading up: needs a +1
+    assert stops(1, y[2:]) == [False, True, True, True, True]
 
 
 def test_section_events_recorded(p0):
     traj = integrate_original(
-        State(1.2, 0.0), p0, replace(DEFAULT_CONFIG, t_max=20.0),
-        detect_sections=True,
+        State(1.2, 0.0), p0, replace(DEFAULT_CONFIG, t_max=20.0)
     )
-    returns = [e for e in traj.events if e.kind == SECTION_RETURN]
+    returns = section_returns(traj)
     assert returns
-    ts = [e.t for e in traj.events]
+    ts = [e.t for e in returns]
     assert ts == sorted(ts)
     for e in returns:
         assert e.data["direction"] in (-1, 1)
@@ -451,7 +459,7 @@ def test_locator_matches_scalar_bisection():
         return u * u - v * v, 2.0 * u * v
 
     for s0, p, cfg in _reference_orbits():
-        traj = integrate_original(s0, p, cfg, detect_sections=True)
+        traj = integrate_original(s0, p, cfg)
         toggles = list(np.flatnonzero(traj.sheets[1:] != traj.sheets[:-1]) + 1)
         ref = _bisect_reference(
             traj.dense_point, traj.t, traj.covered[:, 1], covered, 1e-12
@@ -463,7 +471,7 @@ def test_locator_matches_scalar_bisection():
             x1, y1 = covered(*traj.dense_point(e.t))
             assert abs(y1) <= 1e-12 and x1 < 0.0
             assert abs(e.t - t_ref) <= 1e-9
-        sections = [e for e in traj.events if e.kind == SECTION_RETURN]
+        sections = section_returns(traj)
         ref = _bisect_reference(
             traj.dense_point, traj.t, traj.states[:, 1], lambda u, v: (u, v), 1e-10
         )

@@ -71,6 +71,14 @@ def test_roundtrip_energy_rate_theta_angle_dh_dtheta():
     assert check_dh_dtheta(2000, 0.1, 3).passed
 
 
+@pytest.mark.parametrize("seed", [2, 44, 49, 53, 54, 60, 75, 84, 91])
+def test_dh_dtheta_oracle_survives_cancellation(seed):
+    # seeds on which a double grad(H).f, cancelling to -mu*y^2 near y = 0,
+    # put the oracle itself off by up to 1.15e-9 relative
+    rep = run_check("check_dh_dtheta", seed)
+    assert rep.passed and rep.tolerance == 1e-10
+
+
 def test_reports_are_deterministic():
     a = check_pushforward(500, 0.1, seed=9)
     b = check_pushforward(500, 0.1, seed=9)
