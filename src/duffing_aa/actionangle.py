@@ -30,7 +30,6 @@ Both integrals use one trapezoid quadrature on the adaptive samples,
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -42,10 +41,9 @@ from .integrate import (
     IntegratorConfig,
     Trajectory,
     _integrate_covered,
+    _one_period,
     _require_closed_orbit,
-    find_period,
     hermite_steps,
-    integrate_original,
     locate_roots,
 )
 
@@ -203,11 +201,9 @@ def action_original(
     s0: State, p: Params, cfg: IntegratorConfig = DEFAULT_CONFIG
 ) -> float:
     """Classical action: (1/2pi) * integral of y dx over one original
-    period (measured by find_period), sign-normalized."""
-    s0 = State(float(s0[0]), float(s0[1]))
-    period = find_period(s0, p, cfg)
-    traj = integrate_original(s0, p, replace(cfg, t_max=period))
-    return _loop_action(traj.states[:, 0], traj.states[:, 1])
+    period, sign-normalized, along the path that measures find_period's
+    period, with no second integration (``integrate._one_period``)."""
+    return _loop_action(*_one_period(s0, p, cfg)[1:])
 
 
 def dH_dtheta(s: State, p: Params) -> float:

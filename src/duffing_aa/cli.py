@@ -30,9 +30,10 @@ self-contained: one polyline per orbit, viewBox fitted to the data with a
 the Upper sheet, green for Lower).
 
 Exit codes: run 0/2/3 (ok / config error / integration failure), verify
-0/1/2 (all passed / failures listed on stderr / unknown check or bad
-seed).  The environment variable DUFFING_SEED overrides the default
-verification seed 42; --seed overrides both.
+0/1/2 (all passed / failures listed on stderr / unknown check, bad seed,
+or a tolerance that is not a finite number >= 0).  The environment
+variable DUFFING_SEED overrides the default verification seed 42; --seed
+overrides both.
 """
 
 from __future__ import annotations

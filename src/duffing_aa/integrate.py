@@ -73,7 +73,8 @@ class IntegratorConfig:
 
     ``step`` is the fixed step for ``rk4`` and the initial step for
     ``rk45``.  ``max_steps`` bounds attempted steps (accepted + rejected)
-    and therefore every loop in this module.
+    and therefore every loop in this module.  ``step`` and ``t_max`` are
+    at least the adaptive kernel's smallest step, ``_kernels.MIN_STEP``.
     """
 
     method: str = "rk45"
@@ -93,6 +94,12 @@ class IntegratorConfig:
                 0.0 < v <= sys.float_info.max
             ):
                 raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
+        for name in ("step", "t_max"):
+            if getattr(self, name) < _kernels.MIN_STEP:
+                raise ValueError(
+                    f"{name} must be at least the smallest step "
+                    f"{_kernels.MIN_STEP:g}, got {getattr(self, name)!r}"
+                )
         v = self.max_steps
         if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
             raise ValueError(f"max_steps must be an integer >= 1, got {v!r}")
@@ -441,21 +448,11 @@ def _require_closed_orbit(s0: State, p: Params) -> None:
         )
 
 
-def _period_bounds(d0, directions):
-    """Indices (i, j) of the section returns bounding the first period.
-
-    ``directions`` are those of the returns in time order.  The period
-    runs from return i -- or from t = 0 when i is None, for a start on the
-    section heading d0 -- to the first later return j in the same
-    direction; None while there is no such pair.
-    """
-    i = None
-    if d0 is None:
-        if not directions:
-            return None
-        i, d0 = 0, directions[0]
-    later = [j for j in range(len(directions)) if j != i and directions[j] == d0]
-    return (i, later[0]) if later else None
+def _period_end(directions):
+    """Index of the first later return in the direction of return 0, where
+    one period ends, or None; ``directions`` are the returns' in order."""
+    later = [j for j, d in enumerate(directions) if j and d == directions[0]]
+    return later[0] if later else None
 
 
 def find_period(
@@ -466,36 +463,47 @@ def find_period(
     Measures the first return to the section {y = 0} crossed in the same
     direction: started on the section that is one full revolution; started
     off it, the time between the first two same-direction crossings.
-    Section times are refined to |y| <= 1e-10.
-
-    The integration stops after the first kernel chunk (of
-    _CHUNK_SAMPLES samples) on which the same rule, read off the whole
-    path so far, finds that return, not at t_max; the path is a prefix of
-    the full-horizon one, so the period equals, bit for bit, the one the
-    full horizon would give.
+    Section times are refined to |y| <= 1e-10 on ``_one_period``'s path,
+    which ends about one period in, not at t_max.
 
     Raises what ``_require_closed_orbit`` raises, and NoReturn if t_max
     expires first.
     """
+    return _one_period(s0, p, cfg)[0]
+
+
+def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
+    """(period, x, y): find_period's period, and the orbit's points over
+    [0, period]: the path's samples before it, then the dense output at it.
+
+    A start on the section is return 0, at t = 0 heading sign(x - x^3).
+    The integration stops after the first kernel chunk (_CHUNK_SAMPLES
+    samples) on whose whole path so far ``_period_end`` finds the period;
+    the path is a prefix of the full-horizon one, so the period is, bit
+    for bit, the one the full horizon would give.
+    """
     s0 = State(float(s0[0]), float(s0[1]))
     _require_closed_orbit(s0, p)
-    d0 = None
+    start = []
     if s0.y == 0.0:
         d0 = int(np.sign(s0.x - s0.x**3))
         if d0 == 0:
             raise NoReturn("initial state is a fixed point; no section return")
+        start = [Event(0.0, "section_return", {"x": s0.x, "direction": d0})]
+    head = [e.data["direction"] for e in start]
     t, x, y, dx, dy = _run_kernel(
         _kernels.FIELD_ORIGINAL, s0.x, s0.y, p, cfg,
-        lambda t, x, y, *_: _period_bounds(d0, _directions(y)) is not None,
+        lambda t, x, y, *_: _period_end(head + _directions(y)) is not None,
     )
     dense = partial(
         hermite_steps, t, np.column_stack((x, y)), np.column_stack((dx, dy))
     )
-    returns = _section_crossings(t, y, dense)
-    bounds = _period_bounds(d0, [e.data["direction"] for e in returns])
-    if bounds is None:
-        what = "section crossing" if d0 is None and not returns else (
-            "same-direction section return")
+    returns = start + _section_crossings(t, y, dense)
+    j = _period_end([e.data["direction"] for e in returns])
+    if j is None:
+        what = "same-direction section return" if returns else "section crossing"
         raise NoReturn(f"no {what} before t_max={cfg.t_max:g}")
-    i, j = bounds
-    return returns[j].t - (0.0 if i is None else returns[i].t)
+    period = returns[j].t - returns[0].t
+    k = int(np.searchsorted(t, period))  # the first sample at or after it
+    x_end, y_end = dense(np.array([k - 1]))(0, period)
+    return period, np.append(x[:k], x_end), np.append(y[:k], y_end)

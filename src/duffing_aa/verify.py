@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
+from numbers import Real
 
 import numpy as np
 
-from .actionangle import dH_dtheta, theta_dot_of, theta_of, unwrap_theta
+from .actionangle import _unwrap, dH_dtheta, theta_dot_of, theta_of
 from .covering import (
     CoveredState,
     Sheet,
@@ -39,6 +41,7 @@ from .exceptions import OnSeparatrix
 from .integrate import (
     DEFAULT_CONFIG,
     SEPARATRIX_TOL,
+    _one_period,
     find_period,
     integrate_original,
 )
@@ -192,7 +195,8 @@ def check_conservation(
 
 
 def check_winding(h_levels, tolerance: float = 1e-6) -> CheckReport:
-    """Total unwrapped angle over one measured period per level.
+    """Total unwrapped angle over one measured period per level, along
+    the path that measures it (``integrate._one_period``).
 
     Orbits inside the separatrix (h < 0) must wind by -2pi, orbits outside
     (h > 0) by -4pi: the covering doubles the turning of symmetric orbits.
@@ -201,12 +205,10 @@ def check_winding(h_levels, tolerance: float = 1e-6) -> CheckReport:
     p = Params(mu=0.0)
     errors, expected = [], []
     for h in h_levels:
-        s0 = state_on_level(h)
-        period = find_period(s0, p, DEFAULT_CONFIG)
-        traj = integrate_original(s0, p, replace(DEFAULT_CONFIG, t_max=period))
-        tw = unwrap_theta(traj)
+        _, x, y = _one_period(state_on_level(h), p, DEFAULT_CONFIG)
+        theta = _unwrap(*square(x, y))[0]
         expected.append(-2.0 * math.pi if h < 0 else -4.0 * math.pi)
-        errors.append(float(tw[-1, 1] - tw[0, 1]) - expected[-1])
+        errors.append(float(theta[-1] - theta[0]) - expected[-1])
     return _report("check_winding", errors, expected, tolerance)
 
 
@@ -392,7 +394,14 @@ FORMULA_COVERAGE = {
 def run_check(
     name: str, seed: int = DEFAULT_SEED, tolerance: float | None = None
 ) -> CheckReport:
-    """Run one registered check by name with optional tolerance override."""
+    """Run one registered check by name with optional tolerance override:
+    None, or a finite number >= 0 (ValueError otherwise)."""
+    # a comparison, not math.isfinite: an integer may exceed the float range
+    if tolerance is not None and (
+        isinstance(tolerance, bool) or not isinstance(tolerance, Real)
+        or not 0.0 <= tolerance <= sys.float_info.max
+    ):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     try:
         runner = CHECKS[name]
     except KeyError:

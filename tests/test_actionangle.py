@@ -275,6 +275,23 @@ def test_action_original_harmonic_limit(p0):
     assert abs(got - expected) <= 0.05 * expected
 
 
+def test_action_original_reuses_find_period_path(closed_orbit_start, p0, kernel_samples):
+    find_period(closed_orbit_start, p0)
+    period_samples = list(kernel_samples)
+    kernel_samples.clear()
+    action_original(closed_orbit_start, p0)
+    assert kernel_samples == period_samples
+
+
+def test_action_original_matches_one_period_integration(closed_orbit_start, p0):
+    # reference: a trapezoid over a second integration of exactly one period
+    s0 = closed_orbit_start
+    cfg = replace(DEFAULT_CONFIG, t_max=find_period(s0, p0))
+    traj = integrate_original(s0, p0, cfg)
+    ref = actionangle._loop_action(traj.states[:, 0], traj.states[:, 1])
+    assert abs(action_original(s0, p0) - ref) <= 1e-9 * ref
+
+
 def test_action_derivative_is_period(p0):
     # classical identity dI/dH = T / 2pi, by finite differences
     h = hamiltonian(State(1.2, 0.0), p0)

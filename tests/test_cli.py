@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -8,6 +9,7 @@ import pytest
 from duffing_aa import Params, State, integrate_original
 from duffing_aa.cli import MAX_GRID_STATES, bundled_scenarios, load_scenario, main
 from duffing_aa.exceptions import ConfigError
+from duffing_aa.verify import run_check
 
 
 def write_config(tmp_path, body: dict, name: str = "scn.json") -> str:
@@ -181,6 +183,23 @@ def test_verify_impossible_tolerance(capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out.strip())["passed"] is False
     assert "check_roundtrip" in captured.err
+    # zero is a valid tolerance, reported as a failure like any other
+    assert main(["verify", "--only", "check_roundtrip", "--tolerance", "0"]) == 1
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
+def test_verify_bad_tolerance_exits_2(capsys, tolerance):
+    assert main(["verify", f"--tolerance={tolerance}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tolerance" in captured.err
+
+
+@pytest.mark.parametrize("tolerance", [True, "1e-6", 10**400],
+                         ids=["bool", "string", "huge-int"])
+def test_run_check_rejects_bad_tolerance(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        run_check("check_roundtrip", tolerance=tolerance)
 
 
 def test_verify_unknown_check(capsys):
@@ -204,6 +223,28 @@ def test_field_command(capsys):
     assert main(["field", "--at=-1,0", "--covered"]) == 0
     assert capsys.readouterr().out.strip() == "0 2"
     assert main(["field", "--at", "zero,one"]) == 2
+
+
+# SHA-256 of each bundled figure's CSV, as recorded for the benchmark's
+# figures workload: the regression oracle for byte-identical outputs
+FIGURE_DIGESTS = {
+    "fig1_original.csv":
+        "0c0893ea10078fdfcdd5bd0fc41419998fed57fd757a55b97ae4af9ed770eaea",
+    "fig2_covered.csv":
+        "153aa8a606a1cabbf3f1874920b143446e067956508869f8ac243de7ee584518",
+    "fig3_original.csv":
+        "51235472cb927ccd4eedfba82194b994cf37b69c4845194b156e9a6e22ff3d8c",
+    "fig4_energy_angle.csv":
+        "082083a5e134645baa3d59678db6899ec5d24dc2a73e95d892e6a77b090c0260",
+}
+
+
+def test_bundled_figures_match_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("fig1", "fig2", "fig3", "fig4"):
+        assert main(["run", "--quiet", name]) == 0
+    for csv, digest in FIGURE_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == digest, csv
 
 
 def test_bundled_fig4_spiral_is_monotone(tmp_path, monkeypatch):
@@ -249,10 +290,10 @@ def test_energy_angle_output(tmp_path, monkeypatch):
 
 
 def _base_text(states: str = "[[1.2, 0.0]]", mu: str = "0.0", grid: str = "",
-               integrator: str = "{}") -> str:
+               integrator: str = "{}", t_max: str = "1.0") -> str:
     where = f'"grid": {grid}' if grid else f'"initial_states": {states}'
     return (
-        f'{{"mu": {mu}, "t_max": 1.0, {where}, "integrator": {integrator}, '
+        f'{{"mu": {mu}, "t_max": {t_max}, {where}, "integrator": {integrator}, '
         '"outputs": [{"kind": "original", "format": "csv", "path": "o.csv"}]}'
     )
 
@@ -273,11 +314,15 @@ def _base_text(states: str = "[[1.2, 0.0]]", mu: str = "0.0", grid: str = "",
         (_base_text(integrator='{"step": true}'), "step"),
         (_base_text(integrator='{"max_steps": 1e400}'), "max_steps"),
         (_base_text(integrator='{"rel_tol": "1e-10"}'), "rel_tol"),
+        (_base_text(integrator='{"step": 1e-20}'), "step"),
+        (_base_text(t_max="1e-15"), "t_max"),
+        (_base_text(t_max="1e-15", integrator='{"method": "rk4"}'), "t_max"),
     ],
     ids=["nan-constant", "infinity-constant", "non-numeric-state",
          "non-finite-state", "non-numeric-grid", "non-finite-grid",
          "fractional-max-steps", "boolean-max-steps", "boolean-step",
-         "non-finite-max-steps", "string-tolerance"],
+         "non-finite-max-steps", "string-tolerance", "step-below-min-step",
+         "t-max-below-min-step", "rk4-t-max-below-min-step"],
 )
 def test_bad_numbers_exit_2_naming_the_field(tmp_path, monkeypatch, capsys, text, field):
     monkeypatch.chdir(tmp_path)

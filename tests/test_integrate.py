@@ -43,6 +43,13 @@ def test_config_validation():
         IntegratorConfig(t_max=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(max_steps=0)
+    # the adaptive kernel's smallest step bounds step and t_max, either method
+    for method in ("rk4", "rk45"):
+        with pytest.raises(ValueError, match="step"):
+            IntegratorConfig(method=method, step=1e-20)
+        with pytest.raises(ValueError, match="t_max"):
+            IntegratorConfig(method=method, t_max=1e-15)
+        IntegratorConfig(method=method, step=_kernels.MIN_STEP, t_max=_kernels.MIN_STEP)
 
 
 def test_fixed_points_stay_put(p0, p_damped):
@@ -253,14 +260,16 @@ def test_section_directions_skip_exact_zeros():
     assert integrate._directions(y) == [-1, 1, -1]
     assert integrate._directions(np.array([0.0, 0.0, 0.5, 0.0])) == []
 
-    def stops(d0, y):
-        return [integrate._period_bounds(d0, integrate._directions(y[:n]))
+    def stops(head, y):
+        return [integrate._period_end(head + integrate._directions(y[:n]))
                 is not None for n in range(1, len(y) + 1)]
 
     # needs returns 0 and 2: -1, +1, -1
-    assert stops(None, y) == [False] * 6 + [True]
-    # from t = 0 heading up: needs a +1
-    assert stops(1, y[2:]) == [False, True, True, True, True]
+    assert stops([], y) == [False] * 6 + [True]
+    # a start on the section heading up is return 0: needs a +1
+    assert stops([1], y[2:]) == [False, True, True, True, True]
+    assert integrate._period_end([]) is None
+    assert integrate._period_end([1, -1, -1, 1]) == 3
 
 
 def test_section_events_recorded(p0):

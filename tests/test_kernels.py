@@ -121,7 +121,10 @@ def test_numpy_fallback_selected_by_env_flag():
         print(float(np.max(np.abs(h - h[0]))))
         """
     )
-    env = dict(os.environ, DUFFING_AA_NUMBA="0")
+    # the child imports the same duffing_aa, installed or not
+    src = os.path.dirname(os.path.dirname(_kernels.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, DUFFING_AA_NUMBA="0", PYTHONPATH=path)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
