@@ -12,18 +12,20 @@ everywhere except the origin (where it vanishes) and is 0/0 at (+-1, 0),
 the two preimages of the center, so angle operations reject a hard
 exclusion disk of radius 1e-9 around those points rather than clamp.
 
-Two action integrals are provided:
+Two action integrals are provided, both over the points of one original
+period that ``find_period`` measures (``integrate._one_period``):
 
   * ``action_covered``: (1/2pi) * loop integral of y1 dx1 along the
-    covered trajectory over one full global revolution (theta decreasing
-    by exactly 2pi).
+    covered image over one full global revolution (theta decreasing by
+    exactly 2pi).  One period is one revolution in a well and two outside
+    the separatrix, so the integral over the period is divided by the
+    revolutions the unwrapped angle counts.
   * ``action_original``: the classical per-region (1/2pi) * loop integral
-    of y dx over one original period, kept as an independent reference.
+    of y dx over the period.
 
 Near a well the covering map scales areas by |det J| = 4(x^2+y^2) ~= 4,
-so the covered action approaches 4x the classical one there; for orbits
-outside the separatrix one global revolution is half an original period.
-Both integrals use one trapezoid quadrature on the adaptive samples,
+so the covered action approaches 4x the classical one there.  Both
+integrals use one trapezoid quadrature on the adaptive samples,
 ``_loop_action``, with the closing segment added explicitly.
 """
 
@@ -33,33 +35,19 @@ import math
 
 import numpy as np
 
-from .covering import cover_map, square
+from .covering import square
 from .dynamics import Params, State, _require_finite, energy_rate
-from .exceptions import CenterSingular, NoReturn, OriginSingular, UnwrapAmbiguous
+from .exceptions import OriginSingular, UnwrapAmbiguous
 from .integrate import (
     DEFAULT_CONFIG,
     IntegratorConfig,
     Trajectory,
-    _integrate_covered,
+    _check_away_from_centers,
     _one_period,
-    _require_closed_orbit,
-    hermite_steps,
-    locate_roots,
 )
 
-CENTER_EXCLUSION = 1e-9
 ORIGIN_EXCLUSION = 1e-9
 TWO_PI = 2.0 * math.pi
-
-
-def _check_away_from_centers(x, y) -> None:
-    d2_plus = (np.asarray(x) - 1.0) ** 2 + np.asarray(y) ** 2
-    d2_minus = (np.asarray(x) + 1.0) ** 2 + np.asarray(y) ** 2
-    if np.any(d2_plus < CENTER_EXCLUSION**2) or np.any(d2_minus < CENTER_EXCLUSION**2):
-        raise CenterSingular(
-            "state within 1e-9 of (+-1, 0); the angle is undefined at the "
-            "covered center"
-        )
 
 
 def _angle(x1, y1):
@@ -94,43 +82,36 @@ def theta_dot_of(s: State) -> float:
     return -2.0 * num / den
 
 
-def _wrap(d):
-    """Angle differences shifted by multiples of 2pi into [-pi, pi]."""
-    return d - TWO_PI * np.round(d / TWO_PI)
+def _unwrap(x, y):
+    """(x1, y1, theta): the covered image of original-plane points and
+    its angle, unwrapped: each principal-value jump is shifted by a
+    multiple of 2pi into [-pi, pi] and added up from the first angle,
+    which is kept as is.
 
-
-def _unwrap(x1, y1):
-    """The angle of covered points, unwrapped, and its increments: each
-    principal-value jump is shifted by a multiple of 2pi into [-pi, pi]
-    and added up from the first angle, which is kept as is."""
-    raw = _angle(x1, y1)
-    d = _wrap(np.diff(raw))
-    return np.concatenate((raw[:1], raw[:1] + np.cumsum(d))), d
-
-
-def unwrap_theta(traj: Trajectory) -> np.ndarray:
-    """Continuous angle along a trajectory, as an (n, 2) array [t, theta].
-
-    The angle is unwrapped by ``_unwrap``.  The integrator's step control
-    keeps true increments well below pi; an adjusted increment of
-    magnitude pi or more therefore means the branch is unrecoverable and
-    raises UnwrapAmbiguous.
+    CenterSingular near (+-1, 0).  The integrator's step control keeps
+    true increments well below pi; an adjusted increment of magnitude pi
+    or more therefore means the branch is unrecoverable and raises
+    UnwrapAmbiguous.
     """
-    _check_away_from_centers(traj.states[:, 0], traj.states[:, 1])
-    theta, d = _unwrap(traj.covered[:, 0], traj.covered[:, 1])
+    _check_away_from_centers(x, y)
+    x1, y1 = square(x, y)
+    raw = _angle(x1, y1)
+    d = np.diff(raw)
+    d -= TWO_PI * np.round(d / TWO_PI)
     if np.any(np.abs(d) >= math.pi):
         raise UnwrapAmbiguous(
             "consecutive angle samples differ by half a turn or more; "
             "sampling is too sparse to unwrap"
         )
+    return x1, y1, np.concatenate((raw[:1], raw[:1] + np.cumsum(d)))
+
+
+def unwrap_theta(traj: Trajectory) -> np.ndarray:
+    """Continuous angle along a trajectory, as an (n, 2) array [t, theta],
+    unwrapped by ``_unwrap`` from the images of its states: CenterSingular
+    near (+-1, 0), UnwrapAmbiguous where samples are half a turn apart."""
+    theta = _unwrap(traj.states[:, 0], traj.states[:, 1])[2]
     return np.column_stack((np.asarray(traj.t, dtype=np.float64), theta))
-
-
-def _revolution_end(theta):
-    """Index of the first sample at which the unwrapped angle theta has
-    fallen by 2pi, or None."""
-    below = np.flatnonzero(theta <= theta[0] - TWO_PI)
-    return int(below[0]) if below.size else None
 
 
 def _loop_action(x, y) -> float:
@@ -147,54 +128,14 @@ def action_covered(
     """Action from the covered loop: (1/2pi) * integral of y1 dx1 over one
     global revolution (theta down by exactly 2pi), sign-normalized.
 
-    The integration stops after the first kernel chunk on which
-    ``_revolution_end``, read off the whole path so far, finds the
-    revolution, not at t_max; the path is a prefix of the full-horizon
-    one, so the action equals, bit for bit, that of ``integrate_covered``
-    over [0, t_max] (see ``_revolution_action``).
+    The loop is the covered image of ``action_original``'s points over one
+    period (``integrate._one_period``), with no second integration.  One
+    period is one revolution in a well and two outside the separatrix,
+    where the image traces the loop twice; the integral over the period
+    is divided by its revolutions, the unwrapped angle's fall over 2pi.
     """
-    s0 = State(float(s0[0]), float(s0[1]))
-    _require_closed_orbit(s0, p)
-    return _revolution_action(_integrate_covered(
-        cover_map(s0), p, cfg,
-        lambda t, x1, y1, *_: _revolution_end(_unwrap(x1, y1)[0]) is not None,
-    ))
-
-
-def _revolution_action(traj: Trajectory) -> float:
-    """(1/2pi) * |integral of y1 dx1| along a covered trajectory over its
-    first global revolution.
-
-    The revolution endpoint is refined on the dense output by the event
-    locator, ``locate_roots``; the loop runs through the samples before
-    it, then the endpoint, and closes back to the start.  NoReturn if the
-    angle never falls by 2pi.
-    """
-    theta_u = unwrap_theta(traj)[:, 1]
-    target = theta_u[0] - TWO_PI
-    k = _revolution_end(theta_u)
-    if k is None:
-        raise NoReturn(
-            f"angle decreased by only {theta_u[0] - theta_u.min():.4g} rad "
-            f"within t_max={traj.config.t_max:g}; increase t_max"
-        )
-
-    # theta_u - target on the step k-1 -> k, unwrapped against sample k-1
-    at = hermite_steps(traj.t, traj.covered, traj.derivs, np.array([k - 1]))
-    raw_prev = _angle(traj.covered[k - 1, 0], traj.covered[k - 1, 1])
-
-    def excess(j, tq):
-        return theta_u[k - 1] - target + _wrap(_angle(*at(j, tq)) - raw_prev)
-
-    t_star = locate_roots(
-        excess, traj.t[k - 1 : k], traj.t[k : k + 1],
-        [theta_u[k - 1] - target], [theta_u[k] - target], 0.0,
-    )
-    x1_star, y1_star = at(0, t_star[0])
-    return _loop_action(
-        np.append(traj.covered[:k, 0], x1_star),
-        np.append(traj.covered[:k, 1], y1_star),
-    )
+    x1, y1, theta = _unwrap(*_one_period(s0, p, cfg)[1:])
+    return _loop_action(x1, y1) / round((theta[0] - theta[-1]) / TWO_PI)
 
 
 def action_original(

@@ -33,8 +33,9 @@ class OnSeparatrix(DuffingError):
 
 
 class CenterSingular(DuffingError):
-    """An angle operation was evaluated at or within 1e-9 of (+-1, 0),
-    whose shared covered image is the rotation center itself."""
+    """An angle operation, or a period or action query, was evaluated
+    within 1e-9 of (+-1, 0), whose shared covered image is the rotation
+    center itself."""
 
 
 class OriginSingular(DuffingError):

@@ -17,15 +17,14 @@ Both kinds come from one locator.  A numpy sign walk over the samples
 once; ``hermite_steps`` evaluates the Hermite cubic of each bracket's own
 step, and ``locate_roots`` refines all brackets together by the Illinois
 variant of regula falsi (Hairer, Norsett & Wanner, Solving ODEs I, II.6;
-Shampine & Thompson, "Event location for ODEs", 2000).  The same routine
-finds the revolution endpoint of ``actionangle.action_covered``.
+Shampine & Thompson, "Event location for ODEs", 2000).
 
-Period and action queries need one orbit, not all of t_max:
-``find_period`` and ``actionangle.action_covered`` run the adaptive kernel
-in chunks that resume exactly where the last one paused, and stop after
-the first chunk on which the rule that computes their result finds its
-event on the whole path so far.  Their paths are prefixes of the
-full-horizon ones, so their results are bit-identical to it.
+Period and action queries need one orbit, not all of t_max: they share
+``find_period``'s path, which runs the adaptive kernel in chunks that
+resume exactly where the last one paused, and stops after the first chunk
+on which the period rule finds the period on the whole path so far.  The
+path is a prefix of the full-horizon one, so the period is bit-identical
+to it.
 
 The sheet column of a trajectory is *evolved*: it starts from the initial
 tag and toggles at each cut crossing, rather than being recomputed per
@@ -51,6 +50,7 @@ from .covering import CoveredState, Sheet, principal_root, sheet_sign, square
 from .dynamics import Params, State, _require_finite, hamiltonian
 from .exceptions import (
     BranchPointApproach,
+    CenterSingular,
     DegenerateCrossing,
     MaxStepsExceeded,
     NoReturn,
@@ -64,6 +64,7 @@ CUT_REFINE_TOL = 1e-12
 SECTION_REFINE_TOL = 1e-10
 BRANCH_RADIUS = 1e-10
 SEPARATRIX_TOL = 1e-9
+CENTER_EXCLUSION = 1e-9
 MAX_REFINE_ITER = 200
 
 
@@ -404,15 +405,9 @@ def integrate_covered(
     point aborts with BranchPointApproach (the inverse loses accuracy
     there); integrate the original plane instead for saddle studies.
     """
-    return _integrate_covered(c0, p, cfg)
-
-
-def _integrate_covered(c0: CoveredState, p: Params, cfg: IntegratorConfig,
-                       done=None) -> Trajectory:
-    """integrate_covered, stopped early by ``done`` as in _run_kernel."""
     _require_finite(c0)
     t, x1, y1, dx1, dy1 = _run_kernel(
-        _kernels.FIELD_COVERED, float(c0[0]), float(c0[1]), p, cfg, done
+        _kernels.FIELD_COVERED, float(c0[0]), float(c0[1]), p, cfg
     )
     radius = np.hypot(x1, y1)
     if np.any(radius < BRANCH_RADIUS):
@@ -435,9 +430,21 @@ def _integrate_covered(c0: CoveredState, p: Params, cfg: IntegratorConfig,
                       "covered")
 
 
+def _check_away_from_centers(x, y) -> None:
+    d2_plus = (np.asarray(x) - 1.0) ** 2 + np.asarray(y) ** 2
+    d2_minus = (np.asarray(x) + 1.0) ** 2 + np.asarray(y) ** 2
+    if np.any(d2_plus < CENTER_EXCLUSION**2) or np.any(d2_minus < CENTER_EXCLUSION**2):
+        raise CenterSingular(
+            "state within 1e-9 of (+-1, 0); the angle is undefined at the "
+            "covered center"
+        )
+
+
 def _require_closed_orbit(s0: State, p: Params) -> None:
     """Periods and actions need a closed orbit: ValueError for mu != 0,
-    OnSeparatrix within SEPARATRIX_TOL of the separatrix level."""
+    OnSeparatrix within SEPARATRIX_TOL of the separatrix level, NoReturn
+    at a center (+-1, 0), a fixed point, and CenterSingular within
+    CENTER_EXCLUSION of one, where the orbit is too small to measure."""
     if p.mu != 0.0:
         raise ValueError("closed orbits need the conservative flow (mu = 0)")
     level = hamiltonian(s0, p) - p.c
@@ -446,6 +453,9 @@ def _require_closed_orbit(s0: State, p: Params) -> None:
             f"|H - c| = {abs(level):.2e} < {SEPARATRIX_TOL:g}: state is on the "
             "separatrix (or the saddle), which has no closed orbit"
         )
+    if s0.y == 0.0 and s0.x - s0.x**3 == 0.0:
+        raise NoReturn("initial state is a fixed point; no section return")
+    _check_away_from_centers(s0.x, s0.y)
 
 
 def _period_end(directions):
@@ -487,8 +497,6 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     start = []
     if s0.y == 0.0:
         d0 = int(np.sign(s0.x - s0.x**3))
-        if d0 == 0:
-            raise NoReturn("initial state is a fixed point; no section return")
         start = [Event(0.0, "section_return", {"x": s0.x, "direction": d0})]
     head = [e.data["direction"] for e in start]
     t, x, y, dx, dy = _run_kernel(

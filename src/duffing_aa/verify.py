@@ -206,7 +206,7 @@ def check_winding(h_levels, tolerance: float = 1e-6) -> CheckReport:
     errors, expected = [], []
     for h in h_levels:
         _, x, y = _one_period(state_on_level(h), p, DEFAULT_CONFIG)
-        theta = _unwrap(*square(x, y))[0]
+        theta = _unwrap(x, y)[2]
         expected.append(-2.0 * math.pi if h < 0 else -4.0 * math.pi)
         errors.append(float(theta[-1] - theta[0]) - expected[-1])
     return _report("check_winding", errors, expected, tolerance)

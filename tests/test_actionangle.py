@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from duffing_aa import (
     DEFAULT_CONFIG,
@@ -34,8 +35,7 @@ from duffing_aa import (
     theta_of,
     unwrap_theta,
 )
-from duffing_aa import actionangle, integrate
-from duffing_aa.actionangle import _revolution_action
+from duffing_aa import actionangle, verify
 
 TWO_PI = 2.0 * math.pi
 
@@ -220,46 +220,6 @@ def test_action_covered_polygon_oracle(p0):
     assert abs(got - area / TWO_PI) <= 1e-4
 
 
-def test_action_covered_equals_full_horizon_action(closed_orbit_start, p0):
-    s0 = closed_orbit_start
-    full = integrate_covered(cover_map(s0), p0, DEFAULT_CONFIG)
-    got = action_covered(s0, p0)
-    assert type(got) is float and got == _revolution_action(full)
-
-
-@pytest.mark.parametrize("size", [1, 7, 128])
-def test_revolution_predicate_matches_unwrap_theta(closed_orbit_start, p0, size):
-    traj = integrate_covered(cover_map(closed_orbit_start), p0, DEFAULT_CONFIG)
-    theta = unwrap_theta(traj)[:, 1]
-    k = int(np.nonzero(theta <= theta[0] - TWO_PI)[0][0])
-
-    def done(end):  # action_covered's stop, on the samples up to end
-        x1, y1 = traj.covered[: end + 1].T
-        return actionangle._revolution_end(actionangle._unwrap(x1, y1)[0]) is not None
-
-    # prefixes grown by size samples at a time, as a chunked path grows
-    ends = [min(n, len(traj)) - 1 for n in range(size, len(traj) + size, size)]
-    assert next(end for end in ends if done(end)) == next(e for e in ends if e >= k)
-    assert not done(k - 1) and done(k)
-
-
-def test_action_covered_stops_after_one_revolution(
-    closed_orbit_start, p0, kernel_samples
-):
-    s0 = closed_orbit_start
-    period = find_period(s0, p0)
-    c0 = cover_map(s0)
-    one = len(integrate_covered(c0, p0, replace(DEFAULT_CONFIG, t_max=period)))
-    kernel_samples.clear()
-    action_covered(s0, p0)
-    assert sum(kernel_samples) < 2 * one + integrate._CHUNK_SAMPLES
-    # outside the separatrix one revolution takes half a period
-    with pytest.raises(MaxStepsExceeded):
-        action_covered(s0, p0, replace(DEFAULT_CONFIG, max_steps=one // 4))
-    with pytest.raises(NoReturn):
-        action_covered(s0, p0, replace(DEFAULT_CONFIG, t_max=period / 4.0))
-
-
 def test_action_covered_errors(p0):
     with pytest.raises(OnSeparatrix):
         action_covered(State(math.sqrt(2.0), 0.0), p0)
@@ -275,12 +235,52 @@ def test_action_original_harmonic_limit(p0):
     assert abs(got - expected) <= 0.05 * expected
 
 
-def test_action_original_reuses_find_period_path(closed_orbit_start, p0, kernel_samples):
-    find_period(closed_orbit_start, p0)
+@pytest.mark.parametrize("action", [action_original, action_covered],
+                         ids=lambda f: f.__name__)
+def test_actions_reuse_find_period_path(closed_orbit_start, p0, kernel_samples,
+                                        action):
+    s0 = closed_orbit_start
+    period = find_period(s0, p0)
     period_samples = list(kernel_samples)
     kernel_samples.clear()
-    action_original(closed_orbit_start, p0)
+    action(s0, p0)
     assert kernel_samples == period_samples
+    with pytest.raises(MaxStepsExceeded):
+        action(s0, p0, replace(DEFAULT_CONFIG, max_steps=sum(period_samples) // 4))
+    with pytest.raises(NoReturn):
+        action(s0, p0, replace(DEFAULT_CONFIG, t_max=period / 4.0))
+
+
+def test_closed_orbit_queries_reject_centers(p0):
+    # a start within 1e-9 of a center fails fast instead of measuring noise
+    for query in (find_period, action_original, action_covered):
+        for x in (1.0 + 1e-12, -1.0 - 1e-12):
+            with pytest.raises(CenterSingular):
+                query(State(x, 0.0), p0)
+
+
+@pytest.mark.parametrize("h", verify.PERIOD_LEVELS)
+def test_actions_match_enclosed_area(p0, h):
+    # independent oracle: the area inside the level set, by scipy's quad,
+    # split at x = 0 outside the separatrix, where the integrand bends
+    s = math.sqrt(1.0 + 4.0 * h)
+    if h < 0.0:
+        pieces, k = [(math.sqrt(1.0 - s), math.sqrt(1.0 + s))], 4
+    else:
+        pieces, k = [(-math.sqrt(1.0 + s), 0.0), (0.0, math.sqrt(1.0 + s))], 2
+
+    def action(f):  # (1/2pi) * integral of f over the level set's x-range
+        return sum(quad(f, a, b)[0] for a, b in pieces) / TWO_PI
+
+    def Y(x):
+        return math.sqrt(max(0.0, 2.0 * h + x * x - 0.5 * x**4))
+
+    # the covering scales areas by 4(x^2 + y^2); k = 4 / (covers per loop)
+    classical = action(lambda x: 2.0 * Y(x))
+    covered = k * action(lambda x: 2.0 * x * x * Y(x) + 2.0 / 3.0 * Y(x) ** 3)
+    s0 = state_on_level(h)
+    assert abs(action_original(s0, p0) - classical) <= 1e-3 * classical
+    assert abs(action_covered(s0, p0) - covered) <= 1e-3 * covered
 
 
 def test_action_original_matches_one_period_integration(closed_orbit_start, p0):
