@@ -52,7 +52,7 @@ from .actionangle import energy_angle_curve
 from .covering import CoveredState, Sheet, covered_field
 from .dynamics import Params, State, duffing_field
 from .exceptions import ConfigError, DuffingError
-from .integrate import IntegratorConfig, Trajectory, integrate_original
+from .integrate import IntegratorConfig, Trajectory, integrate_original_orbits
 from .verify import CHECKS, run_check
 
 KINDS = ("original", "covered", "energy_angle")
@@ -67,7 +67,10 @@ _INTEGRATOR_KEYS = {"method", "step", "rel_tol", "abs_tol", "max_steps"}
 _OUTPUT_KEYS = {"kind", "format", "path"}
 
 # run holds every orbit in memory until its outputs are written, so the grid
-# size bounds its memory (400 orbits at t_max = 20 peak near 64 MB)
+# size bounds its memory: 400 orbits at t_max = 20 (287k samples) peak at
+# 65.4 MiB RSS, 34 MiB of it the interpreter and numpy.  Each orbit keeps
+# 57 bytes per sample; on the numpy backend the lockstep kernel needs 36
+# more per sample while it runs (its recorded columns and sort order)
 MAX_GRID_STATES = 10_000
 
 _STROKE = "#1f4e9c"
@@ -374,9 +377,12 @@ def run_scenario(path: str, quiet: bool = False) -> int:
     needs_curve = any(o.kind == "energy_angle" for o in scenario.outputs)
     trajs = []
     curves = []
+    orbits = integrate_original_orbits(
+        scenario.initial_states, p, scenario.integrator
+    )
     for idx, s0 in enumerate(scenario.initial_states):
         try:
-            traj = integrate_original(s0, p, scenario.integrator)
+            traj = next(orbits)
             curves.append(energy_angle_curve(traj) if needs_curve else None)
             trajs.append(traj)
         except DuffingError as e:

@@ -26,6 +26,11 @@ on which the period rule finds the period on the whole path so far.  The
 path is a prefix of the full-horizon one, so the period is bit-identical
 to it.
 
+``integrate_original_orbits`` integrates many starts at once: on the
+numpy backend one ``_kernels.adaptive_lanes`` call steps their rk45 paths
+in lockstep, bit for bit the paths ``integrate_original`` computes one at
+a time, and each orbit then goes through the same assembly step.
+
 The sheet column of a trajectory is *evolved*: it starts from the initial
 tag and toggles at each cut crossing, rather than being recomputed per
 sample.  Events are emitted in increasing time.
@@ -38,6 +43,7 @@ marked read-only) and safe to share between threads.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from numbers import Integral, Real
@@ -203,7 +209,12 @@ def _run_kernel(field_id, u0, v0, p: Params, cfg: IntegratorConfig, done=None):
                 done is not None and done(*path)
             ):
                 break
-    t = path[0]
+    _check_status(status, path[0], cfg)
+    return path
+
+
+def _check_status(status, t, cfg: IntegratorConfig) -> None:
+    """Raise the failure a kernel status names; t holds the path's times."""
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise StepFailure(
             f"adaptive step fell below {_kernels.MIN_STEP:g} at t={t[-1]:.6g}"
@@ -215,7 +226,6 @@ def _run_kernel(field_id, u0, v0, p: Params, cfg: IntegratorConfig, done=None):
         raise MaxStepsExceeded(
             f"{cfg.max_steps} steps exhausted at t={reached:.6g} (t_max={cfg.t_max:g})"
         )
-    return path
 
 
 def hermite_steps(t, pts, derivs, ks, squared=False):
@@ -382,10 +392,42 @@ def integrate_original(
     s0 = State(float(s0[0]), float(s0[1]))
     _require_finite(s0)
     t, x, y, dx, dy = _run_kernel(_kernels.FIELD_ORIGINAL, s0.x, s0.y, p, cfg)
-    states = np.column_stack((x, y))
-    covered = np.column_stack(square(x, y))
-    derivs = np.column_stack((dx, dy))
+    return _original_trajectory(
+        s0, t, np.column_stack((x, y)), np.column_stack((dx, dy)), p, cfg
+    )
 
+
+def integrate_original_orbits(
+    states, p: Params, cfg: IntegratorConfig = DEFAULT_CONFIG
+) -> Iterator[Trajectory]:
+    """Yield integrate_original(s0, p, cfg) for every s0 of states, in order.
+
+    On the uncompiled backend the rk45 paths come from one
+    ``_kernels.adaptive_lanes`` call that steps the orbits in lockstep,
+    bit for bit their one-at-a-time paths; rk4 and the compiled backend
+    integrate one orbit at a time.  Either way orbit k's failure is raised
+    when orbit k is due, after orbits 0..k-1 have been yielded.
+    """
+    if cfg.method != "rk45" or _kernels.USING_NUMBA:
+        for s0 in states:
+            yield integrate_original(s0, p, cfg)
+        return
+    starts = [State(float(s0[0]), float(s0[1])) for s0 in states]
+    t, z, dz, bounds, status, _, _ = _kernels.adaptive_lanes(
+        [s0.x for s0 in starts], [s0.y for s0 in starts], p.mu, cfg.t_max,
+        cfg.rel_tol, cfg.abs_tol, cfg.step, int(cfg.max_steps),
+    )
+    for k, s0 in enumerate(starts):
+        _require_finite(s0)
+        rows = slice(bounds[k], bounds[k + 1])
+        _check_status(status[k], t[rows], cfg)
+        yield _original_trajectory(s0, t[rows], z[rows], dz[rows], p, cfg)
+
+
+def _original_trajectory(s0: State, t, states, derivs, p, cfg) -> Trajectory:
+    """An original-plane path from s0 with its covered images, cut
+    crossings and evolved sheets."""
+    covered = np.column_stack(square(states[:, 0], states[:, 1]))
     events, toggle_from = _cut_crossings(
         t, covered[:, 1], partial(hermite_steps, t, states, derivs, squared=True)
     )

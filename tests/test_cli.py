@@ -6,9 +6,16 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from duffing_aa import Params, State, integrate_original
-from duffing_aa.cli import MAX_GRID_STATES, bundled_scenarios, load_scenario, main
-from duffing_aa.exceptions import ConfigError
+from duffing_aa import Params, State, _kernels, integrate_original
+from duffing_aa.cli import (
+    MAX_GRID_STATES,
+    _fmt,
+    _write_csv,
+    bundled_scenarios,
+    load_scenario,
+    main,
+)
+from duffing_aa.exceptions import ConfigError, StepFailure
 from duffing_aa.verify import run_check
 
 
@@ -388,3 +395,46 @@ def test_csv_matches_per_value_format(tmp_path, monkeypatch):
                  (traj.t[i], traj.covered[i, 0], traj.covered[i, 1])]
                 + ["U" if traj.sheets[i] > 0 else "L"]))
     assert (tmp_path / "cov.csv").read_text().splitlines() == expected
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_many_orbit_run_matches_per_orbit_csv(tmp_path, monkeypatch, rng):
+    # 64 orbits reach the lockstep kernel, which the bundled figures
+    # (at most 10 orbits) never do
+    monkeypatch.chdir(tmp_path)
+    n = 64
+    assert n >= _kernels.MIN_LANES
+    states = np.column_stack((rng.uniform(-2.0, 2.0, n), rng.uniform(-1.5, 1.5, n)))
+    outputs = [{"kind": "covered", "format": "csv", "path": "cov.csv"},
+               {"kind": "original", "format": "csv", "path": "out.csv"}]
+    cfg = small_scenario(
+        tmp_path, initial_states=states.tolist(), t_max=5.0, outputs=outputs
+    )
+    assert main(["run", "--quiet", cfg]) == 0
+    scn = load_scenario(cfg)
+    trajs = [integrate_original(s0, Params(), scn.integrator)
+             for s0 in scn.initial_states]
+    for kind, name in (("covered", "cov.csv"), ("original", "out.csv")):
+        _write_csv(f"ref_{name}", kind, trajs, [None] * n)
+        assert _sha256(tmp_path / name) == _sha256(tmp_path / f"ref_{name}")
+
+
+def test_overflowing_state_in_many_orbit_run_exits_3(tmp_path, monkeypatch, capsys):
+    # state #k overflows inside the lockstep; the run reports it as the
+    # one-orbit-at-a-time loop does, and writes nothing
+    monkeypatch.chdir(tmp_path)
+    k = 17
+    states = [[0.1 * i - 2.0, 0.5] for i in range(_kernels.MIN_LANES + 8)]
+    states[k] = [1e200, 0.0]
+    cfg = small_scenario(tmp_path, initial_states=states)
+    assert main(["run", cfg]) == 3
+    with pytest.raises(StepFailure) as scalar:
+        integrate_original(State(1e200, 0.0), Params(), load_scenario(cfg).integrator)
+    assert capsys.readouterr().err == (
+        f"integration failed for initial state #{k} ({_fmt(1e200)}, {_fmt(0.0)}): "
+        f"{scalar.value}\n"
+    )
+    assert not (tmp_path / "out.csv").exists()

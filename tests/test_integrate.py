@@ -28,6 +28,7 @@ from duffing_aa import (
     integrate_original,
     state_on_level,
 )
+from duffing_aa.integrate import integrate_original_orbits
 from duffing_aa import _kernels, integrate
 from duffing_aa.cli import load_scenario
 
@@ -342,6 +343,70 @@ def test_rk4_nonfinite_state_fails_fast():
     )
     assert status == _kernels.STATUS_NONFINITE
     assert t.tolist() == [0.0] and u.tolist() == [1e200]
+
+
+def _assert_same_trajectory(a, b):
+    for name in ("t", "states", "covered", "sheets", "derivs"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.events, a.params, a.config, a.plane) == (
+        b.events, b.params, b.config, b.plane
+    )
+
+
+def _run_orbits(orbits, n):
+    """The trajectories an iterator yields for n orbits, and the exception
+    that stopped it (None if none did)."""
+    got = []
+    try:
+        for _ in range(n):
+            got.append(next(orbits))
+    except Exception as e:  # the failure itself is what is compared
+        return got, e
+    return got, None
+
+
+def _one_at_a_time(states, p, cfg):
+    return _run_orbits((integrate_original(s0, p, cfg) for s0 in states), len(states))
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_orbits_are_integrate_original_one_at_a_time(rng, method):
+    # more orbits than MIN_LANES, so rk45 steps them in lockstep
+    n = _kernels.MIN_LANES + 8
+    states = [State(x, y) for x, y in zip(rng.uniform(-2.0, 2.0, n),
+                                           rng.uniform(-1.5, 1.5, n))]
+    p = Params(mu=0.1)
+    cfg = IntegratorConfig(method=method, t_max=5.0)
+    got, error = _run_orbits(integrate_original_orbits(states, p, cfg), n)
+    want, _ = _one_at_a_time(states, p, cfg)
+    assert error is None and len(got) == n
+    for a, b in zip(got, want):
+        _assert_same_trajectory(a, b)
+
+
+@pytest.mark.parametrize(
+    "bad, cfg",
+    [
+        (State(1e200, 0.0), IntegratorConfig(t_max=5.0)),
+        (State(math.nan, 0.0), IntegratorConfig(t_max=5.0)),
+        (None, IntegratorConfig(t_max=5.0, max_steps=150)),
+        (None, IntegratorConfig(t_max=5.0, rel_tol=1e-300, abs_tol=1e-300)),
+    ],
+    ids=["overflow", "nonfinite-start", "max-steps", "step-underflow"],
+)
+def test_orbits_fail_where_integrate_original_fails(rng, bad, cfg):
+    # orbit k's own exception, with its message, once orbits 0..k-1 are out
+    n = _kernels.MIN_LANES + 8
+    states = [State(x, y) for x, y in zip(rng.uniform(-2.0, 2.0, n),
+                                           rng.uniform(-1.5, 1.5, n))]
+    if bad is not None:
+        states[17] = bad
+    got, error = _run_orbits(integrate_original_orbits(states, Params(), cfg), n)
+    want, want_error = _one_at_a_time(states, Params(), cfg)
+    assert want_error is not None and len(got) == len(want) < n
+    assert type(error) is type(want_error) and str(error) == str(want_error)
+    for a, b in zip(got, want):
+        _assert_same_trajectory(a, b)
 
 
 # ---------------------------------------------------------------- locator

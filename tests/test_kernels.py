@@ -141,3 +141,111 @@ def test_backend_flag_parser(monkeypatch):
         assert _kernels._numba_requested() is expect
     monkeypatch.delenv("DUFFING_AA_NUMBA")
     assert _kernels._numba_requested() is True
+
+
+def _scalar_paths(u0, v0, mu, t_end, rel_tol, abs_tol, max_steps):
+    """adaptive_path from every start over [0, t_end], one call each."""
+    return [
+        _whole(_kernels.FIELD_ORIGINAL, u, v, mu, t_end, rel_tol, abs_tol, 0.01,
+               max_steps)
+        for u, v in zip(u0, v0)
+    ]
+
+
+def _lanes(monkeypatch, min_lanes, u0, v0, mu, t_end, rel_tol, abs_tol, max_steps):
+    """adaptive_lanes with MIN_LANES = min_lanes, split into per-lane
+    (t, u, v, du, dv, status, h, steps), plus the start times of the
+    adaptive_path calls that finished lanes.  Floating-point errors
+    raise, so any that escape the kernel fail the test."""
+    monkeypatch.setattr(_kernels, "MIN_LANES", min_lanes)
+    handed_off = []
+    scalar = _kernels.adaptive_path
+
+    def recorded(*args):
+        handed_off.append(args[4])
+        return scalar(*args)
+
+    monkeypatch.setattr(_kernels, "adaptive_path", recorded)
+    with np.errstate(all="raise"):
+        t, z, dz, bounds, status, h, steps = _kernels.adaptive_lanes(
+            u0, v0, mu, t_end, rel_tol, abs_tol, 0.01, max_steps
+        )
+    monkeypatch.setattr(_kernels, "adaptive_path", scalar)
+    paths = []
+    for k in range(len(u0)):
+        rows = slice(bounds[k], bounds[k + 1])
+        paths.append((t[rows], z[rows, 0], z[rows, 1], dz[rows, 0], dz[rows, 1],
+                      status[k], h[k], steps[k]))
+    return paths, handed_off
+
+
+def _assert_same_paths(lanes, scalar):
+    assert len(lanes) == len(scalar)
+    for got, want in zip(lanes, scalar):
+        for a, b in zip(got[:5], want[:5]):  # t, u, v, du, dv
+            assert a.tobytes() == b.tobytes()
+        assert got[5:] == want[5:]  # status, h, attempted steps
+
+
+def _fig_starts(name):
+    scn = load_scenario(name)
+    return ([s.x for s in scn.initial_states], [s.y for s in scn.initial_states],
+            scn.mu, scn.integrator.t_max)
+
+
+def _grid_starts(rng, n=50):
+    return (rng.uniform(-2.0, 2.0, n).tolist(), rng.uniform(-1.5, 1.5, n).tolist(),
+            0.0, 20.0)
+
+
+@pytest.mark.parametrize("handoff", [False, True], ids=["lockstep", "handoff"])
+@pytest.mark.parametrize("case", ["fig1", "fig3", "grid"])
+def test_lanes_are_bitwise_the_scalar_paths(monkeypatch, rng, case, handoff):
+    # fig3 is damped (mu = 0.1); the grid starts mix wells, the separatrix
+    # band and outer orbits, so lanes retire at different iterations
+    u0, v0, mu, t_end = _grid_starts(rng) if case == "grid" else _fig_starts(case)
+    scalar = _scalar_paths(u0, v0, mu, t_end, 1e-10, 1e-10, 10**7)
+    min_lanes = len(u0) // 2 if handoff else 1
+    lanes, handed_off = _lanes(
+        monkeypatch, min_lanes, u0, v0, mu, t_end, 1e-10, 1e-10, 10**7
+    )
+    _assert_same_paths(lanes, scalar)
+    if handoff:  # the scalar kernel took over lanes part-way
+        assert len(handed_off) == min_lanes - 1 and min(handed_off) > 0.0
+    else:
+        assert handed_off == []
+
+
+def test_lanes_below_min_lanes_run_the_scalar_kernel(monkeypatch):
+    u0, v0, mu, t_end = _fig_starts("fig1")
+    lanes, handed_off = _lanes(
+        monkeypatch, len(u0) + 1, u0, v0, mu, t_end, 1e-10, 1e-10, 10**7
+    )
+    assert handed_off == [0.0] * len(u0)
+    _assert_same_paths(lanes, _scalar_paths(u0, v0, mu, t_end, 1e-10, 1e-10, 10**7))
+
+
+@pytest.mark.parametrize("handoff", [False, True], ids=["lockstep", "handoff"])
+@pytest.mark.parametrize(
+    "failure, rel_tol, max_steps",
+    [("overflow", 1e-10, 10**7), ("max_steps", 1e-10, 150),
+     ("underflow", 1e-300, 10**7)],
+    ids=["overflow", "max_steps", "underflow"],
+)
+def test_failing_lanes_stop_where_the_scalar_kernel_does(
+    monkeypatch, rng, failure, rel_tol, max_steps, handoff
+):
+    u0, v0, _, _ = _grid_starts(rng, 40)
+    if failure == "overflow":
+        u0[3], v0[3] = 1e200, 0.0
+        u0[20], v0[20] = 0.0, -1e300
+    scalar = _scalar_paths(u0, v0, 0.0, 5.0, rel_tol, rel_tol, max_steps)
+    want = {"overflow": _kernels.STATUS_NONFINITE,
+            "max_steps": _kernels.STATUS_MAX_STEPS,
+            "underflow": _kernels.STATUS_STEP_UNDERFLOW}[failure]
+    failed = [k for k, path in enumerate(scalar) if path[5] == want]
+    # the step budget lets some orbits finish and stops the others
+    assert failed and (failure == "underflow" or len(failed) < len(u0))
+    lanes, _ = _lanes(monkeypatch, 20 if handoff else 1, u0, v0, 0.0, 5.0,
+                      rel_tol, rel_tol, max_steps)
+    _assert_same_paths(lanes, scalar)
