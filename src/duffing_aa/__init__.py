@@ -7,13 +7,13 @@ once.  Subpackage map:
 
   dynamics     the original vector field and its Hamiltonian
   covering     the two-sheeted covering map, its inverse and the cut
-  integrate    RK4 / adaptive RK45 integration with events and sheets
+  integrate    RK4 / adaptive RK45 integration of the original plane,
+               with the covered images, cut events and sheets
   actionangle  the global angle, its unwrapping and the action integrals
   verify       seeded numerical cross-checks for every closed formula
   cli          scenario runner, figure export (CSV/SVG) and `verify`
 """
 
-from ._kernels import USING_NUMBA
 from .actionangle import (
     action_covered,
     action_original,
@@ -39,7 +39,6 @@ from .dynamics import (
     state_on_level,
 )
 from .exceptions import (
-    BranchPointApproach,
     CenterSingular,
     ConfigError,
     DegenerateCrossing,
@@ -58,12 +57,15 @@ from .integrate import (
     IntegratorConfig,
     Trajectory,
     find_period,
-    integrate_covered,
     integrate_original,
 )
 from .verify import CheckReport, run_all, run_check
 
 __version__ = "0.1.0"
+
+# numpy is the only backend; the benchmark report (perfbench/run.py) still
+# reads this name
+USING_NUMBA = False
 
 __all__ = [
     "USING_NUMBA",
@@ -85,7 +87,6 @@ __all__ = [
     "energy_rate",
     "hamiltonian",
     "state_on_level",
-    "BranchPointApproach",
     "CenterSingular",
     "ConfigError",
     "DegenerateCrossing",
@@ -102,7 +103,6 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "find_period",
-    "integrate_covered",
     "integrate_original",
     "CheckReport",
     "run_all",

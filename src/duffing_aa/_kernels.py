@@ -1,23 +1,18 @@
-"""Hot numerical kernels: right-hand sides and time-stepping loops.
+"""Hot numerical kernels: the field and the time-stepping loops.
 
-``rhs``, ``adaptive_path`` and ``rk4_path`` are plain scalar loops, written
-so that they compile under numba's nopython mode.  When numba is
-unavailable, or when the environment variable ``DUFFING_AA_NUMBA`` is set
-to ``0``/``false``/``off``, the same source runs uncompiled on top of
-numpy -- slower but bit-for-bit the same arithmetic.  ``adaptive_lanes``
-is the exception: a numpy kernel that steps many original-plane orbits in
-lockstep, bit for bit as ``adaptive_path`` would one at a time, and pays
-off only uncompiled.  The benchmark reports the backend that ran and,
-with ``--trace 1``, the kernel's time per accepted step; time the numpy
-path with ``DUFFING_AA_NUMBA=0 python3 perfbench/run.py --workload grid
---trace 1``.
+``adaptive_path`` and ``rk4_path`` are plain scalar loops over Python
+floats that step one orbit of the field ``rhs``.  ``adaptive_lanes``
+steps many orbits in numpy lockstep, bit for bit as ``adaptive_path``
+would one at a time.  All of them integrate the original plane: the
+covering is only a chart, applied to the samples afterwards.  With
+``--trace 1`` the benchmark reports the kernel's time per accepted step,
+e.g. ``python3 perfbench/run.py --workload grid --trace 1``.
 
 Kernels return raw arrays plus an integer status; the ``integrate`` module
 wraps them in typed trajectories and exceptions.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -26,16 +21,12 @@ STATUS_STEP_UNDERFLOW = 1
 STATUS_MAX_STEPS = 2
 STATUS_NONFINITE = 3
 
-FIELD_ORIGINAL = 0
-FIELD_COVERED = 1
-
 MIN_STEP = 1e-14
 
 # Dormand-Prince 5(4) (Dormand & Prince, 1980), one copy for both kernels:
 # the stage weights a_ij, the 5th-order weights b_i that are propagated and
 # the error weights e_i = b_i - b*_i.  Each kernel unpacks it into locals,
-# which the uncompiled loop reads faster than globals; njit freezes it as a
-# constant.
+# which the loop reads faster than globals.
 TABLEAU = (
     1.0 / 5.0,
     3.0 / 40.0, 9.0 / 40.0,
@@ -54,68 +45,26 @@ TABLEAU = (
 STEP_CONTROL = (0.9, -0.2, 0.2, 5.0)  # safety, err_exp, fac_min, fac_max
 
 # adaptive_lanes steps its lanes together while at least this many are
-# live.  Measured on a 2-vCPU Xeon (numpy backend): a lockstep iteration
-# costs about 145 us plus 0.42 us per live lane, and each live lane would
-# cost one uncompiled adaptive_path step of about 5.4 us, so lanes win above
-# about 145 / (5.4 - 0.42) = 29 live lanes.
+# live.  Measured on a 2-vCPU Xeon: a lockstep iteration costs about 145 us
+# plus 0.42 us per live lane, and each live lane would cost one
+# adaptive_path step of about 5.4 us, so lanes win above about
+# 145 / (5.4 - 0.42) = 29 live lanes.
 MIN_LANES = 32
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("DUFFING_AA_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
+def rhs(u, v, mu):
+    """The Duffing field (x, y) -> (y, x - x^3 - mu*y), elementwise; the
+    cube is spelled u*u*u, so every caller gets the same bits."""
+    return v, u - u * u * u - mu * v
 
 
-USING_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:
-        USING_NUMBA = False
-
-if not USING_NUMBA:
-
-    def njit(*args, **kwargs):
-        # identity decorator: the pure-numpy fallback path
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-@njit(cache=True)
-def rhs(field, u, v, mu):
-    """Vector field in the plane selected by ``field``.
-
-    FIELD_ORIGINAL: (x, y)   -> (y, x - x^3 - mu*y)
-    FIELD_COVERED:  (x1, y1) -> closed form of the pushed-forward flow,
-                    with R = sqrt(x1^2 + y1^2) and the dissipative terms
-                    mu*(R - x1) and -mu*y1.
-    """
-    if field == FIELD_ORIGINAL:
-        return v, u - u * u * u - mu * v
-    r = math.sqrt(u * u + v * v)
-    du = 0.5 * (u + r) * v + mu * (r - u)
-    dv = -u * u - 0.5 * v * v + r * (2.0 - u) - mu * v
-    return du, dv
-
-
-@njit(cache=True)
 def _grow(arr, cap):
     out = np.empty(cap, dtype=np.float64)
     out[: arr.shape[0]] = arr
     return out
 
 
-@njit(cache=True)
-def adaptive_path(
-    field, u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, max_samples
-):
+def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, max_samples):
     """Dormand-Prince 5(4) loop with FSAL, recording every accepted step.
 
     Integrates from (t0, u0, v0) towards t_end with first step h0 and at
@@ -145,7 +94,7 @@ def adaptive_path(
     t = t0
     u = u0
     v = v0
-    k1u, k1v = rhs(field, u, v, mu)
+    k1u, k1v = rhs(u, v, mu)
     ts[0] = t
     us[0] = u
     vs[0] = v
@@ -173,37 +122,35 @@ def adaptive_path(
             h = t_end - t
             last = True
 
-        k2u, k2v = rhs(field, u + h * a21 * k1u, v + h * a21 * k1v, mu)
+        k2u, k2v = rhs(u + h * a21 * k1u, v + h * a21 * k1v, mu)
         k3u, k3v = rhs(
-            field, u + h * (a31 * k1u + a32 * k2u), v + h * (a31 * k1v + a32 * k2v), mu
+            u + h * (a31 * k1u + a32 * k2u), v + h * (a31 * k1v + a32 * k2v), mu
         )
         k4u, k4v = rhs(
-            field,
             u + h * (a41 * k1u + a42 * k2u + a43 * k3u),
             v + h * (a41 * k1v + a42 * k2v + a43 * k3v),
             mu,
         )
         k5u, k5v = rhs(
-            field,
             u + h * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u),
             v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v),
             mu,
         )
         k6u, k6v = rhs(
-            field,
             u + h * (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u),
             v + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v),
             mu,
         )
         un = u + h * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
         vn = v + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
-        k7u, k7v = rhs(field, un, vn, mu)
+        k7u, k7v = rhs(un, vn, mu)
 
         eu = h * (e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u)
         ev = h * (e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
         su = abs_tol + rel_tol * max(abs(u), abs(un))
         sv = abs_tol + rel_tol * max(abs(v), abs(vn))
-        # squared via * so absurd tolerances overflow to inf on every backend
+        # squared via *, not **, so absurd tolerances overflow to inf rather
+        # than raise OverflowError
         ru = eu / su
         rv = ev / sv
         err = math.sqrt(0.5 * (ru * ru + rv * rv))
@@ -277,13 +224,13 @@ class _Samples:
 
 
 def _field(z, mu):
-    """rhs(FIELD_ORIGINAL) on the lanes of a (2, L) array, as one."""
-    return np.array(rhs(FIELD_ORIGINAL, z[0], z[1], mu))
+    """rhs on the lanes of a (2, L) array, as one."""
+    return np.array(rhs(z[0], z[1], mu))
 
 
 def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
     """adaptive_path of the original-plane field over [0, t_end] from every
-    start (u0[k], v0[k]) at once, bit for bit; not compiled under numba.
+    start (u0[k], v0[k]) at once, bit for bit.
 
     Each start is a lane with its own t, h, FSAL stage, attempted-step
     count and status.  numpy steps all live lanes together with the scalar
@@ -375,8 +322,8 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
         for j, k in enumerate(lane.tolist()):
             budget = max_steps - int(steps[j])
             tt, uu, vv, _, _, status_k, h_k, used = adaptive_path(
-                FIELD_ORIGINAL, float(z[0, j]), float(z[1, j]), mu, float(t[j]),
-                t_end, rel_tol, abs_tol, float(h[j]), budget, budget + 1,
+                float(z[0, j]), float(z[1, j]), mu, float(t[j]), t_end,
+                rel_tol, abs_tol, float(h[j]), budget, budget + 1,
             )
             status[k], h_end[k], steps_end[k] = status_k, h_k, steps[j] + used
             rec.append(np.full(len(tt) - 1, k), tt[1:], uu[1:], vv[1:])
@@ -392,12 +339,11 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
         np.take(vs, order, out=z[:, 1], mode="clip")
         del rec, lanes, ts, us, vs, order  # before dz, to lower the peak
         dz = np.empty_like(z)
-        dz[:, 0], dz[:, 1] = rhs(FIELD_ORIGINAL, z[:, 0], z[:, 1], mu)
+        dz[:, 0], dz[:, 1] = rhs(z[:, 0], z[:, 1], mu)
     return t, z, dz, bounds, status, h_end, steps_end
 
 
-@njit(cache=True)
-def rk4_path(field, u0, v0, mu, t_end, h, max_steps):
+def rk4_path(u0, v0, mu, t_end, h, max_steps):
     """Classic fixed-step fourth-order loop; the transparent baseline.
 
     A state that overflows stops the loop with STATUS_NONFINITE, returning
@@ -419,7 +365,7 @@ def rk4_path(field, u0, v0, mu, t_end, h, max_steps):
     t = 0.0
     u = u0
     v = v0
-    k1u, k1v = rhs(field, u, v, mu)
+    k1u, k1v = rhs(u, v, mu)
     ts[0] = t
     us[0] = u
     vs[0] = v
@@ -430,16 +376,16 @@ def rk4_path(field, u0, v0, mu, t_end, h, max_steps):
         hi = h
         if i == nsteps - 1:
             hi = t_end - t
-        k2u, k2v = rhs(field, u + 0.5 * hi * k1u, v + 0.5 * hi * k1v, mu)
-        k3u, k3v = rhs(field, u + 0.5 * hi * k2u, v + 0.5 * hi * k2v, mu)
-        k4u, k4v = rhs(field, u + hi * k3u, v + hi * k3v, mu)
+        k2u, k2v = rhs(u + 0.5 * hi * k1u, v + 0.5 * hi * k1v, mu)
+        k3u, k3v = rhs(u + 0.5 * hi * k2u, v + 0.5 * hi * k2v, mu)
+        k4u, k4v = rhs(u + hi * k3u, v + hi * k3v, mu)
         u = u + hi / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         v = v + hi / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if not (math.isfinite(u) and math.isfinite(v)):
             n = i + 1
             return ts[:n], us[:n], vs[:n], dus[:n], dvs[:n], STATUS_NONFINITE
         t = t_end if i == nsteps - 1 else t + hi
-        k1u, k1v = rhs(field, u, v, mu)
+        k1u, k1v = rhs(u, v, mu)
         ts[i + 1] = t
         us[i + 1] = u
         vs[i + 1] = v

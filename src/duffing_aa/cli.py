@@ -69,8 +69,8 @@ _OUTPUT_KEYS = {"kind", "format", "path"}
 # run holds every orbit in memory until its outputs are written, so the grid
 # size bounds its memory: 400 orbits at t_max = 20 (287k samples) peak at
 # 65.4 MiB RSS, 34 MiB of it the interpreter and numpy.  Each orbit keeps
-# 57 bytes per sample; on the numpy backend the lockstep kernel needs 36
-# more per sample while it runs (its recorded columns and sort order)
+# 57 bytes per sample; the lockstep kernel needs 36 more per sample while
+# it runs (its recorded columns and sort order)
 MAX_GRID_STATES = 10_000
 
 _STROKE = "#1f4e9c"

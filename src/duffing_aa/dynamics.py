@@ -23,6 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels
+
 
 class State(NamedTuple):
     """A point of the original phase plane (position x, velocity y)."""
@@ -53,14 +55,11 @@ def _require_finite(s) -> None:
 
 
 def duffing_field(s: State, p: Params) -> tuple[float, float]:
-    """Right-hand side (x', y') = (y, x - x^3 - mu*y).
-
-    The cube is spelled x*x*x so the value is bit-identical to the
-    integrator kernels, which store field values at every node.
-    """
+    """Right-hand side (x', y') = (y, x - x^3 - mu*y): the integrator
+    kernels' own field, so the value is bit-identical to the field values
+    they store at every node."""
     _require_finite(s)
-    x, y = s.x, s.y
-    return y, x - x * x * x - p.mu * y
+    return _kernels.rhs(s.x, s.y, p.mu)
 
 
 def hamiltonian(s: State, p: Params) -> float:

@@ -18,11 +18,6 @@ class MaxStepsExceeded(DuffingError):
     """The integrator hit the configured step budget before t_max."""
 
 
-class BranchPointApproach(DuffingError):
-    """A covered-plane trajectory came within 1e-10 of the branch point
-    (0, 0), where the inverse of the covering map is ill-conditioned."""
-
-
 class NoReturn(DuffingError):
     """A Poincare-section return was not observed before t_max."""
 

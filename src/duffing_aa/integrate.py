@@ -1,4 +1,4 @@
-"""Time integration of both planes, with events and sheet bookkeeping.
+"""Time integration of the original plane, with events and sheet bookkeeping.
 
 Two steppers are provided: a fixed-step classic RK4 baseline and an
 embedded Dormand-Prince 5(4) adaptive pair (the default).  Both record the
@@ -6,7 +6,9 @@ field value at every accepted node, so trajectories support cubic Hermite
 dense output -- accurate enough to locate event times far below the step
 size.
 
-A trajectory's events are its ``cut_crossing``s: the covered-plane path
+A trajectory's covered columns are the images of its original-plane
+samples under the covering map: the covering is a chart, not a second
+integration.  Its events are its ``cut_crossing``s: the covered path
 crossed {y1 = 0, x1 < 0}.  The sheet tag toggles there.  Crossing times
 are refined on the dense output until |y1| <= 1e-12.  ``find_period``
 locates the returns to the section {y = 0} on its own path, refined until
@@ -26,10 +28,11 @@ on which the period rule finds the period on the whole path so far.  The
 path is a prefix of the full-horizon one, so the period is bit-identical
 to it.
 
-``integrate_original_orbits`` integrates many starts at once: on the
-numpy backend one ``_kernels.adaptive_lanes`` call steps their rk45 paths
-in lockstep, bit for bit the paths ``integrate_original`` computes one at
-a time, and each orbit then goes through the same assembly step.
+``integrate_original_orbits`` integrates many starts at once, and
+``integrate_original`` is that with one start: one
+``_kernels.adaptive_lanes`` call steps their rk45 paths in lockstep, bit
+for bit the paths ``_kernels.adaptive_path`` takes one at a time, and each
+orbit then goes through the same assembly step.
 
 The sheet column of a trajectory is *evolved*: it starts from the initial
 tag and toggles at each cut crossing, rather than being recomputed per
@@ -52,10 +55,9 @@ import numpy as np
 
 from . import _kernels
 from .covering import BRANCH_TOL as BRANCH_CUT_TOL
-from .covering import CoveredState, Sheet, principal_root, sheet_sign, square
+from .covering import sheet_sign, square
 from .dynamics import Params, State, _require_finite, hamiltonian
 from .exceptions import (
-    BranchPointApproach,
     CenterSingular,
     DegenerateCrossing,
     MaxStepsExceeded,
@@ -68,7 +70,6 @@ CUT_CROSSING = "cut_crossing"
 
 CUT_REFINE_TOL = 1e-12
 SECTION_REFINE_TOL = 1e-10
-BRANCH_RADIUS = 1e-10
 SEPARATRIX_TOL = 1e-9
 CENTER_EXCLUSION = 1e-9
 MAX_REFINE_ITER = 200
@@ -130,8 +131,8 @@ class Trajectory:
 
     ``states`` are original-plane points, ``covered`` their covered-plane
     images, ``sheets`` the evolved tag per sample (+1 Upper, -1 Lower).
-    ``derivs`` holds the field value at each node *in the integrated
-    plane* (``plane`` says which), feeding the Hermite dense output.
+    ``derivs`` holds the original-plane field value at each node, feeding
+    the Hermite dense output (see ``hermite_steps``).
     """
 
     t: np.ndarray
@@ -142,7 +143,6 @@ class Trajectory:
     events: tuple[Event, ...]
     params: Params
     config: IntegratorConfig
-    plane: str
 
     def __post_init__(self):
         for arr in (self.t, self.states, self.covered, self.sheets, self.derivs):
@@ -155,59 +155,40 @@ class Trajectory:
         """H evaluated at every sample."""
         return hamiltonian(State(self.states[:, 0], self.states[:, 1]), self.params)
 
-    def dense_point(self, tq: float) -> tuple[float, float]:
-        """Cubic Hermite interpolant in the integrated plane at time tq."""
-        if self.plane == "original":
-            pts = self.states
-        else:
-            pts = self.covered
-        t = self.t
-        if tq <= t[0]:
-            return float(pts[0, 0]), float(pts[0, 1])
-        if tq >= t[-1]:
-            return float(pts[-1, 0]), float(pts[-1, 1])
-        i = int(np.searchsorted(t, tq, side="right")) - 1
-        u, v = hermite_steps(t, pts, self.derivs, np.array([i]))(0, tq)
-        return float(u), float(v)
-
 
 # samples per kernel call when a caller stops at an event (see _run_kernel)
 _CHUNK_SAMPLES = 128
 
 
-def _run_kernel(field_id, u0, v0, p: Params, cfg: IntegratorConfig, done=None):
+def _run_kernel(u0, v0, p: Params, cfg: IntegratorConfig, done):
     """(t, u, v, du, dv) of the path from (u0, v0) over [0, t_max].
 
-    With ``done`` the rk45 path is integrated in chunks of _CHUNK_SAMPLES
-    samples and stops after the first chunk for which done(t, u, v, du, dv),
-    called with the whole path so far, is true.  The kernel resumes exactly
-    where it paused, so the result is a prefix of the full-horizon path,
-    bit for bit.  rk4 always covers the whole horizon.
+    The rk45 path is integrated in chunks of _CHUNK_SAMPLES samples and
+    stops after the first chunk for which done(t, u, v, du, dv), called
+    with the whole path so far, is true.  The kernel resumes exactly where
+    it paused, so the result is a prefix of the full-horizon path, bit for
+    bit.  rk4 always covers the whole horizon.
     """
     if cfg.method == "rk4":
         *path, status = _kernels.rk4_path(
-            field_id, u0, v0, p.mu, cfg.t_max, cfg.step, int(cfg.max_steps)
+            u0, v0, p.mu, cfg.t_max, cfg.step, int(cfg.max_steps)
         )
     else:
         budget = int(cfg.max_steps)
-        # a path never holds more samples than attempted steps + 1
-        cap = _CHUNK_SAMPLES if done is not None else budget + 1
         t0, h, path = 0.0, cfg.step, None
         while True:
             *chunk, status, h, used = _kernels.adaptive_path(
-                field_id, u0, v0, p.mu, t0, cfg.t_max, cfg.rel_tol, cfg.abs_tol,
-                h, budget, cap,
+                u0, v0, p.mu, t0, cfg.t_max, cfg.rel_tol, cfg.abs_tol, h, budget,
+                _CHUNK_SAMPLES,
             )
             budget -= used
             # a resumed chunk starts with the sample that ended the last one
             path = chunk if path is None else [
                 np.concatenate((a, b[1:])) for a, b in zip(path, chunk)
             ]
-            # Python floats: numpy scalars would slow the uncompiled kernel
+            # Python floats: numpy scalars would slow the kernel
             t0, u0, v0 = (float(a[-1]) for a in chunk[:3])
-            if status != _kernels.STATUS_OK or t0 >= cfg.t_max or (
-                done is not None and done(*path)
-            ):
+            if status != _kernels.STATUS_OK or t0 >= cfg.t_max or done(*path):
                 break
     _check_status(status, path[0], cfg)
     return path
@@ -389,12 +370,7 @@ def integrate_original(
     The covered columns are the images of the samples; the sheet starts
     from the conventional tag of s0 and toggles at each cut crossing.
     """
-    s0 = State(float(s0[0]), float(s0[1]))
-    _require_finite(s0)
-    t, x, y, dx, dy = _run_kernel(_kernels.FIELD_ORIGINAL, s0.x, s0.y, p, cfg)
-    return _original_trajectory(
-        s0, t, np.column_stack((x, y)), np.column_stack((dx, dy)), p, cfg
-    )
+    return next(integrate_original_orbits([s0], p, cfg))
 
 
 def integrate_original_orbits(
@@ -402,26 +378,27 @@ def integrate_original_orbits(
 ) -> Iterator[Trajectory]:
     """Yield integrate_original(s0, p, cfg) for every s0 of states, in order.
 
-    On the uncompiled backend the rk45 paths come from one
-    ``_kernels.adaptive_lanes`` call that steps the orbits in lockstep,
-    bit for bit their one-at-a-time paths; rk4 and the compiled backend
-    integrate one orbit at a time.  Either way orbit k's failure is raised
-    when orbit k is due, after orbits 0..k-1 have been yielded.
+    The rk45 paths come from one ``_kernels.adaptive_lanes`` call that
+    steps the orbits in lockstep; rk4 integrates one orbit at a time.
+    Either way orbit k's failure is raised when orbit k is due, after
+    orbits 0..k-1 have been yielded.
     """
-    if cfg.method != "rk45" or _kernels.USING_NUMBA:
-        for s0 in states:
-            yield integrate_original(s0, p, cfg)
-        return
     starts = [State(float(s0[0]), float(s0[1])) for s0 in states]
-    t, z, dz, bounds, status, _, _ = _kernels.adaptive_lanes(
-        [s0.x for s0 in starts], [s0.y for s0 in starts], p.mu, cfg.t_max,
-        cfg.rel_tol, cfg.abs_tol, cfg.step, int(cfg.max_steps),
-    )
+    if cfg.method == "rk45":
+        t, z, dz, bounds, status, _, _ = _kernels.adaptive_lanes(
+            [s0.x for s0 in starts], [s0.y for s0 in starts], p.mu, cfg.t_max,
+            cfg.rel_tol, cfg.abs_tol, cfg.step, int(cfg.max_steps),
+        )
     for k, s0 in enumerate(starts):
         _require_finite(s0)
-        rows = slice(bounds[k], bounds[k + 1])
-        _check_status(status[k], t[rows], cfg)
-        yield _original_trajectory(s0, t[rows], z[rows], dz[rows], p, cfg)
+        if cfg.method == "rk4":
+            tk, x, y, dx, dy = _run_kernel(s0.x, s0.y, p, cfg, None)
+            path = tk, np.column_stack((x, y)), np.column_stack((dx, dy))
+        else:
+            rows = slice(bounds[k], bounds[k + 1])
+            _check_status(status[k], t[rows], cfg)
+            path = t[rows], z[rows], dz[rows]
+        yield _original_trajectory(s0, *path, p, cfg)
 
 
 def _original_trajectory(s0: State, t, states, derivs, p, cfg) -> Trajectory:
@@ -432,44 +409,7 @@ def _original_trajectory(s0: State, t, states, derivs, p, cfg) -> Trajectory:
         t, covered[:, 1], partial(hermite_steps, t, states, derivs, squared=True)
     )
     sheets = _evolve_sheets(len(t), int(sheet_sign(s0.x, s0.y)), toggle_from)
-    return Trajectory(t, states, covered, sheets, derivs, tuple(events), p, cfg,
-                      "original")
-
-
-def integrate_covered(
-    c0: CoveredState, p: Params, cfg: IntegratorConfig = DEFAULT_CONFIG
-) -> Trajectory:
-    """Advance the covered-plane field from c0 over [0, t_max].
-
-    Original-plane samples are reconstructed through the inverse covering
-    with the *tracked* sheet, so the reconstruction stays continuous
-    across cut transits.  Any sample within BRANCH_RADIUS of the branch
-    point aborts with BranchPointApproach (the inverse loses accuracy
-    there); integrate the original plane instead for saddle studies.
-    """
-    _require_finite(c0)
-    t, x1, y1, dx1, dy1 = _run_kernel(
-        _kernels.FIELD_COVERED, float(c0[0]), float(c0[1]), p, cfg
-    )
-    radius = np.hypot(x1, y1)
-    if np.any(radius < BRANCH_RADIUS):
-        i = int(np.argmin(radius))
-        raise BranchPointApproach(
-            f"covered trajectory within {BRANCH_RADIUS:g} of the branch point "
-            f"at t={t[i]:.6g} (|x1,y1|={radius[i]:.3e})"
-        )
-    covered = np.column_stack((x1, y1))
-    derivs = np.column_stack((dx1, dy1))
-
-    events, toggle_from = _cut_crossings(
-        t, y1, partial(hermite_steps, t, covered, derivs)
-    )
-    sheets = _evolve_sheets(len(t), 1 if c0.sheet is Sheet.UPPER else -1, toggle_from)
-    x, y = principal_root(x1, y1)
-    states = np.column_stack((x * sheets, y * sheets))
-
-    return Trajectory(t, states, covered, sheets, derivs, tuple(events), p, cfg,
-                      "covered")
+    return Trajectory(t, states, covered, sheets, derivs, tuple(events), p, cfg)
 
 
 def _check_away_from_centers(x, y) -> None:
@@ -542,7 +482,7 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
         start = [Event(0.0, "section_return", {"x": s0.x, "direction": d0})]
     head = [e.data["direction"] for e in start]
     t, x, y, dx, dy = _run_kernel(
-        _kernels.FIELD_ORIGINAL, s0.x, s0.y, p, cfg,
+        s0.x, s0.y, p, cfg,
         lambda t, x, y, *_: _period_end(head + _directions(y)) is not None,
     )
     dense = partial(

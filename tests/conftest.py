@@ -39,8 +39,8 @@ def kernel_samples(monkeypatch):
     kernel = _kernels.adaptive_path
 
     def counted(*args):
-        # Python floats in: numpy scalars would slow the uncompiled kernel
-        assert all(type(a) is float for a in args[1:9]), args
+        # Python floats in: numpy scalars would slow the kernel
+        assert all(type(a) is float for a in args[:8]), args
         out = kernel(*args)
         counts.append(len(out[0]))
         return out

@@ -28,7 +28,6 @@ from duffing_aa import (
     energy_angle_curve,
     find_period,
     hamiltonian,
-    integrate_covered,
     integrate_original,
     state_on_level,
     theta_dot_of,
@@ -56,8 +55,7 @@ def constant_trajectory(s: State, n: int = 4) -> Trajectory:
     covered = np.tile(np.array([c.x1, c.y1]), (n, 1))
     sheets = np.full(n, 1 if c.sheet is Sheet.UPPER else -1, dtype=np.int8)
     return Trajectory(
-        t, states, covered, sheets, np.zeros((n, 2)), (), Params(), DEFAULT_CONFIG,
-        "original",
+        t, states, covered, sheets, np.zeros((n, 2)), (), Params(), DEFAULT_CONFIG
     )
 
 
@@ -177,7 +175,7 @@ def test_unwrap_ambiguous():
     covered = np.array([[2.0, 0.0], [-1.0, 0.0]])
     traj = Trajectory(
         t, states, covered, np.ones(2, dtype=np.int8), np.zeros((2, 2)), (),
-        Params(), DEFAULT_CONFIG, "original",
+        Params(), DEFAULT_CONFIG,
     )
     with pytest.raises(UnwrapAmbiguous):
         unwrap_theta(traj)
@@ -212,7 +210,7 @@ def test_action_covered_harmonic_limit(p0):
 def test_action_covered_polygon_oracle(p0):
     s0 = State(1.2, 0.0)
     got = action_covered(s0, p0)
-    traj = integrate_covered(cover_map(s0), p0, DEFAULT_CONFIG)
+    traj = integrate_original(s0, p0, DEFAULT_CONFIG)
     tw = unwrap_theta(traj)
     k = int(np.nonzero(tw[:, 1] <= tw[0, 1] - TWO_PI)[0][0])
     x1, y1 = traj.covered[:k, 0], traj.covered[:k, 1]

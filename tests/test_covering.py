@@ -155,7 +155,7 @@ def test_round_trip_seed_49_sample():
 
 
 def test_principal_root_on_axes_cut_and_origin():
-    # the array form used by integrate_covered: a point on the cut takes
+    # the array form, as check_roundtrip uses it: a point on the cut takes
     # y >= 0 whatever the sign of its zero, and the origin maps to itself
     x1 = np.array([4.0, -4.0, -4.0, 0.0, 0.0, 0.0])
     y1 = np.array([0.0, 0.0, -0.0, 0.0, 2.0, -2.0])

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from duffing_aa import (
     CUT_CROSSING,
     DEFAULT_CONFIG,
-    BranchPointApproach,
+    CoveredState,
     DegenerateCrossing,
     IntegratorConfig,
     MaxStepsExceeded,
@@ -22,15 +23,39 @@ from duffing_aa import (
     State,
     StepFailure,
     cover_map,
+    covered_field,
     find_period,
     hamiltonian,
-    integrate_covered,
     integrate_original,
     state_on_level,
 )
+from duffing_aa.covering import principal_root
 from duffing_aa.integrate import integrate_original_orbits
-from duffing_aa import _kernels, integrate
+from duffing_aa import _kernels, integrate, verify
 from duffing_aa.cli import load_scenario
+
+
+def dense_at(traj, tq):
+    """The Hermite dense output of an original-plane trajectory at time
+    tq in [t[0], t[-1]], on the step that holds it."""
+    k = int(np.searchsorted(traj.t, tq, side="right")) - 1
+    k = min(max(k, 0), len(traj) - 2)
+    at = integrate.hermite_steps(traj.t, traj.states, traj.derivs, np.array([k]))
+    u, v = at(0, tq)
+    return float(u), float(v)
+
+
+def covered_reference(s0, p, t):
+    """The covered-plane flow from the image of s0, sampled at times t: an
+    independent integration of covering.covered_field by scipy's DOP853."""
+    c0 = cover_map(s0)
+    sol = solve_ivp(
+        lambda _, z: covered_field(CoveredState(z[0], z[1], c0.sheet), p),
+        (t[0], t[-1]), [c0.x1, c0.y1], method="DOP853", t_eval=t,
+        rtol=1e-12, atol=1e-12,
+    )
+    assert sol.success, sol.message
+    return sol.y.T
 
 
 def test_config_validation():
@@ -58,7 +83,7 @@ def test_fixed_points_stay_put(p0, p_damped):
     for s0, p in ((State(0.0, 0.0), p0), (State(1.0, 0.0), p_damped)):
         traj = integrate_original(s0, p, cfg)
         assert np.max(np.abs(traj.states - np.array(s0))) <= 1e-12
-    traj = integrate_covered(cover_map(State(1.0, 0.0)), p0, cfg)
+    traj = integrate_original(State(1.0, 0.0), p0, cfg)
     assert np.max(np.abs(traj.covered - np.array([1.0, 0.0]))) <= 1e-12
 
 
@@ -97,21 +122,13 @@ def test_rk4_nodes_are_uniform():
 
 
 def test_cross_integration_equivalence(p0):
-    # same orbit advanced in either chart, compared through dense output
+    # the pushed-forward flow closes: integrating the covered field gives
+    # the images of the original-plane samples
     for h in (-0.2, 0.005, 0.5):
         s0 = state_on_level(h)
         period = find_period(s0, p0)
-        cfg = replace(DEFAULT_CONFIG, t_max=period)
-        orig = integrate_original(s0, p0, cfg)
-        cov = integrate_covered(cover_map(s0), p0, cfg)
-        worst = 0.0
-        for i in range(len(cov)):
-            ref = orig.dense_point(float(cov.t[i]))
-            worst = max(
-                worst,
-                abs(ref[0] - cov.states[i, 0]),
-                abs(ref[1] - cov.states[i, 1]),
-            )
+        orig = integrate_original(s0, p0, replace(DEFAULT_CONFIG, t_max=period))
+        worst = np.max(np.abs(covered_reference(s0, p0, orig.t) - orig.covered))
         assert worst <= 1e-6, f"h={h}: {worst}"
 
 
@@ -120,15 +137,11 @@ def test_cut_crossings_twice_per_period(p0):
     # quarter period keeps the count away from endpoint coincidences
     s0 = State(0.0, 2.0)
     period = find_period(s0, p0)
-    cfg = replace(DEFAULT_CONFIG, t_max=2.25 * period)
-    for traj in (
-        integrate_covered(cover_map(s0), p0, cfg),
-        integrate_original(s0, p0, cfg),
-    ):
-        cuts = [e for e in traj.events if e.kind == CUT_CROSSING]
-        assert len(cuts) == 4
-        for e in cuts:
-            assert e.data["x1"] < 0.0
+    traj = integrate_original(s0, p0, replace(DEFAULT_CONFIG, t_max=2.25 * period))
+    cuts = [e for e in traj.events if e.kind == CUT_CROSSING]
+    assert len(cuts) == 4
+    for e in cuts:
+        assert e.data["x1"] < 0.0
 
 
 def test_no_crossings_inside_well(p0):
@@ -138,8 +151,8 @@ def test_no_crossings_inside_well(p0):
 
 
 def test_sheet_toggles_match_events(p0):
-    traj = integrate_covered(
-        cover_map(State(0.0, 2.0)), p0, replace(DEFAULT_CONFIG, t_max=10.0)
+    traj = integrate_original(
+        State(0.0, 2.0), p0, replace(DEFAULT_CONFIG, t_max=10.0)
     )
     cuts = [e for e in traj.events if e.kind == CUT_CROSSING]
     toggles = int(np.sum(traj.sheets[1:] != traj.sheets[:-1]))
@@ -157,12 +170,13 @@ def test_evolved_sheet_matches_pointwise_tag(p0):
 
 
 def test_reconstruction_is_continuous(p0):
-    # a wrong sheet would reflect a sample to its negative: a jump O(1)
-    traj = integrate_covered(
-        cover_map(State(0.0, 2.0)), p0, replace(DEFAULT_CONFIG, t_max=10.0)
+    # the evolved sheet picks each sample's preimage of its covered image;
+    # a wrong sheet would reflect a sample to its negative, an O(1) error
+    traj = integrate_original(
+        State(0.0, 2.0), p0, replace(DEFAULT_CONFIG, t_max=10.0)
     )
-    jumps = np.max(np.abs(np.diff(traj.states, axis=0)), axis=1)
-    assert float(np.max(jumps)) < 0.2
+    root = np.column_stack(principal_root(traj.covered[:, 0], traj.covered[:, 1]))
+    assert np.max(np.abs(traj.sheets[:, None] * root - traj.states)) <= 1e-12
 
 
 def test_covered_samples_are_images(p0):
@@ -177,15 +191,15 @@ def test_covered_samples_are_images(p0):
 def test_dense_output_matches_nodes_and_midpoints(p0):
     traj = integrate_original(State(0.0, 0.1), p0, replace(DEFAULT_CONFIG, t_max=20.0))
     for i in (0, len(traj) // 2, len(traj) - 1):
-        u, v = traj.dense_point(float(traj.t[i]))
+        u, v = dense_at(traj, float(traj.t[i]))
         assert (u, v) == (traj.states[i, 0], traj.states[i, 1])
     ref = integrate_original(
         State(0.0, 0.1), p0,
         replace(DEFAULT_CONFIG, t_max=20.0, rel_tol=1e-12, abs_tol=1e-12),
     )
     for tq in np.linspace(0.37, 19.63, 40):
-        u, v = traj.dense_point(float(tq))
-        ru, rv = ref.dense_point(float(tq))
+        u, v = dense_at(traj, float(tq))
+        ru, rv = dense_at(ref, float(tq))
         assert abs(u - ru) <= 1e-6 and abs(v - rv) <= 1e-6
 
 
@@ -254,6 +268,20 @@ def test_find_period_stops_after_one_period(closed_orbit_start, p0, kernel_sampl
         find_period(s0, p0, replace(DEFAULT_CONFIG, t_max=period / 4.0))
 
 
+@pytest.mark.parametrize("h", verify.PERIOD_LEVELS)
+def test_one_period_is_a_prefix_of_integrate_original(p0, h):
+    # the two ways into the scalar kernel, _run_kernel's chunks and the
+    # lanes' hand-off, take the same steps: the samples before the period
+    # (the last point is the dense output at it) lead the full path
+    s0 = state_on_level(h)
+    _, x, y = integrate._one_period(s0, p0, DEFAULT_CONFIG)
+    full = integrate_original(s0, p0, DEFAULT_CONFIG)
+    n = len(x) - 1
+    assert n > 1 and len(full) > n
+    assert full.states[:n, 0].tobytes() == x[:n].tobytes()
+    assert full.states[:n, 1].tobytes() == y[:n].tobytes()
+
+
 def test_section_directions_skip_exact_zeros():
     # flips across exact zeros count once; find_period's stop reads every
     # prefix of the path, so each prefix is checked
@@ -284,7 +312,7 @@ def test_section_events_recorded(p0):
     for e in returns:
         assert e.data["direction"] in (-1, 1)
         # refined section times sit on the section to 1e-10
-        _, y_at = traj.dense_point(e.t)
+        _, y_at = dense_at(traj, e.t)
         assert abs(y_at) <= 1e-10
 
 
@@ -304,17 +332,22 @@ def test_max_steps_exceeded():
         )
 
 
-def test_branch_point_guard(p0):
-    with pytest.raises(BranchPointApproach):
-        integrate_covered(cover_map(State(0.0, 0.0)), p0)
-
-
 def test_trajectory_is_frozen(p0):
     traj = integrate_original(State(0.0, 1.0), p0, replace(DEFAULT_CONFIG, t_max=1.0))
     with pytest.raises(ValueError):
         traj.states[0, 0] = 99.0
     with pytest.raises(ValueError):
         traj.t[0] = -1.0
+
+
+def test_trajectory_keeps_no_spare_kernel_buffer():
+    # the kernels grow their buffers by doubling; a trajectory's times must
+    # not keep such a buffer alive for the few samples it holds
+    traj = integrate_original(State(0.5, 0.2), Params(), IntegratorConfig(t_max=20.0))
+    owner = traj.t
+    while owner.base is not None:
+        owner = owner.base
+    assert owner.shape == (len(traj),)
 
 
 def test_time_strictly_increasing(p0):
@@ -338,9 +371,7 @@ def test_rk4_nonfinite_state_fails_fast():
         integrate_original(
             State(1e200, 0.0), Params(), IntegratorConfig(method="rk4", t_max=10.0)
         )
-    t, u, v, du, dv, status = _kernels.rk4_path(
-        _kernels.FIELD_ORIGINAL, 1e200, 0.0, 0.0, 10.0, 0.01, 10**7
-    )
+    t, u, v, du, dv, status = _kernels.rk4_path(1e200, 0.0, 0.0, 10.0, 0.01, 10**7)
     assert status == _kernels.STATUS_NONFINITE
     assert t.tolist() == [0.0] and u.tolist() == [1e200]
 
@@ -348,9 +379,7 @@ def test_rk4_nonfinite_state_fails_fast():
 def _assert_same_trajectory(a, b):
     for name in ("t", "states", "covered", "sheets", "derivs"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    assert (a.events, a.params, a.config, a.plane) == (
-        b.events, b.params, b.config, b.plane
-    )
+    assert (a.events, a.params, a.config) == (b.events, b.params, b.config)
 
 
 def _run_orbits(orbits, n):
@@ -534,35 +563,24 @@ def test_locator_matches_scalar_bisection():
 
     for s0, p, cfg in _reference_orbits():
         traj = integrate_original(s0, p, cfg)
+        dense = partial(dense_at, traj)
         toggles = list(np.flatnonzero(traj.sheets[1:] != traj.sheets[:-1]) + 1)
-        ref = _bisect_reference(
-            traj.dense_point, traj.t, traj.covered[:, 1], covered, 1e-12
-        )
+        ref = _bisect_reference(dense, traj.t, traj.covered[:, 1], covered, 1e-12)
         assert toggles == [k for k, _, x1 in ref if x1 < 0.0], s0
         cuts = [e for e in traj.events if e.kind == CUT_CROSSING]
         assert len(cuts) == len(toggles)
         for e, (_, t_ref, _) in zip(cuts, (r for r in ref if r[2] < 0.0)):
-            x1, y1 = covered(*traj.dense_point(e.t))
+            x1, y1 = covered(*dense(e.t))
             assert abs(y1) <= 1e-12 and x1 < 0.0
             assert abs(e.t - t_ref) <= 1e-9
         sections = section_returns(traj)
         ref = _bisect_reference(
-            traj.dense_point, traj.t, traj.states[:, 1], lambda u, v: (u, v), 1e-10
+            dense, traj.t, traj.states[:, 1], lambda u, v: (u, v), 1e-10
         )
         assert len(sections) == len(ref)
         for e, (_, t_ref, _) in zip(sections, ref):
-            assert abs(traj.dense_point(e.t)[1]) <= 1e-10
+            assert abs(dense(e.t)[1]) <= 1e-10
             assert abs(e.t - t_ref) <= 1e-8
-
-        if p.mu == 0.0 and math.hypot(*s0) > 0.1:
-            cov = integrate_covered(cover_map(s0), p, cfg)
-            toggles = list(np.flatnonzero(cov.sheets[1:] != cov.sheets[:-1]) + 1)
-            ref = _bisect_reference(
-                cov.dense_point, cov.t, cov.covered[:, 1], lambda u, v: (u, v), 1e-12
-            )
-            assert toggles == [k for k, _, x1 in ref if x1 < 0.0], s0
-            for e in cov.events:
-                assert abs(cov.dense_point(e.t)[1]) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
