@@ -31,9 +31,9 @@ the Upper sheet, green for Lower).
 
 Exit codes: run 0/2/3 (ok / config error / integration failure), verify
 0/1/2 (all passed / failures listed on stderr / unknown check, bad seed,
-or a tolerance that is not a finite number >= 0).  The environment
-variable DUFFING_SEED overrides the default verification seed 42; --seed
-overrides both.
+or a tolerance that is not a finite number >= 0), field 0/2 (printed /
+a bad point or --mu, or a field value that overflows).  DUFFING_SEED
+overrides the default verification seed 42; --seed overrides both.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ _OUTPUT_KEYS = {"kind", "format", "path"}
 
 # run holds every orbit in memory until its outputs are written, so the grid
 # size bounds its memory: 400 orbits at t_max = 20 (287k samples) peak at
-# 65.4 MiB RSS, 34 MiB of it the interpreter and numpy.  Each orbit keeps
-# 57 bytes per sample; the lockstep kernel needs 36 more per sample while
-# it runs (its recorded columns and sort order)
+# 52.0 MiB RSS, 29 MiB of it the interpreter and numpy.  Each orbit keeps
+# 57 bytes per sample (views of the batch arrays, and its sheets); while
+# they run, the lockstep kernel needs 36 more per sample, the cut walk 11
 MAX_GRID_STATES = 10_000
 
 _STROKE = "#1f4e9c"
@@ -274,40 +274,40 @@ def bundled_scenarios() -> list[str]:
 
 
 _CSV_HEADERS = {
-    "original": "t,x,y",
-    "covered": "t,x1,y1,sheet",
-    "energy_angle": "theta_unwrapped,h",
+    "original": b"t,x,y\n",
+    "covered": b"t,x1,y1,sheet\n",
+    "energy_angle": b"theta_unwrapped,h\n",
 }
 _CSV_ROWS = {
-    "original": "%.17g,%.17g,%.17g\n",
-    "covered": "%.17g,%.17g,%.17g,%s\n",
-    "energy_angle": "%.17g,%.17g\n",
+    "original": b"%.17g,%.17g,%.17g\n",
+    "energy_angle": b"%.17g,%.17g\n",
+    "covered": (b"%.17g,%.17g,%.17g,L\n", b"%.17g,%.17g,%.17g,U\n"),  # by sheet
 }
 
 
-def _csv_columns(kind: str, traj: Trajectory, curve: np.ndarray | None):
-    if kind == "original":
-        return traj.t, traj.states[:, 0], traj.states[:, 1]
-    if kind == "covered":
-        sheet = np.where(traj.sheets > 0, Sheet.UPPER.value, Sheet.LOWER.value)
-        return traj.t, traj.covered[:, 0], traj.covered[:, 1], sheet
-    return curve[:, 0], curve[:, 1]
+def _sheet_runs(traj: Trajectory):
+    """(start, stop) of every run of samples on one sheet, in order."""
+    flips = (np.flatnonzero(np.diff(traj.sheets)) + 1).tolist()
+    return zip([0] + flips, flips + [len(traj)])
 
 
 def _write_csv(path: str, kind: str, trajs, curves) -> None:
-    """One header, then every orbit's rows; each orbit is formatted in one
-    %-operation (%.17g prints exactly as format(v, ".17g")), one orbit at
-    a time so that memory stays bounded by the largest orbit."""
-    row = _CSV_ROWS[kind]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(_CSV_HEADERS[kind] + "\n")
+    """One header, then each orbit's rows as bytes from one tolist, each run
+    of rows on one template (a covered orbit's run on one sheet) in one
+    %-operation (%.17g prints exactly as format(v, ".17g")), one orbit at a
+    time so that memory stays bounded by the largest orbit."""
+    with open(path, "wb") as f:
+        f.write(_CSV_HEADERS[kind])
         for traj, curve in zip(trajs, curves):
-            cols = [c.tolist() for c in _csv_columns(kind, traj, curve)]
-            n = len(cols[0])
-            values = [None] * (n * len(cols))
-            for j, col in enumerate(cols):
-                values[j :: len(cols)] = col
-            f.write(row * n % tuple(values))
+            if kind == "covered":
+                values = tuple(np.column_stack((traj.t, traj.covered)).ravel().tolist())
+                for start, stop in _sheet_runs(traj):
+                    row = _CSV_ROWS[kind][bool(traj.sheets[start] > 0)]
+                    f.write(row * (stop - start) % values[3 * start : 3 * stop])
+            else:
+                cols = (traj.t, traj.states) if kind == "original" else (curve,)
+                rows = np.column_stack(cols)
+                f.write(_CSV_ROWS[kind] * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _polylines(kind: str, trajs, curves):
@@ -319,8 +319,7 @@ def _polylines(kind: str, trajs, curves):
         elif kind == "energy_angle":
             lines.append((curve, _STROKE))
         else:
-            flips = (np.flatnonzero(np.diff(traj.sheets)) + 1).tolist()
-            for start, stop in zip([0] + flips, flips + [len(traj)]):
+            for start, stop in _sheet_runs(traj):
                 color = _STROKE_UPPER if traj.sheets[start] > 0 else _STROKE_LOWER
                 # one sample of overlap keeps the curve joined
                 lines.append((traj.covered[start : stop + 1], color))
@@ -437,12 +436,16 @@ def _cmd_field(args) -> int:
         return 2
     try:
         p = Params(mu=args.mu)
-        if args.covered:
-            u, v = covered_field(CoveredState(x, y, Sheet.UPPER), p)
-        else:
-            u, v = duffing_field(State(x, y), p)
+        with np.errstate(all="ignore"):  # an overflow is reported below
+            if args.covered:
+                u, v = covered_field(CoveredState(x, y, Sheet.UPPER), p)
+            else:
+                u, v = duffing_field(State(x, y), p)
     except ValueError as e:
         print(str(e), file=sys.stderr)
+        return 2
+    if not (math.isfinite(u) and math.isfinite(v)):
+        print(f"the field at ({_fmt(x)}, {_fmt(y)}) is not finite", file=sys.stderr)
         return 2
     print(f"{_fmt(u)} {_fmt(v)}")
     return 0

@@ -14,8 +14,8 @@ are refined on the dense output until |y1| <= 1e-12.  ``find_period``
 locates the returns to the section {y = 0} on its own path, refined until
 |y| <= 1e-10.
 
-Both kinds come from one locator.  A numpy sign walk over the samples
-(exact zeros skipped) brackets every sign change of one trajectory at
+Both kinds come from one locator.  A numpy sign walk over the samples of
+any number of orbits (exact zeros skipped) brackets every sign change at
 once; ``hermite_steps`` evaluates the Hermite cubic of each bracket's own
 step, and ``locate_roots`` refines all brackets together by the Illinois
 variant of regula falsi (Hairer, Norsett & Wanner, Solving ODEs I, II.6;
@@ -31,8 +31,10 @@ to it.
 ``integrate_original_orbits`` integrates many starts at once, and
 ``integrate_original`` is that with one start: one
 ``_kernels.adaptive_lanes`` call steps their rk45 paths in lockstep, bit
-for bit the paths ``_kernels.adaptive_path`` takes one at a time, and each
-orbit then goes through the same assembly step.
+for bit the paths ``_kernels.adaptive_path`` takes one at a time.  One
+assembly squares the whole batch and locates the cut crossings of every
+orbit with one sign walk and one ``locate_roots`` call; each trajectory
+holds views of the batch arrays.  An rk4 orbit is a batch of one.
 
 The sheet column of a trajectory is *evolved*: it starts from the initial
 tag and toggles at each cut crossing, rather than being recomputed per
@@ -278,26 +280,35 @@ def locate_roots(g, a, b, ga, gb, tol):
     return root
 
 
-def _sign_flips(sg):
-    """The sign walk: indices k of the nonzero entries of the signs sg
-    that the next nonzero entry (past any exact zeros) opposes, and the
-    indices of all nonzero entries."""
-    nz = np.flatnonzero(sg)
-    return nz[:-1][sg[nz[1:]] != sg[nz[:-1]]], nz
+def _sign_flips(g, bounds=None, trailing=False):
+    """The sign walk of g over lanes g[bounds[k]:bounds[k + 1]] (default:
+    one lane): indices k, increasing, of the nonzero entries that the next
+    nonzero entry of the same lane (past any exact zeros) opposes.  With
+    ``trailing``, also each lane's last nonzero entry where zeros follow."""
+    nz = np.flatnonzero(g)
+    pos = (g > 0.0)[nz]
+    keep = np.zeros(nz.size, dtype=bool)
+    keep[:-1] = pos[1:] != pos[:-1]  # entry i opposes entry i + 1
+    if nz.size and (bounds is not None or trailing):
+        bounds = np.asarray([0, g.size] if bounds is None else bounds)
+        last = np.searchsorted(nz, bounds[1:]) - 1  # each lane's last entry
+        keep[last] = False  # the entry after it lies in a later lane
+        if trailing:
+            ends = nz[last]
+            keep[last[(ends >= bounds[:-1]) & (ends + 1 < bounds[1:])]] = True
+    return nz[keep]
 
 
-def _refine_sign_changes(t, g, dense, tol, trailing=False):
+def _refine_sign_changes(t, g, dense, tol, bounds=None, trailing=False):
     """Sign changes of the sampled g = component 1 of ``dense``, refined.
 
-    Walks the sign of g skipping exact zeros; each strict flip between
-    nonzero samples k and n brackets a root on the step k -> k + 1, where
-    g[k + 1] = 0 if zeros lie between, making that sample the root.  With
-    ``trailing``, a zero sample after the last nonzero one is a root too.
+    Walks the sign of g per lane skipping exact zeros (_sign_flips); each
+    strict flip between nonzero samples k and n brackets a root on the step
+    k -> k + 1, where g[k + 1] = 0 if zeros lie between, making that sample
+    the root.  With ``trailing``, so is a zero after a lane's last nonzero.
     Returns the k, the refined times and component 0 of ``dense`` there.
     """
-    ks, nz = _sign_flips(np.sign(g))
-    if trailing and nz.size and nz[-1] + 1 < g.size:
-        ks = np.append(ks, nz[-1])
+    ks = _sign_flips(g, bounds, trailing)
     at = dense(ks)
     t_star = locate_roots(
         lambda j, tq: at(j, tq)[1], t[ks], t[ks + 1], g[ks], g[ks + 1], tol
@@ -305,36 +316,35 @@ def _refine_sign_changes(t, g, dense, tol, trailing=False):
     return ks, t_star, at(np.arange(ks.size), t_star)[0]
 
 
-def _cut_crossings(
-    t: np.ndarray, y1: np.ndarray, dense
-) -> tuple[list[Event], list[int]]:
+def _cut_crossings(t: np.ndarray, y1: np.ndarray, dense, bounds):
     """Locate cut crossings along sampled covered coordinates.
 
-    ``dense(ks)`` is the covered-plane dense output on steps ks (see
-    hermite_steps).  Each sign flip of y1 is refined until |y1| <= 1e-12
-    and kept when it lies on the cut (x1 < 0).  Exact zeros are skipped:
-    a sample *on* the cut, e.g. a trajectory launched from the y-axis,
-    carries the conventional tag already and must not toggle.  A trailing
-    sample landing exactly on the cut toggles there: the transversal flow
-    assigns on-cut points to the destination sheet.  Returns the events
-    plus, for each, the sample index from which the toggled sheet applies.
+    Lane k is samples bounds[k]:bounds[k + 1]; ``dense(ks)`` is the
+    covered-plane dense output on steps ks (see hermite_steps).  Each sign
+    flip of y1 is refined until |y1| <= 1e-12 and kept when it lies on
+    the cut (x1 < 0).  Exact zeros are skipped: a sample *on* the cut,
+    e.g. a trajectory launched from the y-axis, carries the conventional
+    tag already and must not toggle.  A lane's trailing sample landing
+    exactly on the cut toggles there: the transversal flow assigns on-cut
+    points to the destination sheet.  Returns all lanes' events, for each
+    the sample index from which the toggled sheet applies, and by lane the
+    DegenerateCrossing of each lane that met the cut at the branch point.
     """
     ks, t_star, x1_star = _refine_sign_changes(
-        t, y1, dense, CUT_REFINE_TOL, trailing=True
+        t, y1, dense, CUT_REFINE_TOL, bounds, trailing=True
     )
-    near = np.flatnonzero(np.abs(x1_star) <= BRANCH_CUT_TOL)
-    if near.size:
-        i = near[0]
-        raise DegenerateCrossing(
-            f"trajectory met the cut at x1={x1_star[i]:.3e}, t={t_star[i]:.6g}, "
-            "within tolerance of the branch point"
-        )
+    # reversed, so that each lane keeps its first degenerate crossing
+    near = np.flatnonzero(np.abs(x1_star) <= BRANCH_CUT_TOL)[::-1]
+    degenerate = {lane: DegenerateCrossing(
+        f"trajectory met the cut at x1={x1_star[i]:.3e}, t={t_star[i]:.6g}, "
+        "within tolerance of the branch point"
+    ) for i, lane in zip(near, np.searchsorted(bounds, ks[near], "right") - 1)}
     on_cut = x1_star < 0.0
     events = [
         Event(ts, CUT_CROSSING, {"x1": xs})
         for ts, xs in zip(t_star[on_cut].tolist(), x1_star[on_cut].tolist())
     ]
-    return events, (ks + 1)[on_cut].tolist()
+    return events, (ks + 1)[on_cut], degenerate
 
 
 def _evolve_sheets(n: int, start_sign: int, toggle_from: list[int]) -> np.ndarray:
@@ -347,8 +357,7 @@ def _evolve_sheets(n: int, start_sign: int, toggle_from: list[int]) -> np.ndarra
 def _directions(y) -> list[int]:
     """Directions of the returns to the section {y = 0} that the sign walk
     of the sampled y finds: the sign of y after each return."""
-    sg = np.sign(y)
-    return (-sg[_sign_flips(sg)[0]]).astype(int).tolist()
+    return (-np.sign(y[_sign_flips(y)])).astype(int).tolist()
 
 
 def _section_crossings(t: np.ndarray, y: np.ndarray, dense) -> list[Event]:
@@ -379,9 +388,9 @@ def integrate_original_orbits(
     """Yield integrate_original(s0, p, cfg) for every s0 of states, in order.
 
     The rk45 paths come from one ``_kernels.adaptive_lanes`` call that
-    steps the orbits in lockstep; rk4 integrates one orbit at a time.
-    Either way orbit k's failure is raised when orbit k is due, after
-    orbits 0..k-1 have been yielded.
+    steps the orbits in lockstep, and are assembled as one batch; each rk4
+    orbit is a batch of one.  Either way orbit k's failure is raised when
+    orbit k is due, after orbits 0..k-1 have been yielded.
     """
     starts = [State(float(s0[0]), float(s0[1])) for s0 in states]
     if cfg.method == "rk45":
@@ -389,27 +398,39 @@ def integrate_original_orbits(
             [s0.x for s0 in starts], [s0.y for s0 in starts], p.mu, cfg.t_max,
             cfg.rel_tol, cfg.abs_tol, cfg.step, int(cfg.max_steps),
         )
+        yield from _assemble(starts, t, z, dz, bounds, status, p, cfg)
+        return
+    for s0 in starts:
+        _require_finite(s0)
+        t, x, y, dx, dy = _run_kernel(s0.x, s0.y, p, cfg, None)
+        z, dz = np.column_stack((x, y)), np.column_stack((dx, dy))
+        yield from _assemble([s0], t, z, dz, [0, t.size], [_kernels.STATUS_OK], p, cfg)
+
+
+def _assemble(starts, t, z, dz, bounds, status, p, cfg) -> Iterator[Trajectory]:
+    """Yield each lane's trajectory in order, lane k being rows
+    bounds[k]:bounds[k + 1] of the path (t, z, dz) from starts[k], which
+    stopped with status[k].  The lanes before the first failed one are
+    squared and searched for cut crossings at once; each trajectory holds
+    views of the batch arrays, and lane k's failure is raised when due."""
+    n = next((k for k, s in enumerate(status) if s != _kernels.STATUS_OK), len(starts))
+    covered = np.column_stack(square(z[: bounds[n], 0], z[: bounds[n], 1]))
+    events, toggle_from, degenerate = _cut_crossings(
+        t, covered[:, 1], partial(hermite_steps, t, z, dz, squared=True),
+        bounds[: n + 1],
+    )
+    firsts = np.searchsorted(toggle_from, bounds[: n + 1]).tolist()
     for k, s0 in enumerate(starts):
         _require_finite(s0)
-        if cfg.method == "rk4":
-            tk, x, y, dx, dy = _run_kernel(s0.x, s0.y, p, cfg, None)
-            path = tk, np.column_stack((x, y)), np.column_stack((dx, dy))
-        else:
-            rows = slice(bounds[k], bounds[k + 1])
-            _check_status(status[k], t[rows], cfg)
-            path = t[rows], z[rows], dz[rows]
-        yield _original_trajectory(s0, *path, p, cfg)
-
-
-def _original_trajectory(s0: State, t, states, derivs, p, cfg) -> Trajectory:
-    """An original-plane path from s0 with its covered images, cut
-    crossings and evolved sheets."""
-    covered = np.column_stack(square(states[:, 0], states[:, 1]))
-    events, toggle_from = _cut_crossings(
-        t, covered[:, 1], partial(hermite_steps, t, states, derivs, squared=True)
-    )
-    sheets = _evolve_sheets(len(t), int(sheet_sign(s0.x, s0.y)), toggle_from)
-    return Trajectory(t, states, covered, sheets, derivs, tuple(events), p, cfg)
+        rows = slice(bounds[k], bounds[k + 1])
+        _check_status(status[k], t[rows], cfg)
+        if k in degenerate:
+            raise degenerate[k]
+        on, off = firsts[k], firsts[k + 1]
+        toggles = (toggle_from[on:off] - rows.start).tolist()
+        sheets = _evolve_sheets(len(t[rows]), int(sheet_sign(s0.x, s0.y)), toggles)
+        yield Trajectory(t[rows], z[rows], covered[rows], sheets, dz[rows],
+                         tuple(events[on:off]), p, cfg)
 
 
 def _check_away_from_centers(x, y) -> None:

@@ -232,6 +232,16 @@ def test_field_command(capsys):
     assert main(["field", "--at", "zero,one"]) == 2
 
 
+@pytest.mark.parametrize("covered", [False, True], ids=["original", "covered"])
+def test_field_that_overflows_exits_2_naming_the_point(capsys, covered):
+    # x^3 overflows at x = 1e200; RuntimeWarnings fail the suite, so the
+    # covered field's overflow must not warn either
+    assert main(["field", "--at", "1e200,1"] + ["--covered"] * covered) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"the field at ({_fmt(1e200)}, 1) is not finite"), err
+
+
 # SHA-256 of each bundled figure's CSV, as recorded for the benchmark's
 # figures workload: the regression oracle for byte-identical outputs
 FIGURE_DIGESTS = {

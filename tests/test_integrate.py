@@ -450,10 +450,12 @@ def cut_events(x1, y1, t=None):
     t = np.arange(x1.size, dtype=float) if t is None else np.asarray(t, float)
     pts = np.column_stack((x1, y1))
     derivs = np.gradient(pts, t, axis=0)
-    events, toggles = integrate._cut_crossings(
-        t, y1, partial(integrate.hermite_steps, t, pts, derivs)
+    events, toggles, degenerate = integrate._cut_crossings(
+        t, y1, partial(integrate.hermite_steps, t, pts, derivs), [0, t.size]
     )
-    return [e.t for e in events], [e.data["x1"] for e in events], toggles
+    if degenerate:
+        raise degenerate[0]
+    return [e.t for e in events], [e.data["x1"] for e in events], toggles.tolist()
 
 
 def test_cut_locator_examples():
@@ -495,6 +497,82 @@ def test_cut_locator_degenerate():
         cut_events([-0.5, 0.5], [0.1, -0.1])
     with pytest.raises(DegenerateCrossing):
         cut_events([-1.0, 0.0], [0.5, 0.0])  # trailing sample at the branch point
+
+
+def lane_cut_events(lanes):
+    """cut_events of synthetic covered paths (x1, y1), located together as
+    the lanes of one batch; per lane, (event times, event x1, toggle
+    indices within the lane)."""
+    ts, pts, derivs, bounds = [], [], [], [0]
+    for x1, y1 in lanes:
+        t = np.arange(len(x1), dtype=float)
+        lane = np.column_stack((x1, y1)).astype(float)
+        ts.append(t)
+        pts.append(lane)
+        derivs.append(np.gradient(lane, t, axis=0))
+        bounds.append(bounds[-1] + t.size)
+    t, pts, derivs = (np.concatenate(a) for a in (ts, pts, derivs))
+    events, toggles, degenerate = integrate._cut_crossings(
+        t, pts[:, 1], partial(integrate.hermite_steps, t, pts, derivs), bounds
+    )
+    assert not degenerate
+    firsts = np.searchsorted(toggles, bounds).tolist()
+    return [
+        ([e.t for e in events[on:off]], [e.data["x1"] for e in events[on:off]],
+         (toggles[on:off] - start).tolist())
+        for on, off, start in zip(firsts, firsts[1:], bounds)
+    ]
+
+
+def test_batched_cut_locator_brackets_within_lanes():
+    # read as one path, the samples cross the cut five times, four of them
+    # between a lane's last sample and the next lane's first (one of those
+    # past lane 3's start on the cut); as lanes, only lane 4 crosses
+    lanes = [
+        ([-1.0, -1.0], [0.5, 0.5]), ([-1.0, -1.0], [-0.5, -0.5]),
+        ([-1.0, -1.0], [0.5, 0.5]), ([-1.0, -1.0], [0.0, -0.5]),
+        ([-1.0, -1.0], [0.5, -0.5]),
+    ]
+    assert lane_cut_events(lanes) == [([], [], [])] * 4 + [([0.5], [-1.0], [1])]
+    assert lane_cut_events(lanes) == [cut_events(*lane) for lane in lanes]
+    x1, y1 = (np.concatenate(c) for c in zip(*lanes))
+    assert len(cut_events(x1, y1)[0]) == 5
+
+
+def test_batched_cut_locator_trailing_sample_per_lane():
+    # a trailing sample on the cut toggles in every lane that ends on it,
+    # not only in the last lane of the batch
+    lanes = [
+        ([-1.0, -1.0], [-0.5, 0.0]), ([-1.0, -1.0], [-0.5, 0.0]),
+        ([-1.0, -1.0], [0.0, 0.0]), ([-1.0] * 3, [0.5, 0.5, 0.0]),
+        ([-1.0, -1.0], [0.5, 0.5]),
+    ]
+    assert lane_cut_events(lanes) == [
+        ([1.0], [-1.0], [1]), ([1.0], [-1.0], [1]), ([], [], []),
+        ([2.0], [-1.0], [2]), ([], [], []),
+    ]
+    assert lane_cut_events(lanes) == [cut_events(*lane) for lane in lanes]
+
+
+def test_degenerate_crossing_raised_when_its_orbit_is_due(monkeypatch):
+    # no orbit of a short run meets the cut within 1e-12 of the branch
+    # point, so the test widens the branch tolerance to 0.05: the y1 flips
+    # of the small orbits about (1, 0) lie at x1 > 0.4, those of orbit #17
+    # at its turning point x1 = 0.04
+    monkeypatch.setattr(integrate, "BRANCH_CUT_TOL", 0.05)
+    n, k = _kernels.MIN_LANES + 8, 17
+    rng = np.random.default_rng(3)
+    states = [State(x, y) for x, y in zip(rng.uniform(0.8, 1.2, n),
+                                           rng.uniform(-0.2, 0.2, n))]
+    states[k] = State(0.2, 0.0)
+    cfg = IntegratorConfig(t_max=20.0)
+    got, error = _run_orbits(integrate_original_orbits(states, Params(), cfg), n)
+    want, want_error = _one_at_a_time(states, Params(), cfg)
+    assert len(got) == len(want) == k
+    assert type(error) is type(want_error) is DegenerateCrossing
+    assert str(error) == str(want_error)
+    for a, b in zip(got, want):
+        _assert_same_trajectory(a, b)
 
 
 def test_locate_roots_tolerances():
