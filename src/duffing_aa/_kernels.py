@@ -8,8 +8,10 @@ covering is only a chart, applied to the samples afterwards.  With
 ``--trace 1`` the benchmark reports the kernel's time per accepted step,
 e.g. ``python3 perfbench/run.py --workload grid --trace 1``.
 
-Kernels return raw arrays plus an integer status; the ``integrate`` module
-wraps them in typed trajectories and exceptions.
+Kernels return raw arrays of the accepted nodes (t, x, y) plus an integer
+status; the ``integrate`` module wraps them in typed trajectories and
+exceptions.  They keep no field values: with FSAL each one is exactly
+``rhs`` at its node, so the dense output evaluates it where it needs it.
 """
 
 import math
@@ -69,10 +71,8 @@ def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, max_sa
 
     Integrates from (t0, u0, v0) towards t_end with first step h0 and at
     most max_steps attempted steps, and pauses once it holds max_samples
-    samples (the start included).  Returns
-    (t, u, v, du, dv, status, h, steps): du/dv are the field values at the
-    accepted nodes (used downstream for cubic Hermite dense output), h the
-    proposed next step and steps the attempted steps used.  A pause
+    samples (the start included).  Returns (t, u, v, status, h, steps): h
+    is the proposed next step and steps the attempted steps used.  A pause
     returns STATUS_OK with t[-1] < t_end; calling again from the last
     sample with that h, the remaining step budget and the same t_end
     continues the very same step sequence, bit for bit, because the FSAL
@@ -88,8 +88,6 @@ def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, max_sa
     ts = np.empty(cap, dtype=np.float64)
     us = np.empty(cap, dtype=np.float64)
     vs = np.empty(cap, dtype=np.float64)
-    dus = np.empty(cap, dtype=np.float64)
-    dvs = np.empty(cap, dtype=np.float64)
 
     t = t0
     u = u0
@@ -98,8 +96,6 @@ def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, max_sa
     ts[0] = t
     us[0] = u
     vs[0] = v
-    dus[0] = k1u
-    dvs[0] = k1v
     n = 1
 
     h = h0
@@ -167,13 +163,9 @@ def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, max_sa
                 ts = _grow(ts, cap)
                 us = _grow(us, cap)
                 vs = _grow(vs, cap)
-                dus = _grow(dus, cap)
-                dvs = _grow(dvs, cap)
             ts[n] = t
             us[n] = u
             vs[n] = v
-            dus[n] = k1u
-            dvs[n] = k1v
             n += 1
             if err == 0.0:
                 fac = fac_max
@@ -197,7 +189,7 @@ def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, max_sa
                 fac = 1.0
             h = h * fac
 
-    return ts[:n], us[:n], vs[:n], dus[:n], dvs[:n], status, h, steps
+    return ts[:n], us[:n], vs[:n], status, h, steps
 
 
 class _Samples:
@@ -241,11 +233,11 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
     sample with its h and its remaining step budget, so with fewer than
     MIN_LANES starts every lane runs in adaptive_path.
 
-    Returns (t, z, dz, bounds, status, h, steps): lane k's path is
-    t[bounds[k]:bounds[k + 1]] and the same rows of the (N, 2) states z
-    and field values dz; status, h and steps per lane are what
-    adaptive_path returns.  Overflowing lanes stop with STATUS_NONFINITE
-    and raise no floating-point warning.
+    Returns (t, z, bounds, status, h, steps): lane k's path is
+    t[bounds[k]:bounds[k + 1]] and the same rows of the (N, 2) states z;
+    status, h and steps per lane are what adaptive_path returns.
+    Overflowing lanes stop with STATUS_NONFINITE and raise no
+    floating-point warning.
     """
     (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
      b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = TABLEAU
@@ -260,8 +252,6 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
     status = np.full(n, STATUS_OK)
     h_end = np.empty(n)
     steps_end = np.empty(n, dtype=np.int64)
-    # the field values are rebuilt at the end: with FSAL each one is exactly
-    # rhs at its node
     rec = _Samples(256 * n)
     rec.append(lane, t, z[0], z[1])
     with np.errstate(all="ignore"):
@@ -321,7 +311,7 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
 
         for j, k in enumerate(lane.tolist()):
             budget = max_steps - int(steps[j])
-            tt, uu, vv, _, _, status_k, h_k, used = adaptive_path(
+            tt, uu, vv, status_k, h_k, used = adaptive_path(
                 float(z[0, j]), float(z[1, j]), mu, float(t[j]), t_end,
                 rel_tol, abs_tol, float(h[j]), budget, budget + 1,
             )
@@ -337,10 +327,7 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
         z = np.empty((rec.n, 2))
         np.take(us, order, out=z[:, 0], mode="clip")
         np.take(vs, order, out=z[:, 1], mode="clip")
-        del rec, lanes, ts, us, vs, order  # before dz, to lower the peak
-        dz = np.empty_like(z)
-        dz[:, 0], dz[:, 1] = rhs(z[:, 0], z[:, 1], mu)
-    return t, z, dz, bounds, status, h_end, steps_end
+    return t, z, bounds, status, h_end, steps_end
 
 
 def rk4_path(u0, v0, mu, t_end, h, max_steps):
@@ -354,13 +341,11 @@ def rk4_path(u0, v0, mu, t_end, h, max_steps):
         nsteps = 1
     if nsteps > max_steps:
         empty = np.empty(0, dtype=np.float64)
-        return empty, empty, empty, empty, empty, STATUS_MAX_STEPS
+        return empty, empty, empty, STATUS_MAX_STEPS
 
     ts = np.empty(nsteps + 1, dtype=np.float64)
     us = np.empty(nsteps + 1, dtype=np.float64)
     vs = np.empty(nsteps + 1, dtype=np.float64)
-    dus = np.empty(nsteps + 1, dtype=np.float64)
-    dvs = np.empty(nsteps + 1, dtype=np.float64)
 
     t = 0.0
     u = u0
@@ -369,8 +354,6 @@ def rk4_path(u0, v0, mu, t_end, h, max_steps):
     ts[0] = t
     us[0] = u
     vs[0] = v
-    dus[0] = k1u
-    dvs[0] = k1v
 
     for i in range(nsteps):
         hi = h
@@ -383,13 +366,11 @@ def rk4_path(u0, v0, mu, t_end, h, max_steps):
         v = v + hi / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if not (math.isfinite(u) and math.isfinite(v)):
             n = i + 1
-            return ts[:n], us[:n], vs[:n], dus[:n], dvs[:n], STATUS_NONFINITE
+            return ts[:n], us[:n], vs[:n], STATUS_NONFINITE
         t = t_end if i == nsteps - 1 else t + hi
         k1u, k1v = rhs(u, v, mu)
         ts[i + 1] = t
         us[i + 1] = u
         vs[i + 1] = v
-        dus[i + 1] = k1u
-        dvs[i + 1] = k1v
 
-    return ts, us, vs, dus, dvs, STATUS_OK
+    return ts, us, vs, STATUS_OK

@@ -68,9 +68,10 @@ _OUTPUT_KEYS = {"kind", "format", "path"}
 
 # run holds every orbit in memory until its outputs are written, so the grid
 # size bounds its memory: 400 orbits at t_max = 20 (287k samples) peak at
-# 52.0 MiB RSS, 29 MiB of it the interpreter and numpy.  Each orbit keeps
-# 57 bytes per sample (views of the batch arrays, and its sheets); while
-# they run, the lockstep kernel needs 36 more per sample, the cut walk 11
+# 48.6 MiB RSS, 29 MiB of it the interpreter and numpy.  Each orbit keeps
+# 41 bytes per sample (views of the batch t, states and covered, and its
+# sheets); while they run, the lockstep kernel's recording buffers and sort
+# order need 56 more per sample (36 at full buffers), the cut walk 12
 MAX_GRID_STATES = 10_000
 
 _STROKE = "#1f4e9c"

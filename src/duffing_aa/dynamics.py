@@ -56,8 +56,8 @@ def _require_finite(s) -> None:
 
 def duffing_field(s: State, p: Params) -> tuple[float, float]:
     """Right-hand side (x', y') = (y, x - x^3 - mu*y): the integrator
-    kernels' own field, so the value is bit-identical to the field values
-    they store at every node."""
+    kernels' own field, so the value is bit-identical to their stages and
+    to the node slopes of the dense output."""
     _require_finite(s)
     return _kernels.rhs(s.x, s.y, p.mu)
 

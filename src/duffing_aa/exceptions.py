@@ -11,7 +11,8 @@ class ConfigError(DuffingError):
 
 class StepFailure(DuffingError):
     """The adaptive integrator could not keep its step above 1e-14, or its
-    error estimate became non-finite (the state overflowed)."""
+    error estimate became non-finite (the state overflowed), or a period
+    or action query's start has an energy that overflows."""
 
 
 class MaxStepsExceeded(DuffingError):

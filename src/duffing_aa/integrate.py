@@ -2,9 +2,10 @@
 
 Two steppers are provided: a fixed-step classic RK4 baseline and an
 embedded Dormand-Prince 5(4) adaptive pair (the default).  Both record the
-field value at every accepted node, so trajectories support cubic Hermite
-dense output -- accurate enough to locate event times far below the step
-size.
+accepted nodes only.  Their cubic Hermite dense output (``hermite_steps``)
+takes the slopes at the two ends of a step from the field itself, which
+equals the kernels' last stage there -- accurate enough to locate event
+times far below the step size.
 
 A trajectory's covered columns are the images of its original-plane
 samples under the covering map: the covering is a chart, not a second
@@ -12,7 +13,8 @@ integration.  Its events are its ``cut_crossing``s: the covered path
 crossed {y1 = 0, x1 < 0}.  The sheet tag toggles there.  Crossing times
 are refined on the dense output until |y1| <= 1e-12.  ``find_period``
 locates the returns to the section {y = 0} on its own path, refined until
-|y| <= 1e-10.
+|y| <= 1e-10.  Returns of a sign walk alternate in direction, so return 2
+is the first one in the direction of return 0: one period after it.
 
 Both kinds come from one locator.  A numpy sign walk over the samples of
 any number of orbits (exact zeros skipped) brackets every sign change at
@@ -24,7 +26,7 @@ Shampine & Thompson, "Event location for ODEs", 2000).
 Period and action queries need one orbit, not all of t_max: they share
 ``find_period``'s path, which runs the adaptive kernel in chunks that
 resume exactly where the last one paused, and stops after the first chunk
-on which the period rule finds the period on the whole path so far.  The
+whose whole path so far holds the three returns of one period.  The
 path is a prefix of the full-horizon one, so the period is bit-identical
 to it.
 
@@ -133,21 +135,19 @@ class Trajectory:
 
     ``states`` are original-plane points, ``covered`` their covered-plane
     images, ``sheets`` the evolved tag per sample (+1 Upper, -1 Lower).
-    ``derivs`` holds the original-plane field value at each node, feeding
-    the Hermite dense output (see ``hermite_steps``).
+    Its dense output is ``hermite_steps(t, states, params.mu, ks)``.
     """
 
     t: np.ndarray
     states: np.ndarray
     covered: np.ndarray
     sheets: np.ndarray
-    derivs: np.ndarray
     events: tuple[Event, ...]
     params: Params
     config: IntegratorConfig
 
     def __post_init__(self):
-        for arr in (self.t, self.states, self.covered, self.sheets, self.derivs):
+        for arr in (self.t, self.states, self.covered, self.sheets):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -163,11 +163,11 @@ _CHUNK_SAMPLES = 128
 
 
 def _run_kernel(u0, v0, p: Params, cfg: IntegratorConfig, done):
-    """(t, u, v, du, dv) of the path from (u0, v0) over [0, t_max].
+    """(t, u, v) of the path from (u0, v0) over [0, t_max].
 
     The rk45 path is integrated in chunks of _CHUNK_SAMPLES samples and
-    stops after the first chunk for which done(t, u, v, du, dv), called
-    with the whole path so far, is true.  The kernel resumes exactly where
+    stops after the first chunk for which done(t, u, v), called with the
+    whole path so far, is true.  The kernel resumes exactly where
     it paused, so the result is a prefix of the full-horizon path, bit for
     bit.  rk4 always covers the whole horizon.
     """
@@ -211,19 +211,20 @@ def _check_status(status, t, cfg: IntegratorConfig) -> None:
         )
 
 
-def hermite_steps(t, pts, derivs, ks, squared=False):
-    """Dense output of a path on its steps ks[j] -> ks[j] + 1.
+def hermite_steps(t, pts, mu, ks, squared=False):
+    """Dense output of an original-plane path on its steps ks[j] -> ks[j]+1.
 
     Returns at(j, tq) -> (u, v): the cubic Hermite interpolant of step
-    ks[j] at times tq, for indices j and times tq of one shape.  Every
-    query names its step, so refinement needs no search per evaluation.
-    With ``squared`` the values are the covered image (u^2 - v^2, 2uv) of
-    an original-plane path.
+    ks[j] at times tq, for indices j and times tq of one shape.  Its end
+    slopes are the field ``_kernels.rhs`` at the step's two nodes, which is
+    bit for bit the kernels' FSAL stage there.  Every query names its step,
+    so refinement needs no search per evaluation.  With ``squared`` the
+    values are the covered image (u^2 - v^2, 2uv).
     """
     t0 = t[ks]
     dt = t[ks + 1] - t0
     p0, p1 = pts[ks], pts[ks + 1]
-    f0, f1 = derivs[ks], derivs[ks + 1]
+    f0, f1 = (np.column_stack(_kernels.rhs(*q.T, mu)) for q in (p0, p1))
 
     def at(j, tq):
         h = dt[j][..., None]
@@ -354,21 +355,11 @@ def _evolve_sheets(n: int, start_sign: int, toggle_from: list[int]) -> np.ndarra
     return sheets
 
 
-def _directions(y) -> list[int]:
-    """Directions of the returns to the section {y = 0} that the sign walk
-    of the sampled y finds: the sign of y after each return."""
-    return (-np.sign(y[_sign_flips(y)])).astype(int).tolist()
-
-
-def _section_crossings(t: np.ndarray, y: np.ndarray, dense) -> list[Event]:
-    """Locate transversal returns to the section {y = 0} by the same sign
-    walk on y, refined on ``dense`` (original plane) until |y| <= 1e-10;
-    ``direction`` is the sign of y after the return."""
-    _, t_star, x_star = _refine_sign_changes(t, y, dense, SECTION_REFINE_TOL)
-    return [
-        Event(ts, "section_return", {"x": xs, "direction": d})
-        for ts, xs, d in zip(t_star.tolist(), x_star.tolist(), _directions(y))
-    ]
+def _section_crossings(t: np.ndarray, y: np.ndarray, dense) -> np.ndarray:
+    """Times of the transversal returns to the section {y = 0}: the same
+    sign walk on y, refined on ``dense`` (original plane) until
+    |y| <= 1e-10."""
+    return _refine_sign_changes(t, y, dense, SECTION_REFINE_TOL)[1]
 
 
 def integrate_original(
@@ -394,43 +385,46 @@ def integrate_original_orbits(
     """
     starts = [State(float(s0[0]), float(s0[1])) for s0 in states]
     if cfg.method == "rk45":
-        t, z, dz, bounds, status, _, _ = _kernels.adaptive_lanes(
+        t, z, bounds, status, _, _ = _kernels.adaptive_lanes(
             [s0.x for s0 in starts], [s0.y for s0 in starts], p.mu, cfg.t_max,
             cfg.rel_tol, cfg.abs_tol, cfg.step, int(cfg.max_steps),
         )
-        yield from _assemble(starts, t, z, dz, bounds, status, p, cfg)
+        yield from _assemble(starts, t, z, bounds, status, p, cfg)
         return
     for s0 in starts:
         _require_finite(s0)
-        t, x, y, dx, dy = _run_kernel(s0.x, s0.y, p, cfg, None)
-        z, dz = np.column_stack((x, y)), np.column_stack((dx, dy))
-        yield from _assemble([s0], t, z, dz, [0, t.size], [_kernels.STATUS_OK], p, cfg)
+        t, x, y = _run_kernel(s0.x, s0.y, p, cfg, None)
+        z = np.column_stack((x, y))
+        yield from _assemble([s0], t, z, [0, t.size], [_kernels.STATUS_OK], p, cfg)
 
 
-def _assemble(starts, t, z, dz, bounds, status, p, cfg) -> Iterator[Trajectory]:
+def _assemble(starts, t, z, bounds, status, p, cfg) -> Iterator[Trajectory]:
     """Yield each lane's trajectory in order, lane k being rows
-    bounds[k]:bounds[k + 1] of the path (t, z, dz) from starts[k], which
-    stopped with status[k].  The lanes before the first failed one are
+    bounds[k]:bounds[k + 1] of the path (t, z) from starts[k], which
+    stopped with status[k].  The lanes before the first failed one, n, are
     squared and searched for cut crossings at once; each trajectory holds
-    views of the batch arrays, and lane k's failure is raised when due."""
+    views of the batch arrays.  Then lane n's failure is raised: a
+    non-finite start always fails its lane, so only lane n's start needs
+    the finiteness check."""
     n = next((k for k, s in enumerate(status) if s != _kernels.STATUS_OK), len(starts))
     covered = np.column_stack(square(z[: bounds[n], 0], z[: bounds[n], 1]))
     events, toggle_from, degenerate = _cut_crossings(
-        t, covered[:, 1], partial(hermite_steps, t, z, dz, squared=True),
+        t, covered[:, 1], partial(hermite_steps, t, z, p.mu, squared=True),
         bounds[: n + 1],
     )
     firsts = np.searchsorted(toggle_from, bounds[: n + 1]).tolist()
-    for k, s0 in enumerate(starts):
-        _require_finite(s0)
-        rows = slice(bounds[k], bounds[k + 1])
-        _check_status(status[k], t[rows], cfg)
+    for k, s0 in enumerate(starts[:n]):
         if k in degenerate:
             raise degenerate[k]
+        rows = slice(bounds[k], bounds[k + 1])
         on, off = firsts[k], firsts[k + 1]
         toggles = (toggle_from[on:off] - rows.start).tolist()
         sheets = _evolve_sheets(len(t[rows]), int(sheet_sign(s0.x, s0.y)), toggles)
-        yield Trajectory(t[rows], z[rows], covered[rows], sheets, dz[rows],
+        yield Trajectory(t[rows], z[rows], covered[rows], sheets,
                          tuple(events[on:off]), p, cfg)
+    if n < len(starts):
+        _require_finite(starts[n])
+        _check_status(status[n], t[bounds[n] : bounds[n + 1]], cfg)
 
 
 def _check_away_from_centers(x, y) -> None:
@@ -445,12 +439,18 @@ def _check_away_from_centers(x, y) -> None:
 
 def _require_closed_orbit(s0: State, p: Params) -> None:
     """Periods and actions need a closed orbit: ValueError for mu != 0,
-    OnSeparatrix within SEPARATRIX_TOL of the separatrix level, NoReturn
-    at a center (+-1, 0), a fixed point, and CenterSingular within
-    CENTER_EXCLUSION of one, where the orbit is too small to measure."""
+    StepFailure where the start's energy overflows, OnSeparatrix within
+    SEPARATRIX_TOL of the separatrix level, NoReturn at a center (+-1, 0),
+    a fixed point, and CenterSingular within CENTER_EXCLUSION of one,
+    where the orbit is too small to measure."""
     if p.mu != 0.0:
         raise ValueError("closed orbits need the conservative flow (mu = 0)")
-    level = hamiltonian(s0, p) - p.c
+    try:
+        level = hamiltonian(s0, p) - p.c
+    except OverflowError:  # Python floats raise where numpy would give inf
+        raise StepFailure(
+            f"the energy at the start ({s0.x!r}, {s0.y!r}) overflows"
+        ) from None
     if abs(level) < SEPARATRIX_TOL:
         raise OnSeparatrix(
             f"|H - c| = {abs(level):.2e} < {SEPARATRIX_TOL:g}: state is on the "
@@ -461,13 +461,6 @@ def _require_closed_orbit(s0: State, p: Params) -> None:
     _check_away_from_centers(s0.x, s0.y)
 
 
-def _period_end(directions):
-    """Index of the first later return in the direction of return 0, where
-    one period ends, or None; ``directions`` are the returns' in order."""
-    later = [j for j, d in enumerate(directions) if j and d == directions[0]]
-    return later[0] if later else None
-
-
 def find_period(
     s0: State, p: Params, cfg: IntegratorConfig = DEFAULT_CONFIG
 ) -> float:
@@ -475,9 +468,11 @@ def find_period(
 
     Measures the first return to the section {y = 0} crossed in the same
     direction: started on the section that is one full revolution; started
-    off it, the time between the first two same-direction crossings.
-    Section times are refined to |y| <= 1e-10 on ``_one_period``'s path,
-    which ends about one period in, not at t_max.
+    off it, the time between the first two same-direction crossings.  The
+    returns alternate in direction, so these are returns 0 and 2, a start
+    on the section counting as return 0.  Section times are refined to
+    |y| <= 1e-10 on ``_one_period``'s path, which ends about one period
+    in, not at t_max.
 
     Raises what ``_require_closed_orbit`` raises, and NoReturn if t_max
     expires first.
@@ -489,32 +484,25 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     """(period, x, y): find_period's period, and the orbit's points over
     [0, period]: the path's samples before it, then the dense output at it.
 
-    A start on the section is return 0, at t = 0 heading sign(x - x^3).
-    The integration stops after the first kernel chunk (_CHUNK_SAMPLES
-    samples) on whose whole path so far ``_period_end`` finds the period;
-    the path is a prefix of the full-horizon one, so the period is, bit
+    A start on the section is return 0, at t = 0.  The integration stops
+    after the first kernel chunk (_CHUNK_SAMPLES samples) whose whole path
+    so far holds return 2, i.e. 3 - [start on the section] sign flips of
+    y; the path is a prefix of the full-horizon one, so the period is, bit
     for bit, the one the full horizon would give.
     """
     s0 = State(float(s0[0]), float(s0[1]))
     _require_closed_orbit(s0, p)
-    start = []
-    if s0.y == 0.0:
-        d0 = int(np.sign(s0.x - s0.x**3))
-        start = [Event(0.0, "section_return", {"x": s0.x, "direction": d0})]
-    head = [e.data["direction"] for e in start]
-    t, x, y, dx, dy = _run_kernel(
+    start = [0.0] if s0.y == 0.0 else []
+    t, x, y = _run_kernel(
         s0.x, s0.y, p, cfg,
-        lambda t, x, y, *_: _period_end(head + _directions(y)) is not None,
+        lambda t, x, y: len(start) + _sign_flips(y).size >= 3,
     )
-    dense = partial(
-        hermite_steps, t, np.column_stack((x, y)), np.column_stack((dx, dy))
-    )
-    returns = start + _section_crossings(t, y, dense)
-    j = _period_end([e.data["direction"] for e in returns])
-    if j is None:
+    dense = partial(hermite_steps, t, np.column_stack((x, y)), p.mu)
+    returns = start + _section_crossings(t, y, dense).tolist()
+    if len(returns) < 3:
         what = "same-direction section return" if returns else "section crossing"
         raise NoReturn(f"no {what} before t_max={cfg.t_max:g}")
-    period = returns[j].t - returns[0].t
+    period = returns[2] - returns[0]
     k = int(np.searchsorted(t, period))  # the first sample at or after it
     x_end, y_end = dense(np.array([k - 1]))(0, period)
     return period, np.append(x[:k], x_end), np.append(y[:k], y_end)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from duffing_aa import (
     Params,
     Sheet,
     State,
+    StepFailure,
     Trajectory,
     UnwrapAmbiguous,
     action_covered,
@@ -55,7 +57,7 @@ def constant_trajectory(s: State, n: int = 4) -> Trajectory:
     covered = np.tile(np.array([c.x1, c.y1]), (n, 1))
     sheets = np.full(n, 1 if c.sheet is Sheet.UPPER else -1, dtype=np.int8)
     return Trajectory(
-        t, states, covered, sheets, np.zeros((n, 2)), (), Params(), DEFAULT_CONFIG
+        t, states, covered, sheets, (), Params(), DEFAULT_CONFIG
     )
 
 
@@ -174,8 +176,7 @@ def test_unwrap_ambiguous():
     states = np.array([[math.sqrt(2.0), 0.0], [0.0, 1.0]])
     covered = np.array([[2.0, 0.0], [-1.0, 0.0]])
     traj = Trajectory(
-        t, states, covered, np.ones(2, dtype=np.int8), np.zeros((2, 2)), (),
-        Params(), DEFAULT_CONFIG,
+        t, states, covered, np.ones(2, dtype=np.int8), (), Params(), DEFAULT_CONFIG,
     )
     with pytest.raises(UnwrapAmbiguous):
         unwrap_theta(traj)
@@ -255,6 +256,77 @@ def test_closed_orbit_queries_reject_centers(p0):
         for x in (1.0 + 1e-12, -1.0 - 1e-12):
             with pytest.raises(CenterSingular):
                 query(State(x, 0.0), p0)
+
+
+def test_closed_orbit_queries_reject_overflowing_starts(p0):
+    # the energy of these starts overflows Python floats: a StepFailure that
+    # names the start, as a start that overflows in the kernel gets one
+    for query in (find_period, action_original, action_covered):
+        for s0 in (State(1e100, 0.0), State(0.0, 1e160)):
+            with pytest.raises(StepFailure, match=re.escape(f"({s0.x!r}, {s0.y!r})")):
+                query(s0, p0)
+
+
+# repr of (find_period, action_original, action_covered) per start, under
+# rk45 and under rk4 with step 0.01: a refactor of the integrator or of the
+# period rule keeps these numbers bit for bit
+PINNED_CLOSED_ORBITS = {
+    (1.0954451150103324, 0.0): (
+        "(4.476954146569423, 0.007092906892143108, 0.028370336690586907)",
+        "(4.476954148373495, 0.007097744611815997, 0.02838948341201771)",
+    ),
+    (1.2030019100150913, 0.0): (
+        "(4.630675303799548, 0.036050954892363145, 0.14401015435020803)",
+        "(4.630675305679753, 0.03607112209149088, 0.14408436755829704)",
+    ),
+    (1.4070522012751592, 0.0): (
+        "(7.408711119596693, 0.19880300591993513, 0.7419286286164654)",
+        "(7.408711107409564, 0.19884064644039004, 0.7421942989811461)",
+    ),
+    (1.4177272282904803, 0.0): (
+        "(16.10663388474391, 0.43875784706460014, 0.7927415110150571)",
+        "(16.106633952597786, 0.4388244784485029, 0.7930251061586303)",
+    ),
+    (1.6528916502810695, 0.0): (
+        "(6.784478775786485, 1.1187694309207894, 2.791221404011628)",
+        "(6.784478787296854, 1.118827743547801, 2.7921147831500255)",
+    ),
+    (2.0, 0.0): (
+        "(4.685680336771507, 2.418387583918379, 11.935384846903363)",
+        "(4.685680354719295, 2.4185029407054803, 11.938261558002454)",
+    ),
+    (1.0, 0.3): (
+        "(4.609710631162357, 0.03237658103194042, 0.12936689848889243)",
+        "(4.60971063320344, 0.0323946398286183, 0.1294343895161809)",
+    ),
+    (0.0, 1.0): (
+        "(6.784478775835245, 1.1187678537540575, 2.7912180130061115)",
+        "(6.784478783557793, 1.1188277011396899, 2.7921142075922236)",
+    ),
+}
+
+
+def _closed_orbit_numbers(s0, method):
+    cfg = replace(DEFAULT_CONFIG, method=method, step=0.01)
+    return repr(tuple(
+        query(s0, Params(), cfg)
+        for query in (find_period, action_original, action_covered)
+    ))
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+@pytest.mark.parametrize("h", verify.PERIOD_LEVELS)
+def test_closed_orbit_numbers_are_pinned_on_levels(h, method):
+    s0 = state_on_level(h)
+    want = PINNED_CLOSED_ORBITS[tuple(s0)][method == "rk4"]
+    assert _closed_orbit_numbers(s0, method) == want
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_closed_orbit_numbers_are_pinned(closed_orbit_start, method):
+    s0 = closed_orbit_start
+    want = PINNED_CLOSED_ORBITS[tuple(s0)][method == "rk4"]
+    assert _closed_orbit_numbers(s0, method) == want
 
 
 @pytest.mark.parametrize("h", verify.PERIOD_LEVELS)

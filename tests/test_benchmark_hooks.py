@@ -16,7 +16,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 KNOWN_UNMEASURED = {
     # their hooks name integrate._bisect_crossing and integrate.inverse_cover,
-    # which the event locator replaced (ROADMAP, open item 1)
+    # which the event locator replaced (ROADMAP, open item 3)
     "assembly.inverse_cover_calls",
     "assembly.inverse_cover_s",
     "events.brackets",

@@ -40,7 +40,7 @@ def dense_at(traj, tq):
     tq in [t[0], t[-1]], on the step that holds it."""
     k = int(np.searchsorted(traj.t, tq, side="right")) - 1
     k = min(max(k, 0), len(traj) - 2)
-    at = integrate.hermite_steps(traj.t, traj.states, traj.derivs, np.array([k]))
+    at = integrate.hermite_steps(traj.t, traj.states, traj.params.mu, np.array([k]))
     u, v = at(0, tq)
     return float(u), float(v)
 
@@ -233,21 +233,28 @@ def test_find_period_errors(p0):
 
 
 def section_returns(traj):
-    """The section returns of an original-plane trajectory, located on
-    its own path as find_period locates them."""
-    dense = partial(integrate.hermite_steps, traj.t, traj.states, traj.derivs)
-    return integrate._section_crossings(traj.t, traj.states[:, 1], dense)
+    """The section return times of an original-plane trajectory, located
+    on its own path as find_period locates them."""
+    dense = partial(integrate.hermite_steps, traj.t, traj.states, traj.params.mu)
+    return integrate._section_crossings(traj.t, traj.states[:, 1], dense).tolist()
 
 
 def _full_horizon_period(s0, p, cfg=DEFAULT_CONFIG):
-    """find_period's same-direction selection on a full-horizon path."""
-    returns = section_returns(integrate_original(s0, p, cfg))
+    """The first later section return crossed in the direction of the
+    first, on a full-horizon path; a start on the section is a return at
+    t = 0 heading sign(x - x^3).  Directions are read off the samples, the
+    sign of y after each flip, so this checks find_period's alternation."""
+    traj = integrate_original(s0, p, cfg)
+    times = section_returns(traj)
+    signs = np.sign(traj.states[:, 1])
+    signs = signs[signs != 0.0]
+    directions = signs[1:][signs[1:] != signs[:-1]].tolist()
     if s0.y == 0.0:
-        t_ref, d0 = 0.0, int(np.sign(s0.x - s0.x**3))
-    else:
-        t_ref, d0 = returns[0].t, returns[0].data["direction"]
-        returns = returns[1:]
-    return next(e.t - t_ref for e in returns if e.data["direction"] == d0)
+        times = [0.0] + times
+        directions = [np.sign(s0.x - s0.x**3)] + directions
+    assert len(times) == len(directions)
+    return next(t - times[0] for t, d in zip(times[1:], directions[1:])
+                if d == directions[0])
 
 
 def test_find_period_equals_full_horizon_selection(closed_orbit_start, p0):
@@ -282,23 +289,22 @@ def test_one_period_is_a_prefix_of_integrate_original(p0, h):
     assert full.states[:n, 1].tobytes() == y[:n].tobytes()
 
 
-def test_section_directions_skip_exact_zeros():
-    # flips across exact zeros count once; find_period's stop reads every
-    # prefix of the path, so each prefix is checked
+def test_period_stop_counts_flips_across_exact_zeros():
+    # flips across exact zeros count once; find_period stops once the path
+    # so far holds 3 - [start on the section] flips of y, and it reads
+    # every prefix of the path, so each prefix is checked
     y = np.array([0.5, 0.0, -0.5, 0.5, 0.0, 0.0, -0.5])
-    assert integrate._directions(y) == [-1, 1, -1]
-    assert integrate._directions(np.array([0.0, 0.0, 0.5, 0.0])) == []
+    assert integrate._sign_flips(y).tolist() == [0, 2, 3]
+    assert integrate._sign_flips(np.array([0.0, 0.0, 0.5, 0.0])).size == 0
 
-    def stops(head, y):
-        return [integrate._period_end(head + integrate._directions(y[:n]))
-                is not None for n in range(1, len(y) + 1)]
+    def stops(on_section, y):
+        return [integrate._sign_flips(y[:n]).size >= 3 - on_section
+                for n in range(1, len(y) + 1)]
 
-    # needs returns 0 and 2: -1, +1, -1
-    assert stops([], y) == [False] * 6 + [True]
-    # a start on the section heading up is return 0: needs a +1
-    assert stops([1], y[2:]) == [False, True, True, True, True]
-    assert integrate._period_end([]) is None
-    assert integrate._period_end([1, -1, -1, 1]) == 3
+    # returns 0, 1 and 2 are the three flips
+    assert stops(False, y) == [False] * 6 + [True]
+    # a start on the section is return 0: two more flips end the period
+    assert stops(True, y[2:]) == [False] * 4 + [True]
 
 
 def test_section_events_recorded(p0):
@@ -307,12 +313,10 @@ def test_section_events_recorded(p0):
     )
     returns = section_returns(traj)
     assert returns
-    ts = [e.t for e in returns]
-    assert ts == sorted(ts)
-    for e in returns:
-        assert e.data["direction"] in (-1, 1)
+    assert returns == sorted(returns)
+    for t_star in returns:
         # refined section times sit on the section to 1e-10
-        _, y_at = dense_at(traj, e.t)
+        _, y_at = dense_at(traj, t_star)
         assert abs(y_at) <= 1e-10
 
 
@@ -371,13 +375,13 @@ def test_rk4_nonfinite_state_fails_fast():
         integrate_original(
             State(1e200, 0.0), Params(), IntegratorConfig(method="rk4", t_max=10.0)
         )
-    t, u, v, du, dv, status = _kernels.rk4_path(1e200, 0.0, 0.0, 10.0, 0.01, 10**7)
+    t, u, v, status = _kernels.rk4_path(1e200, 0.0, 0.0, 10.0, 0.01, 10**7)
     assert status == _kernels.STATUS_NONFINITE
     assert t.tolist() == [0.0] and u.tolist() == [1e200]
 
 
 def _assert_same_trajectory(a, b):
-    for name in ("t", "states", "covered", "sheets", "derivs"):
+    for name in ("t", "states", "covered", "sheets"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert (a.events, a.params, a.config) == (b.events, b.params, b.config)
 
@@ -414,17 +418,19 @@ def test_orbits_are_integrate_original_one_at_a_time(rng, method):
 
 
 @pytest.mark.parametrize(
-    "bad, cfg",
+    "bad, cfg, failure",
     [
-        (State(1e200, 0.0), IntegratorConfig(t_max=5.0)),
-        (State(math.nan, 0.0), IntegratorConfig(t_max=5.0)),
-        (None, IntegratorConfig(t_max=5.0, max_steps=150)),
-        (None, IntegratorConfig(t_max=5.0, rel_tol=1e-300, abs_tol=1e-300)),
+        (State(1e200, 0.0), IntegratorConfig(t_max=5.0), StepFailure),
+        (State(math.nan, 0.0), IntegratorConfig(t_max=5.0), ValueError),
+        (None, IntegratorConfig(t_max=5.0, max_steps=150), MaxStepsExceeded),
+        (None, IntegratorConfig(t_max=5.0, rel_tol=1e-300, abs_tol=1e-300),
+         StepFailure),
     ],
     ids=["overflow", "nonfinite-start", "max-steps", "step-underflow"],
 )
-def test_orbits_fail_where_integrate_original_fails(rng, bad, cfg):
-    # orbit k's own exception, with its message, once orbits 0..k-1 are out
+def test_orbits_fail_where_integrate_original_fails(rng, bad, cfg, failure):
+    # orbit k's own exception, with its message, once orbits 0..k-1 are out;
+    # a non-finite start is a bad input, not a failed integration
     n = _kernels.MIN_LANES + 8
     states = [State(x, y) for x, y in zip(rng.uniform(-2.0, 2.0, n),
                                            rng.uniform(-1.5, 1.5, n))]
@@ -433,12 +439,34 @@ def test_orbits_fail_where_integrate_original_fails(rng, bad, cfg):
     got, error = _run_orbits(integrate_original_orbits(states, Params(), cfg), n)
     want, want_error = _one_at_a_time(states, Params(), cfg)
     assert want_error is not None and len(got) == len(want) < n
-    assert type(error) is type(want_error) and str(error) == str(want_error)
+    assert type(error) is type(want_error) is failure
+    assert str(error) == str(want_error)
     for a, b in zip(got, want):
         _assert_same_trajectory(a, b)
 
 
 # ---------------------------------------------------------------- locator
+
+
+def hermite(t, pts, slopes, ks):
+    """hermite_steps' cubic Hermite dense output of a synthetic path on its
+    steps ks, with the given node slopes instead of the field."""
+
+    def at(j, tq):
+        k = ks[j]
+        h = (t[k + 1] - t[k])[..., None]
+        s = (tq - t[k])[..., None] / h
+        s2 = s * s
+        s3 = s2 * s
+        w = (
+            (2.0 * s3 - 3.0 * s2 + 1.0) * pts[k]
+            + (s3 - 2.0 * s2 + s) * h * slopes[k]
+            + (-2.0 * s3 + 3.0 * s2) * pts[k + 1]
+            + (s3 - s2) * h * slopes[k + 1]
+        )
+        return w[..., 0], w[..., 1]
+
+    return at
 
 
 def cut_events(x1, y1, t=None):
@@ -449,9 +477,9 @@ def cut_events(x1, y1, t=None):
     y1 = np.asarray(y1, dtype=float)
     t = np.arange(x1.size, dtype=float) if t is None else np.asarray(t, float)
     pts = np.column_stack((x1, y1))
-    derivs = np.gradient(pts, t, axis=0)
+    slopes = np.gradient(pts, t, axis=0)
     events, toggles, degenerate = integrate._cut_crossings(
-        t, y1, partial(integrate.hermite_steps, t, pts, derivs), [0, t.size]
+        t, y1, partial(hermite, t, pts, slopes), [0, t.size]
     )
     if degenerate:
         raise degenerate[0]
@@ -503,17 +531,17 @@ def lane_cut_events(lanes):
     """cut_events of synthetic covered paths (x1, y1), located together as
     the lanes of one batch; per lane, (event times, event x1, toggle
     indices within the lane)."""
-    ts, pts, derivs, bounds = [], [], [], [0]
+    ts, pts, slopes, bounds = [], [], [], [0]
     for x1, y1 in lanes:
         t = np.arange(len(x1), dtype=float)
         lane = np.column_stack((x1, y1)).astype(float)
         ts.append(t)
         pts.append(lane)
-        derivs.append(np.gradient(lane, t, axis=0))
+        slopes.append(np.gradient(lane, t, axis=0))
         bounds.append(bounds[-1] + t.size)
-    t, pts, derivs = (np.concatenate(a) for a in (ts, pts, derivs))
+    t, pts, slopes = (np.concatenate(a) for a in (ts, pts, slopes))
     events, toggles, degenerate = integrate._cut_crossings(
-        t, pts[:, 1], partial(integrate.hermite_steps, t, pts, derivs), bounds
+        t, pts[:, 1], partial(hermite, t, pts, slopes), bounds
     )
     assert not degenerate
     firsts = np.searchsorted(toggles, bounds).tolist()
@@ -656,9 +684,9 @@ def test_locator_matches_scalar_bisection():
             dense, traj.t, traj.states[:, 1], lambda u, v: (u, v), 1e-10
         )
         assert len(sections) == len(ref)
-        for e, (_, t_ref, _) in zip(sections, ref):
-            assert abs(dense(e.t)[1]) <= 1e-10
-            assert abs(e.t - t_ref) <= 1e-8
+        for t_star, (_, t_ref, _) in zip(sections, ref):
+            assert abs(dense(t_star)[1]) <= 1e-10
+            assert abs(t_star - t_ref) <= 1e-8
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,13 +21,13 @@ def test_rhs_matches_public_fields(rng):
 
 
 def test_adaptive_path_reaches_t_end():
-    t, u, v, du, dv, status, _, _ = _whole(
+    t, u, v, status, _, _ = _whole(
         0.0, 1.0, 0.0, 5.0, 1e-10, 1e-10, 0.01, 10**7
     )
     assert status == _kernels.STATUS_OK
     assert t[0] == 0.0 and t[-1] == 5.0
     assert np.all(np.diff(t) > 0.0)
-    assert u.shape == v.shape == du.shape == dv.shape == t.shape
+    assert u.shape == v.shape == t.shape
 
 
 def test_adaptive_path_status_codes():
@@ -90,7 +90,7 @@ def _scalar_paths(u0, v0, mu, t_end, rel_tol, abs_tol, max_steps):
 
 def _lanes(monkeypatch, min_lanes, u0, v0, mu, t_end, rel_tol, abs_tol, max_steps):
     """adaptive_lanes with MIN_LANES = min_lanes, split into per-lane
-    (t, u, v, du, dv, status, h, steps), plus the start times of the
+    (t, u, v, status, h, steps), plus the start times of the
     adaptive_path calls that finished lanes.  Floating-point errors
     raise, so any that escape the kernel fail the test."""
     monkeypatch.setattr(_kernels, "MIN_LANES", min_lanes)
@@ -103,24 +103,23 @@ def _lanes(monkeypatch, min_lanes, u0, v0, mu, t_end, rel_tol, abs_tol, max_step
 
     monkeypatch.setattr(_kernels, "adaptive_path", recorded)
     with np.errstate(all="raise"):
-        t, z, dz, bounds, status, h, steps = _kernels.adaptive_lanes(
+        t, z, bounds, status, h, steps = _kernels.adaptive_lanes(
             u0, v0, mu, t_end, rel_tol, abs_tol, 0.01, max_steps
         )
     monkeypatch.setattr(_kernels, "adaptive_path", scalar)
     paths = []
     for k in range(len(u0)):
         rows = slice(bounds[k], bounds[k + 1])
-        paths.append((t[rows], z[rows, 0], z[rows, 1], dz[rows, 0], dz[rows, 1],
-                      status[k], h[k], steps[k]))
+        paths.append((t[rows], z[rows, 0], z[rows, 1], status[k], h[k], steps[k]))
     return paths, handed_off
 
 
 def _assert_same_paths(lanes, scalar):
     assert len(lanes) == len(scalar)
     for got, want in zip(lanes, scalar):
-        for a, b in zip(got[:5], want[:5]):  # t, u, v, du, dv
+        for a, b in zip(got[:3], want[:3]):  # t, u, v
             assert a.tobytes() == b.tobytes()
-        assert got[5:] == want[5:]  # status, h, attempted steps
+        assert got[3:] == want[3:]  # status, h, attempted steps
 
 
 def _fig_starts(name):
@@ -179,7 +178,7 @@ def test_failing_lanes_stop_where_the_scalar_kernel_does(
     want = {"overflow": _kernels.STATUS_NONFINITE,
             "max_steps": _kernels.STATUS_MAX_STEPS,
             "underflow": _kernels.STATUS_STEP_UNDERFLOW}[failure]
-    failed = [k for k, path in enumerate(scalar) if path[5] == want]
+    failed = [k for k, path in enumerate(scalar) if path[3] == want]
     # the step budget lets some orbits finish and stops the others
     assert failed and (failure == "underflow" or len(failed) < len(u0))
     lanes, _ = _lanes(monkeypatch, 20 if handoff else 1, u0, v0, 0.0, 5.0,
