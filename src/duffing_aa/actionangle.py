@@ -3,7 +3,7 @@
 Every orbit of the covered flow turns clockwise around the single center
 (1, 0): the angle
 
-    theta = arg((x1 - 1) + i*y1)     (range (-pi, pi], computed by _angle)
+    theta = arg((x1 - 1) + i*y1)     (range (-pi, pi], covering._angle)
 
 decreases strictly along every trajectory except at the origin, so its
 continuous unwrapping serves as a global clock.  The angular velocity has
@@ -13,13 +13,17 @@ the two preimages of the center, so angle operations reject a hard
 exclusion disk of radius 1e-9 around those points rather than clamp.
 
 Two action integrals are provided, both over the points of one original
-period that ``find_period`` measures (``integrate._one_period``):
+period that ``find_period`` measures (``integrate._one_period``).  That
+path must resolve the orbit (StepFailure otherwise), and the last one is
+kept, so ``find_period`` and both actions on one start share one
+integration:
 
   * ``action_covered``: (1/2pi) * loop integral of y1 dx1 along the
     covered image over one full global revolution (theta decreasing by
     exactly 2pi).  One period is one revolution in a well and two outside
-    the separatrix, so the integral over the period is divided by the
-    revolutions the unwrapped angle counts.
+    the separatrix, so the integral over the period is divided by those
+    revolutions, which ``_one_period`` has checked the unwrapped angle
+    to make.
   * ``action_original``: the classical per-region (1/2pi) * loop integral
     of y dx over the period.
 
@@ -31,29 +35,20 @@ integrals use one trapezoid quadrature on the adaptive samples,
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .covering import square
+from .covering import TWO_PI, _angle, _check_away_from_centers, _unwrap, square
 from .dynamics import Params, State, _require_finite, energy_rate
-from .exceptions import OriginSingular, UnwrapAmbiguous
+from .exceptions import OriginSingular
 from .integrate import (
     DEFAULT_CONFIG,
     IntegratorConfig,
     Trajectory,
-    _check_away_from_centers,
     _one_period,
+    _turns,
 )
 
 ORIGIN_EXCLUSION = 1e-9
-TWO_PI = 2.0 * math.pi
-
-
-def _angle(x1, y1):
-    """Angle of covered points about the center (1, 0), in (-pi, pi]."""
-    theta = np.arctan2(y1, x1 - 1.0)
-    return np.where(theta == -math.pi, math.pi, theta)[()]  # 0-d -> scalar
 
 
 def theta_of(s: State) -> float:
@@ -82,30 +77,6 @@ def theta_dot_of(s: State) -> float:
     return -2.0 * num / den
 
 
-def _unwrap(x, y):
-    """(x1, y1, theta): the covered image of original-plane points and
-    its angle, unwrapped: each principal-value jump is shifted by a
-    multiple of 2pi into [-pi, pi] and added up from the first angle,
-    which is kept as is.
-
-    CenterSingular near (+-1, 0).  The integrator's step control keeps
-    true increments well below pi; an adjusted increment of magnitude pi
-    or more therefore means the branch is unrecoverable and raises
-    UnwrapAmbiguous.
-    """
-    _check_away_from_centers(x, y)
-    x1, y1 = square(x, y)
-    raw = _angle(x1, y1)
-    d = np.diff(raw)
-    d -= TWO_PI * np.round(d / TWO_PI)
-    if np.any(np.abs(d) >= math.pi):
-        raise UnwrapAmbiguous(
-            "consecutive angle samples differ by half a turn or more; "
-            "sampling is too sparse to unwrap"
-        )
-    return x1, y1, np.concatenate((raw[:1], raw[:1] + np.cumsum(d)))
-
-
 def unwrap_theta(traj: Trajectory) -> np.ndarray:
     """Continuous angle along a trajectory, as an (n, 2) array [t, theta],
     unwrapped by ``_unwrap`` from the images of its states: CenterSingular
@@ -129,13 +100,17 @@ def action_covered(
     global revolution (theta down by exactly 2pi), sign-normalized.
 
     The loop is the covered image of ``action_original``'s points over one
-    period (``integrate._one_period``), with no second integration.  One
-    period is one revolution in a well and two outside the separatrix,
-    where the image traces the loop twice; the integral over the period
-    is divided by its revolutions, the unwrapped angle's fall over 2pi.
+    period (``integrate._one_period``).  One period is one revolution in a
+    well and two outside the separatrix, where the image traces the loop
+    twice; the integral over the period is divided by those revolutions
+    (``integrate._turns``), which ``_one_period`` has checked the unwrapped
+    angle to make.  Right after ``find_period`` or ``action_original`` on
+    the same start, params and config, it reads their path and integrates
+    nothing.
     """
-    x1, y1, theta = _unwrap(*_one_period(s0, p, cfg)[1:])
-    return _loop_action(x1, y1) / round((theta[0] - theta[-1]) / TWO_PI)
+    s0 = State(float(s0[0]), float(s0[1]))
+    x, y = _one_period(s0, p, cfg)[1:]
+    return _loop_action(*square(x, y)) / _turns(s0, p)
 
 
 def action_original(
@@ -143,7 +118,9 @@ def action_original(
 ) -> float:
     """Classical action: (1/2pi) * integral of y dx over one original
     period, sign-normalized, along the path that measures find_period's
-    period, with no second integration (``integrate._one_period``)."""
+    period (``integrate._one_period``).  Right after ``find_period`` or
+    ``action_covered`` on the same start, params and config, it reads
+    their path and integrates nothing."""
     return _loop_action(*_one_period(s0, p, cfg)[1:])
 
 

@@ -28,18 +28,28 @@ R = sqrt(x1^2 + y1^2) (= x^2 + y^2 on images of real points):
 The mu terms come from the identities 2*mu*y^2 = mu*(R - x1) and
 2*mu*x*y = mu*y1, so one closed form covers the conservative and the
 dissipative flow.  The field does not depend on the sheet tag.
+
+Every covered orbit turns clockwise around the center (1, 0), the shared
+image of the two wells' centers (+-1, 0).  ``_unwrap`` follows its angle
+about that center continuously along sampled original-plane points; the
+angle queries and the closed-orbit guard of ``integrate._one_period`` use
+it, and it refuses points within CENTER_EXCLUSION of (+-1, 0).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import Params, State, _require_finite
+from .exceptions import CenterSingular, UnwrapAmbiguous
 
 BRANCH_TOL = 1e-12
+CENTER_EXCLUSION = 1e-9
+TWO_PI = 2.0 * math.pi
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -125,3 +135,42 @@ def covered_field(c: CoveredState, p: Params) -> tuple[float, float]:
     dv = -x1 * x1 - 0.5 * y1 * y1 + r * (2.0 - x1) - p.mu * y1
     return du, dv
 
+
+def _check_away_from_centers(x, y) -> None:
+    d2_plus = (np.asarray(x) - 1.0) ** 2 + np.asarray(y) ** 2
+    d2_minus = (np.asarray(x) + 1.0) ** 2 + np.asarray(y) ** 2
+    if np.any(d2_plus < CENTER_EXCLUSION**2) or np.any(d2_minus < CENTER_EXCLUSION**2):
+        raise CenterSingular(
+            "state within 1e-9 of (+-1, 0); the angle is undefined at the "
+            "covered center"
+        )
+
+
+def _angle(x1, y1):
+    """Angle of covered points about the center (1, 0), in (-pi, pi]."""
+    theta = np.arctan2(y1, x1 - 1.0)
+    return np.where(theta == -math.pi, math.pi, theta)[()]  # 0-d -> scalar
+
+
+def _unwrap(x, y):
+    """(x1, y1, theta): the covered image of original-plane points and
+    its angle, unwrapped: each principal-value jump is shifted by a
+    multiple of 2pi into [-pi, pi] and added up from the first angle,
+    which is kept as is.
+
+    CenterSingular near (+-1, 0).  The integrator's step control keeps
+    true increments well below pi; an adjusted increment of magnitude pi
+    or more therefore means the branch is unrecoverable and raises
+    UnwrapAmbiguous.
+    """
+    _check_away_from_centers(x, y)
+    x1, y1 = square(x, y)
+    raw = _angle(x1, y1)
+    d = np.diff(raw)
+    d -= TWO_PI * np.round(d / TWO_PI)
+    if np.any(np.abs(d) >= math.pi):
+        raise UnwrapAmbiguous(
+            "consecutive angle samples differ by half a turn or more; "
+            "sampling is too sparse to unwrap"
+        )
+    return x1, y1, np.concatenate((raw[:1], raw[:1] + np.cumsum(d)))

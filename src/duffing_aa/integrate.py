@@ -28,7 +28,10 @@ Period and action queries need one orbit, not all of t_max: they share
 resume exactly where the last one paused, and stops after the first chunk
 whose whole path so far holds the three returns of one period.  The
 path is a prefix of the full-horizon one, so the period is bit-identical
-to it.
+to it.  The path must resolve the orbit: the covered angle must turn
+once per period in a well and twice outside, or StepFailure names the
+step.  The last orbit measured is kept, so ``find_period`` and both
+actions on one start share one integration.
 
 ``integrate_original_orbits`` integrates many starts at once, and
 ``integrate_original`` is that with one start: one
@@ -44,14 +47,17 @@ sample.  Events are emitted in increasing time.
 
 Each integration is an independent single-threaded computation over
 immutable inputs; returned trajectories are frozen (array buffers are
-marked read-only) and safe to share between threads.
+marked read-only) and safe to share between threads.  So is the kept
+closed orbit: its arrays are read-only, and it is replaced by one
+assignment of a (key, orbit) pair, so a thread reads one whole entry or
+another, never a mix.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from numbers import Integral, Real
 
@@ -59,10 +65,15 @@ import numpy as np
 
 from . import _kernels
 from .covering import BRANCH_TOL as BRANCH_CUT_TOL
-from .covering import sheet_sign, square
+from .covering import (
+    TWO_PI,
+    _check_away_from_centers,
+    _unwrap,
+    sheet_sign,
+    square,
+)
 from .dynamics import Params, State, _require_finite, hamiltonian
 from .exceptions import (
-    CenterSingular,
     DegenerateCrossing,
     MaxStepsExceeded,
     NoReturn,
@@ -75,7 +86,6 @@ CUT_CROSSING = "cut_crossing"
 CUT_REFINE_TOL = 1e-12
 SECTION_REFINE_TOL = 1e-10
 SEPARATRIX_TOL = 1e-9
-CENTER_EXCLUSION = 1e-9
 MAX_REFINE_ITER = 200
 
 
@@ -427,22 +437,12 @@ def _assemble(starts, t, z, bounds, status, p, cfg) -> Iterator[Trajectory]:
         _check_status(status[n], t[bounds[n] : bounds[n + 1]], cfg)
 
 
-def _check_away_from_centers(x, y) -> None:
-    d2_plus = (np.asarray(x) - 1.0) ** 2 + np.asarray(y) ** 2
-    d2_minus = (np.asarray(x) + 1.0) ** 2 + np.asarray(y) ** 2
-    if np.any(d2_plus < CENTER_EXCLUSION**2) or np.any(d2_minus < CENTER_EXCLUSION**2):
-        raise CenterSingular(
-            "state within 1e-9 of (+-1, 0); the angle is undefined at the "
-            "covered center"
-        )
-
-
 def _require_closed_orbit(s0: State, p: Params) -> None:
     """Periods and actions need a closed orbit: ValueError for mu != 0,
     StepFailure where the start's energy overflows, OnSeparatrix within
     SEPARATRIX_TOL of the separatrix level, NoReturn at a center (+-1, 0),
-    a fixed point, and CenterSingular within CENTER_EXCLUSION of one,
-    where the orbit is too small to measure."""
+    a fixed point, and CenterSingular within covering.CENTER_EXCLUSION of
+    one, where the orbit is too small to measure."""
     if p.mu != 0.0:
         raise ValueError("closed orbits need the conservative flow (mu = 0)")
     try:
@@ -461,6 +461,13 @@ def _require_closed_orbit(s0: State, p: Params) -> None:
     _check_away_from_centers(s0.x, s0.y)
 
 
+def _turns(s0: State, p: Params) -> int:
+    """Turns of the covered angle in one period of the closed orbit
+    through s0, a float start ``_require_closed_orbit`` accepts: 1 in a
+    well (H < c), 2 outside the separatrix."""
+    return 1 if hamiltonian(s0, p) < p.c else 2
+
+
 def find_period(
     s0: State, p: Params, cfg: IntegratorConfig = DEFAULT_CONFIG
 ) -> float:
@@ -472,12 +479,29 @@ def find_period(
     returns alternate in direction, so these are returns 0 and 2, a start
     on the section counting as return 0.  Section times are refined to
     |y| <= 1e-10 on ``_one_period``'s path, which ends about one period
-    in, not at t_max.
+    in, not at t_max.  ``action_original`` and ``action_covered`` on the
+    same start, params and config right after read the same path, with no
+    second integration.
 
-    Raises what ``_require_closed_orbit`` raises, and NoReturn if t_max
-    expires first.
+    Raises what ``_require_closed_orbit`` raises, NoReturn if t_max
+    expires first, and StepFailure where the path does not resolve the
+    orbit (a step too coarse for its returns).
     """
     return _one_period(s0, p, cfg)[0]
+
+
+def _exact(obj) -> tuple:
+    """obj's type and its fields' types and values, floats by their bits:
+    a key that tells 0.0 from -0.0, and 1 from 1.0, as a query can."""
+    return (type(obj), *(
+        (type(v), v.hex() if isinstance(v, float) else repr(v))
+        for v in (getattr(obj, f.name) for f in fields(obj))
+    ))
+
+
+# (key, (period, x, y)) of the last orbit _one_period measured, replaced
+# by one assignment, so that a reader sees one whole entry or the other
+_last_orbit = None
 
 
 def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
@@ -489,8 +513,20 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     so far holds return 2, i.e. 3 - [start on the section] sign flips of
     y; the path is a prefix of the full-horizon one, so the period is, bit
     for bit, the one the full horizon would give.
+
+    The path must resolve the orbit: over [0, period] the unwrapped
+    covered angle (``covering._unwrap``) falls by 2pi per turn
+    (``_turns``), or StepFailure names the step.  The last result is
+    kept, its arrays read-only, and returned again for the same start
+    (bit for bit), params and config; a failure is never kept.  So the
+    queries on one orbit in a row share one integration.
     """
+    global _last_orbit
     s0 = State(float(s0[0]), float(s0[1]))
+    key = (s0.x.hex(), s0.y.hex(), _exact(p), _exact(cfg))
+    last = _last_orbit
+    if last is not None and last[0] == key:
+        return last[1]
     _require_closed_orbit(s0, p)
     start = [0.0] if s0.y == 0.0 else []
     t, x, y = _run_kernel(
@@ -505,4 +541,17 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     period = returns[2] - returns[0]
     k = int(np.searchsorted(t, period))  # the first sample at or after it
     x_end, y_end = dense(np.array([k - 1]))(0, period)
-    return period, np.append(x[:k], x_end), np.append(y[:k], y_end)
+    x, y = np.append(x[:k], x_end), np.append(y[:k], y_end)
+    theta = _unwrap(x, y)[2]
+    turns, want = (theta[0] - theta[-1]) / TWO_PI, _turns(s0, p)
+    if not abs(turns - want) < 0.25:
+        raise StepFailure(
+            f"the {cfg.method} path with step={cfg.step!r} does not resolve "
+            f"the orbit: its covered angle turns {turns:.3g} times in the "
+            f"period {period:.6g}, not {want}"
+        )
+    x.setflags(write=False)
+    y.setflags(write=False)
+    orbit = period, x, y
+    _last_orbit = key, orbit
+    return orbit

@@ -27,10 +27,11 @@ from numbers import Real
 
 import numpy as np
 
-from .actionangle import _unwrap, dH_dtheta, theta_dot_of, theta_of
+from .actionangle import dH_dtheta, theta_dot_of, theta_of
 from .covering import (
     CoveredState,
     Sheet,
+    _unwrap,
     covered_field,
     principal_root,
     sheet_sign,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from duffing_aa import Params, State, _kernels, state_on_level
+from duffing_aa import Params, State, _kernels, integrate, state_on_level
 
 
 @pytest.fixture
@@ -34,7 +34,9 @@ def closed_orbit_start(request):
 @pytest.fixture
 def kernel_samples(monkeypatch):
     """The number of samples each _kernels.adaptive_path call returns, in
-    call order (the module attribute is wrapped, as callers use it)."""
+    call order (the module attribute is wrapped, as callers use it),
+    starting from an empty closed-orbit memo, so that the counts do not
+    depend on which test ran before."""
     counts = []
     kernel = _kernels.adaptive_path
 
@@ -46,4 +48,5 @@ def kernel_samples(monkeypatch):
         return out
 
     monkeypatch.setattr(_kernels, "adaptive_path", counted)
+    monkeypatch.setattr(integrate, "_last_orbit", None)
     return counts

@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,7 @@ from duffing_aa import (
     theta_of,
     unwrap_theta,
 )
-from duffing_aa import actionangle, verify
+from duffing_aa import actionangle, integrate, verify
 
 TWO_PI = 2.0 * math.pi
 
@@ -241,6 +242,11 @@ def test_actions_reuse_find_period_path(closed_orbit_start, p0, kernel_samples,
     s0 = closed_orbit_start
     period = find_period(s0, p0)
     period_samples = list(kernel_samples)
+    assert period_samples
+    kernel_samples.clear()
+    action(s0, p0)  # right after find_period: its path, no integration
+    assert kernel_samples == []
+    find_period(State(0.0, 1.5), p0)  # another orbit evicts it
     kernel_samples.clear()
     action(s0, p0)
     assert kernel_samples == period_samples
@@ -251,11 +257,14 @@ def test_actions_reuse_find_period_path(closed_orbit_start, p0, kernel_samples,
 
 
 def test_closed_orbit_queries_reject_centers(p0):
-    # a start within 1e-9 of a center fails fast instead of measuring noise
+    # a start within 1e-9 of a center fails fast instead of measuring noise;
+    # so does an orbit that passes that close (its x-amplitude is 0.85e-9),
+    # whose covered angle the path check cannot follow
     for query in (find_period, action_original, action_covered):
-        for x in (1.0 + 1e-12, -1.0 - 1e-12):
+        for s0 in (State(1.0 + 1e-12, 0.0), State(-1.0 - 1e-12, 0.0),
+                   State(1.0, 1.2e-9)):
             with pytest.raises(CenterSingular):
-                query(State(x, 0.0), p0)
+                query(s0, p0)
 
 
 def test_closed_orbit_queries_reject_overflowing_starts(p0):
@@ -327,6 +336,119 @@ def test_closed_orbit_numbers_are_pinned(closed_orbit_start, method):
     s0 = closed_orbit_start
     want = PINNED_CLOSED_ORBITS[tuple(s0)][method == "rk4"]
     assert _closed_orbit_numbers(s0, method) == want
+
+
+CLOSED_ORBIT_QUERIES = (find_period, action_original, action_covered)
+
+
+def _orbit_bits(s0, p, cfg):
+    """_one_period's result as bytes, and whether it came from the memo."""
+    hit = integrate._last_orbit
+    period, x, y = got = integrate._one_period(s0, p, cfg)
+    return (period.hex(), x.tobytes(), y.tobytes()), (
+        hit is not None and got is hit[1]
+    )
+
+
+def test_memo_returns_what_fresh_calls_return(monkeypatch, p0):
+    a, b = State(1.0, 0.3), state_on_level(0.5)
+    fresh = {}
+    for s0 in (a, b):
+        monkeypatch.setattr(integrate, "_last_orbit", None)
+        fresh[s0] = [repr(q(s0, p0)) for q in CLOSED_ORBIT_QUERIES]
+    monkeypatch.setattr(integrate, "_last_orbit", None)
+    for s0 in (a, b, a, a, b):
+        assert [repr(q(s0, p0)) for q in CLOSED_ORBIT_QUERIES] == fresh[s0]
+
+
+MEMO_BASE = (State(0.0, 1.0), Params(), DEFAULT_CONFIG)
+
+
+MEMO_CHANGES = {
+    "x=-0.0": {"s0": State(-0.0, 1.0)},
+    "mu=-0.0": {"p": Params(mu=-0.0)},
+    "c=-0.0": {"p": Params(c=-0.0)},
+    "method": {"cfg": replace(DEFAULT_CONFIG, method="rk4")},
+    "step": {"cfg": replace(DEFAULT_CONFIG, step=0.02)},
+    "rel_tol": {"cfg": replace(DEFAULT_CONFIG, rel_tol=1e-9)},
+    "abs_tol": {"cfg": replace(DEFAULT_CONFIG, abs_tol=1e-9)},
+    "t_max": {"cfg": replace(DEFAULT_CONFIG, t_max=50.0)},
+    "t_max-int": {"cfg": replace(DEFAULT_CONFIG, t_max=100)},
+    "max_steps": {"cfg": replace(DEFAULT_CONFIG, max_steps=10**6)},
+}
+
+
+@pytest.mark.parametrize("change", MEMO_CHANGES.values(), ids=MEMO_CHANGES.keys())
+def test_memo_keys_tell_every_input_apart(monkeypatch, change):
+    # each input changed by itself, even to an equal value of other bits
+    # or type, gets a fresh integration, which a memo hit would not be
+    args = {**dict(zip(("s0", "p", "cfg"), MEMO_BASE)), **change}
+    monkeypatch.setattr(integrate, "_last_orbit", None)
+    want, _ = _orbit_bits(**args)
+    monkeypatch.setattr(integrate, "_last_orbit", None)
+    _orbit_bits(*MEMO_BASE)
+    assert _orbit_bits(**args) == (want, False)
+    assert _orbit_bits(**args) == (want, True)
+    assert _orbit_bits(*MEMO_BASE)[1] is False
+
+
+def test_memo_never_keeps_a_failure(p0):
+    s0 = State(0.0, 1.0)
+    kept = integrate._one_period(s0, p0, DEFAULT_CONFIG)
+    short = replace(DEFAULT_CONFIG, t_max=1.0)
+    for _ in range(3):
+        for query in CLOSED_ORBIT_QUERIES:
+            with pytest.raises(NoReturn):
+                query(s0, p0, short)
+    assert integrate._one_period(s0, p0, DEFAULT_CONFIG) is kept
+
+
+def test_memo_arrays_are_read_only(monkeypatch, p0):
+    monkeypatch.setattr(integrate, "_last_orbit", None)
+    for _ in range(2):  # the fresh result, then the kept one
+        _, x, y = integrate._one_period(State(1.0, 0.3), p0, DEFAULT_CONFIG)
+        for arr in (x, y):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
+def test_memo_is_thread_safe(monkeypatch, p0):
+    # two threads alternate between their own two orbits, asking each twice;
+    # each must always get its own orbit's bits, whatever the other thread
+    # left in the memo or is storing there
+    pairs = ((State(1.0, 0.3), state_on_level(0.5)),
+             (State(0.0, 1.0), state_on_level(-0.2)))
+    want = {}
+    for s0 in (s for pair in pairs for s in pair):
+        monkeypatch.setattr(integrate, "_last_orbit", None)
+        want[s0] = _orbit_bits(s0, p0, DEFAULT_CONFIG)[0]
+    done = [0, 0]
+
+    def alternate(k):
+        for i in range(200):
+            s0 = pairs[k][i % 2]
+            for _ in range(2):  # a miss, then a hit unless the other thread cut in
+                assert _orbit_bits(s0, p0, DEFAULT_CONFIG)[0] == want[s0]
+            done[k] += 1
+
+    workers = [threading.Thread(target=alternate, args=(k,)) for k in (0, 1)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    assert done == [200, 200]
+
+
+def test_unresolved_orbit_raises_step_failure(p0):
+    # one rk4 step of 2 carries y past a section return of this orbit
+    # (period about 4.44): the sign walk misses it, and the covered angle
+    # turns about 2.5 times in the period it measures, not once
+    cfg = replace(DEFAULT_CONFIG, method="rk4", step=2.0, t_max=60.0)
+    s0 = state_on_level(-0.2499)
+    for start in (s0, State(-s0.x, -s0.y)):
+        for query in CLOSED_ORBIT_QUERIES:
+            with pytest.raises(StepFailure, match="step=2.0 does not resolve"):
+                query(start, p0, cfg)
 
 
 @pytest.mark.parametrize("h", verify.PERIOD_LEVELS)
