@@ -24,10 +24,15 @@ CSV schemas (17-significant-digit decimals, '\\n' line endings):
   covered       t,x1,y1,sheet        (sheet is U or L)
   energy_angle  theta_unwrapped,h
 
-Rows are ordered by initial-state index, then time.  SVG outputs are
-self-contained: one polyline per orbit, viewBox fitted to the data with a
-5% margin, and covered-plane orbits drawn in two stroke colors (red for
-the Upper sheet, green for Lower).
+Rows are ordered by initial-state index, then time.  On Linux a CSV of
+at least 2 * ROWS_PER_WORKER rows going to a regular file is formatted on
+up to one process per usable CPU: forked children write contiguous blocks
+of orbits to unnamed temporary files in the output's directory, which run
+appends in order, so the bytes are those one process writes.
+
+SVG outputs are self-contained: one polyline per orbit, viewBox fitted to
+the data with a 5% margin, and covered-plane orbits drawn in two stroke
+colors (red for the Upper sheet, green for Lower).
 
 Exit codes: run 0/2/3 (ok / config error / integration failure), verify
 0/1/2 (all passed / failures listed on stderr / unknown check, bad seed,
@@ -39,10 +44,14 @@ overrides the default verification seed 42; --seed overrides both.
 from __future__ import annotations
 
 import argparse
+import bisect
+import itertools
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 from dataclasses import dataclass
 from importlib import resources
 
@@ -71,8 +80,19 @@ _OUTPUT_KEYS = {"kind", "format", "path"}
 # 48.6 MiB RSS, 29 MiB of it the interpreter and numpy.  Each orbit keeps
 # 41 bytes per sample (views of the batch t, states and covered, and its
 # sheets); while they run, the lockstep kernel's recording buffers and sort
-# order need 56 more per sample (36 at full buffers), the cut walk 12
+# order need 56 more per sample (36 at full buffers), the cut walk 12.  The
+# forked process that writes the second half of that grid's CSV peaks at
+# 40.0-40.2 MiB RSS (RUSAGE_CHILDREN, which RUSAGE_SELF does not count),
+# most of it pages it shares copy-on-write with run
 MAX_GRID_STATES = 10_000
+
+# _write_csv gives each process that formats rows at least this many.
+# Measured on a 2-vCPU Xeon with the 400-orbit grid in memory (49 MiB RSS):
+# a covered row costs about 2.4 us to format and 0.02 us to append with
+# sendfile, a child about 3 ms to fork, reap and append; a second process
+# gained nothing on writes of up to about 8,000 rows and took a third off
+# one of 12,000.  A 10,000-row block formats in about 24 ms, 8 forks' worth
+ROWS_PER_WORKER = 10_000
 
 _STROKE = "#1f4e9c"
 _STROKE_UPPER = "#c0392b"
@@ -292,23 +312,108 @@ def _sheet_runs(traj: Trajectory):
     return zip([0] + flips, flips + [len(traj)])
 
 
+def _write_rows(f, kind: str, trajs, curves) -> None:
+    """Each orbit's rows as bytes from one tolist, each run of rows on one
+    template (a covered orbit's run on one sheet) in one %-operation (%.17g
+    prints exactly as format(v, ".17g")), one orbit at a time so that
+    memory stays bounded by the largest orbit."""
+    for traj, curve in zip(trajs, curves):
+        if kind == "covered":
+            values = tuple(np.column_stack((traj.t, traj.covered)).ravel().tolist())
+            for start, stop in _sheet_runs(traj):
+                row = _CSV_ROWS[kind][bool(traj.sheets[start] > 0)]
+                f.write(row * (stop - start) % values[3 * start : 3 * stop])
+        else:
+            cols = (traj.t, traj.states) if kind == "original" else (curve,)
+            rows = np.column_stack(cols)
+            f.write(_CSV_ROWS[kind] * len(rows) % tuple(rows.ravel().tolist()))
+
+
+def _workers(rows: int) -> int:
+    """Processes that format a CSV of this many rows: one per usable CPU,
+    each with at least ROWS_PER_WORKER rows.  One off Linux: Windows has no
+    fork, and elsewhere sendfile writes only to sockets."""
+    if sys.platform != "linux":
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), rows // ROWS_PER_WORKER))
+
+
+def _blocks(trajs) -> list[int]:
+    """Orbit indices 0 = b0 < b1 < ... < bk = len(trajs) that cut the
+    orbits into one contiguous block per worker, of about equal row
+    counts: an orbit goes to the block its middle row falls in.  Python
+    lists, because np.unique would import numpy.ma (1.2 MiB of RSS)."""
+    rows = [len(traj) for traj in trajs]
+    total = sum(rows)
+    n = _workers(total)
+    mids = [end - r / 2 for end, r in zip(itertools.accumulate(rows), rows)]
+    cuts = {bisect.bisect_left(mids, total * k / n) for k in range(1, n)}
+    return [0, *sorted(c for c in cuts if 0 < c < len(trajs)), len(trajs)]
+
+
+def _fork_rows(directory: str, kind: str, trajs, curves):
+    """Start a child that formats these orbits' rows into an unnamed
+    temporary file in `directory`; returns (pid, file)."""
+    tmp = tempfile.TemporaryFile(dir=directory)
+    try:
+        pid = os.fork()
+    except OSError:
+        tmp.close()
+        raise
+    if pid == 0:
+        # the child formats and leaves through _exit: it never returns into
+        # the caller's stack and never flushes the stdio it inherited
+        code = 1
+        try:
+            _write_rows(tmp, kind, trajs, curves)
+            tmp.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid, tmp
+
+
+def _append(fd: int, tmp) -> None:
+    """Copy the whole of `tmp` to the end of `fd` in the kernel."""
+    size = os.fstat(tmp.fileno()).st_size
+    offset = 0
+    while offset < size:
+        offset += os.sendfile(fd, tmp.fileno(), offset, size - offset)
+
+
 def _write_csv(path: str, kind: str, trajs, curves) -> None:
-    """One header, then each orbit's rows as bytes from one tolist, each run
-    of rows on one template (a covered orbit's run on one sheet) in one
-    %-operation (%.17g prints exactly as format(v, ".17g")), one orbit at a
-    time so that memory stays bounded by the largest orbit."""
-    with open(path, "wb") as f:
-        f.write(_CSV_HEADERS[kind])
-        for traj, curve in zip(trajs, curves):
-            if kind == "covered":
-                values = tuple(np.column_stack((traj.t, traj.covered)).ravel().tolist())
-                for start, stop in _sheet_runs(traj):
-                    row = _CSV_ROWS[kind][bool(traj.sheets[start] > 0)]
-                    f.write(row * (stop - start) % values[3 * start : 3 * stop])
-            else:
-                cols = (traj.t, traj.states) if kind == "original" else (curve,)
-                rows = np.column_stack(cols)
-                f.write(_CSV_ROWS[kind] * len(rows) % tuple(rows.ravel().tolist()))
+    """One header, then every orbit's rows (_write_rows).  A large CSV is
+    cut into contiguous blocks of orbits (_blocks): forked children format
+    every block but the first into unnamed temporary files while this
+    process writes the first, then each child's bytes are appended in
+    order.  Every child is reaped, also on failure; a failed child is an
+    OSError.  With one worker no child starts, and a path that is not a
+    regular file (/dev/stdout, a pipe) has one worker: its directory may
+    not take temporary files."""
+    children = []  # (pid, file) of each child not yet reaped
+    try:
+        with open(path, "wb") as f:
+            regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+            bounds = _blocks(trajs) if regular else [0, len(trajs)]
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                children.append(_fork_rows(os.path.dirname(path) or ".", kind,
+                                           trajs[lo:hi], curves[lo:hi]))
+            f.write(_CSV_HEADERS[kind])
+            _write_rows(f, kind, trajs[: bounds[1]], curves[: bounds[1]])
+            f.flush()
+            while children:
+                pid, tmp = children[0]
+                status = os.waitpid(pid, 0)[1]
+                children.pop(0)
+                with tmp:
+                    if status:
+                        raise OSError("a CSV writer process exited with status "
+                                      f"{os.waitstatus_to_exitcode(status)}")
+                    _append(f.fileno(), tmp)
+    finally:
+        for pid, tmp in children:
+            tmp.close()
+            os.waitpid(pid, 0)
 
 
 def _polylines(kind: str, trajs, curves):

@@ -1,13 +1,17 @@
+import errno
 import hashlib
 import json
 import math
+import os
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from duffing_aa import Params, State, _kernels, integrate_original
+from duffing_aa import Params, State, _kernels, cli, integrate_original
 from duffing_aa.cli import (
+    KINDS,
     MAX_GRID_STATES,
     _fmt,
     _write_csv,
@@ -448,3 +452,112 @@ def test_overflowing_state_in_many_orbit_run_exits_3(tmp_path, monkeypatch, caps
         f"{scalar.value}\n"
     )
     assert not (tmp_path / "out.csv").exists()
+
+
+FORKED = pytest.mark.skipif(sys.platform != "linux",
+                            reason="CSV rows are split over processes on Linux only")
+
+
+def _usable_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _forced_split(monkeypatch, cpus: int) -> None:
+    """Every CSV of at least `cpus` rows is written by `cpus` processes."""
+    monkeypatch.setattr(cli, "ROWS_PER_WORKER", 1)
+    _usable_cpus(monkeypatch, cpus)
+
+
+@FORKED
+@pytest.mark.parametrize("states, cpus, children", [
+    ([[1.2, 0.0], [0.0, 1.0], [-1.3, -0.1], [0.5, 0.2], [1.5, 0.5]], 3, 2),
+    ([[1.2, 0.0], [0.0, 1.0], [-1.3, -0.1]], 8, 2),
+    ([[0.0, 1.0]], 4, 0),
+], ids=["three-workers", "more-workers-than-orbits", "one-orbit"])
+def test_split_csv_is_byte_identical(tmp_path, monkeypatch, states, cpus, children):
+    # blocks of whole orbits, so one orbit is never split
+    monkeypatch.chdir(tmp_path)
+    outputs = [{"kind": kind, "format": "csv", "path": f"{kind}.csv"}
+               for kind in KINDS]
+    cfg = small_scenario(tmp_path, mu=0.1, initial_states=states, t_max=5.0,
+                         outputs=outputs)
+    _usable_cpus(monkeypatch, 1)
+    assert main(["run", "--quiet", cfg]) == 0
+    one_worker = {kind: (tmp_path / f"{kind}.csv").read_bytes() for kind in KINDS}
+
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    _forced_split(monkeypatch, cpus)
+    assert main(["run", "--quiet", cfg]) == 0
+    assert len(forks) == children * len(KINDS)
+    for kind in KINDS:
+        assert (tmp_path / f"{kind}.csv").read_bytes() == one_worker[kind], kind
+
+
+@FORKED
+def test_output_that_is_no_regular_file_is_not_split(tmp_path, monkeypatch, capsys):
+    # the temporary files go beside the output, and /dev may not take them
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    _forced_split(monkeypatch, 4)
+    cfg = small_scenario(tmp_path, outputs=[
+        {"kind": "covered", "format": "csv", "path": os.devnull}])
+    assert main(["run", cfg]) == 0
+    assert capsys.readouterr().out == f"wrote {os.devnull}\n"
+
+
+@FORKED
+def test_rows_per_worker_splits_the_grid_but_no_figure(monkeypatch):
+    _usable_cpus(monkeypatch, 64)
+    assert cli._workers(6_243) == 1  # the most rows of a bundled figure
+    _usable_cpus(monkeypatch, 2)
+    assert cli._workers(287_500) == 2  # the 400-orbit benchmark grid
+
+
+def test_one_worker_off_linux(monkeypatch):
+    monkeypatch.setattr(sys, "platform", "win32")
+    assert cli._workers(10**9) == 1
+
+
+def test_output_in_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "cov.csv"
+    cfg = small_scenario(
+        tmp_path, outputs=[{"kind": "covered", "format": "csv", "path": str(out)}])
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ")
+    assert repr(str(out)) in err  # as OSError quotes it, also on Windows
+
+
+@FORKED
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_failed_block_exits_2_and_reaps_every_child(tmp_path, monkeypatch, capsys,
+                                                    failing):
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = small_scenario(
+        tmp_path, initial_states=[[1.2, 0.0], [0.0, 1.0], [-1.3, -0.1], [0.5, 0.2]],
+        outputs=[{"kind": "covered", "format": "csv", "path": str(out / "cov.csv")}])
+    _forced_split(monkeypatch, 4)
+    parent = os.getpid()
+    write_rows = cli._write_rows
+
+    def write_or_fail(f, *args):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_rows(f, *args)
+
+    monkeypatch.setattr(cli, "_write_rows", write_or_fail)
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ")
+    assert ("exited with status 1" if failing == "child"
+            else "No space left on device") in err
+    assert os.listdir(out) == ["cov.csv"]  # no temporary file left behind
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child left to reap
