@@ -7,7 +7,7 @@ once.  Subpackage map:
 
   dynamics     the original vector field and its Hamiltonian
   covering     the two-sheeted covering map, its inverse and the cut
-  integrate    RK4 / adaptive RK45 integration of the original plane,
+  integrate    adaptive RK45 integration of the original plane,
                with the covered images, cut events and sheets
   actionangle  the global angle, its unwrapping and the action integrals
   verify       seeded numerical cross-checks for every closed formula

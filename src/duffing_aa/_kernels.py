@@ -1,9 +1,9 @@
 """Hot numerical kernels: the field and the time-stepping loops.
 
-``adaptive_path`` and ``rk4_path`` are plain scalar loops over Python
-floats that step one orbit of the field ``rhs``.  ``adaptive_lanes``
+``adaptive_path`` is a plain scalar Dormand-Prince 5(4) loop over Python
+floats that steps one orbit of the field ``rhs``.  ``adaptive_lanes``
 steps many orbits in numpy lockstep, bit for bit as ``adaptive_path``
-would one at a time.  All of them integrate the original plane: the
+would one at a time.  Both integrate the original plane: the
 covering is only a chart, applied to the samples afterwards.  With
 ``--trace 1`` the benchmark reports the kernel's time per accepted step,
 e.g. ``python3 perfbench/run.py --workload grid --trace 1``.
@@ -329,48 +329,3 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
         np.take(vs, order, out=z[:, 1], mode="clip")
     return t, z, bounds, status, h_end, steps_end
 
-
-def rk4_path(u0, v0, mu, t_end, h, max_steps):
-    """Classic fixed-step fourth-order loop; the transparent baseline.
-
-    A state that overflows stops the loop with STATUS_NONFINITE, returning
-    the samples up to the last finite one.
-    """
-    nsteps = int(math.ceil(t_end / h - 1e-12))
-    if nsteps < 1:
-        nsteps = 1
-    if nsteps > max_steps:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty, empty, STATUS_MAX_STEPS
-
-    ts = np.empty(nsteps + 1, dtype=np.float64)
-    us = np.empty(nsteps + 1, dtype=np.float64)
-    vs = np.empty(nsteps + 1, dtype=np.float64)
-
-    t = 0.0
-    u = u0
-    v = v0
-    k1u, k1v = rhs(u, v, mu)
-    ts[0] = t
-    us[0] = u
-    vs[0] = v
-
-    for i in range(nsteps):
-        hi = h
-        if i == nsteps - 1:
-            hi = t_end - t
-        k2u, k2v = rhs(u + 0.5 * hi * k1u, v + 0.5 * hi * k1v, mu)
-        k3u, k3v = rhs(u + 0.5 * hi * k2u, v + 0.5 * hi * k2v, mu)
-        k4u, k4v = rhs(u + hi * k3u, v + hi * k3v, mu)
-        u = u + hi / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + hi / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not (math.isfinite(u) and math.isfinite(v)):
-            n = i + 1
-            return ts[:n], us[:n], vs[:n], STATUS_NONFINITE
-        t = t_end if i == nsteps - 1 else t + hi
-        k1u, k1v = rhs(u, v, mu)
-        ts[i + 1] = t
-        us[i + 1] = u
-        vs[i + 1] = v
-
-    return ts, us, vs, STATUS_OK

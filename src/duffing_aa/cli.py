@@ -14,7 +14,8 @@ reproduces the same figure or not at all.  Fields:
   grid               {"x_range": [a,b], "y_range": [a,b], "nx": n, "ny": m},
                      at most MAX_GRID_STATES orbits (nx*ny)
   t_max              integration horizon (top level, not inside integrator)
-  integrator         optional {"method","step","rel_tol","abs_tol","max_steps"}
+  integrator         optional {"step","rel_tol","abs_tol","max_steps"} of
+                     the adaptive Dormand-Prince 5(4) stepper
   outputs            list of {"kind","format","path"}; kind is one of
                      original | covered | energy_angle, format csv | svg
   description        optional free text documenting the choice of orbits
@@ -72,7 +73,7 @@ _SCENARIO_KEYS = {
     "description",
 }
 _GRID_KEYS = {"x_range", "y_range", "nx", "ny"}
-_INTEGRATOR_KEYS = {"method", "step", "rel_tol", "abs_tol", "max_steps"}
+_INTEGRATOR_KEYS = {"step", "rel_tol", "abs_tol", "max_steps"}
 _OUTPUT_KEYS = {"kind", "format", "path"}
 
 # run holds every orbit in memory until its outputs are written, so the grid

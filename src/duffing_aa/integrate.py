@@ -1,11 +1,10 @@
 """Time integration of the original plane, with events and sheet bookkeeping.
 
-Two steppers are provided: a fixed-step classic RK4 baseline and an
-embedded Dormand-Prince 5(4) adaptive pair (the default).  Both record the
-accepted nodes only.  Their cubic Hermite dense output (``hermite_steps``)
-takes the slopes at the two ends of a step from the field itself, which
-equals the kernels' last stage there -- accurate enough to locate event
-times far below the step size.
+One stepper integrates every orbit: the embedded Dormand-Prince 5(4)
+adaptive pair, which records the accepted nodes only.  Its cubic Hermite
+dense output (``hermite_steps``) takes the slopes at the two ends of a
+step from the field itself, which equals the kernels' last stage there --
+accurate enough to locate event times far below the step size.
 
 A trajectory's covered columns are the images of its original-plane
 samples under the covering map: the covering is a chart, not a second
@@ -35,11 +34,11 @@ actions on one start share one integration.
 
 ``integrate_original_orbits`` integrates many starts at once, and
 ``integrate_original`` is that with one start: one
-``_kernels.adaptive_lanes`` call steps their rk45 paths in lockstep, bit
-for bit the paths ``_kernels.adaptive_path`` takes one at a time.  One
+``_kernels.adaptive_lanes`` call steps their paths in lockstep, bit for
+bit the paths ``_kernels.adaptive_path`` takes one at a time.  One
 assembly squares the whole batch and locates the cut crossings of every
 orbit with one sign walk and one ``locate_roots`` call; each trajectory
-holds views of the batch arrays.  An rk4 orbit is a batch of one.
+holds views of the batch arrays.
 
 The sheet column of a trajectory is *evolved*: it starts from the initial
 tag and toggles at each cut crossing, rather than being recomputed per
@@ -91,15 +90,14 @@ MAX_REFINE_ITER = 200
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection and tolerances.
+    """Tolerances and bounds of the adaptive Dormand-Prince 5(4) stepper.
 
-    ``step`` is the fixed step for ``rk4`` and the initial step for
-    ``rk45``.  ``max_steps`` bounds attempted steps (accepted + rejected)
-    and therefore every loop in this module.  ``step`` and ``t_max`` are
-    at least the adaptive kernel's smallest step, ``_kernels.MIN_STEP``.
+    ``step`` is the initial step.  ``max_steps`` bounds attempted steps
+    (accepted + rejected) and therefore every loop in this module.
+    ``step`` and ``t_max`` are at least the kernel's smallest step,
+    ``_kernels.MIN_STEP``.
     """
 
-    method: str = "rk45"
     step: float = 0.01
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
@@ -107,8 +105,6 @@ class IntegratorConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"method must be 'rk4' or 'rk45', got {self.method!r}")
         for name in ("step", "rel_tol", "abs_tol", "t_max"):
             v = getattr(self, name)
             # a comparison, not float(v): an integer may exceed the float range
@@ -175,39 +171,34 @@ _CHUNK_SAMPLES = 128
 def _run_kernel(u0, v0, p: Params, cfg: IntegratorConfig, done):
     """(t, u, v) of the path from (u0, v0) over [0, t_max].
 
-    The rk45 path is integrated in chunks of _CHUNK_SAMPLES samples and
-    stops after the first chunk for which done(t, u, v), called with the
-    whole path so far, is true.  The kernel resumes exactly where
-    it paused, so the result is a prefix of the full-horizon path, bit for
-    bit.  rk4 always covers the whole horizon.
+    The path is integrated in chunks of _CHUNK_SAMPLES samples and stops
+    after the first chunk for which done(t, u, v), called with the whole
+    path so far, is true.  The kernel resumes exactly where it paused, so
+    the result is a prefix of the full-horizon path, bit for bit.
     """
-    if cfg.method == "rk4":
-        *path, status = _kernels.rk4_path(
-            u0, v0, p.mu, cfg.t_max, cfg.step, int(cfg.max_steps)
+    budget = int(cfg.max_steps)
+    t0, h, path = 0.0, cfg.step, None
+    while True:
+        *chunk, status, h, used = _kernels.adaptive_path(
+            u0, v0, p.mu, t0, cfg.t_max, cfg.rel_tol, cfg.abs_tol, h, budget,
+            _CHUNK_SAMPLES,
         )
-    else:
-        budget = int(cfg.max_steps)
-        t0, h, path = 0.0, cfg.step, None
-        while True:
-            *chunk, status, h, used = _kernels.adaptive_path(
-                u0, v0, p.mu, t0, cfg.t_max, cfg.rel_tol, cfg.abs_tol, h, budget,
-                _CHUNK_SAMPLES,
-            )
-            budget -= used
-            # a resumed chunk starts with the sample that ended the last one
-            path = chunk if path is None else [
-                np.concatenate((a, b[1:])) for a, b in zip(path, chunk)
-            ]
-            # Python floats: numpy scalars would slow the kernel
-            t0, u0, v0 = (float(a[-1]) for a in chunk[:3])
-            if status != _kernels.STATUS_OK or t0 >= cfg.t_max or done(*path):
-                break
+        budget -= used
+        # a resumed chunk starts with the sample that ended the last one
+        path = chunk if path is None else [
+            np.concatenate((a, b[1:])) for a, b in zip(path, chunk)
+        ]
+        # Python floats: numpy scalars would slow the kernel
+        t0, u0, v0 = (float(a[-1]) for a in chunk[:3])
+        if status != _kernels.STATUS_OK or t0 >= cfg.t_max or done(*path):
+            break
     _check_status(status, path[0], cfg)
     return path
 
 
 def _check_status(status, t, cfg: IntegratorConfig) -> None:
-    """Raise the failure a kernel status names; t holds the path's times."""
+    """Raise the failure a kernel status names; t holds the path's times,
+    never empty: every path keeps its start sample."""
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise StepFailure(
             f"adaptive step fell below {_kernels.MIN_STEP:g} at t={t[-1]:.6g}"
@@ -215,9 +206,8 @@ def _check_status(status, t, cfg: IntegratorConfig) -> None:
     if status == _kernels.STATUS_NONFINITE:
         raise StepFailure(f"the state became non-finite after t={t[-1]:.6g}")
     if status == _kernels.STATUS_MAX_STEPS:
-        reached = t[-1] if len(t) else 0.0
         raise MaxStepsExceeded(
-            f"{cfg.max_steps} steps exhausted at t={reached:.6g} (t_max={cfg.t_max:g})"
+            f"{cfg.max_steps} steps exhausted at t={t[-1]:.6g} (t_max={cfg.t_max:g})"
         )
 
 
@@ -388,24 +378,17 @@ def integrate_original_orbits(
 ) -> Iterator[Trajectory]:
     """Yield integrate_original(s0, p, cfg) for every s0 of states, in order.
 
-    The rk45 paths come from one ``_kernels.adaptive_lanes`` call that
-    steps the orbits in lockstep, and are assembled as one batch; each rk4
-    orbit is a batch of one.  Either way orbit k's failure is raised when
-    orbit k is due, after orbits 0..k-1 have been yielded.
+    The paths come from one ``_kernels.adaptive_lanes`` call that steps
+    the orbits in lockstep, and are assembled as one batch.  Orbit k's
+    failure is raised when orbit k is due, after orbits 0..k-1 have been
+    yielded.
     """
     starts = [State(float(s0[0]), float(s0[1])) for s0 in states]
-    if cfg.method == "rk45":
-        t, z, bounds, status, _, _ = _kernels.adaptive_lanes(
-            [s0.x for s0 in starts], [s0.y for s0 in starts], p.mu, cfg.t_max,
-            cfg.rel_tol, cfg.abs_tol, cfg.step, int(cfg.max_steps),
-        )
-        yield from _assemble(starts, t, z, bounds, status, p, cfg)
-        return
-    for s0 in starts:
-        _require_finite(s0)
-        t, x, y = _run_kernel(s0.x, s0.y, p, cfg, None)
-        z = np.column_stack((x, y))
-        yield from _assemble([s0], t, z, [0, t.size], [_kernels.STATUS_OK], p, cfg)
+    t, z, bounds, status, _, _ = _kernels.adaptive_lanes(
+        [s0.x for s0 in starts], [s0.y for s0 in starts], p.mu, cfg.t_max,
+        cfg.rel_tol, cfg.abs_tol, cfg.step, int(cfg.max_steps),
+    )
+    yield from _assemble(starts, t, z, bounds, status, p, cfg)
 
 
 def _assemble(starts, t, z, bounds, status, p, cfg) -> Iterator[Trajectory]:
@@ -546,7 +529,7 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     turns, want = (theta[0] - theta[-1]) / TWO_PI, _turns(s0, p)
     if not abs(turns - want) < 0.25:
         raise StepFailure(
-            f"the {cfg.method} path with step={cfg.step!r} does not resolve "
+            f"the rk45 path with step={cfg.step!r} does not resolve "
             f"the orbit: its covered angle turns {turns:.3g} times in the "
             f"period {period:.6g}, not {want}"
         )

@@ -151,6 +151,10 @@ def test_config_errors(tmp_path, capsys):
          "mu"),
         ({"mu": 0.0, "t_max": 1.0, "initial_states": [[0, 1]],
           "outputs": [{"kind": "original", "format": "csv"}]}, "path"),
+        # the stepper is not selectable: rk45 is the only one
+        ({"mu": 0.0, "t_max": 1.0, "initial_states": [[0, 1]],
+          "integrator": {"method": "rk45"}, "outputs": []},
+         "integrator: unknown field(s) method"),
     ]
     for body, fragment in cases:
         code = main(["run", write_config(tmp_path, body)])
@@ -337,13 +341,12 @@ def _base_text(states: str = "[[1.2, 0.0]]", mu: str = "0.0", grid: str = "",
         (_base_text(integrator='{"rel_tol": "1e-10"}'), "rel_tol"),
         (_base_text(integrator='{"step": 1e-20}'), "step"),
         (_base_text(t_max="1e-15"), "t_max"),
-        (_base_text(t_max="1e-15", integrator='{"method": "rk4"}'), "t_max"),
     ],
     ids=["nan-constant", "infinity-constant", "non-numeric-state",
          "non-finite-state", "non-numeric-grid", "non-finite-grid",
          "fractional-max-steps", "boolean-max-steps", "boolean-step",
          "non-finite-max-steps", "string-tolerance", "step-below-min-step",
-         "t-max-below-min-step", "rk4-t-max-below-min-step"],
+         "t-max-below-min-step"],
 )
 def test_bad_numbers_exit_2_naming_the_field(tmp_path, monkeypatch, capsys, text, field):
     monkeypatch.chdir(tmp_path)
@@ -365,16 +368,6 @@ def test_overflowing_state_exits_3(tmp_path, capsys):
     cfg = small_scenario(tmp_path, initial_states=[[1e200, 0.0]])
     assert main(["run", cfg]) == 3
     assert "non-finite" in capsys.readouterr().err
-
-
-def test_rk4_overflowing_state_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    cfg = small_scenario(
-        tmp_path, initial_states=[[1e200, 0.0]], integrator={"method": "rk4"}
-    )
-    assert main(["run", cfg]) == 3
-    assert "non-finite" in capsys.readouterr().err
-    assert not (tmp_path / "out.csv").exists()
 
 
 def test_oversize_grid_exits_2_before_expanding(tmp_path, monkeypatch, capsys):

@@ -59,8 +59,8 @@ def covered_reference(s0, p, t):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
+    with pytest.raises(TypeError):  # rk45 is the only stepper
+        IntegratorConfig(method="rk45")
     with pytest.raises(ValueError):
         IntegratorConfig(step=0.0)
     with pytest.raises(ValueError):
@@ -69,13 +69,12 @@ def test_config_validation():
         IntegratorConfig(t_max=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(max_steps=0)
-    # the adaptive kernel's smallest step bounds step and t_max, either method
-    for method in ("rk4", "rk45"):
-        with pytest.raises(ValueError, match="step"):
-            IntegratorConfig(method=method, step=1e-20)
-        with pytest.raises(ValueError, match="t_max"):
-            IntegratorConfig(method=method, t_max=1e-15)
-        IntegratorConfig(method=method, step=_kernels.MIN_STEP, t_max=_kernels.MIN_STEP)
+    # the adaptive kernel's smallest step bounds step and t_max
+    with pytest.raises(ValueError, match="step"):
+        IntegratorConfig(step=1e-20)
+    with pytest.raises(ValueError, match="t_max"):
+        IntegratorConfig(t_max=1e-15)
+    IntegratorConfig(step=_kernels.MIN_STEP, t_max=_kernels.MIN_STEP)
 
 
 def test_fixed_points_stay_put(p0, p_damped):
@@ -92,33 +91,6 @@ def test_conservation_near_separatrix(p0):
     h0 = hamiltonian(State(0.0, 0.1), p0)
     assert abs(h0 - 0.005) <= 1e-17
     assert np.max(np.abs(traj.energies() - h0)) <= 1e-8
-
-
-def test_rk4_order():
-    # halving the step must shrink the one-period endpoint error ~2^4
-    p = Params(mu=0.0)
-    s0 = State(1.2, 0.0)
-    period = find_period(s0, p)
-    ref = integrate_original(
-        s0, p, replace(DEFAULT_CONFIG, t_max=period, rel_tol=1e-12, abs_tol=1e-12)
-    ).states[-1]
-
-    def endpoint_error(h):
-        cfg = IntegratorConfig(method="rk4", step=h, t_max=period)
-        end = integrate_original(s0, p, cfg).states[-1]
-        return float(np.max(np.abs(end - ref)))
-
-    h = period / 200.0
-    ratio = endpoint_error(h) / endpoint_error(h / 2.0)
-    assert 12.0 <= ratio <= 20.0, ratio
-
-
-def test_rk4_nodes_are_uniform():
-    cfg = IntegratorConfig(method="rk4", step=0.1, t_max=1.0)
-    traj = integrate_original(State(0.0, 0.1), Params(), cfg)
-    assert len(traj) == 11
-    assert traj.t[-1] == 1.0
-    np.testing.assert_allclose(np.diff(traj.t), 0.1, atol=1e-12)
 
 
 def test_cross_integration_equivalence(p0):
@@ -326,13 +298,14 @@ def test_step_failure():
 
 
 def test_max_steps_exceeded():
-    cfg = replace(DEFAULT_CONFIG, max_steps=10)
-    with pytest.raises(MaxStepsExceeded):
-        integrate_original(State(0.0, 1.0), Params(), cfg)
-    with pytest.raises(MaxStepsExceeded):
-        integrate_original(
-            State(0.0, 1.0), Params(), IntegratorConfig(method="rk4", max_steps=10)
-        )
+    # every path keeps its start, so the message names the time reached
+    # even when the budget ends on a rejected first step (step=5.0)
+    for n, step, reached in ((1, 5.0, "0"), (1, 0.01, "0.01"), (10, 0.01, "0.414749")):
+        cfg = replace(DEFAULT_CONFIG, max_steps=n, step=step)
+        want = rf"^{n} steps exhausted at t={reached} \(t_max=100\)$"
+        for query in (integrate_original, find_period):
+            with pytest.raises(MaxStepsExceeded, match=want):
+                query(State(0.0, 1.0), Params(), cfg)
 
 
 def test_trajectory_is_frozen(p0):
@@ -368,17 +341,6 @@ def test_nonfinite_state_fails_fast():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_rk4_nonfinite_state_fails_fast():
-    # the fixed-step loop must not return NaN samples without an error
-    with pytest.raises(StepFailure, match="non-finite"):
-        integrate_original(
-            State(1e200, 0.0), Params(), IntegratorConfig(method="rk4", t_max=10.0)
-        )
-    t, u, v, status = _kernels.rk4_path(1e200, 0.0, 0.0, 10.0, 0.01, 10**7)
-    assert status == _kernels.STATUS_NONFINITE
-    assert t.tolist() == [0.0] and u.tolist() == [1e200]
-
-
 def _assert_same_trajectory(a, b):
     for name in ("t", "states", "covered", "sheets"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
@@ -401,14 +363,13 @@ def _one_at_a_time(states, p, cfg):
     return _run_orbits((integrate_original(s0, p, cfg) for s0 in states), len(states))
 
 
-@pytest.mark.parametrize("method", ["rk45", "rk4"])
-def test_orbits_are_integrate_original_one_at_a_time(rng, method):
-    # more orbits than MIN_LANES, so rk45 steps them in lockstep
+def test_orbits_are_integrate_original_one_at_a_time(rng):
+    # more orbits than MIN_LANES, so they are stepped in lockstep
     n = _kernels.MIN_LANES + 8
     states = [State(x, y) for x, y in zip(rng.uniform(-2.0, 2.0, n),
                                            rng.uniform(-1.5, 1.5, n))]
     p = Params(mu=0.1)
-    cfg = IntegratorConfig(method=method, t_max=5.0)
+    cfg = IntegratorConfig(t_max=5.0)
     got, error = _run_orbits(integrate_original_orbits(states, p, cfg), n)
     want, _ = _one_at_a_time(states, p, cfg)
     assert error is None and len(got) == n
