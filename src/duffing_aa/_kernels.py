@@ -66,25 +66,26 @@ def _grow(arr, cap):
     return out
 
 
-def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, max_samples):
+def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, flips=0):
     """Dormand-Prince 5(4) loop with FSAL, recording every accepted step.
 
     Integrates from (t0, u0, v0) towards t_end with first step h0 and at
-    most max_steps attempted steps, and pauses once it holds max_samples
-    samples (the start included).  Returns (t, u, v, status, h, steps): h
-    is the proposed next step and steps the attempted steps used.  A pause
-    returns STATUS_OK with t[-1] < t_end; calling again from the last
-    sample with that h, the remaining step budget and the same t_end
-    continues the very same step sequence, bit for bit, because the FSAL
-    stage is recomputed from the same state.  So callers that only need
-    the path up to some event can stop at the first pause after it and
-    hold a prefix of the full-horizon path.  A step whose error norm is
-    NaN stops the loop with STATUS_NONFINITE.
+    most max_steps attempted steps.  Returns (t, u, v, status, h, steps):
+    h is the proposed next step and steps the attempted steps used.  With
+    flips > 0 it stops early, with STATUS_OK, at the first sample whose v
+    makes the flips-th change of sign of v, by the rule of
+    ``integrate._sign_flips``: exact zeros (-0.0 too) are skipped, and a
+    start with v0 = 0 has no sign until its first nonzero sample.  The
+    stopped path is a prefix of the full-horizon one, and calling again
+    from its last sample with that h, the remaining step budget and the
+    same t_end continues the very same step sequence, bit for bit,
+    because the FSAL stage is recomputed from the same state.  A step
+    whose error norm is NaN stops the loop with STATUS_NONFINITE.
     """
     (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
      b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = TABLEAU
     safety, err_exp, fac_min, fac_max = STEP_CONTROL
-    cap = min(4096, max_samples)
+    cap = 4096
     ts = np.empty(cap, dtype=np.float64)
     us = np.empty(cap, dtype=np.float64)
     vs = np.empty(cap, dtype=np.float64)
@@ -103,6 +104,7 @@ def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, max_sa
         h = t_end
     status = STATUS_OK
     steps = 0
+    side = v0  # the last nonzero v; zero before the first one
 
     while t < t_end:
         if steps >= max_steps:
@@ -111,8 +113,6 @@ def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, max_sa
         if h < MIN_STEP:
             status = STATUS_STEP_UNDERFLOW
             break
-        if n == max_samples:
-            break  # pause: the caller may resume from the last sample
         last = False
         if t + h >= t_end:
             h = t_end - t
@@ -176,6 +176,12 @@ def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, max_sa
                 elif fac < fac_min:
                     fac = fac_min
             h = h * fac
+            if flips and v != 0.0:
+                if side != 0.0 and (v > 0.0) != (side > 0.0):
+                    flips -= 1
+                    if flips == 0:
+                        break
+                side = v
         else:
             # a NaN error norm (overflowed stages) would shrink h to NaN and
             # spin through the whole step budget; inf still shrinks h
@@ -313,7 +319,7 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
             budget = max_steps - int(steps[j])
             tt, uu, vv, status_k, h_k, used = adaptive_path(
                 float(z[0, j]), float(z[1, j]), mu, float(t[j]), t_end,
-                rel_tol, abs_tol, float(h[j]), budget, budget + 1,
+                rel_tol, abs_tol, float(h[j]), budget,
             )
             status[k], h_end[k], steps_end[k] = status_k, h_k, steps[j] + used
             rec.append(np.full(len(tt) - 1, k), tt[1:], uu[1:], vv[1:])

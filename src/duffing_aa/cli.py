@@ -289,12 +289,6 @@ def _resolve_config_path(path: str) -> str:
     raise ConfigError(f"no such config file or bundled scenario: {path}")
 
 
-def bundled_scenarios() -> list[str]:
-    """Names of the scenario files shipped with the package."""
-    d = resources.files("duffing_aa") / "scenarios"
-    return sorted(p.name for p in d.iterdir() if p.name.endswith(".json"))
-
-
 _CSV_HEADERS = {
     "original": b"t,x,y\n",
     "covered": b"t,x1,y1,sheet\n",

@@ -23,14 +23,13 @@ variant of regula falsi (Hairer, Norsett & Wanner, Solving ODEs I, II.6;
 Shampine & Thompson, "Event location for ODEs", 2000).
 
 Period and action queries need one orbit, not all of t_max: they share
-``find_period``'s path, which runs the adaptive kernel in chunks that
-resume exactly where the last one paused, and stops after the first chunk
-whose whole path so far holds the three returns of one period.  The
-path is a prefix of the full-horizon one, so the period is bit-identical
-to it.  The path must resolve the orbit: the covered angle must turn
-once per period in a well and twice outside, or StepFailure names the
-step.  The last orbit measured is kept, so ``find_period`` and both
-actions on one start share one integration.
+``find_period``'s path, on which the adaptive kernel stops at the sample
+that completes return 2, the 3 - [start on the section]-th sign flip of
+y.  The path is a prefix of the full-horizon one, so the period is
+bit-identical to it.  The path must resolve the orbit: the covered angle
+must turn once per period in a well and twice outside, or StepFailure
+names the step.  The last orbit measured is kept, so ``find_period`` and
+both actions on one start share one integration.
 
 ``integrate_original_orbits`` integrates many starts at once, and
 ``integrate_original`` is that with one start: one
@@ -162,38 +161,6 @@ class Trajectory:
     def energies(self) -> np.ndarray:
         """H evaluated at every sample."""
         return hamiltonian(State(self.states[:, 0], self.states[:, 1]), self.params)
-
-
-# samples per kernel call when a caller stops at an event (see _run_kernel)
-_CHUNK_SAMPLES = 128
-
-
-def _run_kernel(u0, v0, p: Params, cfg: IntegratorConfig, done):
-    """(t, u, v) of the path from (u0, v0) over [0, t_max].
-
-    The path is integrated in chunks of _CHUNK_SAMPLES samples and stops
-    after the first chunk for which done(t, u, v), called with the whole
-    path so far, is true.  The kernel resumes exactly where it paused, so
-    the result is a prefix of the full-horizon path, bit for bit.
-    """
-    budget = int(cfg.max_steps)
-    t0, h, path = 0.0, cfg.step, None
-    while True:
-        *chunk, status, h, used = _kernels.adaptive_path(
-            u0, v0, p.mu, t0, cfg.t_max, cfg.rel_tol, cfg.abs_tol, h, budget,
-            _CHUNK_SAMPLES,
-        )
-        budget -= used
-        # a resumed chunk starts with the sample that ended the last one
-        path = chunk if path is None else [
-            np.concatenate((a, b[1:])) for a, b in zip(path, chunk)
-        ]
-        # Python floats: numpy scalars would slow the kernel
-        t0, u0, v0 = (float(a[-1]) for a in chunk[:3])
-        if status != _kernels.STATUS_OK or t0 >= cfg.t_max or done(*path):
-            break
-    _check_status(status, path[0], cfg)
-    return path
 
 
 def _check_status(status, t, cfg: IntegratorConfig) -> None:
@@ -461,14 +428,15 @@ def find_period(
     off it, the time between the first two same-direction crossings.  The
     returns alternate in direction, so these are returns 0 and 2, a start
     on the section counting as return 0.  Section times are refined to
-    |y| <= 1e-10 on ``_one_period``'s path, which ends about one period
-    in, not at t_max.  ``action_original`` and ``action_covered`` on the
-    same start, params and config right after read the same path, with no
-    second integration.
+    |y| <= 1e-10 on ``_one_period``'s path, which the kernel stops at the
+    first sample past return 2, not at t_max.  ``action_original`` and
+    ``action_covered`` on the same start, params and config right after
+    read the same path, with no second integration.
 
     Raises what ``_require_closed_orbit`` raises, NoReturn if t_max
-    expires first, and StepFailure where the path does not resolve the
-    orbit (a step too coarse for its returns).
+    expires first, MaxStepsExceeded if max_steps runs out before that
+    stop, and StepFailure where the path does not resolve the orbit (a
+    step too coarse for its returns).
     """
     return _one_period(s0, p, cfg)[0]
 
@@ -491,11 +459,10 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     """(period, x, y): find_period's period, and the orbit's points over
     [0, period]: the path's samples before it, then the dense output at it.
 
-    A start on the section is return 0, at t = 0.  The integration stops
-    after the first kernel chunk (_CHUNK_SAMPLES samples) whose whole path
-    so far holds return 2, i.e. 3 - [start on the section] sign flips of
-    y; the path is a prefix of the full-horizon one, so the period is, bit
-    for bit, the one the full horizon would give.
+    A start on the section is return 0, at t = 0.  The kernel stops at
+    the first sample past return 2, the 3 - [start on the section]-th
+    sign flip of y; the path is a prefix of the full-horizon one, so the
+    period is, bit for bit, the one the full horizon would give.
 
     The path must resolve the orbit: over [0, period] the unwrapped
     covered angle (``covering._unwrap``) falls by 2pi per turn
@@ -512,10 +479,11 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
         return last[1]
     _require_closed_orbit(s0, p)
     start = [0.0] if s0.y == 0.0 else []
-    t, x, y = _run_kernel(
-        s0.x, s0.y, p, cfg,
-        lambda t, x, y: len(start) + _sign_flips(y).size >= 3,
+    t, x, y, status, _, _ = _kernels.adaptive_path(
+        s0.x, s0.y, p.mu, 0.0, cfg.t_max, cfg.rel_tol, cfg.abs_tol, cfg.step,
+        int(cfg.max_steps), 3 - len(start),
     )
+    _check_status(status, t, cfg)
     dense = partial(hermite_steps, t, np.column_stack((x, y)), p.mu)
     returns = start + _section_crossings(t, y, dense).tolist()
     if len(returns) < 3:

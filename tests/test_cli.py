@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import xml.etree.ElementTree as ET
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from duffing_aa.cli import (
     MAX_GRID_STATES,
     _fmt,
     _write_csv,
-    bundled_scenarios,
     load_scenario,
     main,
 )
@@ -46,7 +46,9 @@ def small_scenario(tmp_path, **overrides) -> str:
 
 
 def test_bundled_scenarios_present():
-    assert bundled_scenarios() == ["fig1.json", "fig2.json", "fig3.json", "fig4.json"]
+    shipped = resources.files("duffing_aa") / "scenarios"
+    names = sorted(p.name for p in shipped.iterdir() if p.name.endswith(".json"))
+    assert names == ["fig1.json", "fig2.json", "fig3.json", "fig4.json"]
     for name in ("fig1", "fig2.json"):
         scn = load_scenario(name)
         assert scn.outputs and scn.description

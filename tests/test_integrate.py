@@ -234,23 +234,67 @@ def test_find_period_equals_full_horizon_selection(closed_orbit_start, p0):
     assert find_period(s0, p0) == _full_horizon_period(s0, p0)
 
 
+def _samples_to_stop(s0, p):
+    """1 + the index of the first nonzero-y sample after return 2, flip
+    number 3 - [y0 == 0] of y, on the full-horizon path: the samples of
+    the one kernel call behind find_period."""
+    y = integrate_original(s0, p).states[:, 1]
+    k = integrate._sign_flips(y)[2 - (s0.y == 0.0)]
+    stop = k + 1 + np.flatnonzero(y[k + 1 :])[0]
+    return int(stop) + 1
+
+
 def test_find_period_stops_after_one_period(closed_orbit_start, p0, kernel_samples):
     s0 = closed_orbit_start
     period = find_period(s0, p0)  # the fixture starts from an empty memo
-    drawn = sum(kernel_samples)
+    drawn = list(kernel_samples)
+    assert drawn == [_samples_to_stop(s0, p0)]
     one = len(integrate_original(s0, p0, replace(DEFAULT_CONFIG, t_max=period)))
-    assert drawn < 2 * one + integrate._CHUNK_SAMPLES
     with pytest.raises(MaxStepsExceeded):
         find_period(s0, p0, replace(DEFAULT_CONFIG, max_steps=one // 2))
     with pytest.raises(NoReturn):
         find_period(s0, p0, replace(DEFAULT_CONFIG, t_max=period / 4.0))
 
 
+@pytest.mark.parametrize(
+    "s0", [state_on_level(h) for h in verify.PERIOD_LEVELS] + [State(1.2, -0.0)],
+    ids=[f"h={h}" for h in verify.PERIOD_LEVELS] + ["y0=-0.0"],
+)
+def test_period_stops_at_the_first_sample_past_return_2(p0, kernel_samples, s0):
+    # the starts on the section head down first (y' = x - x^3 < 0), so a
+    # start without a sign whose first flip went uncounted would stop
+    # half a period late with the same period
+    find_period(s0, p0)
+    drawn = list(kernel_samples)
+    assert drawn == [_samples_to_stop(s0, p0)]
+
+
+def test_step_budget_ends_at_the_stop(closed_orbit_start, p0, monkeypatch):
+    # exactly the attempted steps up to the stop suffice: at
+    # state_on_level(-0.2), 111 steps give the default period and 110 raise
+    s0 = closed_orbit_start
+    used = []
+    kernel = _kernels.adaptive_path
+
+    def recorded(*args):
+        out = kernel(*args)
+        used.append(out[5])
+        return out
+
+    monkeypatch.setattr(_kernels, "adaptive_path", recorded)
+    monkeypatch.setattr(integrate, "_last_orbit", None)
+    period = find_period(s0, p0)
+    [steps] = used
+    assert find_period(s0, p0, replace(DEFAULT_CONFIG, max_steps=steps)) == period
+    with pytest.raises(MaxStepsExceeded):
+        find_period(s0, p0, replace(DEFAULT_CONFIG, max_steps=steps - 1))
+
+
 @pytest.mark.parametrize("h", verify.PERIOD_LEVELS)
 def test_one_period_is_a_prefix_of_integrate_original(p0, h):
-    # the two ways into the scalar kernel, _run_kernel's chunks and the
-    # lanes' hand-off, take the same steps: the samples before the period
-    # (the last point is the dense output at it) lead the full path
+    # the two ways into the scalar kernel, the period's stopped call and
+    # the lanes' hand-off, take the same steps: the samples before the
+    # period (the last point is the dense output at it) lead the full path
     s0 = state_on_level(h)
     _, x, y = integrate._one_period(s0, p0, DEFAULT_CONFIG)
     full = integrate_original(s0, p0, DEFAULT_CONFIG)
@@ -261,9 +305,9 @@ def test_one_period_is_a_prefix_of_integrate_original(p0, h):
 
 
 def test_period_stop_counts_flips_across_exact_zeros():
-    # flips across exact zeros count once; find_period stops once the path
-    # so far holds 3 - [start on the section] flips of y, and it reads
-    # every prefix of the path, so each prefix is checked
+    # flips across exact zeros count once; the kernel stops find_period's
+    # path at the first sample whose prefix holds 3 - [start on the
+    # section] flips of y, so each prefix is checked
     y = np.array([0.5, 0.0, -0.5, 0.5, 0.0, 0.0, -0.5])
     assert integrate._sign_flips(y).tolist() == [0, 2, 3]
     assert integrate._sign_flips(np.array([0.0, 0.0, 0.5, 0.0])).size == 0

@@ -4,12 +4,13 @@ import pytest
 from duffing_aa import Params, State, duffing_field
 from duffing_aa import _kernels
 from duffing_aa.cli import load_scenario
+from duffing_aa.integrate import _sign_flips
 
 
 def _whole(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
-    """One adaptive_path call over [0, t_end] with no sample cap."""
+    """One adaptive_path call over [0, t_end] that never stops early."""
     return _kernels.adaptive_path(
-        u0, v0, mu, 0.0, t_end, rel_tol, abs_tol, h0, max_steps, max_steps + 1
+        u0, v0, mu, 0.0, t_end, rel_tol, abs_tol, h0, max_steps
     )
 
 
@@ -37,47 +38,56 @@ def test_adaptive_path_status_codes():
     assert status == _kernels.STATUS_MAX_STEPS and steps == 5
 
 
-def _chunked(u0, v0, mu, t_end, max_steps, cap):
-    """adaptive_path resumed every `cap` samples, the chunks concatenated
-    (each resumed chunk repeats the sample that ended the last one)."""
+def _chunked(u0, v0, mu, t_end, max_steps, flips):
+    """adaptive_path stopped at every `flips`-th sign flip of v and resumed
+    from its last sample with the h and step budget it returned, the
+    chunks concatenated (each resumed chunk repeats the sample that ended
+    the last one); also the status, the steps used and the calls made."""
     t0, h, budget, parts = 0.0, 0.01, max_steps, []
     while True:
         *chunk, status, h, used = _kernels.adaptive_path(
-            u0, v0, mu, t0, t_end, 1e-10, 1e-10, h, budget, cap
+            u0, v0, mu, t0, t_end, 1e-10, 1e-10, h, budget, flips
         )
-        assert used <= budget and len(chunk[0]) <= cap
+        assert used <= budget
         budget -= used
         parts.append([a[1:] for a in chunk] if parts else chunk)
         t0, u0, v0 = chunk[0][-1], chunk[1][-1], chunk[2][-1]
         if status != _kernels.STATUS_OK or t0 >= t_end:
             break
-    return [np.concatenate(a) for a in zip(*parts)], status, max_steps - budget
+        # a stop is the first sample past its chunk's flips-th flip
+        v = chunk[2]
+        assert _sign_flips(v).size == flips and _sign_flips(v[:-1]).size == flips - 1
+    path = [np.concatenate(a) for a in zip(*parts)]
+    return path, status, max_steps - budget, len(parts)
 
 
 @pytest.mark.parametrize("fig", ["fig1", "fig3"])
-@pytest.mark.parametrize("cap", [2, 7, 128])
-def test_chunked_path_is_bitwise_the_whole_path(fig, cap):
+@pytest.mark.parametrize("flips", [1, 2, 7, 128])
+def test_chunked_path_is_bitwise_the_whole_path(fig, flips):
     scn = load_scenario(fig)
     for x, y in scn.initial_states:
         *whole, status, _, steps = _whole(
             x, y, scn.mu, scn.integrator.t_max, 1e-10, 1e-10, 0.01, 10**7
         )
-        parts, status_c, steps_c = _chunked(
-            x, y, scn.mu, scn.integrator.t_max, 10**7, cap
+        parts, status_c, steps_c, calls = _chunked(
+            x, y, scn.mu, scn.integrator.t_max, 10**7, flips
         )
         assert status_c == status == _kernels.STATUS_OK and steps_c == steps
+        # a stop on the last sample ends the path without another call
+        assert calls >= _sign_flips(whole[2]).size // flips
         for a, b in zip(parts, whole):
             assert a.tobytes() == b.tobytes()
 
 
 def test_step_budget_spans_resumptions():
-    # the budget left after each pause bounds the next call, so the chunked
+    # the budget left after each stop bounds the next call, so the chunked
     # run fails where the whole run does, after as many attempted steps
     *whole, status, _, steps = _whole(0.0, 1.0, 0.0, 50.0, 1e-10, 1e-10, 0.01, 300)
-    parts, status_c, steps_c = _chunked(0.0, 1.0, 0.0, 50.0, 300, 16)
+    parts, status_c, steps_c, calls = _chunked(0.0, 1.0, 0.0, 50.0, 300, 1)
     assert status == status_c == _kernels.STATUS_MAX_STEPS
-    assert steps == steps_c == 300
-    assert parts[0].tobytes() == whole[0].tobytes()
+    assert steps == steps_c == 300 and calls > 1
+    for a, b in zip(parts, whole):
+        assert a.tobytes() == b.tobytes()
 
 
 def _scalar_paths(u0, v0, mu, t_end, rel_tol, abs_tol, max_steps):
