@@ -7,8 +7,8 @@ once.  Subpackage map:
 
   dynamics     the original vector field and its Hamiltonian
   covering     the two-sheeted covering map, its inverse and the cut
-  integrate    adaptive RK45 integration of the original plane,
-               with the covered images, cut events and sheets
+  integrate    adaptive RK45 integration of the original plane, and its
+               cut crossings: the sign flips of x
   actionangle  the global angle, its unwrapping and the action integrals
   verify       seeded numerical cross-checks for every closed formula
   cli          scenario runner, figure export (CSV/SVG) and `verify`

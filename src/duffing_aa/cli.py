@@ -78,13 +78,13 @@ _OUTPUT_KEYS = {"kind", "format", "path"}
 
 # run holds every orbit in memory until its outputs are written, so the grid
 # size bounds its memory: 400 orbits at t_max = 20 (287k samples) peak at
-# 48.6 MiB RSS, 29 MiB of it the interpreter and numpy.  Each orbit keeps
-# 41 bytes per sample (views of the batch t, states and covered, and its
-# sheets); while they run, the lockstep kernel's recording buffers and sort
-# order need 56 more per sample (36 at full buffers), the cut walk 12.  The
-# forked process that writes the second half of that grid's CSV peaks at
-# 40.0-40.2 MiB RSS (RUSAGE_CHILDREN, which RUSAGE_SELF does not count),
-# most of it pages it shares copy-on-write with run
+# 48.8-49.1 MiB RSS, 29 MiB of it the interpreter and numpy.  Each orbit keeps
+# 24 bytes per sample (views of the batch t and states; its covered images and
+# sheets are computed from them while it is written); while they run, the
+# lockstep kernel's recording buffers and sort order need 56 more per sample
+# (36 at full buffers), the cut walk 12.  The forked process that writes the
+# second half of that grid's CSV peaks at 35.4 MiB RSS (RUSAGE_CHILDREN, which
+# RUSAGE_SELF does not count), most of it pages it shares copy-on-write with run
 MAX_GRID_STATES = 10_000
 
 # _write_csv gives each process that formats rows at least this many.
@@ -266,7 +266,11 @@ def load_scenario(path: str) -> Scenario:
             raise ConfigError(
                 f"outputs[{i}].format: expected csv or svg, got {out['format']!r}"
             )
-        outputs.append(OutputSpec(out["kind"], out["format"], str(out["path"])))
+        if not (isinstance(out["path"], str) and out["path"]):
+            raise ConfigError(
+                f"outputs[{i}].path: expected a non-empty string, got {out['path']!r}"
+            )
+        outputs.append(OutputSpec(out["kind"], out["format"], out["path"]))
 
     try:
         Params(mu=mu, c=c)
@@ -302,9 +306,12 @@ _CSV_ROWS = {
 
 
 def _sheet_runs(traj: Trajectory):
-    """(start, stop) of every run of samples on one sheet, in order."""
-    flips = (np.flatnonzero(np.diff(traj.sheets)) + 1).tolist()
-    return zip([0] + flips, flips + [len(traj)])
+    """(start, stop, upper) of every run of samples on one sheet, in order;
+    upper is True on the Upper sheet."""
+    sheets = traj.sheets
+    starts = [0] + (np.flatnonzero(np.diff(sheets)) + 1).tolist()
+    upper = (sheets[starts] > 0).tolist()
+    return zip(starts, starts[1:] + [len(traj)], upper)
 
 
 def _write_rows(f, kind: str, trajs, curves) -> None:
@@ -315,8 +322,8 @@ def _write_rows(f, kind: str, trajs, curves) -> None:
     for traj, curve in zip(trajs, curves):
         if kind == "covered":
             values = tuple(np.column_stack((traj.t, traj.covered)).ravel().tolist())
-            for start, stop in _sheet_runs(traj):
-                row = _CSV_ROWS[kind][bool(traj.sheets[start] > 0)]
+            for start, stop, upper in _sheet_runs(traj):
+                row = _CSV_ROWS[kind][upper]
                 f.write(row * (stop - start) % values[3 * start : 3 * stop])
         else:
             cols = (traj.t, traj.states) if kind == "original" else (curve,)
@@ -420,10 +427,11 @@ def _polylines(kind: str, trajs, curves):
         elif kind == "energy_angle":
             lines.append((curve, _STROKE))
         else:
-            for start, stop in _sheet_runs(traj):
-                color = _STROKE_UPPER if traj.sheets[start] > 0 else _STROKE_LOWER
+            covered = traj.covered
+            for start, stop, upper in _sheet_runs(traj):
+                color = _STROKE_UPPER if upper else _STROKE_LOWER
                 # one sample of overlap keeps the curve joined
-                lines.append((traj.covered[start : stop + 1], color))
+                lines.append((covered[start : stop + 1], color))
     return lines
 
 

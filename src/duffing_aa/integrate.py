@@ -6,21 +6,25 @@ dense output (``hermite_steps``) takes the slopes at the two ends of a
 step from the field itself, which equals the kernels' last stage there --
 accurate enough to locate event times far below the step size.
 
-A trajectory's covered columns are the images of its original-plane
-samples under the covering map: the covering is a chart, not a second
-integration.  Its events are its ``cut_crossing``s: the covered path
-crossed {y1 = 0, x1 < 0}.  The sheet tag toggles there.  Crossing times
-are refined on the dense output until |y1| <= 1e-12.  ``find_period``
-locates the returns to the section {y = 0} on its own path, refined until
-|y| <= 1e-10.  Returns of a sign walk alternate in direction, so return 2
-is the first one in the direction of return 0: one period after it.
+A trajectory carries only its times and original-plane samples; its
+covered columns are their images under the covering map, and its sheet
+column is ``covering.sheet_sign`` of each sample: the covering is a chart,
+not a second integration.  So the sheet changes where x changes sign, and
+those crossings of the y-axis are the trajectory's events, its
+``cut_crossing``s: the covered path crossed the cut {y1 = 0, x1 < 0}.
+Crossing times are refined on the dense output until |y1| <= 1e-12.
+``find_period`` locates the returns to the section {y = 0} on its own
+path, refined until |y| <= 1e-10.  Returns of a sign walk alternate in
+direction, so return 2 is the first one in the direction of return 0: one
+period after it.
 
-Both kinds come from one locator.  A numpy sign walk over the samples of
-any number of orbits (exact zeros skipped) brackets every sign change at
-once; ``hermite_steps`` evaluates the Hermite cubic of each bracket's own
-step, and ``locate_roots`` refines all brackets together by the Illinois
-variant of regula falsi (Hairer, Norsett & Wanner, Solving ODEs I, II.6;
-Shampine & Thompson, "Event location for ODEs", 2000).
+Both kinds are found the same way.  A numpy sign walk (``_sign_flips``)
+over the samples of any number of orbits (exact zeros skipped) brackets
+every sign change of x, or of y, at once; ``hermite_steps`` evaluates the
+Hermite cubic of each bracket's own step, and ``locate_roots`` refines all
+brackets together by the Illinois variant of regula falsi (Hairer, Norsett
+& Wanner, Solving ODEs I, II.6; Shampine & Thompson, "Event location for
+ODEs", 2000).
 
 Period and action queries need one orbit, not all of t_max: they share
 ``find_period``'s path, on which the adaptive kernel stops at the sample
@@ -35,13 +39,9 @@ both actions on one start share one integration.
 ``integrate_original`` is that with one start: one
 ``_kernels.adaptive_lanes`` call steps their paths in lockstep, bit for
 bit the paths ``_kernels.adaptive_path`` takes one at a time.  One
-assembly squares the whole batch and locates the cut crossings of every
-orbit with one sign walk and one ``locate_roots`` call; each trajectory
-holds views of the batch arrays.
-
-The sheet column of a trajectory is *evolved*: it starts from the initial
-tag and toggles at each cut crossing, rather than being recomputed per
-sample.  Events are emitted in increasing time.
+assembly locates the cut crossings of every orbit with one sign walk and
+one ``locate_roots`` call; each trajectory holds views of the batch
+arrays.  Events are emitted in increasing time.
 
 Each integration is an independent single-threaded computation over
 immutable inputs; returned trajectories are frozen (array buffers are
@@ -136,27 +136,34 @@ class Event:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered samples of one orbit in both charts.
+    """Time-ordered samples of one orbit, on the original plane.
 
-    ``states`` are original-plane points, ``covered`` their covered-plane
-    images, ``sheets`` the evolved tag per sample (+1 Upper, -1 Lower).
+    ``states`` are original-plane points; ``covered`` (their covered-plane
+    images) and ``sheets`` (each sample's tag, +1 Upper, -1 Lower) are
+    read off them through the covering on every access.
     Its dense output is ``hermite_steps(t, states, params.mu, ks)``.
     """
 
     t: np.ndarray
     states: np.ndarray
-    covered: np.ndarray
-    sheets: np.ndarray
     events: tuple[Event, ...]
     params: Params
     config: IntegratorConfig
 
     def __post_init__(self):
-        for arr in (self.t, self.states, self.covered, self.sheets):
+        for arr in (self.t, self.states):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
         return self.t.shape[0]
+
+    @property
+    def covered(self) -> np.ndarray:
+        return np.column_stack(square(self.states[:, 0], self.states[:, 1]))
+
+    @property
+    def sheets(self) -> np.ndarray:
+        return sheet_sign(self.states[:, 0], self.states[:, 1]).astype(np.int8)
 
     def energies(self) -> np.ndarray:
         """H evaluated at every sample."""
@@ -178,15 +185,14 @@ def _check_status(status, t, cfg: IntegratorConfig) -> None:
         )
 
 
-def hermite_steps(t, pts, mu, ks, squared=False):
+def hermite_steps(t, pts, mu, ks):
     """Dense output of an original-plane path on its steps ks[j] -> ks[j]+1.
 
     Returns at(j, tq) -> (u, v): the cubic Hermite interpolant of step
     ks[j] at times tq, for indices j and times tq of one shape.  Its end
     slopes are the field ``_kernels.rhs`` at the step's two nodes, which is
     bit for bit the kernels' FSAL stage there.  Every query names its step,
-    so refinement needs no search per evaluation.  With ``squared`` the
-    values are the covered image (u^2 - v^2, 2uv).
+    so refinement needs no search per evaluation.
     """
     t0 = t[ks]
     dt = t[ks + 1] - t0
@@ -204,8 +210,7 @@ def hermite_steps(t, pts, mu, ks, squared=False):
             + (-2.0 * s3 + 3.0 * s2) * p1[j]
             + (s3 - s2) * h * f1[j]
         )
-        u, v = w[..., 0], w[..., 1]
-        return square(u, v) if squared else (u, v)
+        return w[..., 0], w[..., 1]
 
     return at
 
@@ -267,66 +272,48 @@ def _sign_flips(g, bounds=None, trailing=False):
     return nz[keep]
 
 
-def _refine_sign_changes(t, g, dense, tol, bounds=None, trailing=False):
-    """Sign changes of the sampled g = component 1 of ``dense``, refined.
+def _cut_crossings(t: np.ndarray, z: np.ndarray, dense, bounds):
+    """Locate the cut crossings of original-plane paths: the sign flips of x.
 
-    Walks the sign of g per lane skipping exact zeros (_sign_flips); each
-    strict flip between nonzero samples k and n brackets a root on the step
-    k -> k + 1, where g[k + 1] = 0 if zeros lie between, making that sample
-    the root.  With ``trailing``, so is a zero after a lane's last nonzero.
-    Returns the k, the refined times and component 0 of ``dense`` there.
+    Lane k is samples bounds[k]:bounds[k + 1] of the path (t, z); samples
+    past bounds[-1] are ignored.  ``dense(ks)`` is the path's dense output
+    on steps ks (see hermite_steps).  A flip of x between nonzero samples
+    k and n brackets a crossing on the step k -> k + 1, where x[k + 1] = 0
+    if zeros lie between, making that sample the crossing; so is a lane's
+    trailing zero after its last nonzero x.  Other zeros are skipped: a
+    path launched from the y-axis carries its conventional tag already.
+    Each crossing is refined on y1 = 2xy until |y1| <= 1e-12, where x1 < 0
+    unless the path met the cut within BRANCH_CUT_TOL of the branch point.
+    Returns all lanes' events, the offsets in them of each lane's first
+    event (one per bound), and by lane the DegenerateCrossing of each lane
+    that met the cut at the branch point.
     """
-    ks = _sign_flips(g, bounds, trailing)
+    ks = _sign_flips(z[: bounds[-1], 0], bounds, trailing=True)
     at = dense(ks)
-    t_star = locate_roots(
-        lambda j, tq: at(j, tq)[1], t[ks], t[ks + 1], g[ks], g[ks + 1], tol
-    )
-    return ks, t_star, at(np.arange(ks.size), t_star)[0]
-
-
-def _cut_crossings(t: np.ndarray, y1: np.ndarray, dense, bounds):
-    """Locate cut crossings along sampled covered coordinates.
-
-    Lane k is samples bounds[k]:bounds[k + 1]; ``dense(ks)`` is the
-    covered-plane dense output on steps ks (see hermite_steps).  Each sign
-    flip of y1 is refined until |y1| <= 1e-12 and kept when it lies on
-    the cut (x1 < 0).  Exact zeros are skipped: a sample *on* the cut,
-    e.g. a trajectory launched from the y-axis, carries the conventional
-    tag already and must not toggle.  A lane's trailing sample landing
-    exactly on the cut toggles there: the transversal flow assigns on-cut
-    points to the destination sheet.  Returns all lanes' events, for each
-    the sample index from which the toggled sheet applies, and by lane the
-    DegenerateCrossing of each lane that met the cut at the branch point.
-    """
-    ks, t_star, x1_star = _refine_sign_changes(
-        t, y1, dense, CUT_REFINE_TOL, bounds, trailing=True
-    )
+    ga, gb = (square(*z[k].T)[1] for k in (ks, ks + 1))
+    t_star = locate_roots(lambda j, tq: square(*at(j, tq))[1],
+                          t[ks], t[ks + 1], ga, gb, CUT_REFINE_TOL)
+    x1_star = square(*at(np.arange(ks.size), t_star))[0]
     # reversed, so that each lane keeps its first degenerate crossing
     near = np.flatnonzero(np.abs(x1_star) <= BRANCH_CUT_TOL)[::-1]
     degenerate = {lane: DegenerateCrossing(
         f"trajectory met the cut at x1={x1_star[i]:.3e}, t={t_star[i]:.6g}, "
         "within tolerance of the branch point"
     ) for i, lane in zip(near, np.searchsorted(bounds, ks[near], "right") - 1)}
-    on_cut = x1_star < 0.0
-    events = [
-        Event(ts, CUT_CROSSING, {"x1": xs})
-        for ts, xs in zip(t_star[on_cut].tolist(), x1_star[on_cut].tolist())
-    ]
-    return events, (ks + 1)[on_cut], degenerate
-
-
-def _evolve_sheets(n: int, start_sign: int, toggle_from: list[int]) -> np.ndarray:
-    sheets = np.full(n, start_sign, dtype=np.int8)
-    for on, off in zip(toggle_from[::2], toggle_from[1::2] + [n]):
-        sheets[on:off] = -start_sign  # every other toggle leaves the start sheet
-    return sheets
+    events = [Event(ts, CUT_CROSSING, {"x1": xs})
+              for ts, xs in zip(t_star.tolist(), x1_star.tolist())]
+    return events, np.searchsorted(ks, bounds).tolist(), degenerate
 
 
 def _section_crossings(t: np.ndarray, y: np.ndarray, dense) -> np.ndarray:
-    """Times of the transversal returns to the section {y = 0}: the same
-    sign walk on y, refined on ``dense`` (original plane) until
-    |y| <= 1e-10."""
-    return _refine_sign_changes(t, y, dense, SECTION_REFINE_TOL)[1]
+    """Times of the transversal returns to the section {y = 0}: each sign
+    flip of y between nonzero samples k and n (_sign_flips) brackets a
+    return on the step k -> k + 1, where y[k + 1] = 0 if zeros lie
+    between; refined on ``dense`` (original plane) until |y| <= 1e-10."""
+    ks = _sign_flips(y)
+    at = dense(ks)
+    return locate_roots(lambda j, tq: at(j, tq)[1],
+                        t[ks], t[ks + 1], y[ks], y[ks + 1], SECTION_REFINE_TOL)
 
 
 def integrate_original(
@@ -334,8 +321,8 @@ def integrate_original(
 ) -> Trajectory:
     """Advance the original-plane field from s0 over [0, t_max].
 
-    The covered columns are the images of the samples; the sheet starts
-    from the conventional tag of s0 and toggles at each cut crossing.
+    The covered columns and the sheet are read off each sample (see
+    Trajectory); the events are the crossings of the cut.
     """
     return next(integrate_original_orbits([s0], p, cfg))
 
@@ -362,26 +349,20 @@ def _assemble(starts, t, z, bounds, status, p, cfg) -> Iterator[Trajectory]:
     """Yield each lane's trajectory in order, lane k being rows
     bounds[k]:bounds[k + 1] of the path (t, z) from starts[k], which
     stopped with status[k].  The lanes before the first failed one, n, are
-    squared and searched for cut crossings at once; each trajectory holds
-    views of the batch arrays.  Then lane n's failure is raised: a
-    non-finite start always fails its lane, so only lane n's start needs
-    the finiteness check."""
+    searched for cut crossings at once; each trajectory holds views of the
+    batch arrays.  Then lane n's failure is raised: a non-finite start
+    always fails its lane, so only lane n's start needs the finiteness
+    check."""
     n = next((k for k, s in enumerate(status) if s != _kernels.STATUS_OK), len(starts))
-    covered = np.column_stack(square(z[: bounds[n], 0], z[: bounds[n], 1]))
-    events, toggle_from, degenerate = _cut_crossings(
-        t, covered[:, 1], partial(hermite_steps, t, z, p.mu, squared=True),
-        bounds[: n + 1],
+    events, firsts, degenerate = _cut_crossings(
+        t, z, partial(hermite_steps, t, z, p.mu), bounds[: n + 1]
     )
-    firsts = np.searchsorted(toggle_from, bounds[: n + 1]).tolist()
-    for k, s0 in enumerate(starts[:n]):
+    for k in range(n):
         if k in degenerate:
             raise degenerate[k]
         rows = slice(bounds[k], bounds[k + 1])
-        on, off = firsts[k], firsts[k + 1]
-        toggles = (toggle_from[on:off] - rows.start).tolist()
-        sheets = _evolve_sheets(len(t[rows]), int(sheet_sign(s0.x, s0.y)), toggles)
-        yield Trajectory(t[rows], z[rows], covered[rows], sheets,
-                         tuple(events[on:off]), p, cfg)
+        cuts = tuple(events[firsts[k] : firsts[k + 1]])
+        yield Trajectory(t[rows], z[rows], cuts, p, cfg)
     if n < len(starts):
         _require_finite(starts[n])
         _check_status(status[n], t[bounds[n] : bounds[n + 1]], cfg)

@@ -17,7 +17,6 @@ from duffing_aa import (
     OnSeparatrix,
     OriginSingular,
     Params,
-    Sheet,
     State,
     StepFailure,
     Trajectory,
@@ -54,12 +53,7 @@ def chain_rule_theta_dot(s: State) -> float:
 def constant_trajectory(s: State, n: int = 4) -> Trajectory:
     t = np.linspace(0.0, 1.0, n)
     states = np.tile(np.array(s, dtype=float), (n, 1))
-    c = cover_map(s)
-    covered = np.tile(np.array([c.x1, c.y1]), (n, 1))
-    sheets = np.full(n, 1 if c.sheet is Sheet.UPPER else -1, dtype=np.int8)
-    return Trajectory(
-        t, states, covered, sheets, (), Params(), DEFAULT_CONFIG
-    )
+    return Trajectory(t, states, (), Params(), DEFAULT_CONFIG)
 
 
 def test_theta_examples():
@@ -175,10 +169,7 @@ def test_unwrap_ambiguous():
     # two samples half a turn apart cannot be unwrapped
     t = np.array([0.0, 1.0])
     states = np.array([[math.sqrt(2.0), 0.0], [0.0, 1.0]])
-    covered = np.array([[2.0, 0.0], [-1.0, 0.0]])
-    traj = Trajectory(
-        t, states, covered, np.ones(2, dtype=np.int8), (), Params(), DEFAULT_CONFIG,
-    )
+    traj = Trajectory(t, states, (), Params(), DEFAULT_CONFIG)
     with pytest.raises(UnwrapAmbiguous):
         unwrap_theta(traj)
 

@@ -388,6 +388,21 @@ def test_oversize_grid_exits_2_before_expanding(tmp_path, monkeypatch, capsys):
     assert err.startswith("config error: grid") and str(MAX_GRID_STATES) in err
 
 
+@pytest.mark.parametrize("path", [None, 5, ""], ids=["null", "number", "empty"])
+def test_bad_output_path_exits_2_before_integrating(tmp_path, monkeypatch, capsys,
+                                                     path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "integrate_original_orbits",
+                        lambda *a: pytest.fail("integrated"))
+    cfg = small_scenario(
+        tmp_path, outputs=[{"kind": "original", "format": "csv", "path": "o.csv"},
+                           {"kind": "original", "format": "csv", "path": path}])
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: outputs[1].path: "), err
+    assert sorted(os.listdir(tmp_path)) == ["scn.json"]
+
+
 def test_csv_matches_per_value_format(tmp_path, monkeypatch):
     # the bulk writer must print every value as format(v, ".17g") does
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,6 @@
 import math
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -29,8 +29,8 @@ from duffing_aa import (
     integrate_original,
     state_on_level,
 )
-from duffing_aa.covering import principal_root
-from duffing_aa.integrate import integrate_original_orbits
+from duffing_aa.covering import principal_root, sheet_sign, square
+from duffing_aa.integrate import Trajectory, integrate_original_orbits
 from duffing_aa import _kernels, integrate, verify
 from duffing_aa.cli import load_scenario
 
@@ -132,7 +132,7 @@ def test_sheet_toggles_match_events(p0):
 
 
 def test_evolved_sheet_matches_pointwise_tag(p0):
-    # away from the axis, the evolved tag must agree with sign(x)
+    # away from the axis, the sheet column read off the samples is sign(x)
     traj = integrate_original(
         State(0.0, 2.0), p0, replace(DEFAULT_CONFIG, t_max=10.0)
     )
@@ -141,8 +141,21 @@ def test_evolved_sheet_matches_pointwise_tag(p0):
     assert np.array_equal(traj.sheets[mask], np.sign(x[mask]).astype(np.int8))
 
 
+def test_covered_and_sheets_are_read_off_the_samples(p0):
+    # a trajectory stores no derived column, so none can disagree with it
+    assert [f.name for f in fields(Trajectory)] == [
+        "t", "states", "events", "params", "config"]
+    traj = integrate_original(State(0.0, 2.0), p0, replace(DEFAULT_CONFIG, t_max=5.0))
+    x, y = traj.states.T
+    assert traj.covered.tobytes() == np.column_stack(square(x, y)).tobytes()
+    assert traj.sheets.dtype == np.int8
+    assert np.array_equal(traj.sheets, sheet_sign(x, y))
+    with pytest.raises(AttributeError):
+        traj.sheets = -traj.sheets
+
+
 def test_reconstruction_is_continuous(p0):
-    # the evolved sheet picks each sample's preimage of its covered image;
+    # the sheet column picks each sample's preimage of its covered image;
     # a wrong sheet would reflect a sample to its negative, an O(1) error
     traj = integrate_original(
         State(0.0, 2.0), p0, replace(DEFAULT_CONFIG, t_max=10.0)
@@ -473,86 +486,92 @@ def hermite(t, pts, slopes, ks):
     return at
 
 
-def cut_events(x1, y1, t=None):
-    """(event times, event x1, toggle indices) of a synthetic covered path
-    through the given samples; node slopes from np.gradient, so a
-    two-sample path is the straight segment between them."""
-    x1 = np.asarray(x1, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    t = np.arange(x1.size, dtype=float) if t is None else np.asarray(t, float)
-    pts = np.column_stack((x1, y1))
+def cut_events(x, y, t=None):
+    """(event times, event x1, sheet flips) of a synthetic original-plane
+    path through the samples (x, y); node slopes from np.gradient, so a
+    two-sample path is the straight segment between them.  The sheet
+    flips are the samples whose sheet_sign differs from the one before."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    t = np.arange(x.size, dtype=float) if t is None else np.asarray(t, float)
+    pts = np.column_stack((x, y))
     slopes = np.gradient(pts, t, axis=0)
-    events, toggles, degenerate = integrate._cut_crossings(
-        t, y1, partial(hermite, t, pts, slopes), [0, t.size]
+    events, firsts, degenerate = integrate._cut_crossings(
+        t, pts, partial(hermite, t, pts, slopes), [0, t.size]
     )
     if degenerate:
         raise degenerate[0]
-    return [e.t for e in events], [e.data["x1"] for e in events], toggles.tolist()
+    assert firsts == [0, len(events)]
+    flips = np.flatnonzero(np.diff(sheet_sign(x, y))) + 1
+    return [e.t for e in events], [e.data["x1"] for e in events], flips.tolist()
 
 
 def test_cut_locator_examples():
-    assert cut_events([-1.0, -1.0], [0.5, -0.5]) == ([0.5], [-1.0], [1])
-    assert cut_events([1.0, 1.0], [0.5, -0.5]) == ([], [], [])  # x1 > 0
-    assert cut_events([-1.0, -1.0], [0.3, 0.1]) == ([], [], [])
+    assert cut_events([-1.0, 1.0], [1.0, 1.0]) == ([0.5], [-1.0], [1])
+    assert cut_events([1.0, 1.0], [0.5, -0.5]) == ([], [], [])  # y1 flips at x1 > 0
+    assert cut_events([-1.0, -0.5], [1.0, 1.0]) == ([], [], [])
 
 
 def test_cut_locator_half_open():
     # a sample exactly on the cut belongs to the destination sheet: the
-    # crossing is that sample, and the toggled sheet applies from it on
-    assert cut_events([-1.0] * 3, [-0.5, 0.0, 0.5]) == ([1.0], [-1.0], [1])
-    # a trailing sample on the cut toggles there too
-    assert cut_events([-1.0] * 2, [-0.5, 0.0]) == ([1.0], [-1.0], [1])
+    # crossing is that sample, and the sheet changes from it on
+    assert cut_events([-0.5, 0.0, 0.5], [1.0] * 3) == ([1.0], [-1.0], [1])
+    assert cut_events([0.5, 0.0, -0.5], [-1.0] * 3) == ([1.0], [-1.0], [1])
+    # a trailing sample on the cut is a crossing too
+    assert cut_events([-0.5, 0.0], [1.0, 1.0]) == ([1.0], [-1.0], [1])
     # a path launched on the cut keeps its launch tag
-    assert cut_events([-1.0] * 2, [0.0, 0.5]) == ([], [], [])
+    assert cut_events([0.0, 0.5], [1.0, 1.0]) == ([], [], [])
     # touching the cut without crossing it is no transit
-    assert cut_events([-1.0] * 3, [0.5, 0.0, 0.5]) == ([], [], [])
-    # a zero on the positive x1-axis is not on the cut
+    assert cut_events([-0.5, 0.0, -0.5], [-1.0] * 3) == ([], [], [])
+    # a zero of y1 on the positive x1-axis is not on the cut
     assert cut_events([1.0] * 3, [-0.5, 0.0, 0.5]) == ([], [], [])
 
 
 def test_cut_locator_interpolates():
-    (t_star,), (x1_star,), toggles = cut_events([-2.0, -1.0], [1.0, -3.0])
-    assert toggles == [1]
-    assert abs(t_star - 0.25) <= 1e-12 / 4.0 + 1e-15
-    assert abs(x1_star + 1.75) <= 1e-12
+    # x = -1 + 4t and y = 2 - t: the crossing is at t = 1/4, where y = 7/4
+    (t_star,), (x1_star,), flips = cut_events([-1.0, 3.0], [2.0, 1.0])
+    assert flips == [1]
+    assert abs(t_star - 0.25) <= 1e-12 / 14.0 + 1e-15  # dy1/dt = 14 there
+    assert abs(x1_star + 3.0625) <= 1e-12
 
 
 def test_cut_locator_subnormal_values():
     # opposite signs whose product underflows still count as a crossing
     for tiny in (1e-200, 5e-324):
-        times, _, toggles = cut_events([-1.0, -1.0], [tiny, -tiny])
-        assert toggles == [1] and 0.0 <= times[0] <= 1.0
+        times, _, flips = cut_events([-tiny, tiny], [1.0, 1.0])
+        assert flips == [1] and len(times) == 1 and 0.0 <= times[0] <= 1.0
 
 
 def test_cut_locator_degenerate():
     with pytest.raises(DegenerateCrossing):
-        cut_events([-0.5, 0.5], [0.1, -0.1])
+        cut_events([-0.5, 0.5], [1e-7, 1e-7])
     with pytest.raises(DegenerateCrossing):
         cut_events([-1.0, 0.0], [0.5, 0.0])  # trailing sample at the branch point
+    # a turning point of y next to the branch point never meets the cut
+    assert cut_events([1e-7, 1e-7], [0.5, -0.5]) == ([], [], [])
 
 
 def lane_cut_events(lanes):
-    """cut_events of synthetic covered paths (x1, y1), located together as
-    the lanes of one batch; per lane, (event times, event x1, toggle
-    indices within the lane)."""
+    """cut_events of synthetic original-plane paths (x, y), located
+    together as the lanes of one batch; per lane, (event times, event x1,
+    sheet flips within the lane)."""
     ts, pts, slopes, bounds = [], [], [], [0]
-    for x1, y1 in lanes:
-        t = np.arange(len(x1), dtype=float)
-        lane = np.column_stack((x1, y1)).astype(float)
+    for x, y in lanes:
+        t = np.arange(len(x), dtype=float)
+        lane = np.column_stack((x, y)).astype(float)
         ts.append(t)
         pts.append(lane)
         slopes.append(np.gradient(lane, t, axis=0))
         bounds.append(bounds[-1] + t.size)
     t, pts, slopes = (np.concatenate(a) for a in (ts, pts, slopes))
-    events, toggles, degenerate = integrate._cut_crossings(
-        t, pts[:, 1], partial(hermite, t, pts, slopes), bounds
+    events, firsts, degenerate = integrate._cut_crossings(
+        t, pts, partial(hermite, t, pts, slopes), bounds
     )
     assert not degenerate
-    firsts = np.searchsorted(toggles, bounds).tolist()
     return [
         ([e.t for e in events[on:off]], [e.data["x1"] for e in events[on:off]],
-         (toggles[on:off] - start).tolist())
-        for on, off, start in zip(firsts, firsts[1:], bounds)
+         (np.flatnonzero(np.diff(sheet_sign(*pts[lo:hi].T))) + 1).tolist())
+        for on, off, lo, hi in zip(firsts, firsts[1:], bounds, bounds[1:])
     ]
 
 
@@ -561,23 +580,23 @@ def test_batched_cut_locator_brackets_within_lanes():
     # between a lane's last sample and the next lane's first (one of those
     # past lane 3's start on the cut); as lanes, only lane 4 crosses
     lanes = [
-        ([-1.0, -1.0], [0.5, 0.5]), ([-1.0, -1.0], [-0.5, -0.5]),
-        ([-1.0, -1.0], [0.5, 0.5]), ([-1.0, -1.0], [0.0, -0.5]),
-        ([-1.0, -1.0], [0.5, -0.5]),
+        ([-0.5, -0.5], [1.0, 1.0]), ([0.5, 0.5], [1.0, 1.0]),
+        ([-0.5, -0.5], [1.0, 1.0]), ([0.0, 0.5], [1.0, 1.0]),
+        ([-1.0, 1.0], [1.0, 1.0]),
     ]
     assert lane_cut_events(lanes) == [([], [], [])] * 4 + [([0.5], [-1.0], [1])]
     assert lane_cut_events(lanes) == [cut_events(*lane) for lane in lanes]
-    x1, y1 = (np.concatenate(c) for c in zip(*lanes))
-    assert len(cut_events(x1, y1)[0]) == 5
+    x, y = (np.concatenate(c) for c in zip(*lanes))
+    assert len(cut_events(x, y)[0]) == 5
 
 
 def test_batched_cut_locator_trailing_sample_per_lane():
-    # a trailing sample on the cut toggles in every lane that ends on it,
-    # not only in the last lane of the batch
+    # a trailing sample on the cut is a crossing in every lane that ends
+    # on it, not only in the last lane of the batch
     lanes = [
-        ([-1.0, -1.0], [-0.5, 0.0]), ([-1.0, -1.0], [-0.5, 0.0]),
-        ([-1.0, -1.0], [0.0, 0.0]), ([-1.0] * 3, [0.5, 0.5, 0.0]),
-        ([-1.0, -1.0], [0.5, 0.5]),
+        ([-0.5, 0.0], [1.0, 1.0]), ([-0.5, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, 1.0]), ([-0.5, -0.5, 0.0], [1.0] * 3),
+        ([-0.5, -0.5], [1.0, 1.0]),
     ]
     assert lane_cut_events(lanes) == [
         ([1.0], [-1.0], [1]), ([1.0], [-1.0], [1]), ([], [], []),
@@ -588,15 +607,15 @@ def test_batched_cut_locator_trailing_sample_per_lane():
 
 def test_degenerate_crossing_raised_when_its_orbit_is_due(monkeypatch):
     # no orbit of a short run meets the cut within 1e-12 of the branch
-    # point, so the test widens the branch tolerance to 0.05: the y1 flips
-    # of the small orbits about (1, 0) lie at x1 > 0.4, those of orbit #17
-    # at its turning point x1 = 0.04
+    # point, so the test widens the branch tolerance to 0.05: the small
+    # orbits about (1, 0) never cross x = 0, and orbit #17 crosses it at
+    # |y| < 0.18, so at x1 > -0.035
     monkeypatch.setattr(integrate, "BRANCH_CUT_TOL", 0.05)
     n, k = _kernels.MIN_LANES + 8, 17
     rng = np.random.default_rng(3)
     states = [State(x, y) for x, y in zip(rng.uniform(0.8, 1.2, n),
                                            rng.uniform(-0.2, 0.2, n))]
-    states[k] = State(0.2, 0.0)
+    states[k] = State(-0.1, 0.2)
     cfg = IntegratorConfig(t_max=20.0)
     got, error = _run_orbits(integrate_original_orbits(states, Params(), cfg), n)
     want, want_error = _one_at_a_time(states, Params(), cfg)
@@ -605,6 +624,25 @@ def test_degenerate_crossing_raised_when_its_orbit_is_due(monkeypatch):
     assert str(error) == str(want_error)
     for a, b in zip(got, want):
         _assert_same_trajectory(a, b)
+
+
+def test_assembly_refines_one_bracket_per_cut_event(monkeypatch, p0):
+    # brackets come from the sign flips of x only: an orbit in a well
+    # refines none, and an outer orbit one per crossing of the cut
+    brackets = []
+
+    def counted(g, a, b, ga, gb, tol):
+        brackets.append(np.size(a))
+        return locate_roots(g, a, b, ga, gb, tol)
+
+    locate_roots = integrate.locate_roots
+    monkeypatch.setattr(integrate, "locate_roots", counted)
+    cfg = replace(DEFAULT_CONFIG, t_max=20.0)
+    assert integrate_original(State(1.2, 0.0), p0, cfg).events == ()
+    assert sum(brackets) == 0
+    brackets.clear()
+    traj = integrate_original(State(0.0, 2.0), p0, cfg)
+    assert len(traj.events) > 0 and sum(brackets) == len(traj.events)
 
 
 def test_locate_roots_tolerances():
