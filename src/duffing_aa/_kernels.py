@@ -1,12 +1,14 @@
 """Hot numerical kernels: the field and the time-stepping loops.
 
 ``adaptive_path`` is a plain scalar Dormand-Prince 5(4) loop over Python
-floats that steps one orbit of the field ``rhs``.  ``adaptive_lanes``
-steps many orbits in numpy lockstep, bit for bit as ``adaptive_path``
-would one at a time.  Both integrate the original plane: the
-covering is only a chart, applied to the samples afterwards.  With
-``--trace 1`` the benchmark reports the kernel's time per accepted step,
-e.g. ``python3 perfbench/run.py --workload grid --trace 1``.
+floats that steps one orbit of the field ``rhs``, spelled inline with the
+same operations in the same order: a call per stage would cost more than
+its arithmetic.  ``adaptive_lanes`` steps many orbits in numpy lockstep,
+bit for bit as ``adaptive_path`` would one at a time.  Both integrate the
+original plane: the covering is only a chart, applied to the samples
+afterwards.  With ``--trace 1`` the benchmark reports the kernel's time
+per accepted step, e.g.
+``python3 perfbench/run.py --workload grid --trace 1``.
 
 Kernels return raw arrays of the accepted nodes (t, x, y) plus an integer
 status; the ``integrate`` module wraps them in typed trajectories and
@@ -14,6 +16,7 @@ exceptions.  They keep no field values: with FSAL each one is exactly
 ``rhs`` at its node, so the dense output evaluates it where it needs it.
 """
 
+import array
 import math
 
 import numpy as np
@@ -47,23 +50,21 @@ TABLEAU = (
 STEP_CONTROL = (0.9, -0.2, 0.2, 5.0)  # safety, err_exp, fac_min, fac_max
 
 # adaptive_lanes steps its lanes together while at least this many are
-# live.  Measured on a 2-vCPU Xeon: a lockstep iteration costs about 145 us
-# plus 0.42 us per live lane, and each live lane would cost one
-# adaptive_path step of about 5.4 us, so lanes win above about
-# 145 / (5.4 - 0.42) = 29 live lanes.
+# live.  Measured on a 2-vCPU Xeon (medians of 5 fits over 16 to 400
+# lanes): a lockstep iteration costs about 125 us plus 0.5 us per live
+# lane, and each live lane would cost one adaptive_path step of about
+# 2.8 us, so lanes win above about 125 / (2.8 - 0.5) = 54 live lanes.
+# Below that only a grid's last few stragglers run, and 48 instead of 32
+# left the 400-orbit grid's wall time within run-to-run spread.
 MIN_LANES = 32
 
 
 def rhs(u, v, mu):
     """The Duffing field (x, y) -> (y, x - x^3 - mu*y), elementwise; the
-    cube is spelled u*u*u, so every caller gets the same bits."""
+    cube is spelled u*u*u, so every caller gets the same bits.
+    adaptive_path spells the same expression inline, w - w*w*w - mu*v at
+    each stage, and must keep it in step with this one."""
     return v, u - u * u * u - mu * v
-
-
-def _grow(arr, cap):
-    out = np.empty(cap, dtype=np.float64)
-    out[: arr.shape[0]] = arr
-    return out
 
 
 def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, flips=0):
@@ -81,27 +82,21 @@ def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, flips=
     same t_end continues the very same step sequence, bit for bit,
     because the FSAL stage is recomputed from the same state.  A step
     whose error norm is NaN stops the loop with STATUS_NONFINITE.
+
+    Stage i's state is (w, ki_u) and its v-slope w - w*w*w - mu*ki_u, as
+    ``rhs`` spells it; its u-slope is v itself, so k1_u is v and k7_u vn.
     """
     (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
      b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = TABLEAU
     safety, err_exp, fac_min, fac_max = STEP_CONTROL
-    cap = 4096
-    ts = np.empty(cap, dtype=np.float64)
-    us = np.empty(cap, dtype=np.float64)
-    vs = np.empty(cap, dtype=np.float64)
+    sqrt = math.sqrt
+    ts, us, vs = (array.array("d", (a,)) for a in (t0, u0, v0))
+    t_append, u_append, v_append = ts.append, us.append, vs.append
 
-    t = t0
-    u = u0
-    v = v0
-    k1u, k1v = rhs(u, v, mu)
-    ts[0] = t
-    us[0] = u
-    vs[0] = v
-    n = 1
+    t, u, v = t0, u0, v0
+    k1v = u - u * u * u - mu * v
 
-    h = h0
-    if h > t_end:
-        h = t_end
+    h = min(h0, t_end)
     status = STATUS_OK
     steps = 0
     side = v0  # the last nonzero v; zero before the first one
@@ -118,55 +113,48 @@ def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, flips=
             h = t_end - t
             last = True
 
-        k2u, k2v = rhs(u + h * a21 * k1u, v + h * a21 * k1v, mu)
-        k3u, k3v = rhs(
-            u + h * (a31 * k1u + a32 * k2u), v + h * (a31 * k1v + a32 * k2v), mu
-        )
-        k4u, k4v = rhs(
-            u + h * (a41 * k1u + a42 * k2u + a43 * k3u),
-            v + h * (a41 * k1v + a42 * k2v + a43 * k3v),
-            mu,
-        )
-        k5u, k5v = rhs(
-            u + h * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u),
-            v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v),
-            mu,
-        )
-        k6u, k6v = rhs(
-            u + h * (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u),
-            v + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v),
-            mu,
-        )
-        un = u + h * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+        ha = h * a21
+        w = u + ha * v
+        k2u = v + ha * k1v
+        k2v = w - w * w * w - mu * k2u
+        w = u + h * (a31 * v + a32 * k2u)
+        k3u = v + h * (a31 * k1v + a32 * k2v)
+        k3v = w - w * w * w - mu * k3u
+        w = u + h * (a41 * v + a42 * k2u + a43 * k3u)
+        k4u = v + h * (a41 * k1v + a42 * k2v + a43 * k3v)
+        k4v = w - w * w * w - mu * k4u
+        w = u + h * (a51 * v + a52 * k2u + a53 * k3u + a54 * k4u)
+        k5u = v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
+        k5v = w - w * w * w - mu * k5u
+        w = u + h * (a61 * v + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u)
+        k6u = v + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
+        k6v = w - w * w * w - mu * k6u
+        un = u + h * (b1 * v + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
         vn = v + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
-        k7u, k7v = rhs(un, vn, mu)
+        k7v = un - un * un * un - mu * vn
 
-        eu = h * (e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u)
+        eu = h * (e1 * v + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * vn)
         ev = h * (e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
-        su = abs_tol + rel_tol * max(abs(u), abs(un))
-        sv = abs_tol + rel_tol * max(abs(v), abs(vn))
+        # max(p, q) without the call, NaN and all: p unless q > p
+        p, q = abs(u), abs(un)
+        su = abs_tol + rel_tol * (q if q > p else p)
+        p, q = abs(v), abs(vn)
+        sv = abs_tol + rel_tol * (q if q > p else p)
         # squared via *, not **, so absurd tolerances overflow to inf rather
         # than raise OverflowError
         ru = eu / su
         rv = ev / sv
-        err = math.sqrt(0.5 * (ru * ru + rv * rv))
+        err = sqrt(0.5 * (ru * ru + rv * rv))
 
         steps += 1
         if err <= 1.0:
             t = t_end if last else t + h
             u = un
             v = vn
-            k1u = k7u  # FSAL: last stage is the next step's first
-            k1v = k7v
-            if n == cap:
-                cap *= 2
-                ts = _grow(ts, cap)
-                us = _grow(us, cap)
-                vs = _grow(vs, cap)
-            ts[n] = t
-            us[n] = u
-            vs[n] = v
-            n += 1
+            k1v = k7v  # FSAL: last stage is the next step's first
+            t_append(t)
+            u_append(u)
+            v_append(v)
             if err == 0.0:
                 fac = fac_max
             else:
@@ -195,7 +183,7 @@ def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, flips=
                 fac = 1.0
             h = h * fac
 
-    return ts[:n], us[:n], vs[:n], status, h, steps
+    return np.frombuffer(ts), np.frombuffer(us), np.frombuffer(vs), status, h, steps
 
 
 class _Samples:

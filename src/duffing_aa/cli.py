@@ -272,14 +272,19 @@ def load_scenario(path: str) -> Scenario:
             )
         outputs.append(OutputSpec(out["kind"], out["format"], out["path"]))
 
+    description = raw.get("description", "")
+    if not isinstance(description, str):
+        raise ConfigError(
+            f"scenario.description: expected a string, got {description!r}"
+        )
+
     try:
         Params(mu=mu, c=c)
     except ValueError as e:
         raise ConfigError(f"scenario: {e}") from e
 
     return Scenario(
-        mu, c, initial_states, t_max, integrator, tuple(outputs),
-        str(raw.get("description", "")),
+        mu, c, initial_states, t_max, integrator, tuple(outputs), description
     )
 
 
@@ -463,7 +468,10 @@ def _write_svg(path: str, kind: str, trajs, curves) -> None:
             f'<line x1="{x_min:.9g}" y1="0" x2="{x_min + w:.9g}" y2="0" {axis}/>'
         )
     for points, color in lines:
-        coords = " ".join(f"{p[0]:.9g},{-p[1]:.9g}" for p in points)
+        # one %-operation per polyline; %.9g prints as format(v, ".9g")
+        coords = " ".join(("%.9g,%.9g",) * len(points)) % tuple(
+            (points * (1.0, -1.0)).ravel().tolist()
+        )
         out.append(
             f'<polyline fill="none" stroke="{color}" '
             f'stroke-width="{stroke:.9g}" points="{coords}"/>'

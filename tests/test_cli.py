@@ -16,6 +16,7 @@ from duffing_aa.cli import (
     MAX_GRID_STATES,
     _fmt,
     _write_csv,
+    _write_svg,
     load_scenario,
     main,
 )
@@ -266,12 +267,25 @@ FIGURE_DIGESTS = {
 }
 
 
+# the same for each bundled figure's SVG
+FIGURE_SVG_DIGESTS = {
+    "fig1_portrait.svg":
+        "d333cc2788803c8757d0825512774d70694651f39647288b83ca6d2f98bedf6f",
+    "fig2_portrait.svg":
+        "9b3352ac6962aaf02a7f48114ff68a5af40b7278753ea4729090aeef52ff6c47",
+    "fig3_portrait.svg":
+        "ed5ae368fdedd2d5aa961346705b2e0c873e57812d2731d5243dee46e8e73606",
+    "fig4_energy_angle.svg":
+        "f4cc572102d47d85dece2b3759e1d0375b85379e2dc2874fa08b7a375a331187",
+}
+
+
 def test_bundled_figures_match_recorded_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name in ("fig1", "fig2", "fig3", "fig4"):
         assert main(["run", "--quiet", name]) == 0
-    for csv, digest in FIGURE_DIGESTS.items():
-        assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == digest, csv
+    for out, digest in {**FIGURE_DIGESTS, **FIGURE_SVG_DIGESTS}.items():
+        assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() == digest, out
 
 
 def test_bundled_fig4_spiral_is_monotone(tmp_path, monkeypatch):
@@ -401,6 +415,28 @@ def test_bad_output_path_exits_2_before_integrating(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("config error: outputs[1].path: "), err
     assert sorted(os.listdir(tmp_path)) == ["scn.json"]
+
+
+@pytest.mark.parametrize("description", [None, 5, ["a"]],
+                         ids=["null", "number", "list"])
+def test_bad_description_exits_2(tmp_path, capsys, description):
+    assert main(["run", small_scenario(tmp_path, description=description)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: scenario.description: expected a string, "
+                   f"got {description!r}\n"), err
+
+
+def test_svg_matches_per_point_format(tmp_path):
+    # the bulk writer must print every point as x, -y in format(v, ".9g"),
+    # -0.0 and the smallest subnormal included
+    curve = np.array([[-0.0, 5e-324], [1e300, 0.0], [2.5, -0.0], [-1.0 / 3.0, 1e-7]])
+    _write_svg(str(tmp_path / "c.svg"), "energy_angle", [None], [curve])
+    root = ET.parse(tmp_path / "c.svg").getroot()
+    (poly,) = [e for e in root.iter() if e.tag.endswith("polyline")]
+    want = " ".join(f"{format(x, '.9g')},{format(-y, '.9g')}"
+                    for x, y in curve.tolist())
+    assert poly.get("points") == want
+    assert want.startswith("-0,-4.94065646e-324 1e+300,-0 2.5,0 ")
 
 
 def test_csv_matches_per_value_format(tmp_path, monkeypatch):

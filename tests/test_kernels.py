@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from duffing_aa import Params, State, duffing_field
 from duffing_aa import _kernels
@@ -36,6 +40,158 @@ def test_adaptive_path_status_codes():
     assert status == _kernels.STATUS_STEP_UNDERFLOW
     *_, status, _, steps = _whole(0.0, 1.0, 0.0, 5.0, 1e-10, 1e-10, 0.01, 5)
     assert status == _kernels.STATUS_MAX_STEPS and steps == 5
+
+
+def _grow(arr, cap):
+    out = np.empty(cap, dtype=np.float64)
+    out[: arr.shape[0]] = arr
+    return out
+
+
+def _reference_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps,
+                    flips=0):
+    """adaptive_path as written before its field was inlined: one
+    _kernels.rhs call per stage, max() in the error scales and numpy
+    buffers grown by doubling."""
+    (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
+     b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = _kernels.TABLEAU
+    safety, err_exp, fac_min, fac_max = _kernels.STEP_CONTROL
+    cap = 4096
+    ts = np.empty(cap, dtype=np.float64)
+    us = np.empty(cap, dtype=np.float64)
+    vs = np.empty(cap, dtype=np.float64)
+
+    t = t0
+    u = u0
+    v = v0
+    k1u, k1v = _kernels.rhs(u, v, mu)
+    ts[0] = t
+    us[0] = u
+    vs[0] = v
+    n = 1
+
+    h = h0
+    if h > t_end:
+        h = t_end
+    status = _kernels.STATUS_OK
+    steps = 0
+    side = v0  # the last nonzero v; zero before the first one
+
+    while t < t_end:
+        if steps >= max_steps:
+            status = _kernels.STATUS_MAX_STEPS
+            break
+        if h < _kernels.MIN_STEP:
+            status = _kernels.STATUS_STEP_UNDERFLOW
+            break
+        last = False
+        if t + h >= t_end:
+            h = t_end - t
+            last = True
+
+        k2u, k2v = _kernels.rhs(u + h * a21 * k1u, v + h * a21 * k1v, mu)
+        k3u, k3v = _kernels.rhs(
+            u + h * (a31 * k1u + a32 * k2u), v + h * (a31 * k1v + a32 * k2v), mu
+        )
+        k4u, k4v = _kernels.rhs(
+            u + h * (a41 * k1u + a42 * k2u + a43 * k3u),
+            v + h * (a41 * k1v + a42 * k2v + a43 * k3v),
+            mu,
+        )
+        k5u, k5v = _kernels.rhs(
+            u + h * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u),
+            v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v),
+            mu,
+        )
+        k6u, k6v = _kernels.rhs(
+            u + h * (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u),
+            v + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v),
+            mu,
+        )
+        un = u + h * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+        vn = v + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+        k7u, k7v = _kernels.rhs(un, vn, mu)
+
+        eu = h * (e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u)
+        ev = h * (e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
+        su = abs_tol + rel_tol * max(abs(u), abs(un))
+        sv = abs_tol + rel_tol * max(abs(v), abs(vn))
+        # squared via *, not **, so absurd tolerances overflow to inf rather
+        # than raise OverflowError
+        ru = eu / su
+        rv = ev / sv
+        err = math.sqrt(0.5 * (ru * ru + rv * rv))
+
+        steps += 1
+        if err <= 1.0:
+            t = t_end if last else t + h
+            u = un
+            v = vn
+            k1u = k7u  # FSAL: last stage is the next step's first
+            k1v = k7v
+            if n == cap:
+                cap *= 2
+                ts = _grow(ts, cap)
+                us = _grow(us, cap)
+                vs = _grow(vs, cap)
+            ts[n] = t
+            us[n] = u
+            vs[n] = v
+            n += 1
+            if err == 0.0:
+                fac = fac_max
+            else:
+                fac = safety * err ** err_exp
+                if fac > fac_max:
+                    fac = fac_max
+                elif fac < fac_min:
+                    fac = fac_min
+            h = h * fac
+            if flips and v != 0.0:
+                if side != 0.0 and (v > 0.0) != (side > 0.0):
+                    flips -= 1
+                    if flips == 0:
+                        break
+                side = v
+        else:
+            # a NaN error norm (overflowed stages) would shrink h to NaN and
+            # spin through the whole step budget; inf still shrinks h
+            if math.isnan(err):
+                status = _kernels.STATUS_NONFINITE
+                break
+            fac = safety * err ** err_exp
+            if fac < fac_min:
+                fac = fac_min
+            elif fac > 1.0:
+                fac = 1.0
+            h = h * fac
+
+    return ts[:n], us[:n], vs[:n], status, h, steps
+
+
+_start = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    u0=_start, v0=_start, mu=st.floats(0.0, 0.5),
+    tol=st.sampled_from([1e-10, 1e-6, 1e-3]), flips=st.sampled_from([0, 1, 3]),
+    max_steps=st.one_of(st.integers(0, 200), st.just(10**7)),
+    t_end=st.floats(0.5, 15.0),
+)
+@example(u0=1e200, v0=0.0, mu=0.0, tol=1e-10, flips=0, max_steps=10**7, t_end=5.0)
+@example(u0=1.2, v0=0.0, mu=0.1, tol=1e-10, flips=3, max_steps=10**7, t_end=15.0)
+def test_adaptive_path_is_bitwise_the_reference(u0, v0, mu, tol, flips, max_steps,
+                                                 t_end):
+    # the inlined field, hoisted h * a21 and call-free max take every bit
+    # of the rhs-calling loop, the flips stop and the failure exits too
+    args = (u0, v0, mu, 0.0, t_end, tol, tol, 0.01, max_steps, flips)
+    got, want = _kernels.adaptive_path(*args), _reference_path(*args)
+    for a, b in zip(got[:3], want[:3]):  # t, u, v
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+    assert got[3:] == want[3:]  # status, h, attempted steps
+    if u0 == 1e200:
+        assert got[3] == _kernels.STATUS_NONFINITE
 
 
 def _chunked(u0, v0, mu, t_end, max_steps, flips):
