@@ -82,7 +82,7 @@ _OUTPUT_KEYS = {"kind", "format", "path"}
 # 24 bytes per sample (views of the batch t and states; its covered images and
 # sheets are computed from them while it is written); while they run, the
 # lockstep kernel's recording buffers and sort order need 56 more per sample
-# (36 at full buffers), the cut walk 12.  The forked process that writes the
+# (36 at full buffers).  The forked process that writes the
 # second half of that grid's CSV peaks at 35.4 MiB RSS (RUSAGE_CHILDREN, which
 # RUSAGE_SELF does not count), most of it pages it shares copy-on-write with run
 MAX_GRID_STATES = 10_000

@@ -12,19 +12,18 @@ column is ``covering.sheet_sign`` of each sample: the covering is a chart,
 not a second integration.  So the sheet changes where x changes sign, and
 those crossings of the y-axis are the trajectory's events, its
 ``cut_crossing``s: the covered path crossed the cut {y1 = 0, x1 < 0}.
-Crossing times are refined on the dense output until |y1| <= 1e-12.
+They are located when read and refined on the dense output to |y1| <= 1e-12.
 ``find_period`` locates the returns to the section {y = 0} on its own
 path, refined until |y| <= 1e-10.  Returns of a sign walk alternate in
 direction, so return 2 is the first one in the direction of return 0: one
 period after it.
 
-Both kinds are found the same way.  A numpy sign walk (``_sign_flips``)
-over the samples of any number of orbits (exact zeros skipped) brackets
-every sign change of x, or of y, at once; ``hermite_steps`` evaluates the
-Hermite cubic of each bracket's own step, and ``locate_roots`` refines all
-brackets together by the Illinois variant of regula falsi (Hairer, Norsett
-& Wanner, Solving ODEs I, II.6; Shampine & Thompson, "Event location for
-ODEs", 2000).
+Both kinds are found the same way.  A numpy sign walk (``_sign_flips``,
+exact zeros skipped) brackets every sign change of x, or of y, at once;
+``hermite_steps`` evaluates the Hermite cubic of each bracket's own step,
+and ``locate_roots`` refines all brackets together by the Illinois
+variant of regula falsi (Hairer, Norsett & Wanner, Solving ODEs I, II.6;
+Shampine & Thompson, "Event location for ODEs", 2000).
 
 Period and action queries need one orbit, not all of t_max: they share
 ``find_period``'s path, on which the adaptive kernel stops at the sample
@@ -38,10 +37,9 @@ both actions on one start share one integration.
 ``integrate_original_orbits`` integrates many starts at once, and
 ``integrate_original`` is that with one start: one
 ``_kernels.adaptive_lanes`` call steps their paths in lockstep, bit for
-bit the paths ``_kernels.adaptive_path`` takes one at a time.  One
-assembly locates the cut crossings of every orbit with one sign walk and
-one ``locate_roots`` call; each trajectory holds views of the batch
-arrays.  Events are emitted in increasing time.
+bit the paths ``_kernels.adaptive_path`` takes one at a time, and each
+trajectory holds views of its arrays.  Events are emitted in increasing
+time.
 
 Each integration is an independent single-threaded computation over
 immutable inputs; returned trajectories are frozen (array buffers are
@@ -139,14 +137,14 @@ class Trajectory:
     """Time-ordered samples of one orbit, on the original plane.
 
     ``states`` are original-plane points; ``covered`` (their covered-plane
-    images) and ``sheets`` (each sample's tag, +1 Upper, -1 Lower) are
-    read off them through the covering on every access.
-    Its dense output is ``hermite_steps(t, states, params.mu, ks)``.
+    images), ``sheets`` (each sample's tag, +1 Upper, -1 Lower) and
+    ``events`` (the cut crossings, see _cut_crossings) are read off them
+    on every access.  Its dense output is ``hermite_steps(t, states,
+    params.mu, ks)``.
     """
 
     t: np.ndarray
     states: np.ndarray
-    events: tuple[Event, ...]
     params: Params
     config: IntegratorConfig
 
@@ -164,6 +162,11 @@ class Trajectory:
     @property
     def sheets(self) -> np.ndarray:
         return sheet_sign(self.states[:, 0], self.states[:, 1]).astype(np.int8)
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        dense = partial(hermite_steps, self.t, self.states, self.params.mu)
+        return _cut_crossings(self.t, self.states, dense)
 
     def energies(self) -> np.ndarray:
         """H evaluated at every sample."""
@@ -253,56 +256,47 @@ def locate_roots(g, a, b, ga, gb, tol):
     return root
 
 
-def _sign_flips(g, bounds=None, trailing=False):
-    """The sign walk of g over lanes g[bounds[k]:bounds[k + 1]] (default:
-    one lane): indices k, increasing, of the nonzero entries that the next
-    nonzero entry of the same lane (past any exact zeros) opposes.  With
-    ``trailing``, also each lane's last nonzero entry where zeros follow."""
+def _sign_flips(g, trailing=False):
+    """The sign walk of g: indices k, increasing, of the nonzero entries
+    that the next nonzero entry (past any exact zeros) opposes.  With
+    ``trailing``, also the last nonzero entry where zeros follow."""
     nz = np.flatnonzero(g)
     pos = (g > 0.0)[nz]
     keep = np.zeros(nz.size, dtype=bool)
     keep[:-1] = pos[1:] != pos[:-1]  # entry i opposes entry i + 1
-    if nz.size and (bounds is not None or trailing):
-        bounds = np.asarray([0, g.size] if bounds is None else bounds)
-        last = np.searchsorted(nz, bounds[1:]) - 1  # each lane's last entry
-        keep[last] = False  # the entry after it lies in a later lane
-        if trailing:
-            ends = nz[last]
-            keep[last[(ends >= bounds[:-1]) & (ends + 1 < bounds[1:])]] = True
+    if trailing and nz.size:
+        keep[-1] = nz[-1] + 1 < g.size
     return nz[keep]
 
 
-def _cut_crossings(t: np.ndarray, z: np.ndarray, dense, bounds):
-    """Locate the cut crossings of original-plane paths: the sign flips of x.
+def _cut_crossings(t: np.ndarray, z: np.ndarray, dense) -> tuple[Event, ...]:
+    """The cut crossings of the original-plane path (t, z): sign flips of x.
 
-    Lane k is samples bounds[k]:bounds[k + 1] of the path (t, z); samples
-    past bounds[-1] are ignored.  ``dense(ks)`` is the path's dense output
-    on steps ks (see hermite_steps).  A flip of x between nonzero samples
-    k and n brackets a crossing on the step k -> k + 1, where x[k + 1] = 0
-    if zeros lie between, making that sample the crossing; so is a lane's
-    trailing zero after its last nonzero x.  Other zeros are skipped: a
-    path launched from the y-axis carries its conventional tag already.
-    Each crossing is refined on y1 = 2xy until |y1| <= 1e-12, where x1 < 0
-    unless the path met the cut within BRANCH_CUT_TOL of the branch point.
-    Returns all lanes' events, the offsets in them of each lane's first
-    event (one per bound), and by lane the DegenerateCrossing of each lane
-    that met the cut at the branch point.
+    ``dense(ks)`` is the path's dense output on steps ks (see
+    hermite_steps).  A flip of x between nonzero samples k and n brackets
+    a crossing on the step k -> k + 1, where x[k + 1] = 0 if zeros lie
+    between, making that sample the crossing; so is a trailing zero after
+    the last nonzero x.  Other zeros are skipped: a path launched from the
+    y-axis carries its conventional tag already.  Each crossing is refined
+    on y1 = 2xy until |y1| <= 1e-12, where x1 < 0 unless the path met the
+    cut within BRANCH_CUT_TOL of the branch point: the first such crossing
+    raises DegenerateCrossing.
     """
-    ks = _sign_flips(z[: bounds[-1], 0], bounds, trailing=True)
+    ks = _sign_flips(z[:, 0], trailing=True)
     at = dense(ks)
     ga, gb = (square(*z[k].T)[1] for k in (ks, ks + 1))
     t_star = locate_roots(lambda j, tq: square(*at(j, tq))[1],
                           t[ks], t[ks + 1], ga, gb, CUT_REFINE_TOL)
     x1_star = square(*at(np.arange(ks.size), t_star))[0]
-    # reversed, so that each lane keeps its first degenerate crossing
-    near = np.flatnonzero(np.abs(x1_star) <= BRANCH_CUT_TOL)[::-1]
-    degenerate = {lane: DegenerateCrossing(
-        f"trajectory met the cut at x1={x1_star[i]:.3e}, t={t_star[i]:.6g}, "
-        "within tolerance of the branch point"
-    ) for i, lane in zip(near, np.searchsorted(bounds, ks[near], "right") - 1)}
-    events = [Event(ts, CUT_CROSSING, {"x1": xs})
-              for ts, xs in zip(t_star.tolist(), x1_star.tolist())]
-    return events, np.searchsorted(ks, bounds).tolist(), degenerate
+    near = np.flatnonzero(np.abs(x1_star) <= BRANCH_CUT_TOL)
+    if near.size:
+        i = near[0]
+        raise DegenerateCrossing(
+            f"trajectory met the cut at x1={x1_star[i]:.3e}, t={t_star[i]:.6g}, "
+            "within tolerance of the branch point"
+        )
+    return tuple(Event(ts, CUT_CROSSING, {"x1": xs})
+                 for ts, xs in zip(t_star.tolist(), x1_star.tolist()))
 
 
 def _section_crossings(t: np.ndarray, y: np.ndarray, dense) -> np.ndarray:
@@ -321,8 +315,7 @@ def integrate_original(
 ) -> Trajectory:
     """Advance the original-plane field from s0 over [0, t_max].
 
-    The covered columns and the sheet are read off each sample (see
-    Trajectory); the events are the crossings of the cut.
+    Its covered columns, sheets and events are read off the samples.
     """
     return next(integrate_original_orbits([s0], p, cfg))
 
@@ -333,39 +326,21 @@ def integrate_original_orbits(
     """Yield integrate_original(s0, p, cfg) for every s0 of states, in order.
 
     The paths come from one ``_kernels.adaptive_lanes`` call that steps
-    the orbits in lockstep, and are assembled as one batch.  Orbit k's
-    failure is raised when orbit k is due, after orbits 0..k-1 have been
-    yielded.
+    the orbits in lockstep; each trajectory holds views of its arrays.
+    Orbit k's failure is raised when orbit k is due, after orbits 0..k-1
+    have been yielded.
     """
     starts = [State(float(s0[0]), float(s0[1])) for s0 in states]
     t, z, bounds, status, _, _ = _kernels.adaptive_lanes(
         [s0.x for s0 in starts], [s0.y for s0 in starts], p.mu, cfg.t_max,
         cfg.rel_tol, cfg.abs_tol, cfg.step, int(cfg.max_steps),
     )
-    yield from _assemble(starts, t, z, bounds, status, p, cfg)
-
-
-def _assemble(starts, t, z, bounds, status, p, cfg) -> Iterator[Trajectory]:
-    """Yield each lane's trajectory in order, lane k being rows
-    bounds[k]:bounds[k + 1] of the path (t, z) from starts[k], which
-    stopped with status[k].  The lanes before the first failed one, n, are
-    searched for cut crossings at once; each trajectory holds views of the
-    batch arrays.  Then lane n's failure is raised: a non-finite start
-    always fails its lane, so only lane n's start needs the finiteness
-    check."""
-    n = next((k for k, s in enumerate(status) if s != _kernels.STATUS_OK), len(starts))
-    events, firsts, degenerate = _cut_crossings(
-        t, z, partial(hermite_steps, t, z, p.mu), bounds[: n + 1]
-    )
-    for k in range(n):
-        if k in degenerate:
-            raise degenerate[k]
+    for k, s0 in enumerate(starts):
         rows = slice(bounds[k], bounds[k + 1])
-        cuts = tuple(events[firsts[k] : firsts[k + 1]])
-        yield Trajectory(t[rows], z[rows], cuts, p, cfg)
-    if n < len(starts):
-        _require_finite(starts[n])
-        _check_status(status[n], t[bounds[n] : bounds[n + 1]], cfg)
+        if status[k] != _kernels.STATUS_OK:
+            _require_finite(s0)  # a non-finite start always fails its lane
+            _check_status(status[k], t[rows], cfg)
+        yield Trajectory(t[rows], z[rows], p, cfg)
 
 
 def _require_closed_orbit(s0: State, p: Params) -> None:

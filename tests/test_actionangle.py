@@ -53,7 +53,7 @@ def chain_rule_theta_dot(s: State) -> float:
 def constant_trajectory(s: State, n: int = 4) -> Trajectory:
     t = np.linspace(0.0, 1.0, n)
     states = np.tile(np.array(s, dtype=float), (n, 1))
-    return Trajectory(t, states, (), Params(), DEFAULT_CONFIG)
+    return Trajectory(t, states, Params(), DEFAULT_CONFIG)
 
 
 def test_theta_examples():
@@ -169,7 +169,7 @@ def test_unwrap_ambiguous():
     # two samples half a turn apart cannot be unwrapped
     t = np.array([0.0, 1.0])
     states = np.array([[math.sqrt(2.0), 0.0], [0.0, 1.0]])
-    traj = Trajectory(t, states, (), Params(), DEFAULT_CONFIG)
+    traj = Trajectory(t, states, Params(), DEFAULT_CONFIG)
     with pytest.raises(UnwrapAmbiguous):
         unwrap_theta(traj)
 

@@ -144,7 +144,7 @@ def test_evolved_sheet_matches_pointwise_tag(p0):
 def test_covered_and_sheets_are_read_off_the_samples(p0):
     # a trajectory stores no derived column, so none can disagree with it
     assert [f.name for f in fields(Trajectory)] == [
-        "t", "states", "events", "params", "config"]
+        "t", "states", "params", "config"]
     traj = integrate_original(State(0.0, 2.0), p0, replace(DEFAULT_CONFIG, t_max=5.0))
     x, y = traj.states.T
     assert traj.covered.tobytes() == np.column_stack(square(x, y)).tobytes()
@@ -496,12 +496,7 @@ def cut_events(x, y, t=None):
     t = np.arange(x.size, dtype=float) if t is None else np.asarray(t, float)
     pts = np.column_stack((x, y))
     slopes = np.gradient(pts, t, axis=0)
-    events, firsts, degenerate = integrate._cut_crossings(
-        t, pts, partial(hermite, t, pts, slopes), [0, t.size]
-    )
-    if degenerate:
-        raise degenerate[0]
-    assert firsts == [0, len(events)]
+    events = integrate._cut_crossings(t, pts, partial(hermite, t, pts, slopes))
     flips = np.flatnonzero(np.diff(sheet_sign(x, y))) + 1
     return [e.t for e in events], [e.data["x1"] for e in events], flips.tolist()
 
@@ -551,65 +546,12 @@ def test_cut_locator_degenerate():
     assert cut_events([1e-7, 1e-7], [0.5, -0.5]) == ([], [], [])
 
 
-def lane_cut_events(lanes):
-    """cut_events of synthetic original-plane paths (x, y), located
-    together as the lanes of one batch; per lane, (event times, event x1,
-    sheet flips within the lane)."""
-    ts, pts, slopes, bounds = [], [], [], [0]
-    for x, y in lanes:
-        t = np.arange(len(x), dtype=float)
-        lane = np.column_stack((x, y)).astype(float)
-        ts.append(t)
-        pts.append(lane)
-        slopes.append(np.gradient(lane, t, axis=0))
-        bounds.append(bounds[-1] + t.size)
-    t, pts, slopes = (np.concatenate(a) for a in (ts, pts, slopes))
-    events, firsts, degenerate = integrate._cut_crossings(
-        t, pts, partial(hermite, t, pts, slopes), bounds
-    )
-    assert not degenerate
-    return [
-        ([e.t for e in events[on:off]], [e.data["x1"] for e in events[on:off]],
-         (np.flatnonzero(np.diff(sheet_sign(*pts[lo:hi].T))) + 1).tolist())
-        for on, off, lo, hi in zip(firsts, firsts[1:], bounds, bounds[1:])
-    ]
-
-
-def test_batched_cut_locator_brackets_within_lanes():
-    # read as one path, the samples cross the cut five times, four of them
-    # between a lane's last sample and the next lane's first (one of those
-    # past lane 3's start on the cut); as lanes, only lane 4 crosses
-    lanes = [
-        ([-0.5, -0.5], [1.0, 1.0]), ([0.5, 0.5], [1.0, 1.0]),
-        ([-0.5, -0.5], [1.0, 1.0]), ([0.0, 0.5], [1.0, 1.0]),
-        ([-1.0, 1.0], [1.0, 1.0]),
-    ]
-    assert lane_cut_events(lanes) == [([], [], [])] * 4 + [([0.5], [-1.0], [1])]
-    assert lane_cut_events(lanes) == [cut_events(*lane) for lane in lanes]
-    x, y = (np.concatenate(c) for c in zip(*lanes))
-    assert len(cut_events(x, y)[0]) == 5
-
-
-def test_batched_cut_locator_trailing_sample_per_lane():
-    # a trailing sample on the cut is a crossing in every lane that ends
-    # on it, not only in the last lane of the batch
-    lanes = [
-        ([-0.5, 0.0], [1.0, 1.0]), ([-0.5, 0.0], [1.0, 1.0]),
-        ([0.0, 0.0], [1.0, 1.0]), ([-0.5, -0.5, 0.0], [1.0] * 3),
-        ([-0.5, -0.5], [1.0, 1.0]),
-    ]
-    assert lane_cut_events(lanes) == [
-        ([1.0], [-1.0], [1]), ([1.0], [-1.0], [1]), ([], [], []),
-        ([2.0], [-1.0], [2]), ([], [], []),
-    ]
-    assert lane_cut_events(lanes) == [cut_events(*lane) for lane in lanes]
-
-
 def test_degenerate_crossing_raised_when_its_orbit_is_due(monkeypatch):
     # no orbit of a short run meets the cut within 1e-12 of the branch
     # point, so the test widens the branch tolerance to 0.05: the small
     # orbits about (1, 0) never cross x = 0, and orbit #17 crosses it at
-    # |y| < 0.18, so at x1 > -0.035
+    # |y| < 0.18, so at x1 > -0.035.  Every orbit is yielded: the crossing
+    # is raised when orbit #17's events are read, as for that orbit alone
     monkeypatch.setattr(integrate, "BRANCH_CUT_TOL", 0.05)
     n, k = _kernels.MIN_LANES + 8, 17
     rng = np.random.default_rng(3)
@@ -618,12 +560,15 @@ def test_degenerate_crossing_raised_when_its_orbit_is_due(monkeypatch):
     states[k] = State(-0.1, 0.2)
     cfg = IntegratorConfig(t_max=20.0)
     got, error = _run_orbits(integrate_original_orbits(states, Params(), cfg), n)
-    want, want_error = _one_at_a_time(states, Params(), cfg)
-    assert len(got) == len(want) == k
-    assert type(error) is type(want_error) is DegenerateCrossing
-    assert str(error) == str(want_error)
-    for a, b in zip(got, want):
-        _assert_same_trajectory(a, b)
+    assert error is None and len(got) == n
+    for i, traj in enumerate(got):
+        if i != k:
+            assert traj.events == ()
+    with pytest.raises(DegenerateCrossing) as batch:
+        got[k].events
+    with pytest.raises(DegenerateCrossing) as alone:
+        integrate_original(states[k], Params(), cfg).events
+    assert str(batch.value) == str(alone.value)
 
 
 def test_assembly_refines_one_bracket_per_cut_event(monkeypatch, p0):
@@ -739,16 +684,17 @@ def test_locator_matches_scalar_bisection():
 )
 @example(x=0.0, y=1.0, mu=0.0)  # launched on the cut
 def test_sheet_parity_equals_cut_count(x, y, mu):
-    try:
-        traj = integrate_original(
-            State(x, y), Params(mu=mu), replace(DEFAULT_CONFIG, t_max=8.0)
-        )
-    except DegenerateCrossing:
-        assume(False)
+    traj = integrate_original(
+        State(x, y), Params(mu=mu), replace(DEFAULT_CONFIG, t_max=8.0)
+    )
     c0 = cover_map(State(x, y))
     assert traj.states[0].tolist() == [x, y]
     assert traj.covered[0].tolist() == [c0.x1, c0.y1]
     assert int(traj.sheets[0]) == (1 if c0.sheet is Sheet.UPPER else -1)
-    cuts = sum(e.kind == CUT_CROSSING for e in traj.events)
+    try:
+        events = traj.events
+    except DegenerateCrossing:
+        assume(False)
+    cuts = sum(e.kind == CUT_CROSSING for e in events)
     assert int(traj.sheets[-1]) == int(traj.sheets[0]) * (-1) ** cuts
     assert int(np.sum(traj.sheets[1:] != traj.sheets[:-1])) == cuts

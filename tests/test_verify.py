@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from duffing_aa import OnSeparatrix
+from duffing_aa import OnSeparatrix, actionangle, covering, dynamics, integrate
 from duffing_aa.verify import (
     CHECKS,
     FORMULA_COVERAGE,
@@ -149,14 +150,40 @@ def test_run_check_unknown_name():
 def test_registry_covers_every_formula():
     formulas = {
         "duffing_field", "hamiltonian", "energy_rate",
-        "cover_map", "inverse_cover", "covered_field",
-        "theta_of", "theta_dot_of", "dH_dtheta", "find_period",
+        "square", "sheet_sign", "principal_root", "covered_field",
+        "theta_of", "_unwrap", "theta_dot_of", "dH_dtheta", "find_period",
     }
     assert set(FORMULA_COVERAGE) == formulas
     for formula, checks in FORMULA_COVERAGE.items():
         assert checks, f"{formula} has no check"
         for name in checks:
             assert name in CHECKS, f"{formula} -> {name} is not registered"
+
+
+def test_every_listed_check_calls_its_formula(monkeypatch):
+    # each formula is spied at every binding in the package, so a call
+    # through any module counts; a pair listed for a check that never
+    # calls the formula could not catch a fault in it
+    modules = [m for name, m in list(sys.modules.items())
+               if m is not None and name.startswith("duffing_aa.")]
+    called = set()
+    for formula in FORMULA_COVERAGE:
+        fn = next(getattr(m, formula) for m in (dynamics, covering, actionangle, integrate)
+                  if hasattr(m, formula))
+
+        def spy(*args, _fn=fn, _formula=formula, **kwargs):
+            called.add(_formula)
+            return _fn(*args, **kwargs)
+
+        for m in modules:
+            if getattr(m, formula, None) is fn:
+                monkeypatch.setattr(m, formula, spy)
+    for name in CHECKS:
+        called.clear()
+        CHECKS[name](3)
+        for formula, checks in FORMULA_COVERAGE.items():
+            if name in checks:
+                assert formula in called, f"{name} never calls {formula}"
 
 
 def test_json_round_trip():
