@@ -6,7 +6,8 @@ angle (and an action built on it) describes all three orbit regions at
 once.  Subpackage map:
 
   dynamics     the original vector field and its Hamiltonian
-  covering     the two-sheeted covering map, its inverse and the cut
+  covering     the covering map square, its sheet rule sheet_sign, its
+               inverse principal_root and the covered field, elementwise
   integrate    adaptive RK45 integration of the original plane, and its
                cut crossings: the sign flips of x
   actionangle  the global angle, its unwrapping and the action integrals
@@ -23,13 +24,7 @@ from .actionangle import (
     theta_of,
     unwrap_theta,
 )
-from .covering import (
-    CoveredState,
-    Sheet,
-    cover_map,
-    covered_field,
-    inverse_cover,
-)
+from .covering import covered_field, principal_root, sheet_sign, square
 from .dynamics import (
     Params,
     State,
@@ -76,11 +71,10 @@ __all__ = [
     "theta_dot_of",
     "theta_of",
     "unwrap_theta",
-    "CoveredState",
-    "Sheet",
-    "cover_map",
     "covered_field",
-    "inverse_cover",
+    "principal_root",
+    "sheet_sign",
+    "square",
     "Params",
     "State",
     "duffing_field",

@@ -59,7 +59,7 @@ from importlib import resources
 import numpy as np
 
 from .actionangle import energy_angle_curve
-from .covering import CoveredState, Sheet, covered_field
+from .covering import covered_field
 from .dynamics import Params, State, duffing_field
 from .exceptions import ConfigError, DuffingError
 from .integrate import IntegratorConfig, Trajectory, integrate_original_orbits
@@ -549,13 +549,16 @@ def _cmd_field(args) -> int:
         sx, sy = args.at.split(",")
         x, y = float(sx), float(sy)
     except ValueError:
-        print(f"--at expects 'x,y', got {args.at!r}", file=sys.stderr)
+        x = y = math.nan
+    if not (math.isfinite(x) and math.isfinite(y)):
+        print(f"--at expects 'x,y' of two finite numbers, got {args.at!r}",
+              file=sys.stderr)
         return 2
     try:
         p = Params(mu=args.mu)
         with np.errstate(all="ignore"):  # an overflow is reported below
             if args.covered:
-                u, v = covered_field(CoveredState(x, y, Sheet.UPPER), p)
+                u, v = covered_field(x, y, p)
             else:
                 u, v = duffing_field(State(x, y), p)
     except ValueError as e:

@@ -48,8 +48,8 @@ class Params:
 
 
 def _require_finite(s) -> None:
-    """Reject a State or CoveredState whose coordinates (scalars or
-    arrays) are not all finite."""
+    """Reject a State whose coordinates (scalars or arrays) are not all
+    finite."""
     if not (np.all(np.isfinite(s[0])) and np.all(np.isfinite(s[1]))):
         raise ValueError(f"{type(s).__name__} must be finite, got {s!r}")
 

@@ -28,15 +28,7 @@ from numbers import Real
 import numpy as np
 
 from .actionangle import dH_dtheta, theta_dot_of, theta_of
-from .covering import (
-    CoveredState,
-    Sheet,
-    _unwrap,
-    covered_field,
-    principal_root,
-    sheet_sign,
-    square,
-)
+from .covering import _unwrap, covered_field, principal_root, sheet_sign, square
 from .dynamics import Params, State, duffing_field, energy_rate, state_on_level
 from .exceptions import OnSeparatrix
 from .integrate import (
@@ -123,34 +115,35 @@ def _report(name, err, scale, tolerance, relative=False, n=None) -> CheckReport:
                        governing <= tolerance, tolerance)
 
 
+def _jacobian_pushforward(x, y, p):
+    """The original field at (x, y) pushed forward by the covering's
+    Jacobian [[2x, -2y], [2y, 2x]]."""
+    fx, fy = duffing_field(State(x, y), p)
+    return 2.0 * x * fx - 2.0 * y * fy, 2.0 * y * fx + 2.0 * x * fy
+
+
 def _chain_rule_theta_dot(x, y):
     """Oracle for theta': ((x1-1)*y1' - y1*x1') / ((x1-1)^2 + y1^2), with
-    the covered velocity pushed forward from the raw conservative field by
-    the Jacobian [[2x, -2y], [2y, 2x]]."""
-    fx, fy = duffing_field(State(x, y), Params(mu=0.0))
-    x1 = x * x - y * y
-    y1 = 2.0 * x * y
-    du = 2.0 * x * fx - 2.0 * y * fy
-    dv = 2.0 * y * fx + 2.0 * x * fy
+    the covered velocity pushed forward from the raw conservative field."""
+    x1, y1 = square(x, y)
+    du, dv = _jacobian_pushforward(x, y, Params(mu=0.0))
     return ((x1 - 1.0) * dv - y1 * du) / ((x1 - 1.0) ** 2 + y1**2)
 
 
 def check_pushforward(
     n: int, mu: float, seed: int = DEFAULT_SEED, tolerance: float = 1e-10
 ) -> CheckReport:
-    """covered_field composed with cover_map vs. the Jacobian pushforward.
+    """covered_field composed with square vs. the Jacobian pushforward.
 
     The oracle applies J = [[2x, -2y], [2y, 2x]] to the original field at
     n sampled states; the production route evaluates the closed covered
-    field at the covered images.  Governing metric: max absolute
-    componentwise difference.
+    field at their squares.  Governing metric: max absolute componentwise
+    difference.
     """
     x, y = _sample_box(seed, n)
     p = Params(mu=mu)
-    fx, fy = duffing_field(State(x, y), p)
-    oracle_u = 2.0 * x * fx - 2.0 * y * fy
-    oracle_v = 2.0 * y * fx + 2.0 * x * fy
-    got_u, got_v = covered_field(CoveredState(*square(x, y), Sheet.UPPER), p)
+    oracle_u, oracle_v = _jacobian_pushforward(x, y, p)
+    got_u, got_v = covered_field(*square(x, y), p)
     return _report(
         "check_pushforward", np.concatenate((got_u - oracle_u, got_v - oracle_v)),
         np.concatenate((oracle_u, oracle_v)), tolerance, n=n,
@@ -253,9 +246,8 @@ def check_period(h_levels, tolerance: float = 1e-7) -> CheckReport:
 def check_roundtrip(
     n: int = DEFAULT_N, seed: int = DEFAULT_SEED, tolerance: float = 1e-12
 ) -> CheckReport:
-    """inverse_cover(cover_map(s)) = s, componentwise, on sampled states,
-    through their array forms: the principal root of the square, signed
-    by the sheet."""
+    """The principal root of the square of s, signed by s's sheet, is s,
+    componentwise, on sampled states."""
     x, y = _sample_box(seed, n)
     sign = sheet_sign(x, y)
     back_x, back_y = principal_root(*square(x, y))
@@ -378,8 +370,7 @@ CHECKS = {
 }
 
 # formula -> checks that call it; the registry tests keep this total and
-# every pair true.  cover_map and inverse_cover are checked through their
-# array forms square, sheet_sign and principal_root.
+# every pair true.
 FORMULA_COVERAGE = {
     "duffing_field": ("check_pushforward", "check_theta_dot", "check_energy_rate",
                       "check_dh_dtheta"),

@@ -15,15 +15,14 @@ from scipy.integrate import solve_ivp
 from duffing_aa import (
     CUT_CROSSING,
     DEFAULT_CONFIG,
-    CoveredState,
     Params,
     State,
     action_original,
-    cover_map,
     covered_field,
     find_period,
     hamiltonian,
     integrate_original,
+    square,
     state_on_level,
     theta_dot_of,
     unwrap_theta,
@@ -101,10 +100,9 @@ def test_criterion_6_smooth_cut_transit():
     cuts = [e for e in orig.events if e.kind == CUT_CROSSING]
     assert len(cuts) == 6  # twice per period over three periods
     # oracle: the covered field integrated on its own by scipy's DOP853
-    c0 = cover_map(s0)
     cov = solve_ivp(
-        lambda _, z: covered_field(CoveredState(z[0], z[1], c0.sheet), P0),
-        (0.0, cfg.t_max), [c0.x1, c0.y1], method="DOP853", t_eval=orig.t,
+        lambda _, z: covered_field(z[0], z[1], P0),
+        (0.0, cfg.t_max), square(s0.x, s0.y), method="DOP853", t_eval=orig.t,
         rtol=1e-12, atol=1e-12,
     )
     assert cov.success, cov.message

@@ -275,6 +275,15 @@ def test_field_that_overflows_exits_2_naming_the_point(capsys, covered):
     assert err.startswith(f"the field at ({_fmt(1e200)}, 1) is not finite"), err
 
 
+@pytest.mark.parametrize("covered", [False, True], ids=["original", "covered"])
+@pytest.mark.parametrize("at", ["nan,0", "inf,1", "1,-inf"])
+def test_field_at_a_non_finite_point_exits_2_naming_at(capsys, at, covered):
+    assert main(["field", "--at", at] + ["--covered"] * covered) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"--at expects 'x,y' of two finite numbers, got {at!r}\n"
+
+
 # SHA-256 of each bundled figure's CSV, as recorded for the benchmark's
 # figures workload: the regression oracle for byte-identical outputs
 FIGURE_DIGESTS = {

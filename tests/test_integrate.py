@@ -12,17 +12,14 @@ from scipy.integrate import solve_ivp
 from duffing_aa import (
     CUT_CROSSING,
     DEFAULT_CONFIG,
-    CoveredState,
     DegenerateCrossing,
     IntegratorConfig,
     MaxStepsExceeded,
     NoReturn,
     OnSeparatrix,
     Params,
-    Sheet,
     State,
     StepFailure,
-    cover_map,
     covered_field,
     find_period,
     hamiltonian,
@@ -48,10 +45,9 @@ def dense_at(traj, tq):
 def covered_reference(s0, p, t):
     """The covered-plane flow from the image of s0, sampled at times t: an
     independent integration of covering.covered_field by scipy's DOP853."""
-    c0 = cover_map(s0)
     sol = solve_ivp(
-        lambda _, z: covered_field(CoveredState(z[0], z[1], c0.sheet), p),
-        (t[0], t[-1]), [c0.x1, c0.y1], method="DOP853", t_eval=t,
+        lambda _, z: covered_field(z[0], z[1], p),
+        (t[0], t[-1]), square(s0.x, s0.y), method="DOP853", t_eval=t,
         rtol=1e-12, atol=1e-12,
     )
     assert sol.success, sol.message
@@ -687,10 +683,9 @@ def test_sheet_parity_equals_cut_count(x, y, mu):
     traj = integrate_original(
         State(x, y), Params(mu=mu), replace(DEFAULT_CONFIG, t_max=8.0)
     )
-    c0 = cover_map(State(x, y))
     assert traj.states[0].tolist() == [x, y]
-    assert traj.covered[0].tolist() == [c0.x1, c0.y1]
-    assert int(traj.sheets[0]) == (1 if c0.sheet is Sheet.UPPER else -1)
+    assert traj.covered[0].tolist() == list(square(x, y))
+    assert int(traj.sheets[0]) == sheet_sign(x, y)
     try:
         events = traj.events
     except DegenerateCrossing:

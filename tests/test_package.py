@@ -7,3 +7,14 @@ def test_every_export_resolves():
     namespace = {}
     exec("from duffing_aa import *", namespace)
     assert set(duffing_aa.__all__) <= set(namespace)
+
+
+def test_the_covering_is_its_array_forms():
+    for name in ("cover_map", "inverse_cover", "CoveredState", "Sheet"):
+        assert not hasattr(duffing_aa, name), name
+    assert {"square", "sheet_sign", "principal_root"} <= set(duffing_aa.__all__)
+
+
+def test_numpy_is_the_only_backend():
+    # perfbench/run.py reads this name to report the backend that ran
+    assert duffing_aa.USING_NUMBA is False
