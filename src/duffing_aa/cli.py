@@ -7,7 +7,11 @@ Subcommands:
   field --at x,y     evaluate either vector field at one point
 
 Scenario files are strict JSON: unknown fields are errors, so a config
-reproduces the same figure or not at all.  Fields:
+reproduces the same figure or not at all.  Every number is a finite
+number that is not a bool (an integer for nx, ny and max_steps), checked
+by the package's one rule (dynamics._number) with the bound of its field:
+a NaN or Infinity token reads as a float and is refused like 1e999, and
+the config error names the field.  Fields:
 
   mu, c              system parameters
   initial_states     list of [x, y] pairs -- or instead:
@@ -53,14 +57,14 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
 from .actionangle import energy_angle_curve
 from .covering import covered_field
-from .dynamics import Params, State, duffing_field
+from .dynamics import Params, State, _number, duffing_field
 from .exceptions import ConfigError, DuffingError
 from .integrate import IntegratorConfig, Trajectory, integrate_original_orbits
 from .verify import CHECKS, run_check
@@ -68,13 +72,9 @@ from .verify import CHECKS, run_check
 KINDS = ("original", "covered", "energy_angle")
 FORMATS = ("csv", "svg")
 
-_SCENARIO_KEYS = {
-    "mu", "c", "initial_states", "grid", "t_max", "integrator", "outputs",
-    "description",
-}
-_GRID_KEYS = {"x_range", "y_range", "nx", "ny"}
-_INTEGRATOR_KEYS = {"step", "rel_tol", "abs_tol", "max_steps"}
-_OUTPUT_KEYS = {"kind", "format", "path"}
+_GRID_KEYS = ("x_range", "y_range", "nx", "ny")
+_INTEGRATOR_KEYS = ("step", "rel_tol", "abs_tol", "max_steps")
+_OUTPUT_KEYS = ("kind", "format", "path")
 
 # run holds every orbit in memory until its outputs are written, so the grid
 # size bounds its memory: 400 orbits at t_max = 20 (287k samples) peak at
@@ -109,10 +109,8 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    mu: float
-    c: float
+    params: Params
     initial_states: tuple[State, ...]
-    t_max: float
     integrator: IntegratorConfig
     outputs: tuple[OutputSpec, ...]
     description: str = ""
@@ -122,65 +120,43 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _finite(v, where: str) -> float:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        try:
-            x = float(v)
-        except OverflowError:  # an integer beyond the float range
-            x = math.inf
-        if math.isfinite(x):
-            return x
-    raise ConfigError(f"{where}: expected a finite number, got {v!r}")
-
-
-def _num(obj: dict, key: str, where: str) -> float:
-    return _finite(obj[key], f"{where}.{key}")
-
-
-class _Constant(str):
-    """A NaN, Infinity or -Infinity token, which strict JSON does not have."""
-
-
-def _reject_constants(obj, where: str) -> None:
-    if isinstance(obj, _Constant):
-        raise ConfigError(f"{where}: {obj} is not valid in strict JSON")
-    if isinstance(obj, dict):
-        for key, v in obj.items():
-            _reject_constants(v, f"{where}.{key}")
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            _reject_constants(v, f"{where}[{i}]")
-
-
-def _unknown(keys, allowed, where: str) -> None:
-    extra = sorted(set(keys) - allowed)
+def _object(v, where: str, required, optional=()) -> dict:
+    """v if it is an object with every required key and no key outside
+    required and optional; else ConfigError naming the object or key."""
+    if not isinstance(v, dict):
+        raise ConfigError(f"{where}: expected an object")
+    extra = sorted(set(v) - {*required, *optional})
     if extra:
         raise ConfigError(f"{where}: unknown field(s) {', '.join(extra)}")
+    for key in required:
+        if key not in v:
+            raise ConfigError(f"{where}.{key}: missing")
+    return v
+
+
+def _checked(v, where: str, *bounds, **rule):
+    """_number(v, where, ...), a refusal a ConfigError naming where."""
+    try:
+        return _number(v, where, *bounds, **rule)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def _pair(v, where: str) -> tuple[float, float]:
+    """v, a list of two numbers, as floats."""
+    if not (isinstance(v, list) and len(v) == 2):
+        raise ConfigError(f"{where}: expected a list of two numbers, got {v!r}")
+    return float(_checked(v[0], f"{where}[0]")), float(_checked(v[1], f"{where}[1]"))
 
 
 def _expand_grid(grid: dict) -> tuple[State, ...]:
-    _unknown(grid.keys(), _GRID_KEYS, "grid")
-    for key in _GRID_KEYS:
-        if key not in grid:
-            raise ConfigError(f"grid.{key}: missing")
-    for key in ("nx", "ny"):
-        v = grid[key]
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ConfigError(f"grid.{key}: expected an integer >= 1, got {v!r}")
-    if grid["nx"] * grid["ny"] > MAX_GRID_STATES:
+    nx, ny = (_checked(grid[k], f"grid.{k}", 1, integer=True) for k in ("nx", "ny"))
+    if nx * ny > MAX_GRID_STATES:
         raise ConfigError(
-            f"grid: nx*ny = {grid['nx'] * grid['ny']} orbits exceeds the limit "
-            f"of {MAX_GRID_STATES}"
+            f"grid: nx*ny = {nx * ny} orbits exceeds the limit of {MAX_GRID_STATES}"
         )
-    ranges = {}
-    for key in ("x_range", "y_range"):
-        rng = grid[key]
-        if not (isinstance(rng, list) and len(rng) == 2):
-            raise ConfigError(f"grid.{key}: expected [lo, hi], got {rng!r}")
-        ranges[key] = (_finite(rng[0], f"grid.{key}[0]"),
-                       _finite(rng[1], f"grid.{key}[1]"))
-    xs = np.linspace(*ranges["x_range"], grid["nx"])
-    ys = np.linspace(*ranges["y_range"], grid["ny"])
+    xs = np.linspace(*_pair(grid["x_range"], "grid.x_range"), nx)
+    ys = np.linspace(*_pair(grid["y_range"], "grid.y_range"), ny)
     return tuple(State(float(x), float(y)) for x in xs for y in ys)
 
 
@@ -189,7 +165,7 @@ def load_scenario(path: str) -> Scenario:
     resolved = _resolve_config_path(path)
     try:
         with open(resolved, encoding="utf-8") as f:
-            raw = json.load(f, parse_constant=_Constant)
+            raw = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
@@ -198,65 +174,41 @@ def load_scenario(path: str) -> Scenario:
         ) from e
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    _reject_constants(raw, "scenario")
-    _unknown(raw.keys(), _SCENARIO_KEYS, "scenario")
+    _object(raw, "scenario", ("mu", "t_max", "outputs"),
+            ("c", "initial_states", "grid", "integrator", "description"))
+    integ = _object(raw.get("integrator", {}), "integrator", (),
+                    ("t_max", *_INTEGRATOR_KEYS))
+    if "t_max" in integ:
+        raise ConfigError("integrator.t_max: set the top-level t_max instead")
+    try:
+        integrator = IntegratorConfig(**integ)
+    except ValueError as e:
+        raise ConfigError(f"integrator: {e}") from e
+    try:
+        params = Params(mu=raw["mu"], c=raw.get("c", 0.0))
+        integrator = replace(integrator, t_max=raw["t_max"])
+    except ValueError as e:
+        raise ConfigError(f"scenario.{e}") from e
 
-    for key in ("mu", "t_max", "outputs"):
-        if key not in raw:
-            raise ConfigError(f"scenario.{key}: missing")
-    mu = _num(raw, "mu", "scenario")
-    c = _num(raw, "c", "scenario") if "c" in raw else 0.0
-    t_max = _num(raw, "t_max", "scenario")
-
-    has_states = "initial_states" in raw
-    has_grid = "grid" in raw
-    if has_states == has_grid:
-        raise ConfigError(
-            "scenario: provide exactly one of initial_states or grid"
-        )
-    if has_states:
+    if ("initial_states" in raw) == ("grid" in raw):
+        raise ConfigError("scenario: provide exactly one of initial_states or grid")
+    if "grid" in raw:
+        initial_states = _expand_grid(_object(raw["grid"], "grid", _GRID_KEYS))
+    else:
         lst = raw["initial_states"]
         if not isinstance(lst, list) or not lst:
             raise ConfigError(
                 "scenario.initial_states: expected a nonempty list of [x, y]"
             )
-        states = []
-        for i, pair in enumerate(lst):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigError(
-                    f"scenario.initial_states[{i}]: expected [x, y], got {pair!r}"
-                )
-            where = f"scenario.initial_states[{i}]"
-            states.append(State(_finite(pair[0], f"{where}[0]"),
-                                _finite(pair[1], f"{where}[1]")))
-        initial_states = tuple(states)
-    else:
-        if not isinstance(raw["grid"], dict):
-            raise ConfigError("scenario.grid: expected an object")
-        initial_states = _expand_grid(raw["grid"])
-
-    integ_raw = raw.get("integrator", {})
-    if not isinstance(integ_raw, dict):
-        raise ConfigError("scenario.integrator: expected an object")
-    if "t_max" in integ_raw:
-        raise ConfigError("integrator.t_max: set the top-level t_max instead")
-    _unknown(integ_raw.keys(), _INTEGRATOR_KEYS, "integrator")
-    try:
-        integrator = IntegratorConfig(t_max=t_max, **integ_raw)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"integrator: {e}") from e
+        initial_states = tuple(State(*_pair(pair, f"scenario.initial_states[{i}]"))
+                               for i, pair in enumerate(lst))
 
     outs_raw = raw["outputs"]
     if not isinstance(outs_raw, list):
         raise ConfigError("scenario.outputs: expected a list")
     outputs = []
     for i, out in enumerate(outs_raw):
-        if not isinstance(out, dict):
-            raise ConfigError(f"outputs[{i}]: expected an object")
-        _unknown(out.keys(), _OUTPUT_KEYS, f"outputs[{i}]")
-        for key in _OUTPUT_KEYS:
-            if key not in out:
-                raise ConfigError(f"outputs[{i}].{key}: missing")
+        _object(out, f"outputs[{i}]", _OUTPUT_KEYS)
         if out["kind"] not in KINDS:
             raise ConfigError(
                 f"outputs[{i}].kind: expected one of {', '.join(KINDS)}, "
@@ -277,15 +229,7 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError(
             f"scenario.description: expected a string, got {description!r}"
         )
-
-    try:
-        Params(mu=mu, c=c)
-    except ValueError as e:
-        raise ConfigError(f"scenario: {e}") from e
-
-    return Scenario(
-        mu, c, initial_states, t_max, integrator, tuple(outputs), description
-    )
+    return Scenario(params, initial_states, integrator, tuple(outputs), description)
 
 
 def _resolve_config_path(path: str) -> str:
@@ -489,12 +433,11 @@ def run_scenario(path: str, quiet: bool = False) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    p = Params(mu=scenario.mu, c=scenario.c)
     needs_curve = any(o.kind == "energy_angle" for o in scenario.outputs)
     trajs = []
     curves = []
     orbits = integrate_original_orbits(
-        scenario.initial_states, p, scenario.integrator
+        scenario.initial_states, scenario.params, scenario.integrator
     )
     for idx, s0 in enumerate(scenario.initial_states):
         try:
@@ -545,12 +488,9 @@ def verify_all(
 
 
 def _cmd_field(args) -> int:
-    try:
-        sx, sy = args.at.split(",")
-        x, y = float(sx), float(sy)
+    try:  # float() refuses a non-number, _number a non-finite one
+        x, y = (_number(float(v), "--at") for v in args.at.split(","))
     except ValueError:
-        x = y = math.nan
-    if not (math.isfinite(x) and math.isfinite(y)):
         print(f"--at expects 'x,y' of two finite numbers, got {args.at!r}",
               file=sys.stderr)
         return 2

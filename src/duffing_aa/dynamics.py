@@ -18,12 +18,33 @@ evaluates the formulas elementwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
+
+
+def _number(v, name: str, lo: float = -math.inf, *,
+            above: bool = False, integer: bool = False, bound: str | None = None):
+    """v, a number given from outside the program, if it is a Real and not
+    a bool (an Integral if ``integer``), finite, and >= lo (> lo if
+    ``above``); else ValueError "<name> must be ...", the bound worded as
+    ``bound`` or from lo.  The one rule for every such number."""
+    ok = isinstance(v, Integral if integer else Real) and not isinstance(v, bool)
+    try:  # compared as a float: a float32 would cast a Python bound and warn
+        x = float(v) if ok else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if math.isfinite(x) and (x > lo if above else x >= lo):
+        return v
+    if bound is None:
+        bound = f" {'>' if above else '>='} {lo:g}" if lo > -math.inf else ""
+    kind = "an integer" if integer else "a finite number"
+    raise ValueError(f"{name} must be {kind}{bound}, got {v!r}")
 
 
 class State(NamedTuple):
@@ -35,16 +56,15 @@ class State(NamedTuple):
 
 @dataclass(frozen=True)
 class Params:
-    """System parameters: damping mu >= 0 and energy offset c."""
+    """System parameters: damping mu >= 0 and energy offset c, finite
+    numbers that are not bools (ValueError naming the field otherwise)."""
 
     mu: float = 0.0
     c: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.mu) or self.mu < 0.0:
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        if not np.isfinite(self.c):
-            raise ValueError(f"c must be finite, got {self.c}")
+        _number(self.mu, "mu", 0.0)
+        _number(self.c, "c")
 
 
 def _require_finite(s) -> None:
@@ -94,6 +114,5 @@ def state_on_level(h: float) -> State:
     point of the right-well orbit; for h > 0 it is the rightmost point of
     the outer orbit; h = 0 gives the separatrix apex (sqrt(2), 0).
     """
-    if not np.isfinite(h) or h < -0.25:
-        raise ValueError(f"no orbit exists below the well minimum -1/4, got {h}")
+    _number(h, "h", -0.25, bound=" >= -1/4: no orbit exists below the well minimum")
     return State(float(np.sqrt(1.0 + np.sqrt(1.0 + 4.0 * h))), 0.0)

@@ -51,11 +51,9 @@ another, never a mix.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from functools import partial
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -68,7 +66,7 @@ from .covering import (
     sheet_sign,
     square,
 )
-from .dynamics import Params, State, _require_finite, hamiltonian
+from .dynamics import Params, State, _number, _require_finite, hamiltonian
 from .exceptions import (
     DegenerateCrossing,
     MaxStepsExceeded,
@@ -92,7 +90,8 @@ class IntegratorConfig:
     ``step`` is the initial step.  ``max_steps`` bounds attempted steps
     (accepted + rejected) and therefore every loop in this module.
     ``step`` and ``t_max`` are at least the kernel's smallest step,
-    ``_kernels.MIN_STEP``.
+    ``_kernels.MIN_STEP``, the tolerances > 0, all finite numbers that are
+    not bools (dynamics._number; ValueError naming the field otherwise).
     """
 
     step: float = 0.01
@@ -102,22 +101,12 @@ class IntegratorConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        for name in ("step", "rel_tol", "abs_tol", "t_max"):
-            v = getattr(self, name)
-            # a comparison, not float(v): an integer may exceed the float range
-            if isinstance(v, bool) or not isinstance(v, Real) or not (
-                0.0 < v <= sys.float_info.max
-            ):
-                raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
+        smallest = f" at least the smallest step {_kernels.MIN_STEP:g}"
         for name in ("step", "t_max"):
-            if getattr(self, name) < _kernels.MIN_STEP:
-                raise ValueError(
-                    f"{name} must be at least the smallest step "
-                    f"{_kernels.MIN_STEP:g}, got {getattr(self, name)!r}"
-                )
-        v = self.max_steps
-        if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
-            raise ValueError(f"max_steps must be an integer >= 1, got {v!r}")
+            _number(getattr(self, name), name, _kernels.MIN_STEP, bound=smallest)
+        for name in ("rel_tol", "abs_tol"):
+            _number(getattr(self, name), name, 0.0, above=True)
+        _number(self.max_steps, "max_steps", 1, integer=True)
 
 
 DEFAULT_CONFIG = IntegratorConfig()

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, replace
-from numbers import Real
 
 import numpy as np
 
 from .actionangle import dH_dtheta, theta_dot_of, theta_of
 from .covering import _unwrap, covered_field, principal_root, sheet_sign, square
-from .dynamics import Params, State, duffing_field, energy_rate, state_on_level
+from .dynamics import (Params, State, _number, duffing_field, energy_rate,
+                       state_on_level)
 from .exceptions import OnSeparatrix
 from .integrate import (
     DEFAULT_CONFIG,
@@ -93,8 +92,7 @@ def _sample_box(
 ) -> tuple[np.ndarray, np.ndarray]:
     """n seeded states of the box, less those within squared distance
     center_r2 of (+-1, 0)."""
-    if n <= 0:
-        raise ValueError(f"sample count must be > 0, got {n}")
+    _number(n, "sample count", 1, integer=True)
     u = lcg_uniform(seed, 2 * n)
     x = -SAMPLE_BOX + 2.0 * SAMPLE_BOX * u[0::2]
     y = -SAMPLE_BOX + 2.0 * SAMPLE_BOX * u[1::2]
@@ -392,13 +390,11 @@ def run_check(
     name: str, seed: int = DEFAULT_SEED, tolerance: float | None = None
 ) -> CheckReport:
     """Run one registered check by name with optional tolerance override:
-    None, or a finite number >= 0 (ValueError otherwise)."""
-    # a comparison, not math.isfinite: an integer may exceed the float range
-    if tolerance is not None and (
-        isinstance(tolerance, bool) or not isinstance(tolerance, Real)
-        or not 0.0 <= tolerance <= sys.float_info.max
-    ):
-        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+    None, or a finite number >= 0 that is not a bool (ValueError naming
+    tolerance otherwise, by the rule every number given to the package
+    meets)."""
+    if tolerance is not None:
+        _number(tolerance, "tolerance", 0.0)
     try:
         runner = CHECKS[name]
     except KeyError:

@@ -405,6 +405,72 @@ def test_bad_numbers_exit_2_naming_the_field(tmp_path, monkeypatch, capsys, text
     assert not (tmp_path / "o.csv").exists()
 
 
+_EVERY_FIELD = {
+    "mu": 0.0, "c": 0.0, "t_max": 1.0, "initial_states": [[1.2, 0.0]],
+    "integrator": {"step": 0.01, "rel_tol": 1e-10, "abs_tol": 1e-10,
+                   "max_steps": 1000},
+    "outputs": [{"kind": "original", "format": "csv", "path": "o.csv"}],
+    "description": "every field set",
+}
+_GRID = {"x_range": [0.5, 1.5], "y_range": [-0.5, 0.5], "nx": 2, "ny": 2}
+
+# (where the token goes, the name the message starts with); a path under
+# "grid" replaces initial_states with _GRID
+_FIELD_PATHS = [
+    (("mu",), "scenario.mu"),
+    (("c",), "scenario.c"),
+    (("t_max",), "scenario.t_max"),
+    (("initial_states",), "scenario.initial_states"),
+    (("initial_states", 0), "scenario.initial_states[0]"),
+    (("initial_states", 0, 0), "scenario.initial_states[0][0]"),
+    (("initial_states", 0, 1), "scenario.initial_states[0][1]"),
+    (("grid",), "grid"),
+    (("grid", "x_range"), "grid.x_range"),
+    (("grid", "x_range", 0), "grid.x_range[0]"),
+    (("grid", "x_range", 1), "grid.x_range[1]"),
+    (("grid", "y_range"), "grid.y_range"),
+    (("grid", "y_range", 0), "grid.y_range[0]"),
+    (("grid", "y_range", 1), "grid.y_range[1]"),
+    (("grid", "nx"), "grid.nx"),
+    (("grid", "ny"), "grid.ny"),
+    (("integrator",), "integrator"),
+    (("integrator", "step"), "integrator: step"),
+    (("integrator", "rel_tol"), "integrator: rel_tol"),
+    (("integrator", "abs_tol"), "integrator: abs_tol"),
+    (("integrator", "max_steps"), "integrator: max_steps"),
+    (("outputs",), "scenario.outputs"),
+    (("outputs", 0), "outputs[0]"),
+    (("outputs", 0, "kind"), "outputs[0].kind"),
+    (("outputs", 0, "format"), "outputs[0].format"),
+    (("outputs", 0, "path"), "outputs[0].path"),
+    (("description",), "scenario.description"),
+]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("keys, name", _FIELD_PATHS,
+                         ids=[name for _, name in _FIELD_PATHS])
+def test_every_field_refuses_non_finite_tokens(tmp_path, monkeypatch, capsys,
+                                                keys, name, token):
+    # json reads NaN and +-Infinity as floats; every field refuses them by
+    # the rule it refuses any other value out of its type or range
+    monkeypatch.chdir(tmp_path)
+    body = dict(_EVERY_FIELD)
+    if keys[0] == "grid":
+        del body["initial_states"]
+        body["grid"] = _GRID
+    parent = body = json.loads(json.dumps(body))  # a deep copy
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = "@token@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body).replace('"@token@"', token))
+    assert main(["run", str(path)]) == 2
+    err, named = capsys.readouterr().err, f"config error: {name}"
+    assert err.startswith(named) and err[len(named)] in ": ", err
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
 def test_bad_seed_env_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("DUFFING_SEED", "abc")
     assert main(["verify", "--only", "check_roundtrip"]) == 2

@@ -106,6 +106,31 @@ def test_params_validation():
     assert Params().c == 0.0
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [({"mu": True}, "mu"), ({"mu": "0.1"}, "mu"), ({"c": 10**400}, "c"),
+     ({"mu": None}, "mu"), ({"c": False}, "c")],
+    ids=["bool-mu", "string-mu", "huge-int-c", "none-mu", "bool-c"],
+)
+def test_params_refuse_what_is_not_a_finite_number(kwargs, field):
+    # a bool is not a number here: Params(mu=True) would damp with mu = 1
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        Params(**kwargs)
+
+
+def test_params_accept_signed_zero_and_numpy_numbers():
+    assert Params(mu=-0.0).mu == 0.0
+    assert Params(mu=np.float64(0.1), c=np.float32(0.5)).mu == 0.1
+    assert Params(mu=np.int64(2), c=-3).c == -3
+
+
+@pytest.mark.parametrize("h", [True, "0", None, math.nan, math.inf, 10**400],
+                         ids=["bool", "string", "none", "nan", "inf", "huge-int"])
+def test_state_on_level_refuses_what_is_not_a_finite_number(h):
+    with pytest.raises(ValueError, match="^h must be a finite number >= -1/4"):
+        state_on_level(h)
+
+
 def test_field_accepts_arrays(p_damped):
     x = np.array([0.0, 2.0])
     y = np.array([1.0, 0.0])

@@ -636,7 +636,7 @@ def _reference_orbits():
     orbits = []
     for name in ("fig1", "fig2", "fig3", "fig4"):
         scn = load_scenario(name)
-        p = Params(mu=scn.mu, c=scn.c)
+        p = scn.params
         orbits += [(s0, p, scn.integrator) for s0 in scn.initial_states]
     rng = np.random.default_rng(7)
     cfg = replace(DEFAULT_CONFIG, t_max=15.0)

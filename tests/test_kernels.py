@@ -223,10 +223,10 @@ def test_chunked_path_is_bitwise_the_whole_path(fig, flips):
     scn = load_scenario(fig)
     for x, y in scn.initial_states:
         *whole, status, _, steps = _whole(
-            x, y, scn.mu, scn.integrator.t_max, 1e-10, 1e-10, 0.01, 10**7
+            x, y, scn.params.mu, scn.integrator.t_max, 1e-10, 1e-10, 0.01, 10**7
         )
         parts, status_c, steps_c, calls = _chunked(
-            x, y, scn.mu, scn.integrator.t_max, 10**7, flips
+            x, y, scn.params.mu, scn.integrator.t_max, 10**7, flips
         )
         assert status_c == status == _kernels.STATUS_OK and steps_c == steps
         # a stop on the last sample ends the path without another call
@@ -291,7 +291,7 @@ def _assert_same_paths(lanes, scalar):
 def _fig_starts(name):
     scn = load_scenario(name)
     return ([s.x for s in scn.initial_states], [s.y for s in scn.initial_states],
-            scn.mu, scn.integrator.t_max)
+            scn.params.mu, scn.integrator.t_max)
 
 
 def _grid_starts(rng, n=50):
