@@ -110,9 +110,11 @@ def state_on_level(h: float) -> State:
     """The state (x, 0) with x > 0 on the energy level H = h (for c = 0).
 
     Solves x^4/4 - x^2/2 = h on the outer positive branch,
-    x = sqrt(1 + sqrt(1 + 4h)).  For -1/4 < h < 0 this is the rightmost
-    point of the right-well orbit; for h > 0 it is the rightmost point of
-    the outer orbit; h = 0 gives the separatrix apex (sqrt(2), 0).
+    x = sqrt(1 + sqrt(1 + 4h)), spelled sqrt(1 + 2*sqrt(h + 1/4)): the
+    same bits, since scaling by 4 is exact, and finite for every finite h,
+    where 4h overflows above about 4.5e307.  For -1/4 < h < 0 this is the
+    rightmost point of the right-well orbit; for h > 0 it is the rightmost
+    point of the outer orbit; h = 0 gives the separatrix apex (sqrt(2), 0).
     """
     _number(h, "h", -0.25, bound=" >= -1/4: no orbit exists below the well minimum")
-    return State(float(np.sqrt(1.0 + np.sqrt(1.0 + 4.0 * h))), 0.0)
+    return State(float(np.sqrt(1.0 + 2.0 * np.sqrt(h + 0.25))), 0.0)

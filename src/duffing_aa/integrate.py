@@ -2,7 +2,7 @@
 
 One stepper integrates every orbit: the embedded Dormand-Prince 5(4)
 adaptive pair, which records the accepted nodes only.  Its cubic Hermite
-dense output (``hermite_steps``) takes the slopes at the two ends of a
+dense output (``hermite_step``) takes the slopes at the two ends of a
 step from the field itself, which equals the kernels' last stage there --
 accurate enough to locate event times far below the step size.
 
@@ -20,19 +20,23 @@ period after it.
 
 Both kinds are found the same way.  A numpy sign walk (``_sign_flips``,
 exact zeros skipped) brackets every sign change of x, or of y, at once;
-``hermite_steps`` evaluates the Hermite cubic of each bracket's own step,
-and ``locate_roots`` refines all brackets together by the Illinois
-variant of regula falsi (Hairer, Norsett & Wanner, Solving ODEs I, II.6;
-Shampine & Thompson, "Event location for ODEs", 2000).
+then each bracket is refined on its own, in Python floats, on the
+Hermite cubic of its own step (``hermite_step``) by the Illinois variant
+of regula falsi (``locate_roots``; Hairer, Norsett & Wanner, Solving
+ODEs I, II.6; Shampine & Thompson, "Event location for ODEs", 2000).  A
+path has few brackets, so numpy's cost per call would exceed their
+arithmetic.
 
 Period and action queries need one orbit, not all of t_max: they share
 ``find_period``'s path, on which the adaptive kernel stops at the sample
 that completes return 2, the 3 - [start on the section]-th sign flip of
 y.  The path is a prefix of the full-horizon one, so the period is
-bit-identical to it.  The path must resolve the orbit: the covered angle
-must turn once per period in a well and twice outside, or StepFailure
-names the step.  The last orbit measured is kept, so ``find_period`` and
-both actions on one start share one integration.
+bit-identical to it.  Only the returns the period uses are refined:
+return 2, and return 0 for a start off the section.  The path must
+resolve the orbit: the covered angle must turn once per period in a well
+and twice outside, or StepFailure names the step.  The last orbit
+measured is kept, so ``find_period`` and both actions on one start share
+one integration.
 
 ``integrate_original_orbits`` integrates many starts at once, and
 ``integrate_original`` is that with one start: one
@@ -128,8 +132,8 @@ class Trajectory:
     ``states`` are original-plane points; ``covered`` (their covered-plane
     images), ``sheets`` (each sample's tag, +1 Upper, -1 Lower) and
     ``events`` (the cut crossings, see _cut_crossings) are read off them
-    on every access.  Its dense output is ``hermite_steps(t, states,
-    params.mu, ks)``.
+    on every access.  Its dense output on step k is ``hermite_step(t,
+    *states.T, params.mu, k)``, on which ``events`` are refined.
     """
 
     t: np.ndarray
@@ -154,7 +158,7 @@ class Trajectory:
 
     @property
     def events(self) -> tuple[Event, ...]:
-        dense = partial(hermite_steps, self.t, self.states, self.params.mu)
+        dense = partial(hermite_step, self.t, *self.states.T, self.params.mu)
         return _cut_crossings(self.t, self.states, dense)
 
     def energies(self) -> np.ndarray:
@@ -177,71 +181,61 @@ def _check_status(status, t, cfg: IntegratorConfig) -> None:
         )
 
 
-def hermite_steps(t, pts, mu, ks):
-    """Dense output of an original-plane path on its steps ks[j] -> ks[j]+1.
+def hermite_step(t, x, y, mu, k):
+    """Dense output of the original-plane path (t, x, y) on its step
+    k -> k + 1: tq -> (u, v), the cubic Hermite interpolant at a float
+    time tq, in Python floats.  Its end slopes are the field
+    ``_kernels.rhs`` at the step's two nodes, which is bit for bit the
+    kernels' FSAL stage there."""
+    (t0, t1), (u0, u1), (v0, v1) = (a[k:k + 2].tolist() for a in (t, x, y))
+    h = t1 - t0
+    (du0, dv0), (du1, dv1) = _kernels.rhs(u0, v0, mu), _kernels.rhs(u1, v1, mu)
 
-    Returns at(j, tq) -> (u, v): the cubic Hermite interpolant of step
-    ks[j] at times tq, for indices j and times tq of one shape.  Its end
-    slopes are the field ``_kernels.rhs`` at the step's two nodes, which is
-    bit for bit the kernels' FSAL stage there.  Every query names its step,
-    so refinement needs no search per evaluation.
-    """
-    t0 = t[ks]
-    dt = t[ks + 1] - t0
-    p0, p1 = pts[ks], pts[ks + 1]
-    f0, f1 = (np.column_stack(_kernels.rhs(*q.T, mu)) for q in (p0, p1))
-
-    def at(j, tq):
-        h = dt[j][..., None]
-        s = (tq - t0[j])[..., None] / h
+    def at(tq):
+        s = (tq - t0) / h
         s2 = s * s
         s3 = s2 * s
-        w = (
-            (2.0 * s3 - 3.0 * s2 + 1.0) * p0[j]
-            + (s3 - 2.0 * s2 + s) * h * f0[j]
-            + (-2.0 * s3 + 3.0 * s2) * p1[j]
-            + (s3 - s2) * h * f1[j]
-        )
-        return w[..., 0], w[..., 1]
+        c0, c2 = 2.0 * s3 - 3.0 * s2 + 1.0, -2.0 * s3 + 3.0 * s2
+        c1, c3 = (s3 - 2.0 * s2 + s) * h, (s3 - s2) * h
+        return (c0 * u0 + c1 * du0 + c2 * u1 + c3 * du1,
+                c0 * v0 + c1 * dv0 + c2 * v1 + c3 * dv1)
 
     return at
 
 
 def locate_roots(g, a, b, ga, gb, tol):
-    """Roots of g on every bracket [a, b] at once.
+    """The root of g(tq), a function of a float, on the bracket [a, b].
 
     ga and gb are g at the ends, of opposite signs (or gb = 0, when b is
-    the root).  g(j, tq) evaluates brackets j at times tq (arrays).  All
-    brackets are refined together by the Illinois variant of regula falsi,
-    bisecting wherever the secant point leaves its bracket.  A bracket
-    stops once |g| <= tol, or once its width is down to 1e-15*(1 + |b|),
+    the root).  The bracket is refined in Python floats by the Illinois
+    variant of regula falsi: the secant point, or the midpoint where
+    that leaves the bracket (or is undefined, ga = gb); the end kept
+    twice in a row has its value halved.  Sides are told by the signs of
+    g as np.sign tells them: -0.0 is 0, and a NaN matches neither side.
+    It stops once |g| <= tol, or once the width is down to 1e-15*(1 + |b|),
     the only stop reachable when g is too steep for tol in double
-    precision.  Returns the last point evaluated in each bracket.
+    precision, or after MAX_REFINE_ITER steps.  Returns the last point
+    evaluated, b when |gb| <= tol already.
     """
-    a, b, ga, gb = (np.array(v, dtype=np.float64) for v in (a, b, ga, gb))
-    root = b.copy()
-    kept = np.zeros(a.shape, dtype=np.int8)  # end kept by the last step: -1 a, 1 b
-    live = np.flatnonzero(np.abs(gb) > tol)
+    root = b
+    if not abs(gb) > tol:
+        return root
+    kept = 0  # end kept by the last step: -1 a, 1 b
     for _ in range(MAX_REFINE_ITER):
-        if live.size == 0:
-            break
-        al, bl, fa, fb = a[live], b[live], ga[live], gb[live]
-        c = bl - fb * (bl - al) / (fb - fa)
-        off = ~((c >= al) & (c <= bl))
-        c[off] = 0.5 * (al[off] + bl[off])
-        fc = g(live, c)
-        root[live] = c
+        root = b - gb * (b - a) / (gb - ga) if gb != ga else np.nan
+        if not a <= root <= b:
+            root = 0.5 * (a + b)
+        fc = g(root)
         # sign tests, not products: opposite tiny values must not underflow
-        left = np.sign(fc) == np.sign(fb)
-        to_b, to_a = live[left], live[~left]
-        b[to_b], gb[to_b] = c[left], fc[left]
-        a[to_a], ga[to_a] = c[~left], fc[~left]
-        # Illinois: an end kept twice in a row has its value halved
-        ga[to_b[kept[to_b] == -1]] *= 0.5
-        gb[to_a[kept[to_a] == 1]] *= 0.5
-        kept[to_b], kept[to_a] = -1, 1
-        width = b[live] - a[live]
-        live = live[(np.abs(fc) > tol) & (width > 1e-15 * (1.0 + np.abs(b[live])))]
+        # (gb is never NaN: it passed |g| > tol before any halving)
+        if fc == fc and (fc > 0.0) - (fc < 0.0) == (gb > 0.0) - (gb < 0.0):
+            ga *= 0.5 if kept < 0 else 1.0  # Illinois: a kept twice in a row
+            b, gb, kept = root, fc, -1
+        else:
+            gb *= 0.5 if kept > 0 else 1.0
+            a, ga, kept = root, fc, 1
+        if not (abs(fc) > tol and b - a > 1e-15 * (1.0 + abs(b))):
+            break
     return root
 
 
@@ -261,42 +255,40 @@ def _sign_flips(g, trailing=False):
 def _cut_crossings(t: np.ndarray, z: np.ndarray, dense) -> tuple[Event, ...]:
     """The cut crossings of the original-plane path (t, z): sign flips of x.
 
-    ``dense(ks)`` is the path's dense output on steps ks (see
-    hermite_steps).  A flip of x between nonzero samples k and n brackets
-    a crossing on the step k -> k + 1, where x[k + 1] = 0 if zeros lie
-    between, making that sample the crossing; so is a trailing zero after
-    the last nonzero x.  Other zeros are skipped: a path launched from the
-    y-axis carries its conventional tag already.  Each crossing is refined
-    on y1 = 2xy until |y1| <= 1e-12, where x1 < 0 unless the path met the
-    cut within BRANCH_CUT_TOL of the branch point: the first such crossing
-    raises DegenerateCrossing.
+    ``dense(k)`` is the path's dense output on step k (see hermite_step).
+    A flip of x between nonzero samples k and n brackets a crossing on the
+    step k -> k + 1, where x[k + 1] = 0 if zeros lie between, making that
+    sample the crossing; so is a trailing zero after the last nonzero x.
+    Other zeros are skipped: a path launched from the y-axis carries its
+    conventional tag already.  Each crossing is refined on y1 = 2xy until
+    |y1| <= 1e-12, where x1 < 0 unless the path met the cut within
+    BRANCH_CUT_TOL of the branch point: the first such crossing raises
+    DegenerateCrossing.
     """
-    ks = _sign_flips(z[:, 0], trailing=True)
-    at = dense(ks)
-    ga, gb = (square(*z[k].T)[1] for k in (ks, ks + 1))
-    t_star = locate_roots(lambda j, tq: square(*at(j, tq))[1],
-                          t[ks], t[ks + 1], ga, gb, CUT_REFINE_TOL)
-    x1_star = square(*at(np.arange(ks.size), t_star))[0]
-    near = np.flatnonzero(np.abs(x1_star) <= BRANCH_CUT_TOL)
-    if near.size:
-        i = near[0]
-        raise DegenerateCrossing(
-            f"trajectory met the cut at x1={x1_star[i]:.3e}, t={t_star[i]:.6g}, "
-            "within tolerance of the branch point"
-        )
-    return tuple(Event(ts, CUT_CROSSING, {"x1": xs})
-                 for ts, xs in zip(t_star.tolist(), x1_star.tolist()))
+    events = []
+    for k in _sign_flips(z[:, 0], trailing=True).tolist():
+        at = dense(k)
+        (xa, ya), (xb, yb) = z[k:k + 2].tolist()
+        t_star = locate_roots(lambda tq: square(*at(tq))[1], *t[k:k + 2].tolist(),
+                              square(xa, ya)[1], square(xb, yb)[1], CUT_REFINE_TOL)
+        x1_star = square(*at(t_star))[0]
+        if abs(x1_star) <= BRANCH_CUT_TOL:
+            raise DegenerateCrossing(
+                f"trajectory met the cut at x1={x1_star:.3e}, t={t_star:.6g}, "
+                "within tolerance of the branch point"
+            )
+        events.append(Event(t_star, CUT_CROSSING, {"x1": x1_star}))
+    return tuple(events)
 
 
-def _section_crossings(t: np.ndarray, y: np.ndarray, dense) -> np.ndarray:
-    """Times of the transversal returns to the section {y = 0}: each sign
-    flip of y between nonzero samples k and n (_sign_flips) brackets a
-    return on the step k -> k + 1, where y[k + 1] = 0 if zeros lie
-    between; refined on ``dense`` (original plane) until |y| <= 1e-10."""
-    ks = _sign_flips(y)
-    at = dense(ks)
-    return locate_roots(lambda j, tq: at(j, tq)[1],
-                        t[ks], t[ks + 1], y[ks], y[ks + 1], SECTION_REFINE_TOL)
+def _section_crossings(t: np.ndarray, y: np.ndarray, ks, dense) -> list[float]:
+    """Times of the transversal returns to the section {y = 0} that the
+    sign flips ks of y bracket (``_sign_flips``): a flip between nonzero
+    samples k and n brackets a return on the step k -> k + 1, where
+    y[k + 1] = 0 if zeros lie between.  Each is refined on ``dense``
+    (original plane, as in _cut_crossings) until |y| <= 1e-10."""
+    return [locate_roots(lambda tq, at=dense(k): at(tq)[1], *t[k:k + 2].tolist(),
+                         *y[k:k + 2].tolist(), SECTION_REFINE_TOL) for k in ks]
 
 
 def integrate_original(
@@ -407,7 +399,8 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     A start on the section is return 0, at t = 0.  The kernel stops at
     the first sample past return 2, the 3 - [start on the section]-th
     sign flip of y; the path is a prefix of the full-horizon one, so the
-    period is, bit for bit, the one the full horizon would give.
+    period is, bit for bit, the one the full horizon would give.  The
+    flips are counted, and only returns 0 and 2 among them refined.
 
     The path must resolve the orbit: over [0, period] the unwrapped
     covered angle (``covering._unwrap``) falls by 2pi per turn
@@ -423,20 +416,23 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     if last is not None and last[0] == key:
         return last[1]
     _require_closed_orbit(s0, p)
-    start = [0.0] if s0.y == 0.0 else []
+    on = int(s0.y == 0.0)  # a start on the section is return 0
     t, x, y, status, _, _ = _kernels.adaptive_path(
         s0.x, s0.y, p.mu, 0.0, cfg.t_max, cfg.rel_tol, cfg.abs_tol, cfg.step,
-        int(cfg.max_steps), 3 - len(start),
+        int(cfg.max_steps), 3 - on,
     )
     _check_status(status, t, cfg)
-    dense = partial(hermite_steps, t, np.column_stack((x, y)), p.mu)
-    returns = start + _section_crossings(t, y, dense).tolist()
-    if len(returns) < 3:
-        what = "same-direction section return" if returns else "section crossing"
+    flips = _sign_flips(y)
+    if on + flips.size < 3:
+        what = "same-direction section return" if on + flips.size else "section crossing"
         raise NoReturn(f"no {what} before t_max={cfg.t_max:g}")
-    period = returns[2] - returns[0]
+    dense = partial(hermite_step, t, x, y, p.mu)
+    # returns 0 and 2 are every other flip, from flip 0 if the start is off
+    # the section and from flip 1 if it is return 0
+    r0, r2 = [0.0] * on + _section_crossings(t, y, flips[on::2].tolist(), dense)
+    period = r2 - r0
     k = int(np.searchsorted(t, period))  # the first sample at or after it
-    x_end, y_end = dense(np.array([k - 1]))(0, period)
+    x_end, y_end = dense(k - 1)(period)
     x, y = np.append(x[:k], x_end), np.append(y[:k], y_end)
     theta = _unwrap(x, y)[2]
     turns, want = (theta[0] - theta[-1]) / TWO_PI, _turns(s0, p)

@@ -1,4 +1,7 @@
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +9,13 @@ import pytest
 from duffing_aa import (
     Params,
     State,
+    StepFailure,
     duffing_field,
     energy_rate,
+    find_period,
     hamiltonian,
     state_on_level,
+    verify,
 )
 
 
@@ -86,6 +92,29 @@ def test_state_on_level():
     assert abs(state_on_level(0.0).x - math.sqrt(2.0)) <= 1e-15
     with pytest.raises(ValueError):
         state_on_level(-0.3)
+
+
+def test_state_on_level_keeps_its_bits(monkeypatch):
+    # sqrt(1 + 2*sqrt(h + 1/4)) is sqrt(1 + sqrt(1 + 4h)) scaled exactly by
+    # 4 inside the root: the same bits on the levels the program measures
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    levels = list(verify.PERIOD_LEVELS)
+    for seed in range(10):
+        levels += workloads.action_levels(seed)
+    for h in levels:
+        want = float(np.sqrt(1.0 + np.sqrt(1.0 + 4.0 * h)))
+        assert state_on_level(h) == State(want, 0.0), h
+
+
+@pytest.mark.parametrize("h", [1e308, sys.float_info.max])
+def test_state_on_level_stays_finite_where_4h_overflows(p0, h):
+    # 4h overflows above about 4.5e307; the state does not, and its energy
+    # is the one that overflows, which a period query names
+    s = state_on_level(h)
+    assert math.isfinite(s.x) and s.x > 1e76 and s.y == 0.0
+    with pytest.raises(StepFailure, match="^the energy at the start .* overflows"):
+        find_period(s, p0)
 
 
 def test_rejects_non_finite(p0):

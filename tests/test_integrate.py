@@ -28,7 +28,7 @@ from duffing_aa import (
 )
 from duffing_aa.covering import principal_root, sheet_sign, square
 from duffing_aa.integrate import Trajectory, integrate_original_orbits
-from duffing_aa import _kernels, integrate, verify
+from duffing_aa import _kernels, covering, integrate, verify
 from duffing_aa.cli import load_scenario
 
 
@@ -37,9 +37,7 @@ def dense_at(traj, tq):
     tq in [t[0], t[-1]], on the step that holds it."""
     k = int(np.searchsorted(traj.t, tq, side="right")) - 1
     k = min(max(k, 0), len(traj) - 2)
-    at = integrate.hermite_steps(traj.t, traj.states, traj.params.mu, np.array([k]))
-    u, v = at(0, tq)
-    return float(u), float(v)
+    return integrate.hermite_step(traj.t, *traj.states.T, traj.params.mu, k)(tq)
 
 
 def covered_reference(s0, p, t):
@@ -216,8 +214,9 @@ def test_find_period_errors(p0):
 def section_returns(traj):
     """The section return times of an original-plane trajectory, located
     on its own path as find_period locates them."""
-    dense = partial(integrate.hermite_steps, traj.t, traj.states, traj.params.mu)
-    return integrate._section_crossings(traj.t, traj.states[:, 1], dense).tolist()
+    y = traj.states[:, 1]
+    dense = partial(integrate.hermite_step, traj.t, *traj.states.T, traj.params.mu)
+    return integrate._section_crossings(traj.t, y, integrate._sign_flips(y), dense)
 
 
 def _full_horizon_period(s0, p, cfg=DEFAULT_CONFIG):
@@ -461,14 +460,13 @@ def test_orbits_fail_where_integrate_original_fails(rng, bad, cfg, failure):
 # ---------------------------------------------------------------- locator
 
 
-def hermite(t, pts, slopes, ks):
-    """hermite_steps' cubic Hermite dense output of a synthetic path on its
-    steps ks, with the given node slopes instead of the field."""
+def hermite(t, pts, slopes, k):
+    """hermite_step's cubic Hermite dense output of a synthetic path on its
+    step k, with the given node slopes instead of the field."""
 
-    def at(j, tq):
-        k = ks[j]
-        h = (t[k + 1] - t[k])[..., None]
-        s = (tq - t[k])[..., None] / h
+    def at(tq):
+        h = t[k + 1] - t[k]
+        s = (tq - t[k]) / h
         s2 = s * s
         s3 = s2 * s
         w = (
@@ -477,7 +475,7 @@ def hermite(t, pts, slopes, ks):
             + (-2.0 * s3 + 3.0 * s2) * pts[k + 1]
             + (s3 - s2) * h * slopes[k + 1]
         )
-        return w[..., 0], w[..., 1]
+        return float(w[0]), float(w[1])
 
     return at
 
@@ -567,40 +565,239 @@ def test_degenerate_crossing_raised_when_its_orbit_is_due(monkeypatch):
     assert str(batch.value) == str(alone.value)
 
 
-def test_assembly_refines_one_bracket_per_cut_event(monkeypatch, p0):
-    # brackets come from the sign flips of x only: an orbit in a well
-    # refines none, and an outer orbit one per crossing of the cut
-    brackets = []
+@pytest.fixture
+def brackets(monkeypatch):
+    """The brackets each integrate.locate_roots call refines (np.size of
+    its a, 1 for a float), in call order."""
+    sizes = []
+    locate_roots = integrate.locate_roots
 
     def counted(g, a, b, ga, gb, tol):
-        brackets.append(np.size(a))
+        sizes.append(np.size(a))
         return locate_roots(g, a, b, ga, gb, tol)
 
-    locate_roots = integrate.locate_roots
     monkeypatch.setattr(integrate, "locate_roots", counted)
+    monkeypatch.setattr(integrate, "_last_orbit", None)
+    return sizes
+
+
+def test_assembly_refines_one_bracket_per_cut_event(brackets, p0):
+    # brackets come from the sign flips of x only: an orbit in a well
+    # refines none, and an outer orbit one per crossing of the cut
     cfg = replace(DEFAULT_CONFIG, t_max=20.0)
     assert integrate_original(State(1.2, 0.0), p0, cfg).events == ()
     assert sum(brackets) == 0
-    brackets.clear()
-    traj = integrate_original(State(0.0, 2.0), p0, cfg)
-    assert len(traj.events) > 0 and sum(brackets) == len(traj.events)
+    events = integrate_original(State(0.0, 2.0), p0, cfg).events
+    assert len(events) > 0 and brackets == [1] * len(events)
+
+
+def test_one_period_refines_only_the_returns_it_uses(brackets, closed_orbit_start, p0):
+    # return 2 alone for a start on the section, which is return 0 itself;
+    # returns 0 and 2 for a start off it.  Return 1 is counted, not refined
+    find_period(closed_orbit_start, p0)
+    assert brackets == [1] * (1 if closed_orbit_start.y == 0.0 else 2)
 
 
 def test_locate_roots_tolerances():
-    # brackets refined together: one already at its root, one curved, and
-    # one too steep for |g| <= tol, which must stop on the width instead
-    g = [lambda tq: tq - 0.3, lambda tq: np.cbrt(tq - 0.7),
-         lambda tq: 1e20 * (tq - 1.0 / 3.0)]
+    # one already at its root, one curved, and one too steep for
+    # |g| <= tol, which must stop on the width instead
+    def locate(g, a, b):
+        return integrate.locate_roots(g, a, b, g(a), g(b), 1e-12)
 
-    def f(j, tq):
-        return np.array([g[i](t) for i, t in zip(j, tq)])
+    def cbrt(tq):
+        return float(np.cbrt(tq - 0.7))
 
-    a = np.zeros(3)
-    b = np.array([0.3, 1.0, 1.0])
-    roots = integrate.locate_roots(f, a, b, f([0, 1, 2], a), f([0, 1, 2], b), 1e-12)
-    assert roots[0] == 0.3
-    assert abs(g[1](roots[1])) <= 1e-12
-    assert abs(roots[2] - 1.0 / 3.0) <= 4e-15
+    assert locate(lambda tq: tq - 0.3, 0.0, 0.3) == 0.3
+    assert abs(cbrt(locate(cbrt, 0.0, 1.0))) <= 1e-12
+    evals = []
+    steep = locate(lambda tq: evals.append(tq) or 1e20 * (tq - 1.0 / 3.0), 0.0, 1.0)
+    assert abs(steep - 1.0 / 3.0) <= 4e-15
+    assert len(evals) - 2 < integrate.MAX_REFINE_ITER  # two were the ends
+
+
+@pytest.mark.parametrize("g, ga, gb", [
+    (lambda tq: math.nan, -1.0, 1.0),  # NaN inside: no side, so it stops there
+    (lambda tq: tq - 0.25, math.nan, 0.75),  # NaN at a: no secant, the midpoint
+    (lambda tq: tq - 0.25, 0.5, 0.5),  # ga = gb: no secant, the midpoint
+    (lambda tq: math.nan, -1.0, math.nan),  # NaN at b: b is returned
+    (lambda tq: tq - 0.25, -0.25, -0.0),  # gb = -0.0: b is the root
+])
+def test_locate_roots_where_the_secant_is_undefined(g, ga, gb):
+    # Python floats raise ZeroDivisionError where numpy gave inf or NaN;
+    # the locator takes the midpoint there, as the vectorised one did
+    root = integrate.locate_roots(g, 0.0, 1.0, ga, gb, 1e-12)
+    with np.errstate(all="ignore"):
+        want = locate_roots_reference(
+            lambda j, tq: np.array([g(float(v)) for v in tq]),
+            [0.0], [1.0], [ga], [gb], 1e-12)
+    assert root.hex() == float(want[0]).hex()
+
+
+# --------------------------------------------- the vectorised references
+#
+# The event layer once refined every bracket of a path at once in numpy:
+# hermite_steps evaluated the Hermite cubics of many steps, and
+# locate_roots_reference ran one Illinois iteration over the live
+# brackets.  The per-bracket float code must give the same bits.
+
+
+def hermite_steps_reference(t, pts, mu, ks):
+    """Dense output on the steps ks[j] -> ks[j] + 1: at(j, tq) -> (u, v)
+    for indices j and times tq of one shape."""
+    t0 = t[ks]
+    dt = t[ks + 1] - t0
+    p0, p1 = pts[ks], pts[ks + 1]
+    f0, f1 = (np.column_stack(_kernels.rhs(*q.T, mu)) for q in (p0, p1))
+
+    def at(j, tq):
+        h = dt[j][..., None]
+        s = (tq - t0[j])[..., None] / h
+        s2 = s * s
+        s3 = s2 * s
+        w = (
+            (2.0 * s3 - 3.0 * s2 + 1.0) * p0[j]
+            + (s3 - 2.0 * s2 + s) * h * f0[j]
+            + (-2.0 * s3 + 3.0 * s2) * p1[j]
+            + (s3 - s2) * h * f1[j]
+        )
+        return w[..., 0], w[..., 1]
+
+    return at
+
+
+def locate_roots_reference(g, a, b, ga, gb, tol):
+    """Roots of g on every bracket [a, b] at once; g(j, tq) evaluates the
+    brackets j at times tq."""
+    a, b, ga, gb = (np.array(v, dtype=np.float64) for v in (a, b, ga, gb))
+    root = b.copy()
+    kept = np.zeros(a.shape, dtype=np.int8)  # end kept by the last step: -1 a, 1 b
+    live = np.flatnonzero(np.abs(gb) > tol)
+    for _ in range(integrate.MAX_REFINE_ITER):
+        if live.size == 0:
+            break
+        al, bl, fa, fb = a[live], b[live], ga[live], gb[live]
+        c = bl - fb * (bl - al) / (fb - fa)
+        off = ~((c >= al) & (c <= bl))
+        c[off] = 0.5 * (al[off] + bl[off])
+        fc = g(live, c)
+        root[live] = c
+        left = np.sign(fc) == np.sign(fb)
+        to_b, to_a = live[left], live[~left]
+        b[to_b], gb[to_b] = c[left], fc[left]
+        a[to_a], ga[to_a] = c[~left], fc[~left]
+        ga[to_b[kept[to_b] == -1]] *= 0.5
+        gb[to_a[kept[to_a] == 1]] *= 0.5
+        kept[to_b], kept[to_a] = -1, 1
+        width = b[live] - a[live]
+        live = live[(np.abs(fc) > tol) & (width > 1e-15 * (1.0 + np.abs(b[live])))]
+    return root
+
+
+def cut_events_reference(traj):
+    """(t.hex(), x1.hex()) of each cut crossing, all refined at once."""
+    t, z = traj.t, traj.states
+    ks = integrate._sign_flips(z[:, 0], trailing=True)
+    at = hermite_steps_reference(t, z, traj.params.mu, ks)
+    ga, gb = (square(*z[k].T)[1] for k in (ks, ks + 1))
+    t_star = locate_roots_reference(lambda j, tq: square(*at(j, tq))[1],
+                                    t[ks], t[ks + 1], ga, gb, integrate.CUT_REFINE_TOL)
+    x1_star = square(*at(np.arange(ks.size), t_star))[0]
+    near = np.flatnonzero(np.abs(x1_star) <= integrate.BRANCH_CUT_TOL)
+    if near.size:
+        i = near[0]
+        raise DegenerateCrossing(
+            f"trajectory met the cut at x1={x1_star[i]:.3e}, t={t_star[i]:.6g}, "
+            "within tolerance of the branch point"
+        )
+    return [(a.hex(), b.hex()) for a, b in zip(t_star.tolist(), x1_star.tolist())]
+
+
+def one_period_reference(s0, p, cfg):
+    """_one_period without its memo, every flip of y refined at once."""
+    integrate._require_closed_orbit(s0, p)
+    start = [0.0] if s0.y == 0.0 else []
+    t, x, y, status, _, _ = _kernels.adaptive_path(
+        s0.x, s0.y, p.mu, 0.0, cfg.t_max, cfg.rel_tol, cfg.abs_tol, cfg.step,
+        int(cfg.max_steps), 3 - len(start),
+    )
+    integrate._check_status(status, t, cfg)
+    pts = np.column_stack((x, y))
+    ks = integrate._sign_flips(y)
+    at = hermite_steps_reference(t, pts, p.mu, ks)
+    returns = start + locate_roots_reference(
+        lambda j, tq: at(j, tq)[1], t[ks], t[ks + 1], y[ks], y[ks + 1],
+        integrate.SECTION_REFINE_TOL).tolist()
+    if len(returns) < 3:
+        what = "same-direction section return" if returns else "section crossing"
+        raise NoReturn(f"no {what} before t_max={cfg.t_max:g}")
+    period = returns[2] - returns[0]
+    k = int(np.searchsorted(t, period))
+    x_end, y_end = hermite_steps_reference(t, pts, p.mu, np.array([k - 1]))(0, period)
+    x, y = np.append(x[:k], x_end), np.append(y[:k], y_end)
+    theta = covering._unwrap(x, y)[2]
+    turns, want = (theta[0] - theta[-1]) / covering.TWO_PI, integrate._turns(s0, p)
+    if not abs(turns - want) < 0.25:
+        raise StepFailure(
+            f"the rk45 path with step={cfg.step!r} does not resolve "
+            f"the orbit: its covered angle turns {turns:.3g} times in the "
+            f"period {period:.6g}, not {want}"
+        )
+    return period, x, y
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return f(*args)
+    except Exception as e:  # compared, not handled
+        return type(e), str(e)
+
+
+def _period_bits(out):
+    if isinstance(out[0], type):
+        return out
+    period, x, y = out
+    return period.hex(), x.tobytes(), y.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=st.one_of(st.floats(-2.2, -0.05), st.floats(0.05, 2.2)),
+    y=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    rel_tol=st.sampled_from((1e-10, 1e-12, 1e-8, 1e-6, 1e-4)),
+    abs_tol=st.sampled_from((1e-10, 1e-12, 1e-6)),
+    step=st.sampled_from((0.01, 0.2, 1.0)),
+    t_max=st.sampled_from((100.0, 8.0, 3.0)),
+)
+@example(x=1.4142135623730951, y=0.0, rel_tol=1e-10, abs_tol=1e-10, step=0.01,
+         t_max=100.0)  # the separatrix apex
+@example(x=1.2, y=0.0, rel_tol=1e-4, abs_tol=1e-6, step=1.0, t_max=100.0)
+@example(x=state_on_level(-0.2499).x, y=0.0, rel_tol=1e-10, abs_tol=0.1, step=5.0,
+         t_max=60.0)  # too coarse to resolve the orbit: StepFailure
+@example(x=0.0, y=1.0, rel_tol=1e-10, abs_tol=1e-10, step=0.01, t_max=100.0)
+def test_one_period_matches_the_vectorised_locator(x, y, rel_tol, abs_tol, step, t_max):
+    # the period and the points bit for bit, or the same failure and message
+    s0, p = State(x, y), Params()
+    cfg = IntegratorConfig(step=step, rel_tol=rel_tol, abs_tol=abs_tol, t_max=t_max)
+    integrate._last_orbit = None
+    got = _outcome(integrate._one_period, s0, p, cfg)
+    assert _period_bits(got) == _period_bits(_outcome(one_period_reference, s0, p, cfg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.floats(-2.0, 2.0),
+    y=st.floats(-2.0, 2.0),
+    mu=st.sampled_from((0.0, 0.1)),
+)
+@example(x=0.0, y=2.0, mu=0.0)
+@example(x=-0.1, y=1.5, mu=0.1)
+def test_cut_events_match_the_vectorised_locator(x, y, mu):
+    traj = integrate_original(State(x, y), Params(mu=mu),
+                              replace(DEFAULT_CONFIG, t_max=40.0))
+    got = _outcome(lambda: [(e.t.hex(), e.data["x1"].hex()) for e in traj.events])
+    assert got == _outcome(cut_events_reference, traj)
 
 
 def _bisect_reference(dense, t, g, plane_to_g, tol):
