@@ -14,6 +14,9 @@ Kernels return raw arrays of the accepted nodes (t, x, y) plus an integer
 status; the ``integrate`` module wraps them in typed trajectories and
 exceptions.  They keep no field values: with FSAL each one is exactly
 ``rhs`` at its node, so the dense output evaluates it where it needs it.
+``adaptive_lanes`` places each node once: its memory peak is the recorded
+rows at 32 bytes each (t, u, v, a lane and a place), plus the output at
+24 bytes per row, plus at most one chunk of ``CHUNK_ROWS`` rows.
 """
 
 import array
@@ -57,6 +60,12 @@ STEP_CONTROL = (0.9, -0.2, 0.2, 5.0)  # safety, err_exp, fac_min, fac_max
 # Below that only a grid's last few stragglers run, and 48 instead of 32
 # left the 400-orbit grid's wall time within run-to-run spread.
 MIN_LANES = 32
+
+# adaptive_lanes records its rows in chunks of 256 rows per start, at most
+# this many: a 65536-row chunk is 2 MiB, so a many-orbit run fills a chunk
+# in a few dozen lockstep iterations and a few orbits of a figure, which
+# run only in adaptive_path, do not pay for a large one
+CHUNK_ROWS = 65536
 
 
 def rhs(u, v, mu):
@@ -186,27 +195,52 @@ def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, flips=
     return np.frombuffer(ts), np.frombuffer(us), np.frombuffer(vs), status, h, steps
 
 
-class _Samples:
-    """Growable columns (lane, t, u, v) of the samples adaptive_lanes
-    records, in time order per lane.  One buffer per column, grown by
-    doubling: small arrays, one per lockstep iteration and concatenated at
-    the end, raised the 400-orbit benchmark grid's peak RSS from 65.4 to
-    69.7 MiB."""
+class _Rows:
+    """The rows (lane, place, t, u, v) that adaptive_lanes records: the
+    place of a row is its index in its lane's path.  They are kept in
+    chunks of a fixed size that are filled in place and never grown,
+    copied or joined; ``assemble`` allocates the output once and
+    scatters each chunk to its rows, freeing the chunk as it goes."""
 
-    def __init__(self, cap):
-        self.n = 0
-        self.cols = [np.empty(cap, dtype=np.int32)] + [np.empty(cap) for _ in "tuv"]
+    def __init__(self, n, max_steps):
+        self.size = min(256 * n, CHUNK_ROWS)
+        # a path holds at most max_steps + 1 rows, so its places fit
+        self.place_type = np.int32 if max_steps < 2**31 else np.int64
+        self.chunks = []
+        self.free = 0  # unfilled rows of the last chunk
 
-    def append(self, lane, t, u, v):
-        end = self.n + len(lane)
-        if end > len(self.cols[0]):
-            full = self.cols
-            self.cols = [np.empty(max(2 * len(c), end), c.dtype) for c in full]
-            for col, old in zip(self.cols, full):
-                col[: self.n] = old[: self.n]
-        for col, values in zip(self.cols, (lane, t, u, v)):
-            col[self.n : end] = values
-        self.n = end
+    def add(self, *columns):
+        """Record the rows of the equal-length columns lane, place, t, u, v."""
+        i, m = 0, len(columns[0])
+        while i < m:
+            if not self.free:
+                self.chunks.append((np.empty(self.size, dtype=np.int32),
+                                    np.empty(self.size, dtype=self.place_type),
+                                    *np.empty((3, self.size))))
+                self.free = self.size
+            at = self.size - self.free
+            j = min(m, i + self.free)
+            for chunk, values in zip(self.chunks[-1], columns):
+                chunk[at : at + j - i] = values[i:j]
+            self.free -= j - i
+            i = j
+
+    def assemble(self, counts):
+        """(t, z, bounds) from the rows per lane: lane k's rows at
+        t[bounds[k]:bounds[k + 1]] and the same rows of the (N, 2) states
+        z, in time order."""
+        bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        t, z = np.empty(bounds[-1]), np.empty((bounds[-1], 2))
+        chunks, self.chunks = self.chunks[::-1], None
+        while chunks:
+            lane, place, ts, us, vs = chunks.pop()
+            m = self.size - self.free if not chunks else self.size
+            rows = bounds[lane[:m]] + place[:m]
+            t[rows] = ts[:m]
+            z[rows, 0] = us[:m]
+            z[rows, 1] = vs[:m]  # the chunk is freed as the next is popped
+        return t, z, bounds
 
 
 def _field(z, mu):
@@ -229,7 +263,10 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
 
     Returns (t, z, bounds, status, h, steps): lane k's path is
     t[bounds[k]:bounds[k + 1]] and the same rows of the (N, 2) states z;
-    status, h and steps per lane are what adaptive_path returns.
+    status, h and steps per lane are what adaptive_path returns.  Each
+    row is recorded once, with its lane and its place in the lane's path,
+    and scattered once into the output, so the peak is the N recorded
+    rows times 32 bytes, plus the output, plus at most one chunk.
     Overflowing lanes stop with STATUS_NONFINITE and raise no
     floating-point warning.
     """
@@ -246,8 +283,10 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
     status = np.full(n, STATUS_OK)
     h_end = np.empty(n)
     steps_end = np.empty(n, dtype=np.int64)
-    rec = _Samples(256 * n)
-    rec.append(lane, t, z[0], z[1])
+    rows = np.ones(n, dtype=np.int64)  # recorded per live lane: the next place
+    rows_end = np.empty(n, dtype=np.int64)
+    rec = _Rows(n, max_steps)
+    rec.add(lane, np.zeros(n, dtype=np.int64), t, z[0], z[1])
     with np.errstate(all="ignore"):
         k1 = _field(z, mu)
         while True:
@@ -263,8 +302,10 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
                 )
                 h_end[k] = h[stop]
                 steps_end[k] = steps[stop]
+                rows_end[k] = rows[stop]
                 keep = ~stop
                 lane, t, h, steps = lane[keep], t[keep], h[keep], steps[keep]
+                rows = rows[keep]
                 z, k1 = z[:, keep], k1[:, keep]
             if lane.size == 0 or lane.size < MIN_LANES:
                 break
@@ -301,7 +342,9 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
             z = np.where(accepted, zn, z)
             k1 = np.where(accepted, k7, k1)
             h = h * fac
-            rec.append(lane[accepted], t[accepted], z[0, accepted], z[1, accepted])
+            rec.add(lane[accepted], rows[accepted], t[accepted], z[0, accepted],
+                    z[1, accepted])
+            rows += accepted
 
         for j, k in enumerate(lane.tolist()):
             budget = max_steps - int(steps[j])
@@ -310,16 +353,11 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
                 rel_tol, abs_tol, float(h[j]), budget,
             )
             status[k], h_end[k], steps_end[k] = status_k, h_k, steps[j] + used
-            rec.append(np.full(len(tt) - 1, k), tt[1:], uu[1:], vv[1:])
+            r = int(rows[j])
+            rows_end[k] = r + len(tt) - 1
+            rec.add(np.full(len(tt) - 1, k), np.arange(r, rows_end[k]),
+                    tt[1:], uu[1:], vv[1:])
 
-        lanes, ts, us, vs = (col[: rec.n] for col in rec.cols)
-        order = np.argsort(lanes, kind="stable")
-        bounds = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(lanes, minlength=n), out=bounds[1:])
-        t = ts[order]
-        # gathered straight into place; mode="clip" writes without a buffer
-        z = np.empty((rec.n, 2))
-        np.take(us, order, out=z[:, 0], mode="clip")
-        np.take(vs, order, out=z[:, 1], mode="clip")
+        t, z, bounds = rec.assemble(rows_end)
     return t, z, bounds, status, h_end, steps_end
 

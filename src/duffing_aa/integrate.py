@@ -388,7 +388,9 @@ def _exact(obj) -> tuple:
 
 
 # (key, (period, x, y)) of the last orbit _one_period measured, replaced
-# by one assignment, so that a reader sees one whole entry or the other
+# by one assignment, so that a reader sees one whole entry or the other.
+# The key is the start's bits, the params and config objects and their
+# _exact keys: the same (frozen) objects need no new _exact key to match
 _last_orbit = None
 
 
@@ -411,10 +413,13 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     """
     global _last_orbit
     s0 = State(float(s0[0]), float(s0[1]))
-    key = (s0.x.hex(), s0.y.hex(), _exact(p), _exact(cfg))
+    start = s0.x.hex(), s0.y.hex()
     last = _last_orbit
-    if last is not None and last[0] == key:
-        return last[1]
+    if last is not None:
+        (start_, p_, cfg_, exact_p, exact_cfg), orbit = last
+        if (start_ == start and (p_ is p or exact_p == _exact(p))
+                and (cfg_ is cfg or exact_cfg == _exact(cfg))):
+            return orbit
     _require_closed_orbit(s0, p)
     on = int(s0.y == 0.0)  # a start on the section is return 0
     t, x, y, status, _, _ = _kernels.adaptive_path(
@@ -445,5 +450,5 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     x.setflags(write=False)
     y.setflags(write=False)
     orbit = period, x, y
-    _last_orbit = key, orbit
+    _last_orbit = (start, p, cfg, _exact(p), _exact(cfg)), orbit
     return orbit

@@ -337,6 +337,22 @@ def test_memo_returns_what_fresh_calls_return(monkeypatch, p0):
         assert [repr(q(s0, p0)) for q in CLOSED_ORBIT_QUERIES] == fresh[s0]
 
 
+def test_memo_hit_on_the_same_objects_builds_no_key(monkeypatch, p0):
+    # the frozen params and config that were kept are the ones asked about:
+    # only equal copies are told apart by their _exact keys
+    s0 = State(1.0, 0.3)
+    monkeypatch.setattr(integrate, "_last_orbit", None)
+    kept = integrate._one_period(s0, p0, DEFAULT_CONFIG)
+    keyed = []
+    exact = integrate._exact
+    monkeypatch.setattr(integrate, "_exact", lambda obj: keyed.append(obj) or exact(obj))
+    for q in CLOSED_ORBIT_QUERIES:
+        q(s0, p0)
+    assert integrate._one_period(s0, p0, DEFAULT_CONFIG) is kept and keyed == []
+    copies = Params(mu=p0.mu), replace(DEFAULT_CONFIG)
+    assert integrate._one_period(s0, *copies) is kept and keyed == list(copies)
+
+
 MEMO_BASE = (State(0.0, 1.0), Params(), DEFAULT_CONFIG)
 
 

@@ -793,6 +793,14 @@ def test_one_period_matches_the_vectorised_locator(x, y, rel_tol, abs_tol, step,
 )
 @example(x=0.0, y=2.0, mu=0.0)
 @example(x=-0.1, y=1.5, mu=0.1)
+# crossings inside the first step, just after the start: the crossing
+# time is as small as the u terms of the dense output, so its last bits
+# follow the last bit of u, and summing those terms in another order
+# moves each of these events
+@example(x=-1.4e-06, y=0.36, mu=0.1)
+@example(x=-3e-06, y=1.44, mu=0.1)
+@example(x=1.2e-07, y=-1.68, mu=0.1)
+@example(x=-8.2e-05, y=1.9, mu=0.0)
 def test_cut_events_match_the_vectorised_locator(x, y, mu):
     traj = integrate_original(State(x, y), Params(mu=mu),
                               replace(DEFAULT_CONFIG, t_max=40.0))
