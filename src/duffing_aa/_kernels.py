@@ -53,12 +53,13 @@ TABLEAU = (
 STEP_CONTROL = (0.9, -0.2, 0.2, 5.0)  # safety, err_exp, fac_min, fac_max
 
 # adaptive_lanes steps its lanes together while at least this many are
-# live.  Measured on a 2-vCPU Xeon (medians of 5 fits over 16 to 400
-# lanes): a lockstep iteration costs about 125 us plus 0.5 us per live
-# lane, and each live lane would cost one adaptive_path step of about
-# 2.8 us, so lanes win above about 125 / (2.8 - 0.5) = 54 live lanes.
-# Below that only a grid's last few stragglers run, and 48 instead of 32
-# left the 400-orbit grid's wall time within run-to-run spread.
+# live.  Measured on a 2-vCPU Xeon (a fit of the medians of 9 timings of
+# 200 iterations at 16 to 400 live lanes): a lockstep iteration costs
+# about 120 us plus 0.2 us per live lane, and each live lane would cost
+# one adaptive_path step of about 2.7 us, so lanes win above about
+# 120 / (2.7 - 0.2) = 48 live lanes.  Below that only a grid's last few
+# stragglers run, and 40 or 48 instead of 32 left the 400-orbit grid's
+# lockstep time within run-to-run spread.
 MIN_LANES = 32
 
 # adaptive_lanes records its rows in chunks of 256 rows per start, at most
@@ -248,18 +249,33 @@ def _field(z, mu):
     return np.array(rhs(z[0], z[1], mu))
 
 
+def _step_factors(err):
+    """adaptive_path's step factors for the error norms err, bit for bit:
+    safety * err ** err_exp, clamped to [fac_min, fac_max].  The float64
+    loop of np.float_power calls the C library's pow per element, as
+    CPython's float ** does; np.power may take a vectorised loop that
+    differs in the last bit.  A zero error gives inf (and warns unless
+    np.errstate ignores it), which the clamp takes to fac_max, the scalar
+    rule for err == 0.  One clamp serves both outcomes: an accepted step
+    (err <= 1) has fac >= safety > fac_min, a rejected one fac < safety < 1.
+    """
+    safety, err_exp, fac_min, fac_max = STEP_CONTROL
+    fac = safety * np.float_power(err, err_exp)
+    return np.minimum(np.maximum(fac, fac_min, out=fac), fac_max, out=fac)
+
+
 def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
     """adaptive_path of the original-plane field over [0, t_end] from every
     start (u0[k], v0[k]) at once, bit for bit.
 
     Each start is a lane with its own t, h, FSAL stage, attempted-step
     count and status.  numpy steps all live lanes together with the scalar
-    kernel's operations in its order, and takes the step factor
-    err ** -0.2 per lane in Python floats (libm): numpy's vectorised
-    power can differ from it in the last bit.  Once fewer than MIN_LANES
-    lanes are live, adaptive_path finishes each of the rest from its last
-    sample with its h and its remaining step budget, so with fewer than
-    MIN_LANES starts every lane runs in adaptive_path.
+    kernel's operations in its order; the step factors err ** -0.2 of all
+    lanes come from one np.float_power call, which uses the C library's
+    pow as the scalar kernel does (``_step_factors``).  Once fewer than
+    MIN_LANES lanes are live, adaptive_path finishes each of the rest from
+    its last sample with its h and its remaining step budget, so with
+    fewer than MIN_LANES starts every lane runs in adaptive_path.
 
     Returns (t, z, bounds, status, h, steps): lane k's path is
     t[bounds[k]:bounds[k + 1]] and the same rows of the (N, 2) states z;
@@ -272,7 +288,6 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
     """
     (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
      b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = TABLEAU
-    safety, err_exp, fac_min, fac_max = STEP_CONTROL
     n = len(u0)
     lane = np.arange(n, dtype=np.int32)
     t = np.zeros(n)
@@ -327,14 +342,7 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
 
             steps += 1
             accepted = err <= 1.0
-            # 0 ** -0.2 raises, so a zero error is taken as the smallest
-            # double: both give fac > fac_max, which clamps to fac_max
-            fac = safety * np.array(
-                [e ** err_exp for e in np.maximum(err, 5e-324).tolist()]
-            )
-            # one clamp serves both outcomes: an accepted step (err <= 1)
-            # has fac >= safety > fac_min, a rejected one fac < safety < 1
-            fac = np.clip(fac, fac_min, fac_max)
+            fac = _step_factors(err)
             nonfinite = np.isnan(err)
             if nonfinite.any():
                 fac[nonfinite] = 1.0  # the scalar loop stops with h as it was

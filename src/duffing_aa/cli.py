@@ -78,13 +78,14 @@ _OUTPUT_KEYS = ("kind", "format", "path")
 
 # run holds every orbit in memory until its outputs are written, so the grid
 # size bounds its memory: 400 orbits at t_max = 20 (287k samples) peak at
-# 48.8-49.1 MiB RSS, 29 MiB of it the interpreter and numpy.  Each orbit keeps
-# 24 bytes per sample (views of the batch t and states; its covered images and
-# sheets are computed from them while it is written); while they run, the
-# lockstep kernel's recording buffers and sort order need 56 more per sample
-# (36 at full buffers).  The forked process that writes the
-# second half of that grid's CSV peaks at 35.4 MiB RSS (RUSAGE_CHILDREN, which
-# RUSAGE_SELF does not count), most of it pages it shares copy-on-write with run
+# 45.3-46.3 MiB RSS, 29.4 MiB of it the interpreter and numpy.  Each orbit
+# keeps 24 bytes per sample (views of the batch t and states; its covered
+# images and sheets are computed from them while it is written); while they
+# run, the lockstep kernel records each sample once, in 32 more bytes, until
+# it scatters them into those arrays (the memory rule in _kernels' module
+# docstring).  The forked process that writes the second half of that
+# grid's CSV peaks at 31.2-31.8 MiB RSS (RUSAGE_CHILDREN, which RUSAGE_SELF
+# does not count), most of it pages it shares copy-on-write with run
 MAX_GRID_STATES = 10_000
 
 # _write_csv gives each process that formats rows at least this many.

@@ -98,9 +98,21 @@ def covered_field(x1, y1, p: Params):
 
 
 def _check_away_from_centers(x, y) -> None:
-    d2_plus = (np.asarray(x) - 1.0) ** 2 + np.asarray(y) ** 2
-    d2_minus = (np.asarray(x) + 1.0) ** 2 + np.asarray(y) ** 2
-    if np.any(d2_plus < CENTER_EXCLUSION**2) or np.any(d2_minus < CENTER_EXCLUSION**2):
+    """CenterSingular if a point (x, y), floats or arrays, lies within
+    CENTER_EXCLUSION of (+-1, 0).  Floats are squared by products, as
+    numpy's ** 2 is, so both paths decide alike; on neither does a square
+    that overflows (a point far from both centers) warn."""
+    if isinstance(x, float) and isinstance(y, float):
+        yy = y * y
+        near = ((x - 1.0) * (x - 1.0) + yy < CENTER_EXCLUSION**2
+                or (x + 1.0) * (x + 1.0) + yy < CENTER_EXCLUSION**2)
+    else:
+        x, y = np.asarray(x), np.asarray(y)
+        with np.errstate(over="ignore"):
+            yy = y**2
+            near = (np.any((x - 1.0) ** 2 + yy < CENTER_EXCLUSION**2)
+                    or np.any((x + 1.0) ** 2 + yy < CENTER_EXCLUSION**2))
+    if near:
         raise CenterSingular(
             "state within 1e-9 of (+-1, 0); the angle is undefined at the "
             "covered center"

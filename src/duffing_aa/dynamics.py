@@ -69,8 +69,14 @@ class Params:
 
 def _require_finite(s) -> None:
     """Reject a State whose coordinates (scalars or arrays) are not all
-    finite."""
-    if not (np.all(np.isfinite(s[0])) and np.all(np.isfinite(s[1]))):
+    finite.  Floats are checked by math.isfinite, which decides as
+    np.isfinite does at a fraction of its cost."""
+    x, y = s[0], s[1]
+    if isinstance(x, float) and isinstance(y, float):
+        finite = math.isfinite(x) and math.isfinite(y)
+    else:
+        finite = np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+    if not finite:
         raise ValueError(f"{type(s).__name__} must be finite, got {s!r}")
 
 

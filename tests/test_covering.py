@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,8 @@ from duffing_aa import (
     sheet_sign,
     square,
 )
+from duffing_aa.covering import CENTER_EXCLUSION, _check_away_from_centers
+from duffing_aa.exceptions import CenterSingular
 from duffing_aa.verify import check_roundtrip
 
 
@@ -180,3 +184,27 @@ def test_covered_field_vectorized(p0):
     du, dv = covered_field(x1, y1, p0)
     np.testing.assert_allclose(du, [0.0, 0.0, 2.0], atol=1e-15)
     np.testing.assert_allclose(dv, [0.0, 2.0, 2.0], atol=1e-15)
+
+
+def test_center_guard_decides_alike_on_floats_and_arrays():
+    # floats are squared by products, arrays by numpy's ** 2: points at and
+    # about 1e-9 from either center, far off, overflowing and NaN are
+    # refused on both paths or on neither
+    points = [(0.0, 0.0), (1e200, 0.0), (0.0, -1e300), (math.nan, 0.0), (1.0, math.nan)]
+    for center in (1.0, -1.0):
+        for a in np.linspace(0.0, 2.0 * math.pi, 13):
+            for d in CENTER_EXCLUSION * np.array([0.0, 0.5, 1.0 - 2.0**-40, 1.0,
+                                                  1.0 + 2.0**-40, 2.0]):
+                points.append((center + d * math.cos(a), d * math.sin(a)))
+    refused = []
+    for x, y in points:
+        outcomes = []
+        for args in ((x, y), (np.array([x]), np.array([y]))):
+            try:  # an overflowing square warns on neither path
+                _check_away_from_centers(*args)
+                outcomes.append(False)
+            except CenterSingular:
+                outcomes.append(True)
+        assert outcomes[0] == outcomes[1], (x, y)
+        refused.append(outcomes[0])
+    assert 0 < sum(refused) < len(refused)

@@ -118,7 +118,8 @@ def test_state_on_level_stays_finite_where_4h_overflows(p0, h):
 
 
 def test_rejects_non_finite(p0):
-    for bad in (State(float("nan"), 0.0), State(0.0, float("inf"))):
+    for bad in (State(float("nan"), 0.0), State(0.0, float("inf")),
+                State(np.array([0.0, np.nan]), np.zeros(2))):
         with pytest.raises(ValueError):
             duffing_field(bad, p0)
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -310,25 +312,86 @@ def _grid_starts(rng, n=50):
             0.0, 20.0)
 
 
+def _scalar_step_factor(err):
+    """adaptive_path's step factor after a step with error norm err."""
+    safety, err_exp, fac_min, fac_max = _kernels.STEP_CONTROL
+    if err == 0.0:
+        return fac_max
+    ceiling = fac_max if err <= 1.0 else 1.0
+    return min(max(safety * err ** err_exp, fac_min), ceiling)
+
+
+def test_numpy_libm_build_keeps_lanes_scalar_parity_of_step_factors():
+    # adaptive_lanes takes its step factors from np.float_power, whose
+    # float64 loop must call the same C library pow as CPython's float **
+    # in adaptive_path; a numpy or libm build where they differ breaks the
+    # lanes' bit-for-bit parity with the scalar kernel.  Nine values in
+    # every binade from 5e-324 to the largest double, its ends included,
+    # and the 4,001 doubles nearest to 1
+    err_exp = _kernels.STEP_CONTROL[1]
+    rng = np.random.default_rng(7)
+    mantissas = np.concatenate(
+        ([1.0], rng.uniform(1.0, 2.0, 7), [np.nextafter(2.0, 1.0)])
+    )
+    binades = np.ldexp(mantissas, np.arange(-1074, 1024)[:, None]).ravel()
+    assert binades.min() == 5e-324 and binades.max() == sys.float_info.max
+    near_one = np.concatenate((1.0 - np.arange(1, 2001) * 2.0**-53,
+                               1.0 + np.arange(0, 2001) * 2.0**-52))
+    err = np.concatenate((binades, near_one, [math.inf]))
+    got = np.float_power(err, err_exp)
+    want = np.array([e ** err_exp for e in err.tolist()])
+    differ = err[got != want]
+    assert differ.size == 0, (
+        f"np.float_power(x, {err_exp}) differs from x ** {err_exp} at "
+        f"{differ.size} of {err.size} values, e.g. {differ[:3].tolist()}: this "
+        "numpy or C library build breaks the lanes' parity with adaptive_path"
+    )
+    # clamped as adaptive_path clamps, and a zero error (inf from
+    # float_power, which warns of the division) takes fac_max
+    err = np.append(err, 0.0)
+    with np.errstate(divide="ignore"):
+        fac = _kernels._step_factors(err)
+    assert fac[-1] == _kernels.STEP_CONTROL[3]
+    want = np.array([_scalar_step_factor(e) for e in err.tolist()])
+    assert fac.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("handoff", [False, True], ids=["lockstep", "handoff"])
-@pytest.mark.parametrize("case", ["fig1", "fig3", "grid"])
+@pytest.mark.parametrize(
+    "case", ["fig1", "fig3", "grid", "grid-1e-6", "grid-damped-1e-6"]
+)
 def test_lanes_are_bitwise_the_scalar_paths(monkeypatch, rng, case, handoff):
     # fig3 is damped (mu = 0.1); the grid starts mix wells, the separatrix
-    # band and outer orbits, so lanes retire at different iterations
-    u0, v0, mu, t_end = _grid_starts(rng) if case == "grid" else _fig_starts(case)
-    scalar = _scalar_paths(u0, v0, mu, t_end, 1e-10, 1e-10, 10**7)
+    # band and outer orbits, so lanes retire at different iterations.  At
+    # a tolerance of 1e-10 few steps are rejected; at 1e-6 about one in
+    # seven is, so lockstep iterations mix accepted and rejected lanes
+    if case.startswith("grid"):
+        u0, v0, _, t_end = _grid_starts(rng)
+        mu = 0.1 if "damped" in case else 0.0
+    else:
+        u0, v0, mu, t_end = _fig_starts(case)
+    tol = 1e-6 if case.endswith("1e-6") else 1e-10
+    scalar = _scalar_paths(u0, v0, mu, t_end, tol, tol, 10**7)
+    if tol == 1e-6:
+        assert sum(path[5] - (len(path[0]) - 1) for path in scalar) > 0
     min_lanes = len(u0) // 2 if handoff else 1
     lanes, handed_off = _lanes(
-        monkeypatch, min_lanes, u0, v0, mu, t_end, 1e-10, 1e-10, 10**7
+        monkeypatch, min_lanes, u0, v0, mu, t_end, tol, tol, 10**7
     )
     _assert_same_paths(lanes, scalar)
-    if handoff:  # the scalar kernel took over lanes part-way
-        assert len(handed_off) == min_lanes - 1 and min(handed_off) > 0.0
+    if handoff:  # the scalar kernel took over lanes part-way: the lanes
+        # live at the first iteration with fewer than min_lanes, a lane
+        # being live for as many iterations as it attempts steps (several
+        # can retire at once, so there can be fewer than min_lanes - 1)
+        steps = [path[5] for path in scalar]
+        live = next(c for c in (sum(s > i for s in steps) for i in itertools.count())
+                    if c < min_lanes)
+        assert 0 < len(handed_off) == live and min(handed_off) > 0.0
     else:
         assert handed_off == []
     # one start alone: in lockstep, or in the scalar kernel from its start
     lanes, handed_off = _lanes(
-        monkeypatch, min_lanes, u0[:1], v0[:1], mu, t_end, 1e-10, 1e-10, 10**7
+        monkeypatch, min_lanes, u0[:1], v0[:1], mu, t_end, tol, tol, 10**7
     )
     _assert_same_paths(lanes, scalar[:1])
     assert handed_off == ([0.0] if handoff else [])
