@@ -83,9 +83,12 @@ _OUTPUT_KEYS = ("kind", "format", "path")
 # images and sheets are computed from them while it is written); while they
 # run, the lockstep kernel records each sample once, in 32 more bytes, until
 # it scatters them into those arrays (the memory rule in _kernels' module
-# docstring).  The forked process that writes the second half of that
-# grid's CSV peaks at 31.2-31.8 MiB RSS (RUSAGE_CHILDREN, which RUSAGE_SELF
-# does not count), most of it pages it shares copy-on-write with run
+# docstring).  A mirror (the negative of an earlier start) or a duplicate
+# is not stepped: it shares that lane's t and owns its states, 16 bytes per
+# sample (integrate_original_orbits).  The forked process that writes the
+# second half of that grid's CSV peaks at 31.2-31.8 MiB RSS
+# (RUSAGE_CHILDREN, which RUSAGE_SELF does not count), most of it pages it
+# shares copy-on-write with run
 MAX_GRID_STATES = 10_000
 
 # _write_csv gives each process that formats rows at least this many.

@@ -42,8 +42,10 @@ one integration.
 ``integrate_original`` is that with one start: one
 ``_kernels.adaptive_lanes`` call steps their paths in lockstep, bit for
 bit the paths ``_kernels.adaptive_path`` takes one at a time, and each
-trajectory holds views of its arrays.  Events are emitted in increasing
-time.
+trajectory holds views of its arrays -- except a mirror: the field is
+odd, so the path from -s is the path from s negated, and a start whose
+negative (or itself) came earlier reuses that lane and owns its states.
+Events are emitted in increasing time.
 
 Each integration is an independent single-threaded computation over
 immutable inputs; returned trajectories are frozen (array buffers are
@@ -307,21 +309,38 @@ def integrate_original_orbits(
     """Yield integrate_original(s0, p, cfg) for every s0 of states, in order.
 
     The paths come from one ``_kernels.adaptive_lanes`` call that steps
-    the orbits in lockstep; each trajectory holds views of its arrays.
-    Orbit k's failure is raised when orbit k is due, after orbits 0..k-1
-    have been yielded.
+    the orbits in lockstep.  The field is odd and autonomous, so the
+    kernel's path from -s is its path from s negated, bit for bit after
+    the start row: a start equal (==) to an earlier one or to its
+    negative takes that lane's times and states (as ``0.0 - z`` for a
+    mirror; -z would turn the +0.0 of a zero coordinate into -0.0), with
+    its start row as given.  Orbit k's failure is raised when orbit k is
+    due, after orbits 0..k-1 have been yielded.
     """
     starts = [State(float(s0[0]), float(s0[1])) for s0 in states]
+    first, lanes, seen = [], [], {}  # seen[s]: (lane, mirrored) of s and -s
+    for s0 in starts:
+        lane = seen.get(s0)
+        if lane is None:
+            lane = len(first), False
+            seen[State(-s0.x, -s0.y)] = len(first), True
+            seen[s0] = lane  # after its mirror: the origin is its own
+            first.append(s0)
+        lanes.append(lane)
     t, z, bounds, status, _, _ = _kernels.adaptive_lanes(
-        [s0.x for s0 in starts], [s0.y for s0 in starts], p.mu, cfg.t_max,
+        [s0.x for s0 in first], [s0.y for s0 in first], p.mu, cfg.t_max,
         cfg.rel_tol, cfg.abs_tol, cfg.step, int(cfg.max_steps),
     )
-    for k, s0 in enumerate(starts):
+    for s0, (k, mirrored) in zip(starts, lanes):
         rows = slice(bounds[k], bounds[k + 1])
         if status[k] != _kernels.STATUS_OK:
             _require_finite(s0)  # a non-finite start always fails its lane
             _check_status(status[k], t[rows], cfg)
-        yield Trajectory(t[rows], z[rows], p, cfg)
+        zk = z[rows]
+        if s0 is not first[k]:  # a mirror or a duplicate
+            zk = 0.0 - zk if mirrored else zk.copy()
+            zk[0] = s0
+        yield Trajectory(t[rows], zk, p, cfg)
 
 
 def _require_closed_orbit(s0: State, p: Params) -> None:

@@ -429,6 +429,57 @@ def test_orbits_are_integrate_original_one_at_a_time(rng):
         _assert_same_trajectory(a, b)
 
 
+def _mirror(s0):
+    return State(-s0.x, -s0.y)
+
+
+@pytest.mark.parametrize("n", [8, _kernels.MIN_LANES + 8], ids=["scalar", "lockstep"])
+@pytest.mark.parametrize("mu", [0.0, 0.1])
+def test_mirrors_and_duplicates_are_integrate_original_one_at_a_time(
+        monkeypatch, rng, n, mu):
+    # a start equal to an earlier one, or to its negative, is not stepped
+    # again: its trajectory is read off the earlier start's lane, and must
+    # be what integrating it alone gives, signed zeros and all; with n = 8
+    # there are fewer starts than MIN_LANES, with n = 40 more lanes
+    special = [State(1.0, 0.0), State(-1.0, 0.0), State(-1.0, -0.0),
+               State(0.0, 0.0), State(-0.0, -0.0), State(-0.0, 0.0),
+               State(0.0, 1.0), State(-0.0, -1.0), State(0.0, -1.0),
+               State(-0.0, 1.0), State(1.3, -0.0), State(-1.3, 0.0)]
+    free = [State(x, y) for x, y in rng.uniform(-2.0, 2.0, (n, 2)).tolist()]
+    states = special + free + [_mirror(s0) for s0 in free[::2]] + free[1:4]
+    rng.shuffle(states)
+    p, cfg = Params(mu=mu), IntegratorConfig(t_max=5.0)
+    lanes = []
+    kernel = _kernels.adaptive_lanes
+
+    def recorded(u0, v0, *args):
+        lanes.append(list(zip(u0, v0)))
+        return kernel(u0, v0, *args)
+
+    monkeypatch.setattr(_kernels, "adaptive_lanes", recorded)
+    got, error = _run_orbits(integrate_original_orbits(states, p, cfg), len(states))
+    monkeypatch.undo()
+    want, _ = _one_at_a_time(states, p, cfg)
+    assert error is None and len(got) == len(states)
+    for a, b in zip(got, want):
+        _assert_same_trajectory(a, b)
+        for arr in (a.t, a.states):  # mirrors are frozen too
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
+    # one lane for each start up to s -> -s, in the order they first occur
+    firsts = []
+    for s0 in states:
+        if s0 not in firsts and _mirror(s0) not in firsts:
+            firsts.append(s0)
+    assert len(lanes) == 1 and lanes[0] == firsts
+    assert len(firsts) == 4 + n  # the centres, the origin, (0, 1), (1.3, 0)
+    # the first start of a lane holds views of the batch arrays
+    batch = got[states.index(firsts[0])].states.base
+    assert batch is not None
+    for s0 in firsts:
+        assert got[states.index(s0)].states.base is batch
+
+
 @pytest.mark.parametrize(
     "bad, cfg, failure",
     [
@@ -442,19 +493,25 @@ def test_orbits_are_integrate_original_one_at_a_time(rng):
 )
 def test_orbits_fail_where_integrate_original_fails(rng, bad, cfg, failure):
     # orbit k's own exception, with its message, once orbits 0..k-1 are out;
-    # a non-finite start is a bad input, not a failed integration
+    # a non-finite start is a bad input, not a failed integration.  Orbit
+    # 17's mirror shares its lane: placed before it, the mirror fails
+    # first, with its own message
     n = _kernels.MIN_LANES + 8
     states = [State(x, y) for x, y in zip(rng.uniform(-2.0, 2.0, n),
                                            rng.uniform(-1.5, 1.5, n))]
     if bad is not None:
         states[17] = bad
-    got, error = _run_orbits(integrate_original_orbits(states, Params(), cfg), n)
-    want, want_error = _one_at_a_time(states, Params(), cfg)
-    assert want_error is not None and len(got) == len(want) < n
-    assert type(error) is type(want_error) is failure
-    assert str(error) == str(want_error)
-    for a, b in zip(got, want):
-        _assert_same_trajectory(a, b)
+    for mirror in (None, 5, 30):
+        batch = list(states)
+        if mirror is not None:
+            batch[mirror] = _mirror(states[17])
+        got, error = _run_orbits(integrate_original_orbits(batch, Params(), cfg), n)
+        want, want_error = _one_at_a_time(batch, Params(), cfg)
+        assert want_error is not None and len(got) == len(want) < n
+        assert type(error) is type(want_error) is failure
+        assert str(error) == str(want_error)
+        for a, b in zip(got, want):
+            _assert_same_trajectory(a, b)
 
 
 # ---------------------------------------------------------------- locator

@@ -467,3 +467,70 @@ def test_lanes_peak_memory_stays_near_their_output(rng):
         if started:
             tracemalloc.stop()
     assert peak / sum(a.nbytes for a in out) < 2.9
+
+
+# both centres and the origin, with every sign of zero, starts on the axes
+# with a signed zero, and duplicates
+_ODD_SPECIAL = [
+    (1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0),
+    (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0),
+    (0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (1.3, -0.0), (-0.0, -0.6),
+    (0.5, 0.3), (0.5, 0.3), (-0.5, -0.3), (1.0, 0.0),
+]
+
+
+def _odd_corpus(mu, n=24):
+    """The special starts and n seeded ones in [-2, 2]^2 at damping mu."""
+    rng = np.random.default_rng(int(mu * 10) + 26)
+    return _ODD_SPECIAL + [tuple(s) for s in rng.uniform(-2.0, 2.0, (n, 2)).tolist()]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _assert_mirrored(path, mirror, start):
+    """mirror is 0.0 - path after the start row, with the same times and
+    (status, h, steps); its start row is start as given."""
+    t, u, v, *rest = path
+    tm, um, vm, *rest_m = mirror
+    assert _bits(tm).tobytes() == _bits(t).tobytes()
+    assert (_bits(um[0]), _bits(vm[0])) == (_bits(start[0]), _bits(start[1]))
+    for a, b in ((u, um), (v, vm)):
+        assert np.array_equal(_bits(0.0 - a[1:]), _bits(b[1:]))
+    assert rest_m == rest
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.1, 0.5])
+def test_adaptive_path_is_odd(mu):
+    # the field is odd and every kernel operation rounds symmetrically, so
+    # the path from -s is the path from s negated, bit for bit: the deck
+    # transformation s -> -s of the covering, on which integrate reuses a
+    # mirror's lane
+    for u0, v0 in _odd_corpus(mu):
+        path = _whole(u0, v0, mu, 20.0, 1e-10, 1e-10, 0.01, 10**7)
+        mirror = _whole(-u0, -v0, mu, 20.0, 1e-10, 1e-10, 0.01, 10**7)
+        _assert_mirrored(path, mirror, (-u0, -v0))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.1, 0.5])
+def test_adaptive_lanes_are_odd(monkeypatch, mu):
+    starts = _odd_corpus(mu)
+    assert len(starts) > _kernels.MIN_LANES
+    u0, v0 = (list(c) for c in zip(*starts))
+    lanes, _ = _lanes(monkeypatch, _kernels.MIN_LANES, u0, v0, mu, 20.0,
+                      1e-10, 1e-10, 10**7)
+    mirrors, _ = _lanes(monkeypatch, _kernels.MIN_LANES, [-u for u in u0],
+                        [-v for v in v0], mu, 20.0, 1e-10, 1e-10, 10**7)
+    for path, mirror, (u, v) in zip(lanes, mirrors, starts):
+        _assert_mirrored(path, mirror, (-u, -v))
+
+
+def test_plain_negation_breaks_the_zeros_of_a_mirror():
+    # from the centre (1, 0) y stays +0.0; -y is -0.0, but the path from
+    # (-1, 0) keeps +0.0, which 0.0 - y gives
+    _, _, v, *_ = _whole(1.0, 0.0, 0.0, 5.0, 1e-10, 1e-10, 0.01, 10**7)
+    _, _, vm, *_ = _whole(-1.0, 0.0, 0.0, 5.0, 1e-10, 1e-10, 0.01, 10**7)
+    assert len(v) > 1 and not np.any(v)
+    assert not np.array_equal(_bits(-v[1:]), _bits(vm[1:]))
+    assert np.array_equal(_bits(0.0 - v[1:]), _bits(vm[1:]))
