@@ -88,7 +88,7 @@ def unwrap_theta(traj: Trajectory) -> np.ndarray:
 def _loop_action(x, y) -> float:
     """(1/2pi) * |integral of y dx| along the points, by the trapezoid
     rule, with the closing segment back to the first point."""
-    s = np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    s = (0.5 * (y[1:] + y[:-1]) * (x[1:] - x[:-1])).sum()
     s += 0.5 * (y[-1] + y[0]) * (x[0] - x[-1])  # close the loop
     return abs(float(s)) / TWO_PI
 

@@ -101,17 +101,30 @@ def _check_away_from_centers(x, y) -> None:
     """CenterSingular if a point (x, y), floats or arrays, lies within
     CENTER_EXCLUSION of (+-1, 0).  Floats are squared by products, as
     numpy's ** 2 is, so both paths decide alike; on neither does a square
-    that overflows (a point far from both centers) warn."""
+    that overflows (a point far from both centers) or underflows warn or
+    raise, whatever the caller's numpy error state.
+
+    Arrays (broadcast together, 0-d included) are squared only in the
+    band |(|x| - 1)| < 2*CENTER_EXCLUSION, and not at all when no point
+    lies in it.  That drops no near point: |x| - 1 is x -+ 1 exactly for
+    the nearer center, rounding is monotone, and fl(a + b) >= a for
+    b >= 0, so a point off the band has fl((x -+ 1)**2) + fl(y**2) >=
+    fl((2*CENTER_EXCLUSION)**2) > CENTER_EXCLUSION**2; a NaN x is in no
+    band and is near no center."""
     if isinstance(x, float) and isinstance(y, float):
         yy = y * y
         near = ((x - 1.0) * (x - 1.0) + yy < CENTER_EXCLUSION**2
                 or (x + 1.0) * (x + 1.0) + yy < CENTER_EXCLUSION**2)
     else:
-        x, y = np.asarray(x), np.asarray(y)
-        with np.errstate(over="ignore"):
-            yy = y**2
-            near = (np.any((x - 1.0) ** 2 + yy < CENTER_EXCLUSION**2)
-                    or np.any((x + 1.0) ** 2 + yy < CENTER_EXCLUSION**2))
+        band = np.abs(np.abs(x) - 1.0) < 2.0 * CENTER_EXCLUSION
+        near = band.any()
+        if near:  # the rule, on the points of the band alone
+            x, y, band = np.broadcast_arrays(x, y, band)
+            x, y = x[band], y[band]
+            with np.errstate(over="ignore", under="ignore"):
+                yy = y**2
+                near = (np.any((x - 1.0) ** 2 + yy < CENTER_EXCLUSION**2)
+                        or np.any((x + 1.0) ** 2 + yy < CENTER_EXCLUSION**2))
     if near:
         raise CenterSingular(
             "state within 1e-9 of (+-1, 0); the angle is undefined at the "
@@ -139,9 +152,9 @@ def _unwrap(x, y):
     _check_away_from_centers(x, y)
     x1, y1 = square(x, y)
     raw = _angle(x1, y1)
-    d = np.diff(raw)
-    d -= TWO_PI * np.round(d / TWO_PI)
-    if np.any(np.abs(d) >= math.pi):
+    d = raw[1:] - raw[:-1]
+    d -= TWO_PI * np.rint(d / TWO_PI)
+    if (np.abs(d) >= math.pi).any():
         raise UnwrapAmbiguous(
             "consecutive angle samples differ by half a turn or more; "
             "sampling is too sparse to unwrap"

@@ -245,7 +245,7 @@ def _sign_flips(g, trailing=False):
     """The sign walk of g: indices k, increasing, of the nonzero entries
     that the next nonzero entry (past any exact zeros) opposes.  With
     ``trailing``, also the last nonzero entry where zeros follow."""
-    nz = np.flatnonzero(g)
+    nz = g.nonzero()[0]
     pos = (g > 0.0)[nz]
     keep = np.zeros(nz.size, dtype=bool)
     keep[:-1] = pos[1:] != pos[:-1]  # entry i opposes entry i + 1
@@ -393,6 +393,12 @@ def find_period(
     expires first, MaxStepsExceeded if max_steps runs out before that
     stop, and StepFailure where the path does not resolve the orbit (a
     step too coarse for its returns).
+
+    Near a center the period is low: abs_tol and the section tolerance
+    are absolute while the orbit shrinks.  At the default config a start
+    (+-1 + eps, 0) is off the closed form by -8.6e-9 at eps = 1e-3, but
+    by more than 1e-7 from eps ~ 1.5e-4 inwards: -2.2e-6 at 1e-5, -2.6e-4
+    at 1e-7 and -6.5e-3 at 1e-9 (ROADMAP item 2).
     """
     return _one_period(s0, p, cfg)[0]
 
@@ -457,7 +463,7 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     period = r2 - r0
     k = int(np.searchsorted(t, period))  # the first sample at or after it
     x_end, y_end = dense(k - 1)(period)
-    x, y = np.append(x[:k], x_end), np.append(y[:k], y_end)
+    x, y = np.concatenate((x[:k], (x_end,))), np.concatenate((y[:k], (y_end,)))
     theta = _unwrap(x, y)[2]
     turns, want = (theta[0] - theta[-1]) / TWO_PI, _turns(s0, p)
     if not abs(turns - want) < 0.25:

@@ -186,25 +186,67 @@ def test_covered_field_vectorized(p0):
     np.testing.assert_allclose(dv, [0.0, 2.0, 2.0], atol=1e-15)
 
 
+def center_guard_reference(x, y) -> bool:
+    """The guard's array rule without its band prefilter: every point
+    squared, as the guard squared them before it kept the band alone, and
+    no square's overflow or underflow raised."""
+    x, y = np.asarray(x), np.asarray(y)
+    with np.errstate(over="ignore", under="ignore"):
+        yy = y**2
+        return bool(np.any((x - 1.0) ** 2 + yy < CENTER_EXCLUSION**2)
+                    or np.any((x + 1.0) ** 2 + yy < CENTER_EXCLUSION**2))
+
+
+def _refuses(x, y) -> bool:
+    try:
+        _check_away_from_centers(x, y)
+    except CenterSingular:
+        return True
+    return False
+
+
 def test_center_guard_decides_alike_on_floats_and_arrays():
-    # floats are squared by products, arrays by numpy's ** 2: points at and
-    # about 1e-9 from either center, far off, overflowing and NaN are
-    # refused on both paths or on neither
-    points = [(0.0, 0.0), (1e200, 0.0), (0.0, -1e300), (math.nan, 0.0), (1.0, math.nan)]
+    # floats are squared by products, arrays by numpy's ** 2 and only in
+    # the band |(|x| - 1)| < 2e-9: points at and about 1e-9 from either
+    # center, on the band's edges, far off, overflowing, infinite and NaN
+    # are refused on every path, or on none, as the unfiltered rule says;
+    # no square that overflows or underflows warns or raises, even where
+    # every floating-point error raises
+    e = CENTER_EXCLUSION
+    points = [(0.0, 0.0), (1e200, 0.0), (0.0, -1e300), (math.nan, 0.0),
+              (1.0, math.nan), (math.nan, math.nan), (1.0, 1e200), (-1.0, -1e200),
+              (1.0 + 0.5 * e, 1e200), (1e200, 1e200), (1.0, 1e-200),
+              (-1.0 - 0.5 * e, -1e-300), (1.0 + 3.0 * e, 1e-170), (0.3, 1e-200)]
+    for inf in (math.inf, -math.inf):
+        points += [(inf, 0.0), (1.0, inf), (-1.0, inf), (inf, inf), (inf, math.nan)]
     for center in (1.0, -1.0):
         for a in np.linspace(0.0, 2.0 * math.pi, 13):
-            for d in CENTER_EXCLUSION * np.array([0.0, 0.5, 1.0 - 2.0**-40, 1.0,
-                                                  1.0 + 2.0**-40, 2.0]):
+            for d in e * np.array([0.0, 0.5, 1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-40,
+                                   2.0, 3.0]):
                 points.append((center + d * math.cos(a), d * math.sin(a)))
+        for edge in (center - 2.0 * e, center + 2.0 * e):  # the band's edges
+            for x in np.nextafter(edge, [-math.inf, math.inf]).tolist() + [edge]:
+                points += [(x, 0.0), (x, 1e-10)]
     refused = []
-    for x, y in points:
-        outcomes = []
-        for args in ((x, y), (np.array([x]), np.array([y]))):
-            try:  # an overflowing square warns on neither path
-                _check_away_from_centers(*args)
-                outcomes.append(False)
-            except CenterSingular:
-                outcomes.append(True)
-        assert outcomes[0] == outcomes[1], (x, y)
-        refused.append(outcomes[0])
-    assert 0 < sum(refused) < len(refused)
+    with np.errstate(all="raise"):
+        for x, y in points:
+            want = center_guard_reference(np.array([x]), np.array([y]))
+            assert _refuses(x, y) == want, (x, y)  # the float path
+            assert _refuses(np.array([x]), np.array([y])) == want, (x, y)
+            assert _refuses(np.array(x), np.array(y)) == want, (x, y)  # 0-d
+            # an array x with a scalar y and the reverse, the other points
+            # far from both centers; and a broadcast (2, 1) by (2,)
+            for args in ((np.array([x, 0.0, 5.0]), y),
+                         (np.array([0.0, x, 1e300]), np.array(y)),
+                         (x, np.array([7.0, y, 1e300])),
+                         (np.array(x), np.array([y, -3.0])),
+                         (np.array([[x], [0.0]]), np.array([y, 3.0]))):
+                assert center_guard_reference(*args) == want, (x, y, args)
+                assert _refuses(*args) == want, (x, y, args)
+            refused.append(want)
+        assert 0 < sum(refused) < len(refused)
+        # many points at once: refused iff one of them is
+        xs, ys = (np.array(c) for c in zip(*points))
+        far = ~np.array(refused)
+        assert _refuses(xs, ys) and not _refuses(xs[far], ys[far])
+        assert _refuses(xs[far], 0.0) == center_guard_reference(xs[far], 0.0)
