@@ -8,8 +8,8 @@ once.  Subpackage map:
   dynamics     the original vector field and its Hamiltonian
   covering     the covering map square, its sheet rule sheet_sign, its
                inverse principal_root and the covered field, elementwise
-  integrate    adaptive RK45 integration of the original plane, and its
-               cut crossings: the sign flips of x
+  integrate    adaptive RK45 integration of the original plane, and the
+               periods of its closed orbits
   actionangle  the global angle, its unwrapping and the action integrals
   verify       seeded numerical cross-checks for every closed formula
   cli          scenario runner, figure export (CSV/SVG) and `verify`
@@ -36,7 +36,6 @@ from .dynamics import (
 from .exceptions import (
     CenterSingular,
     ConfigError,
-    DegenerateCrossing,
     DuffingError,
     MaxStepsExceeded,
     NoReturn,
@@ -46,9 +45,7 @@ from .exceptions import (
     UnwrapAmbiguous,
 )
 from .integrate import (
-    CUT_CROSSING,
     DEFAULT_CONFIG,
-    Event,
     IntegratorConfig,
     Trajectory,
     find_period,
@@ -83,7 +80,6 @@ __all__ = [
     "state_on_level",
     "CenterSingular",
     "ConfigError",
-    "DegenerateCrossing",
     "DuffingError",
     "MaxStepsExceeded",
     "NoReturn",
@@ -91,9 +87,7 @@ __all__ = [
     "OriginSingular",
     "StepFailure",
     "UnwrapAmbiguous",
-    "CUT_CROSSING",
     "DEFAULT_CONFIG",
-    "Event",
     "IntegratorConfig",
     "Trajectory",
     "find_period",

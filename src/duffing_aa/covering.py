@@ -45,7 +45,6 @@ import numpy as np
 from .dynamics import Params
 from .exceptions import CenterSingular, UnwrapAmbiguous
 
-BRANCH_TOL = 1e-12
 CENTER_EXCLUSION = 1e-9
 TWO_PI = 2.0 * math.pi
 _TINY = np.finfo(np.float64).tiny

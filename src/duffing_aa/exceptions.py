@@ -42,8 +42,3 @@ class OriginSingular(DuffingError):
 class UnwrapAmbiguous(DuffingError):
     """Consecutive angle samples differed by a half turn or more, so the
     continuous branch cannot be identified."""
-
-
-class DegenerateCrossing(DuffingError):
-    """A trajectory segment met the cut within tolerance of the branch
-    point, where the sheet hand-off is undefined."""

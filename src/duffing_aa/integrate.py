@@ -1,4 +1,4 @@
-"""Time integration of the original plane, with events and sheet bookkeeping.
+"""Time integration of the original plane, and its closed-orbit periods.
 
 One stepper integrates every orbit: the embedded Dormand-Prince 5(4)
 adaptive pair, which records the accepted nodes only.  Its cubic Hermite
@@ -9,23 +9,19 @@ accurate enough to locate event times far below the step size.
 A trajectory carries only its times and original-plane samples; its
 covered columns are their images under the covering map, and its sheet
 column is ``covering.sheet_sign`` of each sample: the covering is a chart,
-not a second integration.  So the sheet changes where x changes sign, and
-those crossings of the y-axis are the trajectory's events, its
-``cut_crossing``s: the covered path crossed the cut {y1 = 0, x1 < 0}.
-They are located when read and refined on the dense output to |y1| <= 1e-12.
+not a second integration, and the sheet changes where x changes sign.
 ``find_period`` locates the returns to the section {y = 0} on its own
 path, refined until |y| <= 1e-10.  Returns of a sign walk alternate in
 direction, so return 2 is the first one in the direction of return 0: one
 period after it.
 
-Both kinds are found the same way.  A numpy sign walk (``_sign_flips``,
-exact zeros skipped) brackets every sign change of x, or of y, at once;
-then each bracket is refined on its own, in Python floats, on the
-Hermite cubic of its own step (``hermite_step``) by the Illinois variant
-of regula falsi (``locate_roots``; Hairer, Norsett & Wanner, Solving
-ODEs I, II.6; Shampine & Thompson, "Event location for ODEs", 2000).  A
-path has few brackets, so numpy's cost per call would exceed their
-arithmetic.
+A numpy sign walk (``_sign_flips``, exact zeros skipped) brackets every
+sign change of y at once; then each bracket is refined on its own, in
+Python floats, on the Hermite cubic of its own step (``hermite_step``) by
+the Illinois variant of regula falsi (``locate_roots``; Hairer, Norsett &
+Wanner, Solving ODEs I, II.6; Shampine & Thompson, "Event location for
+ODEs", 2000).  A path has few brackets, so numpy's cost per call would
+exceed their arithmetic.
 
 Period and action queries need one orbit, not all of t_max: they share
 ``find_period``'s path, on which the adaptive kernel stops at the sample
@@ -45,7 +41,6 @@ bit the paths ``_kernels.adaptive_path`` takes one at a time, and each
 trajectory holds views of its arrays -- except a mirror: the field is
 odd, so the path from -s is the path from s negated, and a start whose
 negative (or itself) came earlier reuses that lane and owns its states.
-Events are emitted in increasing time.
 
 Each integration is an independent single-threaded computation over
 immutable inputs; returned trajectories are frozen (array buffers are
@@ -58,13 +53,12 @@ another, never a mix.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from . import _kernels
-from .covering import BRANCH_TOL as BRANCH_CUT_TOL
 from .covering import (
     TWO_PI,
     _check_away_from_centers,
@@ -74,16 +68,12 @@ from .covering import (
 )
 from .dynamics import Params, State, _number, _require_finite, hamiltonian
 from .exceptions import (
-    DegenerateCrossing,
     MaxStepsExceeded,
     NoReturn,
     OnSeparatrix,
     StepFailure,
 )
 
-CUT_CROSSING = "cut_crossing"
-
-CUT_REFINE_TOL = 1e-12
 SECTION_REFINE_TOL = 1e-10
 SEPARATRIX_TOL = 1e-9
 MAX_REFINE_ITER = 200
@@ -119,23 +109,13 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 
 @dataclass(frozen=True)
-class Event:
-    """Something that happened at time ``t`` along a trajectory."""
-
-    t: float
-    kind: str
-    data: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Time-ordered samples of one orbit, on the original plane.
 
     ``states`` are original-plane points; ``covered`` (their covered-plane
-    images), ``sheets`` (each sample's tag, +1 Upper, -1 Lower) and
-    ``events`` (the cut crossings, see _cut_crossings) are read off them
-    on every access.  Its dense output on step k is ``hermite_step(t,
-    *states.T, params.mu, k)``, on which ``events`` are refined.
+    images) and ``sheets`` (each sample's tag, +1 Upper, -1 Lower) are
+    read off them on every access.  Its dense output on step k is
+    ``hermite_step(t, *states.T, params.mu, k)``.
     """
 
     t: np.ndarray
@@ -157,11 +137,6 @@ class Trajectory:
     @property
     def sheets(self) -> np.ndarray:
         return sheet_sign(self.states[:, 0], self.states[:, 1]).astype(np.int8)
-
-    @property
-    def events(self) -> tuple[Event, ...]:
-        dense = partial(hermite_step, self.t, *self.states.T, self.params.mu)
-        return _cut_crossings(self.t, self.states, dense)
 
     def energies(self) -> np.ndarray:
         """H evaluated at every sample."""
@@ -241,54 +216,20 @@ def locate_roots(g, a, b, ga, gb, tol):
     return root
 
 
-def _sign_flips(g, trailing=False):
+def _sign_flips(g):
     """The sign walk of g: indices k, increasing, of the nonzero entries
-    that the next nonzero entry (past any exact zeros) opposes.  With
-    ``trailing``, also the last nonzero entry where zeros follow."""
+    that the next nonzero entry (past any exact zeros) opposes."""
     nz = g.nonzero()[0]
     pos = (g > 0.0)[nz]
-    keep = np.zeros(nz.size, dtype=bool)
-    keep[:-1] = pos[1:] != pos[:-1]  # entry i opposes entry i + 1
-    if trailing and nz.size:
-        keep[-1] = nz[-1] + 1 < g.size
-    return nz[keep]
-
-
-def _cut_crossings(t: np.ndarray, z: np.ndarray, dense) -> tuple[Event, ...]:
-    """The cut crossings of the original-plane path (t, z): sign flips of x.
-
-    ``dense(k)`` is the path's dense output on step k (see hermite_step).
-    A flip of x between nonzero samples k and n brackets a crossing on the
-    step k -> k + 1, where x[k + 1] = 0 if zeros lie between, making that
-    sample the crossing; so is a trailing zero after the last nonzero x.
-    Other zeros are skipped: a path launched from the y-axis carries its
-    conventional tag already.  Each crossing is refined on y1 = 2xy until
-    |y1| <= 1e-12, where x1 < 0 unless the path met the cut within
-    BRANCH_CUT_TOL of the branch point: the first such crossing raises
-    DegenerateCrossing.
-    """
-    events = []
-    for k in _sign_flips(z[:, 0], trailing=True).tolist():
-        at = dense(k)
-        (xa, ya), (xb, yb) = z[k:k + 2].tolist()
-        t_star = locate_roots(lambda tq: square(*at(tq))[1], *t[k:k + 2].tolist(),
-                              square(xa, ya)[1], square(xb, yb)[1], CUT_REFINE_TOL)
-        x1_star = square(*at(t_star))[0]
-        if abs(x1_star) <= BRANCH_CUT_TOL:
-            raise DegenerateCrossing(
-                f"trajectory met the cut at x1={x1_star:.3e}, t={t_star:.6g}, "
-                "within tolerance of the branch point"
-            )
-        events.append(Event(t_star, CUT_CROSSING, {"x1": x1_star}))
-    return tuple(events)
+    return nz[:-1][pos[1:] != pos[:-1]]  # entry i opposes entry i + 1
 
 
 def _section_crossings(t: np.ndarray, y: np.ndarray, ks, dense) -> list[float]:
     """Times of the transversal returns to the section {y = 0} that the
     sign flips ks of y bracket (``_sign_flips``): a flip between nonzero
     samples k and n brackets a return on the step k -> k + 1, where
-    y[k + 1] = 0 if zeros lie between.  Each is refined on ``dense``
-    (original plane, as in _cut_crossings) until |y| <= 1e-10."""
+    y[k + 1] = 0 if zeros lie between.  Each is refined on ``dense``,
+    the path's ``hermite_step``, until |y| <= 1e-10."""
     return [locate_roots(lambda tq, at=dense(k): at(tq)[1], *t[k:k + 2].tolist(),
                          *y[k:k + 2].tolist(), SECTION_REFINE_TOL) for k in ks]
 
@@ -298,7 +239,7 @@ def integrate_original(
 ) -> Trajectory:
     """Advance the original-plane field from s0 over [0, t_max].
 
-    Its covered columns, sheets and events are read off the samples.
+    Its covered columns and sheets are read off the samples.
     """
     return next(integrate_original_orbits([s0], p, cfg))
 
@@ -412,10 +353,10 @@ def _exact(obj) -> tuple:
     ))
 
 
-# (key, (period, x, y)) of the last orbit _one_period measured, replaced
-# by one assignment, so that a reader sees one whole entry or the other.
-# The key is the start's bits, the params and config objects and their
-# _exact keys: the same (frozen) objects need no new _exact key to match
+# ((start's bits, params, config), (period, x, y)) of the last orbit
+# _one_period measured, replaced by one assignment, so that a reader sees
+# one whole entry or the other.  The same (frozen) params and config match
+# as they are; only an equal copy is told apart by _exact keys
 _last_orbit = None
 
 
@@ -441,9 +382,10 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     start = s0.x.hex(), s0.y.hex()
     last = _last_orbit
     if last is not None:
-        (start_, p_, cfg_, exact_p, exact_cfg), orbit = last
-        if (start_ == start and (p_ is p or exact_p == _exact(p))
-                and (cfg_ is cfg or exact_cfg == _exact(cfg))):
+        (start_, p_, cfg_), orbit = last
+        if (start_ == start
+                and (p_ is p or (p_ == p and _exact(p_) == _exact(p)))
+                and (cfg_ is cfg or (cfg_ == cfg and _exact(cfg_) == _exact(cfg)))):
             return orbit
     _require_closed_orbit(s0, p)
     on = int(s0.y == 0.0)  # a start on the section is return 0
@@ -475,5 +417,5 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     x.setflags(write=False)
     y.setflags(write=False)
     orbit = period, x, y
-    _last_orbit = (start, p, cfg, _exact(p), _exact(cfg)), orbit
+    _last_orbit = (start, p, cfg), orbit
     return orbit

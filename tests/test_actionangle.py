@@ -350,7 +350,9 @@ def test_memo_hit_on_the_same_objects_builds_no_key(monkeypatch, p0):
         q(s0, p0)
     assert integrate._one_period(s0, p0, DEFAULT_CONFIG) is kept and keyed == []
     copies = Params(mu=p0.mu), replace(DEFAULT_CONFIG)
-    assert integrate._one_period(s0, *copies) is kept and keyed == list(copies)
+    assert integrate._one_period(s0, *copies) is kept
+    # each equal copy is told apart by the keys of the kept object and its own
+    assert keyed == [p0, copies[0], DEFAULT_CONFIG, copies[1]]
 
 
 MEMO_BASE = (State(0.0, 1.0), Params(), DEFAULT_CONFIG)

@@ -27,6 +27,12 @@ KNOWN_UNMEASURED = {
     # it counted Trajectory.dense_point, which nothing in the package
     # called, so it read 0 on every workload; the method is gone
     "events.dense_evals",
+    # the tracer marks these unmeasured when either of its two events hooks
+    # misses its target, and integrate._cut_crossings is gone; the other,
+    # integrate._section_crossings, is still wrapped (see below) and feeds
+    # them on period queries (ROADMAP, open item 3)
+    "events.busy_s",
+    "events.found",
 }
 
 
@@ -34,12 +40,16 @@ def test_tracer_hooks_find_their_targets(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     assembly = integrate.integrate_original
+    sections = integrate._section_crossings
     hooks = tracing.Hooks(tracing.Tracer()).install()
     try:
         unmeasured = set(hooks.unmeasured)
-        # assembly.self_s still times the one assembly path left
+        # assembly.self_s still times the one assembly path left, and the
+        # events layer the section returns of period queries
         assert integrate.integrate_original is not assembly
+        assert integrate._section_crossings is not sections
     finally:
         hooks.remove()
     assert integrate.integrate_original is assembly
+    assert integrate._section_crossings is sections
     assert unmeasured <= KNOWN_UNMEASURED

@@ -136,28 +136,6 @@ def test_grid_expansion(tmp_path, monkeypatch):
     assert len(starts) == 6
 
 
-@pytest.mark.parametrize("scenario", ["fig2", "grid"])
-def test_run_never_locates_cut_crossings(tmp_path, monkeypatch, scenario):
-    # no output reads a trajectory's events (the sheet column is read off
-    # each sample), so a run never locates them; the 40-orbit grid goes
-    # through the lockstep kernel
-    monkeypatch.chdir(tmp_path)
-    calls = []
-    locate = integrate._cut_crossings
-    monkeypatch.setattr(integrate, "_cut_crossings",
-                        lambda *args: calls.append(args) or locate(*args))
-    if scenario == "grid":
-        outputs = [{"kind": k, "format": f, "path": f"{k}.{f}"}
-                   for k in ("original", "covered") for f in ("csv", "svg")]
-        scenario = write_config(tmp_path, {
-            "mu": 0.0, "t_max": 5.0, "outputs": outputs,
-            "grid": {"x_range": [-2.0, 2.0], "y_range": [-1.5, 1.5],
-                     "nx": 8, "ny": 5},
-        })
-    assert main(["run", "--quiet", scenario]) == 0
-    assert calls == []
-
-
 def test_config_errors(tmp_path, capsys):
     cases = [
         ({"mu": 0.0, "t_max": 1.0, "initial_states": [], "outputs": []},

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from dataclasses import fields, replace
@@ -10,9 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from duffing_aa import (
-    CUT_CROSSING,
     DEFAULT_CONFIG,
-    DegenerateCrossing,
     IntegratorConfig,
     MaxStepsExceeded,
     NoReturn,
@@ -98,31 +97,46 @@ def test_cross_integration_equivalence(p0):
         assert worst <= 1e-6, f"h={h}: {worst}"
 
 
+def sheet_toggles(traj):
+    """The samples k whose sheet differs from that of sample k - 1."""
+    return np.flatnonzero(traj.sheets[1:] != traj.sheets[:-1]) + 1
+
+
 def test_cut_crossings_twice_per_period(p0):
     # outer orbits pass the y-axis twice per revolution; margin of a
-    # quarter period keeps the count away from endpoint coincidences
+    # quarter period keeps the count away from endpoint coincidences.  The
+    # sheet changes across the cut {y1 = 0, x1 < 0}: both samples of each
+    # toggle lie left of the branch point
     s0 = State(0.0, 2.0)
     period = find_period(s0, p0)
     traj = integrate_original(s0, p0, replace(DEFAULT_CONFIG, t_max=2.25 * period))
-    cuts = [e for e in traj.events if e.kind == CUT_CROSSING]
-    assert len(cuts) == 4
-    for e in cuts:
-        assert e.data["x1"] < 0.0
+    toggles = sheet_toggles(traj)
+    assert toggles.size == 4
+    assert np.all(traj.covered[toggles - 1, 0] < 0.0)
+    assert np.all(traj.covered[toggles, 0] < 0.0)
 
 
 def test_no_crossings_inside_well(p0):
     traj = integrate_original(State(1.2, 0.0), p0, replace(DEFAULT_CONFIG, t_max=20.0))
-    assert traj.events == ()
     assert np.all(traj.sheets == 1)
 
 
 def test_sheet_toggles_match_events(p0):
-    traj = integrate_original(
-        State(0.0, 2.0), p0, replace(DEFAULT_CONFIG, t_max=10.0)
+    # oracle: the crossings of x = 0 that scipy's DOP853 event finder
+    # locates on the original field, integrated on its own
+    s0, t_max = State(0.0, 2.0), 10.0
+    traj = integrate_original(s0, p0, replace(DEFAULT_CONFIG, t_max=t_max))
+    sol = solve_ivp(
+        lambda _, z: (z[1], z[0] - z[0] ** 3), (0.0, t_max), s0,
+        method="DOP853", events=lambda _, z: z[0], rtol=1e-12, atol=1e-12,
     )
-    cuts = [e for e in traj.events if e.kind == CUT_CROSSING]
-    toggles = int(np.sum(traj.sheets[1:] != traj.sheets[:-1]))
-    assert toggles == len(cuts)
+    assert sol.success, sol.message
+    crossings = sol.t_events[0][sol.t_events[0] > 0.0]  # not the start on x = 0
+    k = sheet_toggles(traj)
+    assert crossings.size > 3 and k.size == crossings.size
+    # each toggle is the first sample after its crossing
+    assert np.all(traj.t[k - 1] - 1e-8 < crossings)
+    assert np.all(crossings <= traj.t[k] + 1e-8)
 
 
 def test_evolved_sheet_matches_pointwise_tag(p0):
@@ -417,7 +431,7 @@ def test_nonfinite_state_fails_fast():
 def _assert_same_trajectory(a, b):
     for name in ("t", "states", "covered", "sheets"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    assert (a.events, a.params, a.config) == (b.events, b.params, b.config)
+    assert (a.params, a.config) == (b.params, b.config)
 
 
 def _run_orbits(orbits, n):
@@ -538,111 +552,6 @@ def test_orbits_fail_where_integrate_original_fails(rng, bad, cfg, failure):
 # ---------------------------------------------------------------- locator
 
 
-def hermite(t, pts, slopes, k):
-    """hermite_step's cubic Hermite dense output of a synthetic path on its
-    step k, with the given node slopes instead of the field."""
-
-    def at(tq):
-        h = t[k + 1] - t[k]
-        s = (tq - t[k]) / h
-        s2 = s * s
-        s3 = s2 * s
-        w = (
-            (2.0 * s3 - 3.0 * s2 + 1.0) * pts[k]
-            + (s3 - 2.0 * s2 + s) * h * slopes[k]
-            + (-2.0 * s3 + 3.0 * s2) * pts[k + 1]
-            + (s3 - s2) * h * slopes[k + 1]
-        )
-        return float(w[0]), float(w[1])
-
-    return at
-
-
-def cut_events(x, y, t=None):
-    """(event times, event x1, sheet flips) of a synthetic original-plane
-    path through the samples (x, y); node slopes from np.gradient, so a
-    two-sample path is the straight segment between them.  The sheet
-    flips are the samples whose sheet_sign differs from the one before."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t = np.arange(x.size, dtype=float) if t is None else np.asarray(t, float)
-    pts = np.column_stack((x, y))
-    slopes = np.gradient(pts, t, axis=0)
-    events = integrate._cut_crossings(t, pts, partial(hermite, t, pts, slopes))
-    flips = np.flatnonzero(np.diff(sheet_sign(x, y))) + 1
-    return [e.t for e in events], [e.data["x1"] for e in events], flips.tolist()
-
-
-def test_cut_locator_examples():
-    assert cut_events([-1.0, 1.0], [1.0, 1.0]) == ([0.5], [-1.0], [1])
-    assert cut_events([1.0, 1.0], [0.5, -0.5]) == ([], [], [])  # y1 flips at x1 > 0
-    assert cut_events([-1.0, -0.5], [1.0, 1.0]) == ([], [], [])
-
-
-def test_cut_locator_half_open():
-    # a sample exactly on the cut belongs to the destination sheet: the
-    # crossing is that sample, and the sheet changes from it on
-    assert cut_events([-0.5, 0.0, 0.5], [1.0] * 3) == ([1.0], [-1.0], [1])
-    assert cut_events([0.5, 0.0, -0.5], [-1.0] * 3) == ([1.0], [-1.0], [1])
-    # a trailing sample on the cut is a crossing too
-    assert cut_events([-0.5, 0.0], [1.0, 1.0]) == ([1.0], [-1.0], [1])
-    # a path launched on the cut keeps its launch tag
-    assert cut_events([0.0, 0.5], [1.0, 1.0]) == ([], [], [])
-    # touching the cut without crossing it is no transit
-    assert cut_events([-0.5, 0.0, -0.5], [-1.0] * 3) == ([], [], [])
-    # a zero of y1 on the positive x1-axis is not on the cut
-    assert cut_events([1.0] * 3, [-0.5, 0.0, 0.5]) == ([], [], [])
-
-
-def test_cut_locator_interpolates():
-    # x = -1 + 4t and y = 2 - t: the crossing is at t = 1/4, where y = 7/4
-    (t_star,), (x1_star,), flips = cut_events([-1.0, 3.0], [2.0, 1.0])
-    assert flips == [1]
-    assert abs(t_star - 0.25) <= 1e-12 / 14.0 + 1e-15  # dy1/dt = 14 there
-    assert abs(x1_star + 3.0625) <= 1e-12
-
-
-def test_cut_locator_subnormal_values():
-    # opposite signs whose product underflows still count as a crossing
-    for tiny in (1e-200, 5e-324):
-        times, _, flips = cut_events([-tiny, tiny], [1.0, 1.0])
-        assert flips == [1] and len(times) == 1 and 0.0 <= times[0] <= 1.0
-
-
-def test_cut_locator_degenerate():
-    with pytest.raises(DegenerateCrossing):
-        cut_events([-0.5, 0.5], [1e-7, 1e-7])
-    with pytest.raises(DegenerateCrossing):
-        cut_events([-1.0, 0.0], [0.5, 0.0])  # trailing sample at the branch point
-    # a turning point of y next to the branch point never meets the cut
-    assert cut_events([1e-7, 1e-7], [0.5, -0.5]) == ([], [], [])
-
-
-def test_degenerate_crossing_raised_when_its_orbit_is_due(monkeypatch):
-    # no orbit of a short run meets the cut within 1e-12 of the branch
-    # point, so the test widens the branch tolerance to 0.05: the small
-    # orbits about (1, 0) never cross x = 0, and orbit #17 crosses it at
-    # |y| < 0.18, so at x1 > -0.035.  Every orbit is yielded: the crossing
-    # is raised when orbit #17's events are read, as for that orbit alone
-    monkeypatch.setattr(integrate, "BRANCH_CUT_TOL", 0.05)
-    n, k = _kernels.MIN_LANES + 8, 17
-    rng = np.random.default_rng(3)
-    states = [State(x, y) for x, y in zip(rng.uniform(0.8, 1.2, n),
-                                           rng.uniform(-0.2, 0.2, n))]
-    states[k] = State(-0.1, 0.2)
-    cfg = IntegratorConfig(t_max=20.0)
-    got, error = _run_orbits(integrate_original_orbits(states, Params(), cfg), n)
-    assert error is None and len(got) == n
-    for i, traj in enumerate(got):
-        if i != k:
-            assert traj.events == ()
-    with pytest.raises(DegenerateCrossing) as batch:
-        got[k].events
-    with pytest.raises(DegenerateCrossing) as alone:
-        integrate_original(states[k], Params(), cfg).events
-    assert str(batch.value) == str(alone.value)
-
-
 @pytest.fixture
 def brackets(monkeypatch):
     """The brackets each integrate.locate_roots call refines (np.size of
@@ -657,16 +566,6 @@ def brackets(monkeypatch):
     monkeypatch.setattr(integrate, "locate_roots", counted)
     monkeypatch.setattr(integrate, "_last_orbit", None)
     return sizes
-
-
-def test_assembly_refines_one_bracket_per_cut_event(brackets, p0):
-    # brackets come from the sign flips of x only: an orbit in a well
-    # refines none, and an outer orbit one per crossing of the cut
-    cfg = replace(DEFAULT_CONFIG, t_max=20.0)
-    assert integrate_original(State(1.2, 0.0), p0, cfg).events == ()
-    assert sum(brackets) == 0
-    events = integrate_original(State(0.0, 2.0), p0, cfg).events
-    assert len(events) > 0 and brackets == [1] * len(events)
 
 
 def test_one_period_refines_only_the_returns_it_uses(brackets, closed_orbit_start, p0):
@@ -709,6 +608,37 @@ def test_locate_roots_where_the_secant_is_undefined(g, ga, gb):
             lambda j, tq: np.array([g(float(v)) for v in tq]),
             [0.0], [1.0], [ga], [gb], 1e-12)
     assert root.hex() == float(want[0]).hex()
+
+
+def test_locate_roots_subnormal_values():
+    # ends of opposite signs whose product underflows still bracket a
+    # root: the sign walk sees the flip, and the locator stays inside it
+    for tiny, sign in itertools.product((1e-200, 5e-324), (1.0, -1.0)):
+        def g(tq):
+            return sign * tiny * (2.0 * tq - 1.0)
+
+        ga, gb = g(0.0), g(1.0)
+        assert ga == -sign * tiny and gb == sign * tiny
+        assert integrate._sign_flips(np.array([ga, gb])).tolist() == [0]
+        root = integrate.locate_roots(g, 0.0, 1.0, ga, gb, 0.0)
+        assert 0.0 <= root <= 1.0 and g(root) == 0.0
+
+
+@pytest.mark.parametrize("tiny", [
+    1e-200,
+    pytest.param(5e-324, marks=pytest.mark.xfail(strict=True, reason=(
+        "the secant step gb * (b - a) rounds to 0, so every iterate is b and "
+        "the locator stalls until MAX_REFINE_ITER, far from the root"))),
+])
+def test_locate_roots_narrows_a_subnormal_step(tiny):
+    # g jumps from -tiny to tiny at 0.3: only the width can stop the
+    # locator, and each side must be told by the signs, not by fc * gb
+    for sign in (1.0, -1.0):
+        def g(tq):
+            return sign * tiny if tq > 0.3 else -sign * tiny
+
+        root = integrate.locate_roots(g, 0.0, 1.0, g(0.0), g(1.0), 0.0)
+        assert abs(root - 0.3) <= 1e-14
 
 
 # --------------------------------------------- the vectorised references
@@ -769,25 +699,6 @@ def locate_roots_reference(g, a, b, ga, gb, tol):
         width = b[live] - a[live]
         live = live[(np.abs(fc) > tol) & (width > 1e-15 * (1.0 + np.abs(b[live])))]
     return root
-
-
-def cut_events_reference(traj):
-    """(t.hex(), x1.hex()) of each cut crossing, all refined at once."""
-    t, z = traj.t, traj.states
-    ks = integrate._sign_flips(z[:, 0], trailing=True)
-    at = hermite_steps_reference(t, z, traj.params.mu, ks)
-    ga, gb = (square(*z[k].T)[1] for k in (ks, ks + 1))
-    t_star = locate_roots_reference(lambda j, tq: square(*at(j, tq))[1],
-                                    t[ks], t[ks + 1], ga, gb, integrate.CUT_REFINE_TOL)
-    x1_star = square(*at(np.arange(ks.size), t_star))[0]
-    near = np.flatnonzero(np.abs(x1_star) <= integrate.BRANCH_CUT_TOL)
-    if near.size:
-        i = near[0]
-        raise DegenerateCrossing(
-            f"trajectory met the cut at x1={x1_star[i]:.3e}, t={t_star[i]:.6g}, "
-            "within tolerance of the branch point"
-        )
-    return [(a.hex(), b.hex()) for a, b in zip(t_star.tolist(), x1_star.tolist())]
 
 
 def one_period_reference(s0, p, cfg):
@@ -871,19 +782,34 @@ def test_one_period_matches_the_vectorised_locator(x, y, rel_tol, abs_tol, step,
 )
 @example(x=0.0, y=2.0, mu=0.0)
 @example(x=-0.1, y=1.5, mu=0.1)
-# crossings inside the first step, just after the start: the crossing
-# time is as small as the u terms of the dense output, so its last bits
-# follow the last bit of u, and summing those terms in another order
-# moves each of these events
+# x crosses 0 inside the first step, just after the start: the root is
+# as small as the u terms of the dense output, so its last bits follow
+# the last bit of u, and summing those terms in another order moves it
 @example(x=-1.4e-06, y=0.36, mu=0.1)
 @example(x=-3e-06, y=1.44, mu=0.1)
 @example(x=1.2e-07, y=-1.68, mu=0.1)
 @example(x=-8.2e-05, y=1.9, mu=0.0)
-def test_cut_events_match_the_vectorised_locator(x, y, mu):
+def test_hermite_step_matches_the_vectorised_reference(x, y, mu):
+    # on the first step and on every step where x changes sign: the
+    # points a float locator visits refining the root of x there, and a
+    # spread over the step, bit for bit
     traj = integrate_original(State(x, y), Params(mu=mu),
                               replace(DEFAULT_CONFIG, t_max=40.0))
-    got = _outcome(lambda: [(e.t.hex(), e.data["x1"].hex()) for e in traj.events])
-    assert got == _outcome(cut_events_reference, traj)
+    t, z = traj.t, traj.states
+    ks = np.union1d([0], integrate._sign_flips(z[:, 0]))
+    ref = hermite_steps_reference(t, z, mu, ks)
+    for j, k in enumerate(ks.tolist()):
+        at = integrate.hermite_step(t, *z.T, mu, k)
+        t0, t1 = t[k:k + 2].tolist()
+        visited = np.linspace(t0, t1, 9).tolist()
+        x0, x1 = z[k:k + 2, 0].tolist()
+        if x0 * x1 < 0.0:
+            integrate.locate_roots(lambda tq: visited.append(tq) or at(tq)[0],
+                                   t0, t1, x0, x1, 1e-12)
+        tq = np.array(visited)
+        got = np.array([at(q) for q in visited]).T
+        want = np.stack(ref(np.full(tq.size, j), tq))
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), k
 
 
 def _bisect_reference(dense, t, g, plane_to_g, tol):
@@ -936,15 +862,8 @@ def test_locator_matches_scalar_bisection():
     for s0, p, cfg in _reference_orbits():
         traj = integrate_original(s0, p, cfg)
         dense = partial(dense_at, traj)
-        toggles = list(np.flatnonzero(traj.sheets[1:] != traj.sheets[:-1]) + 1)
         ref = _bisect_reference(dense, traj.t, traj.covered[:, 1], covered, 1e-12)
-        assert toggles == [k for k, _, x1 in ref if x1 < 0.0], s0
-        cuts = [e for e in traj.events if e.kind == CUT_CROSSING]
-        assert len(cuts) == len(toggles)
-        for e, (_, t_ref, _) in zip(cuts, (r for r in ref if r[2] < 0.0)):
-            x1, y1 = covered(*dense(e.t))
-            assert abs(y1) <= 1e-12 and x1 < 0.0
-            assert abs(e.t - t_ref) <= 1e-9
+        assert sheet_toggles(traj).tolist() == [k for k, _, x1 in ref if x1 < 0.0], s0
         sections = section_returns(traj)
         ref = _bisect_reference(
             dense, traj.t, traj.states[:, 1], lambda u, v: (u, v), 1e-10
@@ -969,10 +888,9 @@ def test_sheet_parity_equals_cut_count(x, y, mu):
     assert traj.states[0].tolist() == [x, y]
     assert traj.covered[0].tolist() == list(square(x, y))
     assert int(traj.sheets[0]) == sheet_sign(x, y)
-    try:
-        events = traj.events
-    except DegenerateCrossing:
-        assume(False)
-    cuts = sum(e.kind == CUT_CROSSING for e in events)
+    # the sheet changes where x changes sign (a path launched on the cut
+    # leaves it the way its tag points, x' = y): once per sign flip of x
+    assume(traj.states[-1, 0] != 0.0)
+    cuts = integrate._sign_flips(traj.states[:, 0]).size
     assert int(traj.sheets[-1]) == int(traj.sheets[0]) * (-1) ** cuts
-    assert int(np.sum(traj.sheets[1:] != traj.sheets[:-1])) == cuts
+    assert sheet_toggles(traj).size == cuts
