@@ -100,17 +100,16 @@ def action_covered(
     global revolution (theta down by exactly 2pi), sign-normalized.
 
     The loop is the covered image of ``action_original``'s points over one
-    period (``integrate._one_period``).  One period is one revolution in a
-    well and two outside the separatrix, where the image traces the loop
-    twice; the integral over the period is divided by those revolutions
-    (``integrate._turns``), which ``_one_period`` has checked the unwrapped
-    angle to make.  Right after ``find_period`` or ``action_original`` on
-    the same start, params and config, it reads their path and integrates
-    nothing.
+    period, as ``integrate._one_period`` keeps it from its angle check.
+    One period is one revolution in a well and two outside the separatrix,
+    where the image traces the loop twice; the integral over the period
+    is divided by those revolutions (``integrate._turns``), which
+    ``_one_period`` has checked the unwrapped angle to make.  Right after
+    ``find_period`` or ``action_original`` on the same start, params and
+    config, it reads their path and integrates nothing.
     """
     s0 = State(float(s0[0]), float(s0[1]))
-    x, y = _one_period(s0, p, cfg)[1:]
-    return _loop_action(*square(x, y)) / _turns(s0, p)
+    return _loop_action(*_one_period(s0, p, cfg)[3:]) / _turns(s0, p)
 
 
 def action_original(
@@ -121,7 +120,7 @@ def action_original(
     period (``integrate._one_period``).  Right after ``find_period`` or
     ``action_covered`` on the same start, params and config, it reads
     their path and integrates nothing."""
-    return _loop_action(*_one_period(s0, p, cfg)[1:])
+    return _loop_action(*_one_period(s0, p, cfg)[1:3])
 
 
 def dH_dtheta(s: State, p: Params) -> float:

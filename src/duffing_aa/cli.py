@@ -29,11 +29,12 @@ CSV schemas (17-significant-digit decimals, '\\n' line endings):
   covered       t,x1,y1,sheet        (sheet is U or L)
   energy_angle  theta_unwrapped,h
 
-Rows are ordered by initial-state index, then time.  On Linux a CSV of
-at least 2 * ROWS_PER_WORKER rows going to a regular file is formatted on
-up to one process per usable CPU: forked children write contiguous blocks
-of orbits to unnamed temporary files in the output's directory, which run
-appends in order, so the bytes are those one process writes.
+Rows are ordered by initial-state index, then time.  On Linux run cuts
+the orbits into one contiguous block per usable CPU and forks a process
+per block but the first: each integrates its orbits, formats its CSV rows
+into unnamed temporary files in the outputs' directories and its SVG
+polylines, and run writes every output from the blocks in order once all
+have succeeded, so the bytes are those one process writes.
 
 SVG outputs are self-contained: one polyline per orbit, viewBox fitted to
 the data with a 5% margin, and covered-plane orbits drawn in two stroke
@@ -49,12 +50,12 @@ overrides the default verification seed 42; --seed overrides both.
 from __future__ import annotations
 
 import argparse
-import bisect
-import itertools
+import contextlib
 import json
+import marshal
 import math
 import os
-import stat
+import signal
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -76,28 +77,18 @@ _GRID_KEYS = ("x_range", "y_range", "nx", "ny")
 _INTEGRATOR_KEYS = ("step", "rel_tol", "abs_tol", "max_steps")
 _OUTPUT_KEYS = ("kind", "format", "path")
 
-# run holds every orbit in memory until its outputs are written, so the grid
-# size bounds its memory: 400 orbits at t_max = 20 (287k samples) peak at
-# 45.3-46.3 MiB RSS, 29.4 MiB of it the interpreter and numpy.  Each orbit
-# keeps 24 bytes per sample (views of the batch t and states; its covered
-# images and sheets are computed from them while it is written); while they
-# run, the lockstep kernel records each sample once, in 32 more bytes, until
-# it scatters them into those arrays (the memory rule in _kernels' module
-# docstring).  A mirror (the negative of an earlier start) or a duplicate
-# is not stepped: it shares that lane's t and owns its states, 16 bytes per
-# sample (integrate_original_orbits).  The forked process that writes the
-# second half of that grid's CSV peaks at 31.2-31.8 MiB RSS
-# (RUSAGE_CHILDREN, which RUSAGE_SELF does not count), most of it pages it
-# shares copy-on-write with run
+# each process of run holds the orbits of its block in memory until their
+# outputs are formatted, so the grid size bounds its memory: 400 orbits at
+# t_max = 20 (287k samples) in one block peak at 44.6-44.9 MiB RSS, 29.4
+# MiB of it the interpreter and numpy.  Each orbit keeps 24 bytes per
+# sample (views of the batch t and states; covered images and sheets are
+# computed while it is formatted); the lockstep kernel records each sample
+# once more, in 32 bytes, until it scatters them into those arrays
+# (_kernels' memory rule).  A mirror or duplicate start shares its lane's
+# t and owns its states, 16 bytes per sample.  In two blocks run peaks at
+# 38.3-38.5 MiB and the child at 32.8-33.0 MiB (RUSAGE_CHILDREN, which
+# RUSAGE_SELF does not count), much of it shared copy-on-write with run
 MAX_GRID_STATES = 10_000
-
-# _write_csv gives each process that formats rows at least this many.
-# Measured on a 2-vCPU Xeon with the 400-orbit grid in memory (49 MiB RSS):
-# a covered row costs about 2.4 us to format and 0.02 us to append with
-# sendfile, a child about 3 ms to fork, reap and append; a second process
-# gained nothing on writes of up to about 8,000 rows and took a third off
-# one of 12,000.  A 10,000-row block formats in about 24 ms, 8 forks' worth
-ROWS_PER_WORKER = 10_000
 
 _STROKE = "#1f4e9c"
 _STROKE_UPPER = "#c0392b"
@@ -284,95 +275,97 @@ def _write_rows(f, kind: str, trajs, curves) -> None:
             f.write(_CSV_ROWS[kind] * len(rows) % tuple(rows.ravel().tolist()))
 
 
-def _workers(rows: int) -> int:
-    """Processes that format a CSV of this many rows: one per usable CPU,
-    each with at least ROWS_PER_WORKER rows.  One off Linux: Windows has no
-    fork, and elsewhere sendfile writes only to sockets."""
-    if sys.platform != "linux":
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), rows // ROWS_PER_WORKER))
+def _bounds(scenario: Scenario) -> list[int]:
+    """Orbit indices 0 = b0 < b1 < ... < bn = orbits that cut the initial
+    states into n contiguous blocks of equal orbit counts (within one): a
+    block per usable CPU, at most one per orbit.  One block off Linux
+    (Windows has no fork, and elsewhere sendfile writes only to sockets)
+    or when a CSV output exists and is not a regular file (/dev/stdout, a
+    pipe), since its directory may not take temporary files."""
+    orbits = len(scenario.initial_states)
+    n = 1 if sys.platform != "linux" or any(
+        o.format == "csv" and os.path.exists(o.path) and not os.path.isfile(o.path)
+        for o in scenario.outputs) else min(len(os.sched_getaffinity(0)), orbits)
+    return [orbits * k // n for k in range(n + 1)]
 
 
-def _blocks(trajs) -> list[int]:
-    """Orbit indices 0 = b0 < b1 < ... < bk = len(trajs) that cut the
-    orbits into one contiguous block per worker, of about equal row
-    counts: an orbit goes to the block its middle row falls in.  Python
-    lists, because np.unique would import numpy.ma (1.2 MiB of RSS)."""
-    rows = [len(traj) for traj in trajs]
-    total = sum(rows)
-    n = _workers(total)
-    mids = [end - r / 2 for end, r in zip(itertools.accumulate(rows), rows)]
-    cuts = {bisect.bisect_left(mids, total * k / n) for k in range(1, n)}
-    return [0, *sorted(c for c in cuts if 0 < c < len(trajs)), len(trajs)]
+def _run_block(scenario: Scenario, lo: int, hi: int, tmps) -> tuple:
+    """Integrate orbits lo..hi-1 and format their part of every output:
+    (0, parts), parts[i] an SVG's _svg_part, or a CSV's (trajs, curves),
+    or None once its rows are in the temporary file tmps[i].  (3, message)
+    names the first orbit that fails, (2, message) a file it cannot write."""
+    states = scenario.initial_states[lo:hi]
+    needs_curve = any(o.kind == "energy_angle" for o in scenario.outputs)
+    trajs, curves = [], []
+    orbits = integrate_original_orbits(states, scenario.params, scenario.integrator)
+    for idx, s0 in enumerate(states, lo):
+        try:
+            traj = next(orbits)
+            curves.append(energy_angle_curve(traj) if needs_curve else None)
+            trajs.append(traj)
+        except DuffingError as e:
+            return 3, (f"integration failed for initial state #{idx} "
+                       f"({_fmt(s0.x)}, {_fmt(s0.y)}): {e}")
+    parts = []
+    for out, tmp in zip(scenario.outputs, tmps):
+        if out.format == "svg":
+            parts.append(_svg_part(out.kind, trajs, curves))
+        elif tmp is None:
+            parts.append((trajs, curves))
+        else:
+            try:
+                _write_rows(tmp, out.kind, trajs, curves)
+                tmp.flush()
+            except OSError as e:
+                return 2, f"config error: cannot write output: {out.path}: {e}"
+            parts.append(None)
+    return 0, parts
 
 
-def _fork_rows(directory: str, kind: str, trajs, curves):
-    """Start a child that formats these orbits' rows into an unnamed
-    temporary file in `directory`; returns (pid, file)."""
-    tmp = tempfile.TemporaryFile(dir=directory)
+def _fork_block(scenario: Scenario, lo: int, hi: int, tmps) -> tuple[int, int]:
+    """Start a child that sends _run_block's result (marshalled, never CSV
+    rows) through a pipe; returns (pid, the pipe's read end)."""
+    r, w = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        tmp.close()
+        os.close(r)
+        os.close(w)
         raise
     if pid == 0:
-        # the child formats and leaves through _exit: it never returns into
-        # the caller's stack and never flushes the stdio it inherited
+        # the child leaves through _exit: it never returns into the caller's
+        # stack and never flushes the stdio it inherited
         code = 1
         try:
-            _write_rows(tmp, kind, trajs, curves)
-            tmp.flush()
+            os.close(r)
+            with open(w, "wb") as pipe:
+                marshal.dump(_run_block(scenario, lo, hi, tmps), pipe)
             code = 0
         finally:
             os._exit(code)
-    return pid, tmp
+    os.close(w)
+    return pid, r
 
 
-def _append(fd: int, tmp) -> None:
-    """Copy the whole of `tmp` to the end of `fd` in the kernel."""
-    size = os.fstat(tmp.fileno()).st_size
-    offset = 0
-    while offset < size:
-        offset += os.sendfile(fd, tmp.fileno(), offset, size - offset)
-
-
-def _write_csv(path: str, kind: str, trajs, curves) -> None:
-    """One header, then every orbit's rows (_write_rows).  A large CSV is
-    cut into contiguous blocks of orbits (_blocks): forked children format
-    every block but the first into unnamed temporary files while this
-    process writes the first, then each child's bytes are appended in
-    order.  Every child is reaped, also on failure; a failed child is an
-    OSError.  With one worker no child starts, and a path that is not a
-    regular file (/dev/stdout, a pipe) has one worker: its directory may
-    not take temporary files."""
-    children = []  # (pid, file) of each child not yet reaped
-    try:
-        with open(path, "wb") as f:
-            regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
-            bounds = _blocks(trajs) if regular else [0, len(trajs)]
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                children.append(_fork_rows(os.path.dirname(path) or ".", kind,
-                                           trajs[lo:hi], curves[lo:hi]))
-            f.write(_CSV_HEADERS[kind])
-            _write_rows(f, kind, trajs[: bounds[1]], curves[: bounds[1]])
+def _write_csv(path: str, kind: str, parts) -> None:
+    """The header, then each block's rows: a (trajs, curves) part formatted
+    here, a temporary file copied in the kernel by sendfile."""
+    with open(path, "wb") as f:
+        f.write(_CSV_HEADERS[kind])
+        for part in parts:
+            if isinstance(part, tuple):
+                _write_rows(f, kind, *part)
+                continue
             f.flush()
-            while children:
-                pid, tmp = children[0]
-                status = os.waitpid(pid, 0)[1]
-                children.pop(0)
-                with tmp:
-                    if status:
-                        raise OSError("a CSV writer process exited with status "
-                                      f"{os.waitstatus_to_exitcode(status)}")
-                    _append(f.fileno(), tmp)
-    finally:
-        for pid, tmp in children:
-            tmp.close()
-            os.waitpid(pid, 0)
+            size, offset = os.fstat(part.fileno()).st_size, 0
+            while offset < size:
+                offset += os.sendfile(f.fileno(), part.fileno(), offset, size - offset)
 
 
-def _polylines(kind: str, trajs, curves):
-    """(points, color) pairs to draw; covered orbits split at sheet flips."""
+def _svg_part(kind: str, trajs, curves):
+    """(extents, lines) of these orbits' drawing: the [x_min, y_min, x_max,
+    y_max] of their points, and (color, points) of each polyline, y negated
+    (SVG y grows downward); covered orbits split at sheet flips."""
     lines = []
     for traj, curve in zip(trajs, curves):
         if kind == "original":
@@ -385,14 +378,18 @@ def _polylines(kind: str, trajs, curves):
                 color = _STROKE_UPPER if upper else _STROKE_LOWER
                 # one sample of overlap keeps the curve joined
                 lines.append((covered[start : stop + 1], color))
-    return lines
-
-
-def _write_svg(path: str, kind: str, trajs, curves) -> None:
-    lines = _polylines(kind, trajs, curves)
     pts = np.vstack([p for p, _ in lines])
-    x_min, y_min = pts.min(axis=0)
-    x_max, y_max = pts.max(axis=0)
+    # one %-operation per polyline; %.9g prints as format(v, ".9g")
+    return [*pts.min(axis=0).tolist(), *pts.max(axis=0).tolist()], [
+        (c, " ".join(("%.9g,%.9g",) * len(p)) % tuple((p * (1.0, -1.0)).ravel().tolist()))
+        for p, c in lines]
+
+
+def _write_svg(path: str, parts) -> None:
+    """Every block's polylines (_svg_part) in order, in a viewBox fitted
+    to the union of their extents with a 5% margin."""
+    x_min, y_min = (min(extents[k] for extents, _ in parts) for k in (0, 1))
+    x_max, y_max = (max(extents[k] for extents, _ in parts) for k in (2, 3))
     w = x_max - x_min or 1.0
     h = y_max - y_min or 1.0
     x_min -= 0.05 * w
@@ -401,7 +398,6 @@ def _write_svg(path: str, kind: str, trajs, curves) -> None:
     h *= 1.1
     stroke = 0.004 * max(w, h)
 
-    # SVG y grows downward: emit with y negated
     vb_y = -(y_min + h)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -415,58 +411,81 @@ def _write_svg(path: str, kind: str, trajs, curves) -> None:
         out.append(
             f'<line x1="{x_min:.9g}" y1="0" x2="{x_min + w:.9g}" y2="0" {axis}/>'
         )
-    for points, color in lines:
-        # one %-operation per polyline; %.9g prints as format(v, ".9g")
-        coords = " ".join(("%.9g,%.9g",) * len(points)) % tuple(
-            (points * (1.0, -1.0)).ravel().tolist()
-        )
-        out.append(
-            f'<polyline fill="none" stroke="{color}" '
-            f'stroke-width="{stroke:.9g}" points="{coords}"/>'
-        )
+    for _, lines in parts:
+        out += (f'<polyline fill="none" stroke="{color}" '
+                f'stroke-width="{stroke:.9g}" points="{coords}"/>'
+                for color, coords in lines)
     out.append("</svg>")
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("\n".join(out) + "\n")
 
 
+def _run_blocks(scenario: Scenario, bounds, tmps) -> list[tuple]:
+    """_run_block's result for each block in order: the first run here,
+    every other in a child (_fork_block) reaped in turn.  On an error here
+    every child left is stopped and reaped."""
+    children = []  # (pid, pipe) of each child not yet reaped
+    try:
+        for b in range(1, len(bounds) - 1):
+            children.append(_fork_block(scenario, *bounds[b : b + 2], tmps[b]))
+        results = [_run_block(scenario, *bounds[:2], tmps[0])]
+        while children:
+            pid, pipe = children[0]
+            with open(pipe, "rb", closefd=False) as f:
+                sent = f.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(0)[1])
+            results.append((2, (
+                "config error: cannot write output: a block process exited "
+                f"with status {os.waitstatus_to_exitcode(status)}"
+            )) if status else marshal.loads(sent))
+        return results
+    finally:
+        for pid, pipe in children:
+            os.close(pipe)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_scenario(path: str, quiet: bool = False) -> int:
-    """Integrate every initial state of a scenario and write its outputs."""
+    """Integrate every initial state of a scenario, one process per block
+    of orbits (_bounds), and write its outputs once every block succeeded."""
     try:
         scenario = load_scenario(path)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-
-    needs_curve = any(o.kind == "energy_angle" for o in scenario.outputs)
-    trajs = []
-    curves = []
-    orbits = integrate_original_orbits(
-        scenario.initial_states, scenario.params, scenario.integrator
-    )
-    for idx, s0 in enumerate(scenario.initial_states):
+    bounds = _bounds(scenario)
+    with contextlib.ExitStack() as files:
+        # tmps[b][i]: the temporary file for block b's rows of CSV output i
+        tmps = [[None] * len(scenario.outputs)]
+        if bounds[2:]:
+            try:
+                tmps = [[files.enter_context(tempfile.TemporaryFile(
+                    dir=os.path.dirname(o.path) or ".")) if o.format == "csv" else None
+                    for o in scenario.outputs] for _ in bounds[1:]]
+            except OSError:  # one block, whose writes report what one process does
+                files.close()
+                bounds = [0, bounds[-1]]
         try:
-            traj = next(orbits)
-            curves.append(energy_angle_curve(traj) if needs_curve else None)
-            trajs.append(traj)
-        except DuffingError as e:
-            print(
-                f"integration failed for initial state #{idx} "
-                f"({_fmt(s0.x)}, {_fmt(s0.y)}): {e}",
-                file=sys.stderr,
-            )
-            return 3
-
-    try:
-        for out in scenario.outputs:
-            if out.format == "csv":
-                _write_csv(out.path, out.kind, trajs, curves)
-            else:
-                _write_svg(out.path, out.kind, trajs, curves)
-            if not quiet:
-                print(f"wrote {out.path}")
-    except OSError as e:
-        print(f"config error: cannot write output: {e}", file=sys.stderr)
-        return 2
+            results = _run_blocks(scenario, bounds, tmps)
+            failed = [result for result in results if result[0]]
+            if failed:  # the lowest block's integration failure, else its write error
+                code, message = max(failed, key=lambda result: result[0])
+                print(message, file=sys.stderr)
+                return code
+            for i, out in enumerate(scenario.outputs):
+                # a block's temporary file, else the part its result holds
+                parts = [tmp[i] or result[1][i] for tmp, result in zip(tmps, results)]
+                if out.format == "csv":
+                    _write_csv(out.path, out.kind, parts)
+                else:
+                    _write_svg(out.path, parts)
+                if not quiet:
+                    print(f"wrote {out.path}")
+        except OSError as e:
+            print(f"config error: cannot write output: {e}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -353,16 +353,17 @@ def _exact(obj) -> tuple:
     ))
 
 
-# ((start's bits, params, config), (period, x, y)) of the last orbit
-# _one_period measured, replaced by one assignment, so that a reader sees
-# one whole entry or the other.  The same (frozen) params and config match
-# as they are; only an equal copy is told apart by _exact keys
+# ((start's bits, params, config), (period, x, y, x1, y1)) of the last
+# orbit _one_period measured, replaced by one assignment, so that a reader
+# sees one whole entry or the other.  The same (frozen) params and config
+# match as they are; only an equal copy is told apart by _exact keys
 _last_orbit = None
 
 
 def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
-    """(period, x, y): find_period's period, and the orbit's points over
-    [0, period]: the path's samples before it, then the dense output at it.
+    """(period, x, y, x1, y1): find_period's period, the orbit's points
+    over [0, period] (the path's samples before it, then the dense output
+    at it), and their covered images, which ``covering._unwrap`` squared.
 
     A start on the section is return 0, at t = 0.  The kernel stops at
     the first sample past return 2, the 3 - [start on the section]-th
@@ -406,7 +407,7 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     k = int(np.searchsorted(t, period))  # the first sample at or after it
     x_end, y_end = dense(k - 1)(period)
     x, y = np.concatenate((x[:k], (x_end,))), np.concatenate((y[:k], (y_end,)))
-    theta = _unwrap(x, y)[2]
+    x1, y1, theta = _unwrap(x, y)
     turns, want = (theta[0] - theta[-1]) / TWO_PI, _turns(s0, p)
     if not abs(turns - want) < 0.25:
         raise StepFailure(
@@ -414,8 +415,8 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
             f"the orbit: its covered angle turns {turns:.3g} times in the "
             f"period {period:.6g}, not {want}"
         )
-    x.setflags(write=False)
-    y.setflags(write=False)
-    orbit = period, x, y
+    for a in (x, y, x1, y1):
+        a.setflags(write=False)
+    orbit = period, x, y, x1, y1
     _last_orbit = (start, p, cfg), orbit
     return orbit

@@ -197,7 +197,7 @@ def check_winding(h_levels, tolerance: float = 1e-6) -> CheckReport:
     p = Params(mu=0.0)
     errors, expected = [], []
     for h in h_levels:
-        _, x, y = _one_period(state_on_level(h), p, DEFAULT_CONFIG)
+        x, y = _one_period(state_on_level(h), p, DEFAULT_CONFIG)[1:3]
         theta = _unwrap(x, y)[2]
         expected.append(-2.0 * math.pi if h < 0 else -4.0 * math.pi)
         errors.append(float(theta[-1] - theta[0]) - expected[-1])

@@ -320,8 +320,8 @@ CLOSED_ORBIT_QUERIES = (find_period, action_original, action_covered)
 def _orbit_bits(s0, p, cfg):
     """_one_period's result as bytes, and whether it came from the memo."""
     hit = integrate._last_orbit
-    period, x, y = got = integrate._one_period(s0, p, cfg)
-    return (period.hex(), x.tobytes(), y.tobytes()), (
+    period, *arrays = got = integrate._one_period(s0, p, cfg)
+    return (period.hex(), *(a.tobytes() for a in arrays)), (
         hit is not None and got is hit[1]
     )
 
@@ -399,8 +399,8 @@ def test_memo_never_keeps_a_failure(p0):
 def test_memo_arrays_are_read_only(monkeypatch, p0):
     monkeypatch.setattr(integrate, "_last_orbit", None)
     for _ in range(2):  # the fresh result, then the kept one
-        _, x, y = integrate._one_period(State(1.0, 0.3), p0, DEFAULT_CONFIG)
-        for arr in (x, y):
+        _, *arrays = integrate._one_period(State(1.0, 0.3), p0, DEFAULT_CONFIG)
+        for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 

@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from duffing_aa import Params, State, _kernels, cli, integrate, integrate_original
 from duffing_aa.cli import (
+    FORMATS,
     KINDS,
     MAX_GRID_STATES,
     _fmt,
@@ -505,7 +507,8 @@ def test_svg_matches_per_point_format(tmp_path):
     # the bulk writer must print every point as x, -y in format(v, ".9g"),
     # -0.0 and the smallest subnormal included
     curve = np.array([[-0.0, 5e-324], [1e300, 0.0], [2.5, -0.0], [-1.0 / 3.0, 1e-7]])
-    _write_svg(str(tmp_path / "c.svg"), "energy_angle", [None], [curve])
+    part = cli._svg_part("energy_angle", [None], [curve])
+    _write_svg(str(tmp_path / "c.svg"), [part])
     root = ET.parse(tmp_path / "c.svg").getroot()
     (poly,) = [e for e in root.iter() if e.tag.endswith("polyline")]
     want = " ".join(f"{format(x, '.9g')},{format(-y, '.9g')}"
@@ -553,7 +556,7 @@ def test_many_orbit_run_matches_per_orbit_csv(tmp_path, monkeypatch, rng):
     trajs = [integrate_original(s0, Params(), scn.integrator)
              for s0 in scn.initial_states]
     for kind, name in (("covered", "cov.csv"), ("original", "out.csv")):
-        _write_csv(f"ref_{name}", kind, trajs, [None] * n)
+        _write_csv(f"ref_{name}", kind, [(trajs, [None] * n)])
         assert _sha256(tmp_path / name) == _sha256(tmp_path / f"ref_{name}")
 
 
@@ -576,36 +579,16 @@ def test_overflowing_state_in_many_orbit_run_exits_3(tmp_path, monkeypatch, caps
 
 
 FORKED = pytest.mark.skipif(sys.platform != "linux",
-                            reason="CSV rows are split over processes on Linux only")
+                            reason="orbits are split over processes on Linux only")
 
 
 def _usable_cpus(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
 
 
-def _forced_split(monkeypatch, cpus: int) -> None:
-    """Every CSV of at least `cpus` rows is written by `cpus` processes."""
-    monkeypatch.setattr(cli, "ROWS_PER_WORKER", 1)
-    _usable_cpus(monkeypatch, cpus)
-
-
-@FORKED
-@pytest.mark.parametrize("states, cpus, children", [
-    ([[1.2, 0.0], [0.0, 1.0], [-1.3, -0.1], [0.5, 0.2], [1.5, 0.5]], 3, 2),
-    ([[1.2, 0.0], [0.0, 1.0], [-1.3, -0.1]], 8, 2),
-    ([[0.0, 1.0]], 4, 0),
-], ids=["three-workers", "more-workers-than-orbits", "one-orbit"])
-def test_split_csv_is_byte_identical(tmp_path, monkeypatch, states, cpus, children):
-    # blocks of whole orbits, so one orbit is never split
-    monkeypatch.chdir(tmp_path)
-    outputs = [{"kind": kind, "format": "csv", "path": f"{kind}.csv"}
-               for kind in KINDS]
-    cfg = small_scenario(tmp_path, mu=0.1, initial_states=states, t_max=5.0,
-                         outputs=outputs)
-    _usable_cpus(monkeypatch, 1)
-    assert main(["run", "--quiet", cfg]) == 0
-    one_worker = {kind: (tmp_path / f"{kind}.csv").read_bytes() for kind in KINDS}
-
+def _counted_forks(monkeypatch) -> list:
+    """A list that grows by one at each os.fork of this process."""
     forks = []
     fork = os.fork
 
@@ -614,18 +597,54 @@ def test_split_csv_is_byte_identical(tmp_path, monkeypatch, states, cpus, childr
         return fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    _forced_split(monkeypatch, cpus)
+    return forks
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_EVERY_OUTPUT = [{"kind": kind, "format": fmt, "path": f"{kind}.{fmt}"}
+                 for kind in KINDS for fmt in FORMATS]
+
+
+@FORKED
+@pytest.mark.parametrize("states, cpus, forks", [
+    # block 0 is orbits 0-1, block 1 orbits 2-4: the mirror pair 1, 2 is
+    # cut by the boundary, the pair 3, 4 is not
+    ([[1.2, 0.0], [0.0, 1.0], [-0.0, -1.0], [0.5, 0.2], [-0.5, -0.2]], 2, 1),
+    ([[1.2, 0.0], [0.0, 1.0], [-1.3, -0.1], [0.5, 0.2], [1.5, 0.5]], 3, 2),
+    ([[1.2, 0.0], [0.0, 1.0], [-1.3, -0.1]], 8, 2),
+    ([[0.0, 1.0]], 8, 0),
+], ids=["two-workers", "three-workers", "more-workers-than-orbits", "one-orbit"])
+def test_split_csv_is_byte_identical(tmp_path, monkeypatch, states, cpus, forks):
+    # every CSV and SVG is what one process writes; a block process
+    # formats all of its outputs, so there is one fork per block
+    monkeypatch.chdir(tmp_path)
+    cfg = small_scenario(tmp_path, mu=0.1, initial_states=states, t_max=5.0,
+                         outputs=_EVERY_OUTPUT)
+    names = [out["path"] for out in _EVERY_OUTPUT]
+    counted = _counted_forks(monkeypatch)
+    _usable_cpus(monkeypatch, 1)
     assert main(["run", "--quiet", cfg]) == 0
-    assert len(forks) == children * len(KINDS)
-    for kind in KINDS:
-        assert (tmp_path / f"{kind}.csv").read_bytes() == one_worker[kind], kind
+    assert counted == []
+    one_process = {name: (tmp_path / name).read_bytes() for name in names}
+
+    _usable_cpus(monkeypatch, cpus)
+    assert main(["run", "--quiet", cfg]) == 0
+    assert len(counted) == forks
+    for name in names:
+        assert (tmp_path / name).read_bytes() == one_process[name], name
+    assert sorted(os.listdir(tmp_path)) == sorted(names + ["scn.json"])
+    _no_child_left()
 
 
 @FORKED
 def test_output_that_is_no_regular_file_is_not_split(tmp_path, monkeypatch, capsys):
     # the temporary files go beside the output, and /dev may not take them
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    _forced_split(monkeypatch, 4)
+    _usable_cpus(monkeypatch, 4)
     cfg = small_scenario(tmp_path, outputs=[
         {"kind": "covered", "format": "csv", "path": os.devnull}])
     assert main(["run", cfg]) == 0
@@ -633,19 +652,34 @@ def test_output_that_is_no_regular_file_is_not_split(tmp_path, monkeypatch, caps
 
 
 @FORKED
-def test_rows_per_worker_splits_the_grid_but_no_figure(monkeypatch):
-    _usable_cpus(monkeypatch, 64)
-    assert cli._workers(6_243) == 1  # the most rows of a bundled figure
+def test_blocks_are_equal_orbit_counts_one_per_cpu(monkeypatch):
+    fig1 = load_scenario("fig1")  # 10 orbits
+    for cpus, bounds in [(1, [0, 10]), (2, [0, 5, 10]), (3, [0, 3, 6, 10]),
+                         (4, [0, 2, 5, 7, 10]), (64, list(range(11)))]:
+        _usable_cpus(monkeypatch, cpus)
+        assert cli._bounds(fig1) == bounds, cpus
+    # no row threshold: two orbits make two blocks, as 400 do
     _usable_cpus(monkeypatch, 2)
-    assert cli._workers(287_500) == 2  # the 400-orbit benchmark grid
+    for orbits in (2, 400):
+        scn = replace(fig1, initial_states=fig1.initial_states[:1] * orbits)
+        assert cli._bounds(scn) == [0, orbits // 2, orbits]
 
 
-def test_one_worker_off_linux(monkeypatch):
+def test_one_worker_off_linux(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "platform", "win32")
-    assert cli._workers(10**9) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: pytest.fail("asked"),
+                        raising=False)
+    assert cli._bounds(load_scenario("fig1")) == [0, 10]
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--quiet", small_scenario(tmp_path)]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["cov.csv", "out.csv", "out.svg", "scn.json"]
 
 
-def test_output_in_missing_directory_exits_2(tmp_path, capsys):
+def test_output_in_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
+    # with two blocks the temporary files cannot go there either: run falls
+    # back to one block, and the error names the output, not its directory
+    _usable_cpus(monkeypatch, 2)
     out = tmp_path / "missing" / "cov.csv"
     cfg = small_scenario(
         tmp_path, outputs=[{"kind": "covered", "format": "csv", "path": str(out)}])
@@ -653,32 +687,103 @@ def test_output_in_missing_directory_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write output: ")
     assert repr(str(out)) in err  # as OSError quotes it, also on Windows
+    assert os.listdir(tmp_path) == ["scn.json"]
+
+
+def _outputs_in(directory) -> list:
+    return [{"kind": "covered", "format": "csv", "path": str(directory / "cov.csv")},
+            {"kind": "original", "format": "svg", "path": str(directory / "o.svg")}]
 
 
 @FORKED
-@pytest.mark.parametrize("failing", ["child", "parent"])
+@pytest.mark.parametrize("failing", ["child", "parent", "killed"])
 def test_failed_block_exits_2_and_reaps_every_child(tmp_path, monkeypatch, capsys,
                                                     failing):
     out = tmp_path / "out"
     out.mkdir()
+    (out / "cov.csv").write_bytes(b"earlier run\n")
     cfg = small_scenario(
         tmp_path, initial_states=[[1.2, 0.0], [0.0, 1.0], [-1.3, -0.1], [0.5, 0.2]],
-        outputs=[{"kind": "covered", "format": "csv", "path": str(out / "cov.csv")}])
-    _forced_split(monkeypatch, 4)
+        outputs=_outputs_in(out))
+    _usable_cpus(monkeypatch, 4)
     parent = os.getpid()
     write_rows = cli._write_rows
 
     def write_or_fail(f, *args):
         if (os.getpid() == parent) == (failing == "parent"):
+            if failing == "killed":
+                os._exit(7)  # a child that dies without a word
             raise OSError(errno.ENOSPC, "No space left on device")
         write_rows(f, *args)
 
     monkeypatch.setattr(cli, "_write_rows", write_or_fail)
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: cannot write output: ")
-    assert ("exited with status 1" if failing == "child"
-            else "No space left on device") in err
-    assert os.listdir(out) == ["cov.csv"]  # no temporary file left behind
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)  # no child left to reap
+    assert err == ("config error: cannot write output: " + (
+        "a block process exited with status 7" if failing == "killed"
+        else f"{out / 'cov.csv'}: [Errno 28] No space left on device") + "\n")
+    # nothing written, no temporary file left behind
+    assert os.listdir(out) == ["cov.csv"]
+    assert (out / "cov.csv").read_bytes() == b"earlier run\n"
+    _no_child_left()
+
+
+@FORKED
+@pytest.mark.parametrize("unwritable", [False, True], ids=["", "unwritable"])
+@pytest.mark.parametrize(
+    "failing", [[1], [4], [1, 4], [0, 5]],
+    ids=["first-block", "later-block", "both-blocks", "block-ends"])
+def test_integration_failure_in_any_block_exits_3(tmp_path, monkeypatch, capsys,
+                                                  failing, unwritable):
+    # blocks 0-1, 2-3 and 4-5: each failing orbit overflows; the lowest
+    # index is reported and nothing is written.  An integration failure
+    # outranks a block that integrated but could not write its rows
+    def no_space(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    if unwritable:
+        monkeypatch.setattr(cli, "_write_rows", no_space)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "cov.csv").write_bytes(b"earlier run\n")
+    states = [[0.2 * i - 0.7, 0.5] for i in range(6)]
+    for k in failing:
+        states[k] = [1e200, 0.0]
+    cfg = small_scenario(tmp_path, initial_states=states, outputs=_outputs_in(out))
+    _usable_cpus(monkeypatch, 3)
+    forks = _counted_forks(monkeypatch)
+    assert main(["run", cfg]) == 3
+    assert len(forks) == 2
+    with pytest.raises(StepFailure) as alone:
+        integrate_original(State(1e200, 0.0), Params(), load_scenario(cfg).integrator)
+    assert capsys.readouterr().err == (
+        f"integration failed for initial state #{failing[0]} "
+        f"({_fmt(1e200)}, {_fmt(0.0)}): {alone.value}\n"
+    )
+    assert os.listdir(out) == ["cov.csv"]
+    assert (out / "cov.csv").read_bytes() == b"earlier run\n"
+    _no_child_left()
+
+
+@FORKED
+def test_failed_fork_exits_2_and_stops_every_child(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    states = [[0.2 * i - 0.7, 0.5] for i in range(6)]
+    cfg = small_scenario(tmp_path, initial_states=states, outputs=_outputs_in(out))
+    _usable_cpus(monkeypatch, 3)
+    forks = _counted_forks(monkeypatch)
+    fork = os.fork
+
+    def second_fails():
+        if len(forks) == 1:  # block 1's child is running
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: cannot write output: [Errno 11] Resource temporarily "
+        "unavailable\n")
+    assert os.listdir(out) == []
+    _no_child_left()
