@@ -6,17 +6,20 @@ same operations in the same order: a call per stage would cost more than
 its arithmetic.  ``adaptive_lanes`` steps many orbits in numpy lockstep,
 bit for bit as ``adaptive_path`` would one at a time.  Both integrate the
 original plane: the covering is only a chart, applied to the samples
-afterwards.  With ``--trace 1`` the benchmark reports the kernel's time
-per accepted step, e.g.
-``python3 perfbench/run.py --workload grid --trace 1``.
+afterwards.  With ``--trace 1`` the benchmark reports ``adaptive_path``'s
+time per accepted step, e.g.
+``python3 perfbench/run.py --workload grid --trace 1``: that covers the
+figures and a grid's stragglers, not the lockstep of ``adaptive_lanes``.
 
 Kernels return raw arrays of the accepted nodes (t, x, y) plus an integer
 status; the ``integrate`` module wraps them in typed trajectories and
 exceptions.  They keep no field values: with FSAL each one is exactly
 ``rhs`` at its node, so the dense output evaluates it where it needs it.
-``adaptive_lanes`` places each node once: its memory peak is the recorded
-rows at 32 bytes each (t, u, v, a lane and a place), plus the output at
-24 bytes per row, plus at most one chunk of ``CHUNK_ROWS`` rows.
+``adaptive_lanes`` keeps each lockstep iteration's accepted rows in the
+arrays it made and scatters them into the output once: its traced peak
+is 32 bytes per recorded row (t, u, v, a lane and a place), plus 24 per
+output row, plus a few hundred bytes per lockstep iteration (four array
+headers and a tuple); the C heap keeps the rows' pages after the scatter.
 """
 
 import array
@@ -61,12 +64,6 @@ STEP_CONTROL = (0.9, -0.2, 0.2, 5.0)  # safety, err_exp, fac_min, fac_max
 # stragglers run, and 40 or 48 instead of 32 left the 400-orbit grid's
 # lockstep time within run-to-run spread.
 MIN_LANES = 32
-
-# adaptive_lanes records its rows in chunks of 256 rows per start, at most
-# this many: a 65536-row chunk is 2 MiB, so a many-orbit run fills a chunk
-# in a few dozen lockstep iterations and a few orbits of a figure, which
-# run only in adaptive_path, do not pay for a large one
-CHUNK_ROWS = 65536
 
 
 def rhs(u, v, mu):
@@ -196,52 +193,21 @@ def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, flips=
     return np.frombuffer(ts), np.frombuffer(us), np.frombuffer(vs), status, h, steps
 
 
-class _Rows:
-    """The rows (lane, place, t, u, v) that adaptive_lanes records: the
-    place of a row is its index in its lane's path.  They are kept in
-    chunks of a fixed size that are filled in place and never grown,
-    copied or joined; ``assemble`` allocates the output once and
-    scatters each chunk to its rows, freeing the chunk as it goes."""
-
-    def __init__(self, n, max_steps):
-        self.size = min(256 * n, CHUNK_ROWS)
-        # a path holds at most max_steps + 1 rows, so its places fit
-        self.place_type = np.int32 if max_steps < 2**31 else np.int64
-        self.chunks = []
-        self.free = 0  # unfilled rows of the last chunk
-
-    def add(self, *columns):
-        """Record the rows of the equal-length columns lane, place, t, u, v."""
-        i, m = 0, len(columns[0])
-        while i < m:
-            if not self.free:
-                self.chunks.append((np.empty(self.size, dtype=np.int32),
-                                    np.empty(self.size, dtype=self.place_type),
-                                    *np.empty((3, self.size))))
-                self.free = self.size
-            at = self.size - self.free
-            j = min(m, i + self.free)
-            for chunk, values in zip(self.chunks[-1], columns):
-                chunk[at : at + j - i] = values[i:j]
-            self.free -= j - i
-            i = j
-
-    def assemble(self, counts):
-        """(t, z, bounds) from the rows per lane: lane k's rows at
-        t[bounds[k]:bounds[k + 1]] and the same rows of the (N, 2) states
-        z, in time order."""
-        bounds = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        t, z = np.empty(bounds[-1]), np.empty((bounds[-1], 2))
-        chunks, self.chunks = self.chunks[::-1], None
-        while chunks:
-            lane, place, ts, us, vs = chunks.pop()
-            m = self.size - self.free if not chunks else self.size
-            rows = bounds[lane[:m]] + place[:m]
-            t[rows] = ts[:m]
-            z[rows, 0] = us[:m]
-            z[rows, 1] = vs[:m]  # the chunk is freed as the next is popped
-        return t, z, bounds
+def _assemble(parts, counts):
+    """(t, z, bounds) from the parts (lane, place, t, z) and the rows per
+    lane: lane k's rows at t[bounds[k]:bounds[k + 1]] and the same rows of
+    the (N, 2) states z.  A part's row i is row place[i] of lane[i] (or of
+    its one lane), with state z[:, i]; each part is popped, scattered once
+    and freed."""
+    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    t, z = np.empty(bounds[-1]), np.empty((bounds[-1], 2))
+    while parts:
+        lane, place, ts, zs = parts.pop()
+        rows = bounds[lane] + place
+        t[rows] = ts
+        z[rows] = zs.T
+    return t, z, bounds
 
 
 def _field(z, mu):
@@ -279,10 +245,12 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
 
     Returns (t, z, bounds, status, h, steps): lane k's path is
     t[bounds[k]:bounds[k + 1]] and the same rows of the (N, 2) states z;
-    status, h and steps per lane are what adaptive_path returns.  Each
-    row is recorded once, with its lane and its place in the lane's path,
-    and scattered once into the output, so the peak is the N recorded
-    rows times 32 bytes, plus the output, plus at most one chunk.
+    status, h and steps per lane are what adaptive_path returns.  Rows
+    stay in the arrays that made them, parts (lane, place, t, z): the
+    starts, each iteration's accepted lanes and each path adaptive_path
+    finished, a place being a row's index in its lane's path.  So the
+    peak is 32 bytes per recorded row, 24 per output row and a few
+    hundred bytes per lockstep iteration.
     Overflowing lanes stop with STATUS_NONFINITE and raise no
     floating-point warning.
     """
@@ -298,10 +266,12 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
     status = np.full(n, STATUS_OK)
     h_end = np.empty(n)
     steps_end = np.empty(n, dtype=np.int64)
-    rows = np.ones(n, dtype=np.int64)  # recorded per live lane: the next place
+    # the rows recorded per live lane, the next place; a path holds at most
+    # max_steps + 1 rows, so places take 4 bytes while that count fits
+    place_type = np.int32 if max_steps + 1 < 2**31 else np.int64
+    rows = np.ones(n, dtype=place_type)
     rows_end = np.empty(n, dtype=np.int64)
-    rec = _Rows(n, max_steps)
-    rec.add(lane, np.zeros(n, dtype=np.int64), t, z[0], z[1])
+    parts = [(lane, np.zeros(n, dtype=place_type), t, z)]
     with np.errstate(all="ignore"):
         k1 = _field(z, mu)
         while True:
@@ -350,8 +320,8 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
             z = np.where(accepted, zn, z)
             k1 = np.where(accepted, k7, k1)
             h = h * fac
-            rec.add(lane[accepted], rows[accepted], t[accepted], z[0, accepted],
-                    z[1, accepted])
+            parts.append((lane[accepted], rows[accepted], t[accepted],
+                          z[:, accepted]))
             rows += accepted
 
         for j, k in enumerate(lane.tolist()):
@@ -363,9 +333,9 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
             status[k], h_end[k], steps_end[k] = status_k, h_k, steps[j] + used
             r = int(rows[j])
             rows_end[k] = r + len(tt) - 1
-            rec.add(np.full(len(tt) - 1, k), np.arange(r, rows_end[k]),
-                    tt[1:], uu[1:], vv[1:])
+            parts.append((k, np.arange(r, rows_end[k]), tt[1:],
+                          np.array((uu[1:], vv[1:]))))
 
-        t, z, bounds = rec.assemble(rows_end)
+        t, z, bounds = _assemble(parts, rows_end)
     return t, z, bounds, status, h_end, steps_end
 

@@ -79,14 +79,14 @@ _OUTPUT_KEYS = ("kind", "format", "path")
 
 # each process of run holds the orbits of its block in memory until their
 # outputs are formatted, so the grid size bounds its memory: 400 orbits at
-# t_max = 20 (287k samples) in one block peak at 44.6-44.9 MiB RSS, 29.4
+# t_max = 20 (287k samples) in one block peak at 45.8-46.0 MiB RSS, 29.4
 # MiB of it the interpreter and numpy.  Each orbit keeps 24 bytes per
 # sample (views of the batch t and states; covered images and sheets are
-# computed while it is formatted); the lockstep kernel records each sample
-# once more, in 32 bytes, until it scatters them into those arrays
+# computed while it is formatted); the lockstep records each sample once
+# more, in 32 bytes of C heap that stay resident after its scatter
 # (_kernels' memory rule).  A mirror or duplicate start shares its lane's
 # t and owns its states, 16 bytes per sample.  In two blocks run peaks at
-# 38.3-38.5 MiB and the child at 32.8-33.0 MiB (RUSAGE_CHILDREN, which
+# 39.1-39.2 MiB and the child at 33.2-33.4 MiB (RUSAGE_CHILDREN, which
 # RUSAGE_SELF does not count), much of it shared copy-on-write with run
 MAX_GRID_STATES = 10_000
 
