@@ -30,11 +30,12 @@ CSV schemas (17-significant-digit decimals, '\\n' line endings):
   energy_angle  theta_unwrapped,h
 
 Rows are ordered by initial-state index, then time.  On Linux run cuts
-the orbits into one contiguous block per usable CPU and forks a process
-per block but the first: each integrates its orbits, formats its CSV rows
-into unnamed temporary files in the outputs' directories and its SVG
-polylines, and run writes every output from the blocks in order once all
-have succeeded, so the bytes are those one process writes.
+the orbits into contiguous blocks of about equal estimated work (_bounds)
+and forks a process per block but the first: each integrates its orbits,
+formats its CSV rows into unnamed temporary files in the outputs'
+directories and its SVG polylines, and run writes every output from the
+blocks in order once all have succeeded, so the bytes are those one
+process writes.
 
 SVG outputs are self-contained: one polyline per orbit, viewBox fitted to
 the data with a 5% margin, and covered-plane orbits drawn in two stroke
@@ -65,9 +66,9 @@ import numpy as np
 
 from .actionangle import energy_angle_curve
 from .covering import covered_field
-from .dynamics import Params, State, _number, duffing_field
+from .dynamics import Params, State, _number, duffing_field, hamiltonian
 from .exceptions import ConfigError, DuffingError
-from .integrate import IntegratorConfig, Trajectory, integrate_original_orbits
+from .integrate import IntegratorConfig, Trajectory, _lanes, integrate_original_orbits
 from .verify import CHECKS, run_check
 
 KINDS = ("original", "covered", "energy_angle")
@@ -85,10 +86,16 @@ _OUTPUT_KEYS = ("kind", "format", "path")
 # computed while it is formatted); the lockstep records each sample once
 # more, in 32 bytes of C heap that stay resident after its scatter
 # (_kernels' memory rule).  A mirror or duplicate start shares its lane's
-# t and owns its states, 16 bytes per sample.  In two blocks run peaks at
-# 39.1-39.2 MiB and the child at 33.2-33.4 MiB (RUSAGE_CHILDREN, which
-# RUSAGE_SELF does not count), much of it shared copy-on-write with run
+# t and owns its states, 16 bytes per sample.  Cut in two blocks of 200
+# (_bounds) run peaked at 39.1-39.2 MiB and the child at 33.2-33.4 MiB
+# (RUSAGE_CHILDREN), much of it shared copy-on-write with run
 MAX_GRID_STATES = 10_000
+
+# run forks only when every block carries this estimated work (_bounds, in
+# kernel steps).  A run of (1.2, 0) and (0, 1), one CSV and one SVG, 2-vCPU
+# Xeon, median ms, one block | two: t_max 30 (lighter block 1,296) 17.4 |
+# 18.6, 35 (1,512) 17.8 | 20.7, 40 (1,728) 22.3 | 22.1, 60 (2,592) 31.9 | 30.1
+MIN_BLOCK_WORK = 2000.0
 
 _STROKE = "#1f4e9c"
 _STROKE_UPPER = "#c0392b"
@@ -276,17 +283,40 @@ def _write_rows(f, kind: str, trajs, curves) -> None:
 
 
 def _bounds(scenario: Scenario) -> list[int]:
-    """Orbit indices 0 = b0 < b1 < ... < bn = orbits that cut the initial
-    states into n contiguous blocks of equal orbit counts (within one): a
-    block per usable CPU, at most one per orbit.  One block off Linux
-    (Windows has no fork, and elsewhere sendfile writes only to sockets)
-    or when a CSV output exists and is not a regular file (/dev/stdout, a
-    pipe), since its directory may not take temporary files."""
-    orbits = len(scenario.initial_states)
-    n = 1 if sys.platform != "linux" or any(
+    """Orbit indices 0 = b0 < ... < bn = orbits that cut the initial states
+    into contiguous blocks of about equal estimated work: cut k of n at the
+    index nearest k/n of it where no class of ``_lanes`` straddles (a lane
+    is integrated once), n the most blocks, up to the usable CPUs, that each
+    carry MIN_BLOCK_WORK.  One block off Linux (no fork on Windows, sendfile
+    only to sockets elsewhere) or for a CSV output that is no regular file
+    (/dev/stdout, a pipe), whose directory may not take temporary files.
+
+    Work is in kernel steps: t_max * (24 + 20 sqrt(max(H - c, 0)) / (1 + 0.4
+    mu t_max)) for each class's lane, plus 0.4 per output for each start's
+    rows, one a step.  That fits adaptive_path's 21.7-25.9 steps a unit of
+    time in the wells, 29.8, 38.5, 53.7, 64.0 at H - c = 0.1, 0.5, 2, 4 (t_max
+    20-100), damping leaving 0.95-0.14 of the excess at mu t_max 0.2-18; a
+    row took 0.6-0.7 steps in a CSV, 0.2-0.3 in an SVG (2-vCPU Xeon)."""
+    starts, p = scenario.initial_states, scenario.params
+    t_max = scenario.integrator.t_max
+    cpus = 1 if sys.platform != "linux" or any(
         o.format == "csv" and os.path.exists(o.path) and not os.path.isfile(o.path)
-        for o in scenario.outputs) else min(len(os.sched_getaffinity(0)), orbits)
-    return [orbits * k // n for k in range(n + 1)]
+        for o in scenario.outputs) else len(os.sched_getaffinity(0))
+    first, lanes = _lanes(starts)
+    ks, lead = np.array([(k, s0 is first[k]) for s0, (k, _) in zip(starts, lanes)]).T
+    # i is allowed when every lane after it is new: min(ks[i:]) > max(ks[:i])
+    cuts = np.flatnonzero(np.minimum.accumulate(ks[:0:-1])[::-1]
+                          > np.maximum.accumulate(ks[:-1])) + 1
+    with np.errstate(all="ignore"):  # an energy that overflows: its start fails at once
+        h = np.nan_to_num(hamiltonian(State(*np.array(starts).T), p) - p.c, posinf=0.0)
+    rate = 24.0 + 20.0 * np.sqrt(np.fmax(h, 0.0)) / (1.0 + 0.4 * p.mu * t_max)
+    work = np.r_[0.0, np.cumsum(rate * (lead + 0.4 * len(scenario.outputs)))]
+    for n in range(min(cpus, cuts.size + 1), 1, -1):
+        picks = {cuts[abs(work[cuts] - work[-1] * k / n).argmin()] for k in range(1, n)}
+        bounds = [0, *sorted(picks), len(starts)]
+        if np.diff(work[bounds]).min() * t_max >= MIN_BLOCK_WORK:
+            return [int(b) for b in bounds]
+    return [0, len(starts)]
 
 
 def _run_block(scenario: Scenario, lo: int, hi: int, tmps) -> tuple:

@@ -185,10 +185,11 @@ def locate_roots(g, a, b, ga, gb, tol):
 
     ga and gb are g at the ends, of opposite signs (or gb = 0, when b is
     the root).  The bracket is refined in Python floats by the Illinois
-    variant of regula falsi: the secant point, or the midpoint where
-    that leaves the bracket (or is undefined, ga = gb); the end kept
-    twice in a row has its value halved.  Sides are told by the signs of
-    g as np.sign tells them: -0.0 is 0, and a NaN matches neither side.
+    variant of regula falsi: the secant point, or the midpoint where that
+    is not in [a, b) (a secant step that rounds to 0 lands on b) or is
+    undefined (ga = gb); the end kept twice in a row has its value
+    halved, unless that makes it 0.  Sides are told by the signs of g
+    as np.sign tells them: -0.0 is 0, and a NaN matches neither side.
     It stops once |g| <= tol, or once the width is down to 1e-15*(1 + |b|),
     the only stop reachable when g is too steep for tol in double
     precision, or after MAX_REFINE_ITER steps.  Returns the last point
@@ -200,16 +201,16 @@ def locate_roots(g, a, b, ga, gb, tol):
     kept = 0  # end kept by the last step: -1 a, 1 b
     for _ in range(MAX_REFINE_ITER):
         root = b - gb * (b - a) / (gb - ga) if gb != ga else np.nan
-        if not a <= root <= b:
+        if not a <= root < b:
             root = 0.5 * (a + b)
         fc = g(root)
         # sign tests, not products: opposite tiny values must not underflow
         # (gb is never NaN: it passed |g| > tol before any halving)
         if fc == fc and (fc > 0.0) - (fc < 0.0) == (gb > 0.0) - (gb < 0.0):
-            ga *= 0.5 if kept < 0 else 1.0  # Illinois: a kept twice in a row
+            ga = (ga * 0.5 or ga) if kept < 0 else ga  # Illinois: a kept twice in a row
             b, gb, kept = root, fc, -1
         else:
-            gb *= 0.5 if kept > 0 else 1.0
+            gb = (gb * 0.5 or gb) if kept > 0 else gb
             a, ga, kept = root, fc, 1
         if not (abs(fc) > tol and b - a > 1e-15 * (1.0 + abs(b))):
             break
@@ -244,30 +245,34 @@ def integrate_original(
     return next(integrate_original_orbits([s0], p, cfg))
 
 
+def _lanes(starts) -> tuple[list[State], list[tuple[int, bool]]]:
+    """(each lane's start, each start's (lane, mirrored)) of float starts: a
+    start equal (==) to an earlier one or to its negative shares its lane."""
+    first, seen = [], {}  # seen[s]: (lane, mirrored) of s and -s
+    for s0 in starts:
+        if s0 not in seen:
+            seen[State(-s0.x, -s0.y)] = len(first), True
+            seen[s0] = len(first), False  # after its mirror: the origin is its own
+            first.append(s0)
+    return first, [seen[s0] for s0 in starts]
+
+
 def integrate_original_orbits(
     states, p: Params, cfg: IntegratorConfig = DEFAULT_CONFIG
 ) -> Iterator[Trajectory]:
     """Yield integrate_original(s0, p, cfg) for every s0 of states, in order.
 
     The paths come from one ``_kernels.adaptive_lanes`` call that steps
-    the orbits in lockstep.  The field is odd and autonomous, so the
-    kernel's path from -s is its path from s negated, bit for bit after
-    the start row: a start equal (==) to an earlier one or to its
-    negative takes that lane's times and states (as ``0.0 - z`` for a
-    mirror; -z would turn the +0.0 of a zero coordinate into -0.0), with
-    its start row as given.  Orbit k's failure is raised when orbit k is
-    due, after orbits 0..k-1 have been yielded.
+    the orbits in lockstep, one lane per class of ``_lanes``.  The field
+    is odd and autonomous, so the kernel's path from -s is its path from
+    s negated, bit for bit after the start row: a duplicate or a mirror
+    takes its lane's times and states (as ``0.0 - z`` for a mirror; -z
+    would turn the +0.0 of a zero coordinate into -0.0), with its start
+    row as given.  Orbit k's failure is raised when orbit k is due, after
+    orbits 0..k-1 have been yielded.
     """
     starts = [State(float(s0[0]), float(s0[1])) for s0 in states]
-    first, lanes, seen = [], [], {}  # seen[s]: (lane, mirrored) of s and -s
-    for s0 in starts:
-        lane = seen.get(s0)
-        if lane is None:
-            lane = len(first), False
-            seen[State(-s0.x, -s0.y)] = len(first), True
-            seen[s0] = lane  # after its mirror: the origin is its own
-            first.append(s0)
-        lanes.append(lane)
+    first, lanes = _lanes(starts)
     t, z, bounds, status, _, _ = _kernels.adaptive_lanes(
         [s0.x for s0 in first], [s0.y for s0 in first], p.mu, cfg.t_max,
         cfg.rel_tol, cfg.abs_tol, cfg.step, int(cfg.max_steps),

@@ -10,6 +10,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duffing_aa import Params, State, _kernels, cli, integrate, integrate_original
 from duffing_aa.cli import (
@@ -582,9 +584,12 @@ FORKED = pytest.mark.skipif(sys.platform != "linux",
                             reason="orbits are split over processes on Linux only")
 
 
-def _usable_cpus(monkeypatch, n: int) -> None:
+def _usable_cpus(monkeypatch, n: int, least_work: float = 0.0) -> None:
+    """n usable CPUs; a block of least_work estimated steps is worth a fork
+    (by default any block, so that small test runs split)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
+    monkeypatch.setattr(cli, "MIN_BLOCK_WORK", least_work)
 
 
 def _counted_forks(monkeypatch) -> list:
@@ -610,17 +615,18 @@ _EVERY_OUTPUT = [{"kind": kind, "format": fmt, "path": f"{kind}.{fmt}"}
 
 
 @FORKED
-@pytest.mark.parametrize("states, cpus, forks", [
-    # block 0 is orbits 0-1, block 1 orbits 2-4: the mirror pair 1, 2 is
-    # cut by the boundary, the pair 3, 4 is not
-    ([[1.2, 0.0], [0.0, 1.0], [-0.0, -1.0], [0.5, 0.2], [-0.5, -0.2]], 2, 1),
-    ([[1.2, 0.0], [0.0, 1.0], [-1.3, -0.1], [0.5, 0.2], [1.5, 0.5]], 3, 2),
-    ([[1.2, 0.0], [0.0, 1.0], [-1.3, -0.1]], 8, 2),
-    ([[0.0, 1.0]], 8, 0),
+@pytest.mark.parametrize("states, cpus, bounds", [
+    # the mirror pairs 1, 2 and 3, 4 each stay in one block: blocks 0-2
+    # and 3-4, the first with a mirror of orbit 1 and a signed zero
+    ([[1.2, 0.0], [0.0, 1.0], [-0.0, -1.0], [0.5, 0.2], [-0.5, -0.2]], 2, [0, 3, 5]),
+    ([[1.2, 0.0], [0.0, 1.0], [-1.3, -0.1], [0.5, 0.2], [1.5, 0.5]], 3, [0, 2, 3, 5]),
+    ([[1.2, 0.0], [0.0, 1.0], [-1.3, -0.1]], 8, [0, 1, 2, 3]),
+    ([[0.0, 1.0]], 8, [0, 1]),
 ], ids=["two-workers", "three-workers", "more-workers-than-orbits", "one-orbit"])
-def test_split_csv_is_byte_identical(tmp_path, monkeypatch, states, cpus, forks):
+def test_split_csv_is_byte_identical(tmp_path, monkeypatch, states, cpus, bounds):
     # every CSV and SVG is what one process writes; a block process
-    # formats all of its outputs, so there is one fork per block
+    # formats all of its outputs, so there is one fork per block but the
+    # first.  Every block is worth a fork here (_usable_cpus)
     monkeypatch.chdir(tmp_path)
     cfg = small_scenario(tmp_path, mu=0.1, initial_states=states, t_max=5.0,
                          outputs=_EVERY_OUTPUT)
@@ -632,8 +638,9 @@ def test_split_csv_is_byte_identical(tmp_path, monkeypatch, states, cpus, forks)
     one_process = {name: (tmp_path / name).read_bytes() for name in names}
 
     _usable_cpus(monkeypatch, cpus)
+    assert cli._bounds(load_scenario(cfg)) == bounds
     assert main(["run", "--quiet", cfg]) == 0
-    assert len(counted) == forks
+    assert len(counted) == len(bounds) - 2
     for name in names:
         assert (tmp_path / name).read_bytes() == one_process[name], name
     assert sorted(os.listdir(tmp_path)) == sorted(names + ["scn.json"])
@@ -652,17 +659,75 @@ def test_output_that_is_no_regular_file_is_not_split(tmp_path, monkeypatch, caps
 
 
 @FORKED
-def test_blocks_are_equal_orbit_counts_one_per_cpu(monkeypatch):
-    fig1 = load_scenario("fig1")  # 10 orbits
-    for cpus, bounds in [(1, [0, 10]), (2, [0, 5, 10]), (3, [0, 3, 6, 10]),
-                         (4, [0, 2, 5, 7, 10]), (64, list(range(11)))]:
-        _usable_cpus(monkeypatch, cpus)
-        assert cli._bounds(fig1) == bounds, cpus
-    # no row threshold: two orbits make two blocks, as 400 do
-    _usable_cpus(monkeypatch, 2)
-    for orbits in (2, 400):
-        scn = replace(fig1, initial_states=fig1.initial_states[:1] * orbits)
-        assert cli._bounds(scn) == [0, orbits // 2, orbits]
+def test_bundled_figures_cut_by_work(monkeypatch):
+    # fig1 and fig2: the three well orbits and their mirrors (classes of
+    # orbits 0-5) and the first outer orbit, then the three costlier outer
+    # ones; fig3 (mu 0.1): its two outer starts, which damping drains, then
+    # the mirror pair.  Measured with `run` on a 2-vCPU Xeon (medians of
+    # 60-100 runs, ms):
+    # fig1 37.5 at [0, 5, 10], 34.1 at [0, 6, 10], 29.9 at [0, 7, 10] and
+    # 32.4 at [0, 8, 10]; fig2 39.7 at [0, 5, 10], 31.7 at [0, 7, 10]; fig3
+    # 30.0 at [0, 2, 4], 32.8 at [0, 1, 4]
+    _usable_cpus(monkeypatch, 2, cli.MIN_BLOCK_WORK)
+    assert [cli._bounds(load_scenario(fig)) for fig in ("fig1", "fig2", "fig3", "fig4")] \
+        == [[0, 7, 10], [0, 7, 10], [0, 2, 4], [0, 1]]
+    # with 64 CPUs every block must still be worth a fork, and fig3's
+    # mirror pair stays in one
+    _usable_cpus(monkeypatch, 64, cli.MIN_BLOCK_WORK)
+    assert [cli._bounds(load_scenario(fig)) for fig in ("fig1", "fig3")] \
+        == [[0, 6, 8, 10], [0, 1, 2, 4]]
+
+
+_COORDS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.2, -1.2, 1.38, 2.0, -2.0, 1e200])
+
+
+@FORKED
+@settings(max_examples=200, deadline=None)
+@given(picks=st.lists(st.tuples(_COORDS, _COORDS,
+                                st.sampled_from(["new", "same", "mirror"]),
+                                st.integers(0, 23)), min_size=1, max_size=24),
+       cpus=st.integers(1, 8), t_max=st.sampled_from([0.5, 3.0, 20.0, 100.0]),
+       least_work=st.sampled_from([0.0, cli.MIN_BLOCK_WORK]))
+def test_blocks_never_split_a_class(picks, cpus, t_max, least_work):
+    # a start equal (==) to an earlier one, or to its negative, shares its
+    # lane; the bounds rise strictly, number at most a block per CPU, and
+    # put every class in one block.  A start may repeat or mirror an
+    # earlier one (k), so that classes interleave
+    states = []
+    for x, y, kind, k in picks:
+        if kind != "new" and states:
+            x, y = states[k % len(states)]
+            x, y = (-x, -y) if kind == "mirror" else (x, y)
+        states.append((x, y))
+    scn = replace(load_scenario("fig1"),
+                  initial_states=tuple(State(x, y) for x, y in states),
+                  integrator=integrate.IntegratorConfig(t_max=t_max))
+    with pytest.MonkeyPatch.context() as mp:
+        _usable_cpus(mp, cpus, least_work)
+        bounds = cli._bounds(scn)
+    assert bounds[0] == 0 and bounds[-1] == len(states)
+    assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+    assert len(bounds) - 1 <= cpus
+    block = np.searchsorted(bounds, np.arange(len(states)), side="right")
+    for i, (x, y) in enumerate(states):
+        for j in range(i):
+            if states[j] == (x, y) or states[j] == (-x, -y):
+                assert block[i] == block[j], (states, bounds)
+
+
+@FORKED
+def test_two_orbit_run_forks_nothing(tmp_path, monkeypatch):
+    # a fork, its pipe and its reap cost more than half of this run
+    # (MIN_BLOCK_WORK): 2 CPUs and the real threshold leave one process
+    monkeypatch.chdir(tmp_path)
+    _usable_cpus(monkeypatch, 2, cli.MIN_BLOCK_WORK)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    cfg = small_scenario(tmp_path, t_max=20.0, outputs=[
+        {"kind": "original", "format": "csv", "path": "out.csv"},
+        {"kind": "original", "format": "svg", "path": "out.svg"}])
+    assert cli._bounds(load_scenario(cfg)) == [0, 2]
+    assert main(["run", "--quiet", cfg]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.svg", "scn.json"]
 
 
 def test_one_worker_off_linux(tmp_path, monkeypatch):
@@ -735,9 +800,10 @@ def test_failed_block_exits_2_and_reaps_every_child(tmp_path, monkeypatch, capsy
     ids=["first-block", "later-block", "both-blocks", "block-ends"])
 def test_integration_failure_in_any_block_exits_3(tmp_path, monkeypatch, capsys,
                                                   failing, unwritable):
-    # blocks 0-1, 2-3 and 4-5: each failing orbit overflows; the lowest
-    # index is reported and nothing is written.  An integration failure
-    # outranks a block that integrated but could not write its rows
+    # blocks 0-1, 2-3 and 4-5: each failing orbit overflows (each its own
+    # class, so no class spans blocks); the lowest index is reported and
+    # nothing is written.  An integration failure outranks a block that
+    # integrated but could not write its rows
     def no_space(*args):
         raise OSError(errno.ENOSPC, "No space left on device")
 
@@ -748,17 +814,19 @@ def test_integration_failure_in_any_block_exits_3(tmp_path, monkeypatch, capsys,
     (out / "cov.csv").write_bytes(b"earlier run\n")
     states = [[0.2 * i - 0.7, 0.5] for i in range(6)]
     for k in failing:
-        states[k] = [1e200, 0.0]
+        states[k] = [1e200, float(k)]
     cfg = small_scenario(tmp_path, initial_states=states, outputs=_outputs_in(out))
     _usable_cpus(monkeypatch, 3)
+    assert cli._bounds(load_scenario(cfg)) == [0, 2, 4, 6]
     forks = _counted_forks(monkeypatch)
     assert main(["run", cfg]) == 3
     assert len(forks) == 2
+    first = State(1e200, float(failing[0]))
     with pytest.raises(StepFailure) as alone:
-        integrate_original(State(1e200, 0.0), Params(), load_scenario(cfg).integrator)
+        integrate_original(first, Params(), load_scenario(cfg).integrator)
     assert capsys.readouterr().err == (
         f"integration failed for initial state #{failing[0]} "
-        f"({_fmt(1e200)}, {_fmt(0.0)}): {alone.value}\n"
+        f"({_fmt(first.x)}, {_fmt(first.y)}): {alone.value}\n"
     )
     assert os.listdir(out) == ["cov.csv"]
     assert (out / "cov.csv").read_bytes() == b"earlier run\n"

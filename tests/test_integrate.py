@@ -624,15 +624,12 @@ def test_locate_roots_subnormal_values():
         assert 0.0 <= root <= 1.0 and g(root) == 0.0
 
 
-@pytest.mark.parametrize("tiny", [
-    1e-200,
-    pytest.param(5e-324, marks=pytest.mark.xfail(strict=True, reason=(
-        "the secant step gb * (b - a) rounds to 0, so every iterate is b and "
-        "the locator stalls until MAX_REFINE_ITER, far from the root"))),
-])
+@pytest.mark.parametrize("tiny", [1e-200, 5e-324])
 def test_locate_roots_narrows_a_subnormal_step(tiny):
     # g jumps from -tiny to tiny at 0.3: only the width can stop the
-    # locator, and each side must be told by the signs, not by fc * gb
+    # locator, and each side must be told by the signs, not by fc * gb.
+    # At 5e-324 the secant step gb * (b - a) rounds to 0 and an Illinois
+    # halving to 0: the midpoint and the kept value still narrow it
     for sign in (1.0, -1.0):
         def g(tq):
             return sign * tiny if tq > 0.3 else -sign * tiny
@@ -685,7 +682,7 @@ def locate_roots_reference(g, a, b, ga, gb, tol):
             break
         al, bl, fa, fb = a[live], b[live], ga[live], gb[live]
         c = bl - fb * (bl - al) / (fb - fa)
-        off = ~((c >= al) & (c <= bl))
+        off = ~((c >= al) & (c < bl))
         c[off] = 0.5 * (al[off] + bl[off])
         fc = g(live, c)
         root[live] = c
@@ -693,8 +690,8 @@ def locate_roots_reference(g, a, b, ga, gb, tol):
         to_b, to_a = live[left], live[~left]
         b[to_b], gb[to_b] = c[left], fc[left]
         a[to_a], ga[to_a] = c[~left], fc[~left]
-        ga[to_b[kept[to_b] == -1]] *= 0.5
-        gb[to_a[kept[to_a] == 1]] *= 0.5
+        for end, halved in ((ga, to_b[kept[to_b] == -1]), (gb, to_a[kept[to_a] == 1])):
+            end[halved] *= np.where(end[halved] * 0.5 == 0.0, 1.0, 0.5)  # never to 0
         kept[to_b], kept[to_a] = -1, 1
         width = b[live] - a[live]
         live = live[(np.abs(fc) > tol) & (width > 1e-15 * (1.0 + np.abs(b[live])))]
