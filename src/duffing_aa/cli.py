@@ -13,7 +13,7 @@ by the package's one rule (dynamics._number) with the bound of its field:
 a NaN or Infinity token reads as a float and is refused like 1e999, and
 the config error names the field.  Fields:
 
-  mu, c              system parameters
+  mu                 damping, a number >= 0
   initial_states     list of [x, y] pairs -- or instead:
   grid               {"x_range": [a,b], "y_range": [a,b], "nx": n, "ny": m},
                      at most MAX_GRID_STATES orbits (nx*ny)
@@ -44,8 +44,8 @@ colors (red for the Upper sheet, green for Lower).
 Exit codes: run 0/2/3 (ok / config error / integration failure), verify
 0/1/2 (all passed / failures listed on stderr / unknown check, bad seed,
 or a tolerance that is not a finite number >= 0), field 0/2 (printed /
-a bad point or --mu, or a field value that overflows).  DUFFING_SEED
-overrides the default verification seed 42; --seed overrides both.
+a bad point or --mu, or a field value that overflows).  --seed sets the
+verification seed, 42 by default.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .covering import covered_field
 from .dynamics import Params, State, _number, duffing_field, hamiltonian
 from .exceptions import ConfigError, DuffingError
 from .integrate import IntegratorConfig, Trajectory, _lanes, integrate_original_orbits
-from .verify import CHECKS, run_check
+from .verify import CHECKS, DEFAULT_SEED, run_check
 
 KINDS = ("original", "covered", "energy_angle")
 FORMATS = ("csv", "svg")
@@ -177,7 +177,7 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _object(raw, "scenario", ("mu", "t_max", "outputs"),
-            ("c", "initial_states", "grid", "integrator", "description"))
+            ("initial_states", "grid", "integrator", "description"))
     integ = _object(raw.get("integrator", {}), "integrator", (),
                     ("t_max", *_INTEGRATOR_KEYS))
     if "t_max" in integ:
@@ -187,7 +187,7 @@ def load_scenario(path: str) -> Scenario:
     except ValueError as e:
         raise ConfigError(f"integrator: {e}") from e
     try:
-        params = Params(mu=raw["mu"], c=raw.get("c", 0.0))
+        params = Params(mu=raw["mu"])
         integrator = replace(integrator, t_max=raw["t_max"])
     except ValueError as e:
         raise ConfigError(f"scenario.{e}") from e
@@ -291,10 +291,10 @@ def _bounds(scenario: Scenario) -> list[int]:
     only to sockets elsewhere) or for a CSV output that is no regular file
     (/dev/stdout, a pipe), whose directory may not take temporary files.
 
-    Work is in kernel steps: t_max * (24 + 20 sqrt(max(H - c, 0)) / (1 + 0.4
+    Work is in kernel steps: t_max * (24 + 20 sqrt(max(H, 0)) / (1 + 0.4
     mu t_max)) for each class's lane, plus 0.4 per output for each start's
     rows, one a step.  That fits adaptive_path's 21.7-25.9 steps a unit of
-    time in the wells, 29.8, 38.5, 53.7, 64.0 at H - c = 0.1, 0.5, 2, 4 (t_max
+    time in the wells, 29.8, 38.5, 53.7, 64.0 at H = 0.1, 0.5, 2, 4 (t_max
     20-100), damping leaving 0.95-0.14 of the excess at mu t_max 0.2-18; a
     row took 0.6-0.7 steps in a CSV, 0.2-0.3 in an SVG (2-vCPU Xeon)."""
     starts, p = scenario.initial_states, scenario.params
@@ -308,7 +308,7 @@ def _bounds(scenario: Scenario) -> list[int]:
     cuts = np.flatnonzero(np.minimum.accumulate(ks[:0:-1])[::-1]
                           > np.maximum.accumulate(ks[:-1])) + 1
     with np.errstate(all="ignore"):  # an energy that overflows: its start fails at once
-        h = np.nan_to_num(hamiltonian(State(*np.array(starts).T), p) - p.c, posinf=0.0)
+        h = np.nan_to_num(hamiltonian(State(*np.array(starts).T), p), posinf=0.0)
     rate = 24.0 + 20.0 * np.sqrt(np.fmax(h, 0.0)) / (1.0 + 0.4 * p.mu * t_max)
     work = np.r_[0.0, np.cumsum(rate * (lead + 0.4 * len(scenario.outputs)))]
     for n in range(min(cpus, cuts.size + 1), 1, -1):
@@ -564,14 +564,6 @@ def _cmd_field(args) -> int:
     return 0
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("DUFFING_SEED", "42")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"DUFFING_SEED: expected an integer, got {raw!r}") from None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="duffing-aa",
@@ -590,8 +582,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--only", metavar="NAME", help="run a single check")
     p_ver.add_argument("--tolerance", type=float, help="override every "
                        "check's tolerance")
-    p_ver.add_argument("--seed", type=int, help="sampling seed (default: "
-                       "DUFFING_SEED or 42)")
+    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="sampling seed (default: %(default)s)")
 
     p_fld = sub.add_parser("field", help="evaluate a vector field at a point")
     p_fld.add_argument("--at", required=True, metavar="X,Y")
@@ -607,12 +599,7 @@ def main(argv=None) -> int:
     if args.command == "run":
         return run_scenario(args.config, quiet=args.quiet)
     if args.command == "verify":
-        try:
-            seed = args.seed if args.seed is not None else _default_seed()
-        except ConfigError as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return 2
-        return verify_all(seed, tolerance=args.tolerance, only=args.only)
+        return verify_all(args.seed, tolerance=args.tolerance, only=args.only)
     return _cmd_field(args)
 
 

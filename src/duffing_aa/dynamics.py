@@ -5,11 +5,11 @@
 
 For mu = 0 the flow conserves
 
-    H(x, y) = x^4/4 + y^2/2 - x^2/2 + C.
+    H(x, y) = x^4/4 + y^2/2 - x^2/2.
 
-With the default C = 0 the separatrix through the saddle at the origin is
-the level set H = 0 and the two well minima (+-1, 0) sit at H = -1/4, so
-the sign of H classifies the three orbit regions.
+The separatrix through the saddle at the origin is the level set H = 0
+and the two well minima (+-1, 0) sit at H = -1/4, so the sign of H
+classifies the three orbit regions.
 
 All functions are pure; every value is immutable and safe to share across
 threads.  The arithmetic is numpy-polymorphic: passing arrays for x and y
@@ -56,15 +56,13 @@ class State(NamedTuple):
 
 @dataclass(frozen=True)
 class Params:
-    """System parameters: damping mu >= 0 and energy offset c, finite
-    numbers that are not bools (ValueError naming the field otherwise)."""
+    """System parameters: damping mu >= 0, a finite number that is not a
+    bool (ValueError naming the field otherwise)."""
 
     mu: float = 0.0
-    c: float = 0.0
 
     def __post_init__(self):
         _number(self.mu, "mu", 0.0)
-        _number(self.c, "c")
 
 
 def _require_finite(s) -> None:
@@ -89,10 +87,10 @@ def duffing_field(s: State, p: Params) -> tuple[float, float]:
 
 
 def hamiltonian(s: State, p: Params) -> float:
-    """Energy H = x^4/4 + y^2/2 - x^2/2 + c."""
+    """Energy H = x^4/4 + y^2/2 - x^2/2; p, unread, keeps duffing_field's signature."""
     _require_finite(s)
     x, y = s.x, s.y
-    return x**4 / 4.0 + y**2 / 2.0 - x**2 / 2.0 + p.c
+    return x**4 / 4.0 + y**2 / 2.0 - x**2 / 2.0
 
 
 def energy_rate(s: State, p: Params) -> float:
@@ -113,7 +111,7 @@ def energy_rate(s: State, p: Params) -> float:
 
 
 def state_on_level(h: float) -> State:
-    """The state (x, 0) with x > 0 on the energy level H = h (for c = 0).
+    """The state (x, 0) with x > 0 on the energy level H = h.
 
     Solves x^4/4 - x^2/2 = h on the outer positive branch,
     x = sqrt(1 + sqrt(1 + 4h)), spelled sqrt(1 + 2*sqrt(h + 1/4)): the

@@ -298,14 +298,14 @@ def _require_closed_orbit(s0: State, p: Params) -> None:
     if p.mu != 0.0:
         raise ValueError("closed orbits need the conservative flow (mu = 0)")
     try:
-        level = hamiltonian(s0, p) - p.c
+        level = hamiltonian(s0, p)
     except OverflowError:  # Python floats raise where numpy would give inf
         raise StepFailure(
             f"the energy at the start ({s0.x!r}, {s0.y!r}) overflows"
         ) from None
     if abs(level) < SEPARATRIX_TOL:
         raise OnSeparatrix(
-            f"|H - c| = {abs(level):.2e} < {SEPARATRIX_TOL:g}: state is on the "
+            f"|H| = {abs(level):.2e} < {SEPARATRIX_TOL:g}: state is on the "
             "separatrix (or the saddle), which has no closed orbit"
         )
     if s0.y == 0.0 and s0.x - s0.x**3 == 0.0:
@@ -316,8 +316,8 @@ def _require_closed_orbit(s0: State, p: Params) -> None:
 def _turns(s0: State, p: Params) -> int:
     """Turns of the covered angle in one period of the closed orbit
     through s0, a float start ``_require_closed_orbit`` accepts: 1 in a
-    well (H < c), 2 outside the separatrix."""
-    return 1 if hamiltonian(s0, p) < p.c else 2
+    well (H < 0), 2 outside the separatrix."""
+    return 1 if hamiltonian(s0, p) < 0.0 else 2
 
 
 def find_period(

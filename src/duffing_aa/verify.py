@@ -129,9 +129,11 @@ def _chain_rule_theta_dot(x, y):
 
 
 def check_pushforward(
-    n: int, mu: float, seed: int = DEFAULT_SEED, tolerance: float = 1e-10
+    n: int = DEFAULT_N, seed: int = DEFAULT_SEED, tolerance: float = 1e-10,
+    *, mus=PUSHFORWARD_MUS,
 ) -> CheckReport:
-    """covered_field composed with square vs. the Jacobian pushforward.
+    """covered_field composed with square vs. the Jacobian pushforward, at
+    each mu.
 
     The oracle applies J = [[2x, -2y], [2y, 2x]] to the original field at
     n sampled states; the production route evaluates the closed covered
@@ -139,13 +141,15 @@ def check_pushforward(
     difference.
     """
     x, y = _sample_box(seed, n)
-    p = Params(mu=mu)
-    oracle_u, oracle_v = _jacobian_pushforward(x, y, p)
-    got_u, got_v = covered_field(*square(x, y), p)
-    return _report(
-        "check_pushforward", np.concatenate((got_u - oracle_u, got_v - oracle_v)),
-        np.concatenate((oracle_u, oracle_v)), tolerance, n=n,
-    )
+    err, oracle = [], []
+    for mu in mus:
+        p = Params(mu=mu)
+        oracle_u, oracle_v = _jacobian_pushforward(x, y, p)
+        got_u, got_v = covered_field(*square(x, y), p)
+        err += [got_u - oracle_u, got_v - oracle_v]
+        oracle += [oracle_u, oracle_v]
+    return _report("check_pushforward", np.concatenate(err), np.concatenate(oracle),
+                   tolerance, n=n * len(mus))
 
 
 def check_theta_dot(
@@ -253,19 +257,23 @@ def check_roundtrip(
     return _report("check_roundtrip", err, np.maximum(np.abs(x), np.abs(y)), tolerance)
 
 
-def check_energy_rate(
-    n: int = DEFAULT_N,
-    mu: float = 0.5,
-    seed: int = DEFAULT_SEED,
-    tolerance: float = 1e-12,
-) -> CheckReport:
-    """Closed-form dH/dt = -mu*y^2 vs. the gradient product grad(H).f."""
-    x, y = _sample_box(seed, n)
-    p = Params(mu=mu)
+def _rate_oracle(x, y, p):
+    """grad(H).f, the cube spelled as in the field so that the
+    conservative part cancels exactly."""
     fx, fy = duffing_field(State(x, y), p)
-    # cube spelled as in the field so the conservative part cancels exactly
-    oracle = (x * x * x - x) * fx + y * fy
-    closed = energy_rate(State(x, y), p)
+    return (x * x * x - x) * fx + y * fy
+
+
+def check_energy_rate(
+    n: int = DEFAULT_N, seed: int = DEFAULT_SEED, tolerance: float = 1e-12,
+    *, mus=PUSHFORWARD_MUS,
+) -> CheckReport:
+    """Closed-form dH/dt = -mu*y^2 vs. the gradient product grad(H).f, at
+    each mu."""
+    x, y = _sample_box(seed, n)
+    ps = [Params(mu=mu) for mu in mus]
+    oracle = np.concatenate([_rate_oracle(x, y, p) for p in ps])
+    closed = np.concatenate([energy_rate(State(x, y), p) for p in ps])
     return _report("check_energy_rate", closed - oracle, oracle, tolerance)
 
 
@@ -295,12 +303,10 @@ def check_theta_angle(
 
 
 def check_dh_dtheta(
-    n: int = DEFAULT_N,
-    mu: float = 0.1,
-    seed: int = DEFAULT_SEED,
-    tolerance: float = 1e-10,
+    n: int = DEFAULT_N, seed: int = DEFAULT_SEED, tolerance: float = 1e-10,
+    *, mus=PUSHFORWARD_MUS,
 ) -> CheckReport:
-    """dH/dtheta vs. the fully independent ratio of oracle rates.
+    """dH/dtheta vs. the fully independent ratio of oracle rates, at each mu.
 
     Oracle: (grad(H).f) / (chain-rule theta') with both pieces computed
     from the raw fields.  grad(H).f cancels to -mu*y^2, so in double its
@@ -313,35 +319,17 @@ def check_dh_dtheta(
     x, y = _sample_box(seed, n, 1e-6)
     keep = x**2 + y**2 >= 1e-12
     x, y = x[keep], y[keep]
-    p = Params(mu=mu)
-    got = dH_dtheta(State(x, y), p)
     xl, yl = x.astype(np.longdouble), y.astype(np.longdouble)
-    fx, fy = duffing_field(State(xl, yl), p)
-    rate = ((xl * xl * xl - xl) * fx + yl * fy).astype(np.float64)
-    oracle = rate / _chain_rule_theta_dot(x, y)
+    theta_dot = _chain_rule_theta_dot(x, y)
+    ps = [Params(mu=mu) for mu in mus]
+    got = np.concatenate([dH_dtheta(State(x, y), p) for p in ps])
+    oracle = np.concatenate([_rate_oracle(xl, yl, p).astype(np.float64) / theta_dot
+                             for p in ps])
     return _report("check_dh_dtheta", got - oracle, oracle, tolerance, True)
 
 
 def _tol(tolerance: float | None) -> dict:
     return {} if tolerance is None else {"tolerance": tolerance}
-
-
-def _over_mus(check):
-    """Registry entry running check at each of PUSHFORWARD_MUS, merged."""
-
-    def run(seed: int, tolerance: float | None = None) -> CheckReport:
-        reports = [check(DEFAULT_N, mu, seed, **_tol(tolerance))
-                   for mu in PUSHFORWARD_MUS]
-        return CheckReport(
-            reports[0].name,
-            sum(r.n_samples for r in reports),
-            max(r.max_abs_error for r in reports),
-            max(r.max_rel_error for r in reports),
-            all(r.passed for r in reports),
-            reports[0].tolerance,
-        )
-
-    return run
 
 
 def _sampled(check):
@@ -356,14 +344,14 @@ def _on_levels(check, levels):
 
 # name -> runner(seed, tolerance=None); None keeps the check's own default
 CHECKS = {
-    "check_pushforward": _over_mus(check_pushforward),
+    "check_pushforward": _sampled(check_pushforward),
     "check_theta_dot": _sampled(check_theta_dot),
     "check_conservation": _on_levels(check_conservation, CONSERVATION_LEVELS),
     "check_winding": _on_levels(check_winding, WINDING_LEVELS),
     "check_roundtrip": _sampled(check_roundtrip),
-    "check_energy_rate": _over_mus(check_energy_rate),
+    "check_energy_rate": _sampled(check_energy_rate),
     "check_theta_angle": _sampled(check_theta_angle),
-    "check_dh_dtheta": _over_mus(check_dh_dtheta),
+    "check_dh_dtheta": _sampled(check_dh_dtheta),
     "check_period": _on_levels(check_period, PERIOD_LEVELS),
 }
 

@@ -45,7 +45,7 @@ def _ok(n: int, label: str) -> None:
 
 def test_criterion_1_pushforward_identity():
     for mu in (0.0, 0.1, 0.5):
-        rep = check_pushforward(10_000, mu, seed=42, tolerance=1e-10)
+        rep = check_pushforward(10_000, seed=42, tolerance=1e-10, mus=(mu,))
         assert rep.passed, f"mu={mu}: max_abs={rep.max_abs_error}"
     _ok(1, "pushforward identity at 1e-10 for mu in {0, 0.1, 0.5}")
 

@@ -361,7 +361,6 @@ MEMO_BASE = (State(0.0, 1.0), Params(), DEFAULT_CONFIG)
 MEMO_CHANGES = {
     "x=-0.0": {"s0": State(-0.0, 1.0)},
     "mu=-0.0": {"p": Params(mu=-0.0)},
-    "c=-0.0": {"p": Params(c=-0.0)},
     "step": {"cfg": replace(DEFAULT_CONFIG, step=0.02)},
     "rel_tol": {"cfg": replace(DEFAULT_CONFIG, rel_tol=1e-9)},
     "abs_tol": {"cfg": replace(DEFAULT_CONFIG, abs_tol=1e-9)},

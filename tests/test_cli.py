@@ -37,7 +37,6 @@ def write_config(tmp_path, body: dict, name: str = "scn.json") -> str:
 def small_scenario(tmp_path, **overrides) -> str:
     body = {
         "mu": 0.0,
-        "c": 0.0,
         "initial_states": [[1.2, 0.0], [0.0, 1.0]],
         "t_max": 3.0,
         "outputs": [
@@ -229,14 +228,13 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
-def test_verify_seed_env(monkeypatch, capsys):
-    monkeypatch.setenv("DUFFING_SEED", "123")
+def test_verify_seed_is_42_whatever_the_environment(monkeypatch, capsys):
+    # --seed is the one way to give the seed; no variable stands in for it
+    assert main(["verify", "--only", "check_roundtrip", "--seed", "42"]) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setenv("DUFFING_SEED", "abc")
     assert main(["verify", "--only", "check_roundtrip"]) == 0
-    via_env = capsys.readouterr().out
-    monkeypatch.delenv("DUFFING_SEED")
-    assert main(["verify", "--only", "check_roundtrip", "--seed", "123"]) == 0
-    via_flag = capsys.readouterr().out
-    assert via_env == via_flag
+    assert capsys.readouterr().out == want
 
 
 def test_field_command(capsys):
@@ -388,7 +386,7 @@ def test_bad_numbers_exit_2_naming_the_field(tmp_path, monkeypatch, capsys, text
 
 
 _EVERY_FIELD = {
-    "mu": 0.0, "c": 0.0, "t_max": 1.0, "initial_states": [[1.2, 0.0]],
+    "mu": 0.0, "t_max": 1.0, "initial_states": [[1.2, 0.0]],
     "integrator": {"step": 0.01, "rel_tol": 1e-10, "abs_tol": 1e-10,
                    "max_steps": 1000},
     "outputs": [{"kind": "original", "format": "csv", "path": "o.csv"}],
@@ -400,7 +398,6 @@ _GRID = {"x_range": [0.5, 1.5], "y_range": [-0.5, 0.5], "nx": 2, "ny": 2}
 # "grid" replaces initial_states with _GRID
 _FIELD_PATHS = [
     (("mu",), "scenario.mu"),
-    (("c",), "scenario.c"),
     (("t_max",), "scenario.t_max"),
     (("initial_states",), "scenario.initial_states"),
     (("initial_states", 0), "scenario.initial_states[0]"),
@@ -453,10 +450,14 @@ def test_every_field_refuses_non_finite_tokens(tmp_path, monkeypatch, capsys,
     assert os.listdir(tmp_path) == ["bad.json"]
 
 
-def test_bad_seed_env_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("DUFFING_SEED", "abc")
-    assert main(["verify", "--only", "check_roundtrip"]) == 2
-    assert "DUFFING_SEED" in capsys.readouterr().err
+def test_energy_offset_is_an_unknown_field(tmp_path, monkeypatch, capsys):
+    # H has no offset: a scenario that sets one, even to 0, does not run
+    monkeypatch.chdir(tmp_path)
+    cfg = small_scenario(tmp_path, c=0.0)
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: scenario: unknown field(s) c\n", err
+    assert os.listdir(tmp_path) == ["scn.json"]
 
 
 def test_overflowing_state_exits_3(tmp_path, capsys):

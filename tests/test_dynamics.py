@@ -34,10 +34,6 @@ def test_hamiltonian_examples(p0):
     assert abs(hamiltonian(State(math.sqrt(2.0), 0.0), p0)) <= 1e-15
 
 
-def test_hamiltonian_offset():
-    assert hamiltonian(State(0.0, 0.0), Params(mu=0.0, c=0.75)) == 0.75
-
-
 def test_energy_rate_examples(p0, p_damped):
     assert energy_rate(State(0.0, 1.0), p_damped) == -0.1
     assert energy_rate(State(3.0, 2.0), Params(mu=0.5)) == -2.0
@@ -133,14 +129,15 @@ def test_params_validation():
         Params(mu=-0.1)
     with pytest.raises(ValueError):
         Params(mu=float("nan"))
-    assert Params().c == 0.0
+    with pytest.raises(TypeError):  # no energy offset: the separatrix is H = 0
+        Params(c=0.0)
 
 
 @pytest.mark.parametrize(
     "kwargs, field",
-    [({"mu": True}, "mu"), ({"mu": "0.1"}, "mu"), ({"c": 10**400}, "c"),
-     ({"mu": None}, "mu"), ({"c": False}, "c")],
-    ids=["bool-mu", "string-mu", "huge-int-c", "none-mu", "bool-c"],
+    [({"mu": True}, "mu"), ({"mu": "0.1"}, "mu"), ({"mu": 10**400}, "mu"),
+     ({"mu": None}, "mu")],
+    ids=["bool-mu", "string-mu", "huge-int-mu", "none-mu"],
 )
 def test_params_refuse_what_is_not_a_finite_number(kwargs, field):
     # a bool is not a number here: Params(mu=True) would damp with mu = 1
@@ -150,8 +147,9 @@ def test_params_refuse_what_is_not_a_finite_number(kwargs, field):
 
 def test_params_accept_signed_zero_and_numpy_numbers():
     assert Params(mu=-0.0).mu == 0.0
-    assert Params(mu=np.float64(0.1), c=np.float32(0.5)).mu == 0.1
-    assert Params(mu=np.int64(2), c=-3).c == -3
+    assert Params(mu=np.float64(0.1)).mu == 0.1
+    assert Params(mu=np.float32(0.5)).mu == 0.5
+    assert Params(mu=np.int64(2)).mu == 2
 
 
 @pytest.mark.parametrize("h", [True, "0", None, math.nan, math.inf, 10**400],

@@ -130,10 +130,10 @@ def _seeded_starts():
         (rng.uniform(-0.24, -0.01, 4), rng.uniform(0.01, 1.0, 4))).tolist()]
     while len(starts) < 16:
         s0 = State(*rng.uniform([-2.0, -1.5], [2.0, 1.5]).tolist())
-        if abs(hamiltonian(s0, p) - p.c) > 0.01 and min(
+        if abs(hamiltonian(s0, p)) > 0.01 and min(
                 math.hypot(s0.x - 1.0, s0.y), math.hypot(s0.x + 1.0, s0.y)) > 0.05:
             starts.append(s0)
-    assert {hamiltonian(s0, p) < p.c for s0 in starts} == {True, False}
+    assert {hamiltonian(s0, p) < 0.0 for s0 in starts} == {True, False}
     return starts
 
 

@@ -18,6 +18,7 @@ from duffing_aa.verify import (
     check_theta_angle,
     check_theta_dot,
     check_winding,
+    PUSHFORWARD_MUS,
     closed_form_period,
     lcg_uniform,
     run_all,
@@ -27,14 +28,14 @@ from duffing_aa.verify import (
 
 def test_pushforward_passes():
     for mu, seed in ((0.0, 42), (0.5, 7)):
-        rep = check_pushforward(1000, mu, seed)
+        rep = check_pushforward(1000, seed, mus=(mu,))
         assert rep.passed and rep.n_samples == 1000
         assert rep.max_abs_error <= rep.tolerance == 1e-10
 
 
 def test_pushforward_rejects_bad_n():
     with pytest.raises(ValueError):
-        check_pushforward(0, 0.0)
+        check_pushforward(0, mus=(0.0,))
 
 
 def test_theta_dot_passes():
@@ -67,9 +68,22 @@ def test_winding_passes_and_rejects_separatrix():
 
 def test_roundtrip_energy_rate_theta_angle_dh_dtheta():
     assert check_roundtrip(2000, 3).passed
-    assert check_energy_rate(2000, 0.3, 3).passed
+    assert check_energy_rate(2000, 3, mus=(0.3,)).passed
     assert check_theta_angle(2000, 3).passed
-    assert check_dh_dtheta(2000, 0.1, 3).passed
+    assert check_dh_dtheta(2000, 3, mus=(0.1,)).passed
+
+
+@pytest.mark.parametrize("check", [check_pushforward, check_energy_rate,
+                                   check_dh_dtheta])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_report_over_the_mus_merges_the_single_mu_reports(check, seed):
+    # one report over every mu's samples is the merge of one report a mu:
+    # the samples summed, the largest errors, passed only if all passed
+    alone = [check(1000, seed, mus=(mu,)) for mu in PUSHFORWARD_MUS]
+    assert check(1000, seed) == CheckReport(
+        alone[0].name, sum(r.n_samples for r in alone),
+        max(r.max_abs_error for r in alone), max(r.max_rel_error for r in alone),
+        all(r.passed for r in alone), alone[0].tolerance)
 
 
 @pytest.mark.parametrize("seed", [2, 44, 49, 53, 54, 60, 75, 84, 91])
@@ -81,8 +95,8 @@ def test_dh_dtheta_oracle_survives_cancellation(seed):
 
 
 def test_reports_are_deterministic():
-    a = check_pushforward(500, 0.1, seed=9)
-    b = check_pushforward(500, 0.1, seed=9)
+    a = check_pushforward(500, seed=9, mus=(0.1,))
+    b = check_pushforward(500, seed=9, mus=(0.1,))
     assert a == b
     assert run_check("check_theta_dot", seed=5) == run_check("check_theta_dot", seed=5)
 
@@ -187,7 +201,7 @@ def test_every_listed_check_calls_its_formula(monkeypatch):
 
 
 def test_json_round_trip():
-    rep = check_energy_rate(100, 0.2, 1)
+    rep = check_energy_rate(100, 1, mus=(0.2,))
     data = json.loads(rep.to_json())
     assert set(data) == {
         "name", "n_samples", "max_abs_error", "max_rel_error", "passed",
