@@ -69,12 +69,14 @@ def theta_dot_of(s: State) -> float:
     """
     _require_finite(s)
     _check_away_from_centers(s.x, s.y)
-    x, y = s.x, s.y
-    x2 = x * x
-    y2 = y * y
+    x2, y2 = s.x * s.x, s.y * s.y
     num = x2 * x2 * x2 + x2 * x2 * y2 - 2.0 * x2 * x2 + y2 * y2 + x2 + y2
-    den = x2 * x2 + 2.0 * x2 * y2 + y2 * y2 - 2.0 * x2 + 2.0 * y2 + 1.0
-    return -2.0 * num / den
+    return -2.0 * num / _theta_dot_den(x2, y2)
+
+
+def _theta_dot_den(x2, y2):
+    """theta_dot_of's denominator from x^2 and y^2; it equals rho^2."""
+    return x2 * x2 + 2.0 * x2 * y2 + y2 * y2 - 2.0 * x2 + 2.0 * y2 + 1.0
 
 
 def unwrap_theta(traj: Trajectory) -> np.ndarray:

@@ -24,7 +24,7 @@ the config error names the field.  Fields:
                      original | covered | energy_angle, format csv | svg
   description        optional free text documenting the choice of orbits
 
-CSV schemas (17-significant-digit decimals, '\\n' line endings):
+CSV schemas (each value as format(v, ".17g") prints it, '\\n' line endings):
   original      t,x,y
   covered       t,x1,y1,sheet        (sheet is U or L)
   energy_angle  theta_unwrapped,h
@@ -80,14 +80,15 @@ _OUTPUT_KEYS = ("kind", "format", "path")
 
 # each process of run holds the orbits of its block in memory until their
 # outputs are formatted, so the grid size bounds its memory: 400 orbits at
-# t_max = 20 (287k samples) in one block peak at 45.8-46.0 MiB RSS, 29.4
-# MiB of it the interpreter and numpy.  Each orbit keeps 24 bytes per
-# sample (views of the batch t and states; covered images and sheets are
-# computed while it is formatted); the lockstep records each sample once
-# more, in 32 bytes of C heap that stay resident after its scatter
-# (_kernels' memory rule).  A mirror or duplicate start shares its lane's
-# t and owns its states, 16 bytes per sample.  Cut in two blocks of 200
-# (_bounds) run peaked at 39.1-39.2 MiB and the child at 33.2-33.4 MiB
+# t_max = 20 (287k samples) in one block peak at 46.7-46.9 MiB RSS, 29.9
+# MiB of it the interpreter, numpy and this package.  Each orbit keeps 24
+# bytes per sample (views of the batch t and states; covered images and
+# sheets are computed while it is formatted); the lockstep records each
+# sample once more, in 32 bytes of C heap that stay resident after its
+# scatter (_kernels' memory rule).  A mirror or duplicate start shares its
+# lane's t and owns its states, 16 bytes per sample.  _write_rows holds
+# about 100 bytes per value of the chunk it formats.  Cut in two blocks of
+# 200 (_bounds) run peaked at 39.9 MiB and the child at 33.9 MiB
 # (RUSAGE_CHILDREN), much of it shared copy-on-write with run
 MAX_GRID_STATES = 10_000
 
@@ -96,6 +97,12 @@ MAX_GRID_STATES = 10_000
 # Xeon, median ms, one block | two: t_max 30 (lighter block 1,296) 17.4 |
 # 18.6, 35 (1,512) 17.8 | 20.7, 40 (1,728) 22.3 | 22.1, 60 (2,592) 31.9 | 30.1
 MIN_BLOCK_WORK = 2000.0
+
+# _write_rows formats at least this many rows of whole orbits at once: the
+# benchmark grid's wall_s at 512 | 1,024 | 2,048 | 4,096 rows 0.31 | 0.29 |
+# 0.28 | 0.28 s, its peak RSS 0.3 | 0.6 | 0.7 | 1.5 MiB above the per-value
+# %-templates' 0.44 s and 45.8 MiB (medians of 3, 2-vCPU Xeon)
+CSV_CHUNK_ROWS = 1024
 
 _STROKE = "#1f4e9c"
 _STROKE_UPPER = "#c0392b"
@@ -249,11 +256,65 @@ _CSV_HEADERS = {
     "covered": b"t,x1,y1,sheet\n",
     "energy_angle": b"theta_unwrapped,h\n",
 }
-_CSV_ROWS = {
-    "original": b"%.17g,%.17g,%.17g\n",
-    "energy_angle": b"%.17g,%.17g\n",
-    "covered": (b"%.17g,%.17g,%.17g,L\n", b"%.17g,%.17g,%.17g,U\n"),  # by sheet
-}
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact: 5**22 < 2**53
+# a value's cell: sign, "0.000", 17 digits, ".", the digits again, separator
+_CELL = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b",?\n", np.uint8)
+# which bytes of a cell print its value: row (s*20 + e+4)*17 + l for the
+# digits of sign s, exponent e (-4..15) and last nonzero digit l, 680 +
+# s*24 + k for a fallback string of length k; then the separator's ","
+_KEEP = np.frombuffer(b"".join(r + b"\1\0\0" for r in [
+    b"\1" * s + b"\0" * (1 - s) + (  # "0." and -e-1 zeros, the digits 0..l
+        b"\1" * (1 - e) + b"\0" * (4 + e) + b"\1" * (l + 1) + b"\0" * (34 - l) if e < 0
+        else b"\0" * 5 + b"\1" * (e + 1) + b"\0" * (16 - e) + (b"\1" if l > e else b"\0")
+        + b"\0" * (e + 1) + b"\1" * max(l - e, 0) + b"\0" * (16 - max(l, e)))  # e+1..l
+    for s in (0, 1) for e in range(-4, 16) for l in range(17)] + [
+    b"\0" * (1 - s) + b"\1" * (s + k) + b"\0" * (40 - k) for s in (0, 1) for k in range(24)]),
+    bool).reshape(-1, _CELL.size)
+
+
+def _write_table(f, kind: str, chunk) -> None:
+    """Write the rows of chunk, (traj, curve) pairs, as _write_rows does: a
+    cell a value, holding its digits or fallback, and its row of _KEEP."""
+    table = np.vstack([curve if kind == "energy_angle" else np.column_stack(
+        (traj.t, traj.covered if kind == "covered" else traj.states))
+        for traj, curve in chunk])
+    v = table.ravel()
+    a = np.abs(v)
+    with np.errstate(all="ignore"):  # garbage where the fallback applies
+        e = np.floor(np.log10(np.fmin(np.fmax(a, 1e-4), 1e16))).astype(np.intp)
+        b = _POW10[16 - e]
+        p = a * b
+        ah, bh = (t - (t - z) for z in (a, b) for t in [134217729.0 * z])
+        al, bl = a - ah, b - bh  # halves of 26 bits: Veltkamp's split
+        err = al * bl - (((p - ah * bh) - al * bh) - ah * bl)  # a*b - p, exactly
+        r = np.rint(err)
+        d = p.astype(np.int64) + r.astype(np.int64)
+        fast = (a >= 1e-4) & (a < 1e16) & (d >= 10**16) & (d < 10**17) & (abs(err - r) != 0.5)
+    del a, b, p, ah, bh, al, bl, err, r  # the chunk's memory peaks above
+    digits = np.empty((17, v.size), np.uint8)
+    last, trailing = np.full(v.size, 16), np.ones(v.size, bool)
+    for k in range(16, -1, -1):  # D's digits, the last first
+        q = d // 10
+        digits[k] = d - q * 10 + ord("0")
+        trailing &= digits[k] == ord("0")
+        last -= trailing
+        d = q
+    pick = ((v < 0.0) * 20 + e + 4) * 17 + last  # each value's row of _KEEP
+    cells = np.tile(_CELL, (v.size, 1))
+    cells[:, 6:23] = cells[:, 24:41] = digits.T
+    if (slow := np.flatnonzero(~fast)).size:  # the fallback: format(v, ".17g")
+        text = [format(x, ".17g") for x in v[slow].tolist()]
+        pick[slow] = [680 + 23 * (s[0] == "-") + len(s) for s in text]
+        cells[slow, 1:24] = np.frombuffer("".join(
+            s.lstrip("-").ljust(23) for s in text).encode(), np.uint8).reshape(-1, 23)
+    cells, pick = cells.reshape(*table.shape, -1), pick.reshape(table.shape)
+    if kind == "covered":  # a row ends ",U\n" or ",L\n", else "\n"
+        sheets = np.concatenate([traj.sheets for traj, _ in chunk])
+        cells[:, -1, -2] = np.where(sheets > 0, ord("U"), ord("L"))
+    for lo in range(0, len(table), 512):  # the kept bytes, a bool a byte
+        kept = np.take(_KEEP, pick[lo : lo + 512], axis=0)
+        kept[:, -1, -3:] = [kind == "covered"] * 2 + [True]
+        f.write(cells[lo : lo + 512][kept])
 
 
 def _sheet_runs(traj: Trajectory):
@@ -266,20 +327,26 @@ def _sheet_runs(traj: Trajectory):
 
 
 def _write_rows(f, kind: str, trajs, curves) -> None:
-    """Each orbit's rows as bytes from one tolist, each run of rows on one
-    template (a covered orbit's run on one sheet) in one %-operation (%.17g
-    prints exactly as format(v, ".17g")), one orbit at a time so that
-    memory stays bounded by the largest orbit."""
-    for traj, curve in zip(trajs, curves):
-        if kind == "covered":
-            values = tuple(np.column_stack((traj.t, traj.covered)).ravel().tolist())
-            for start, stop, upper in _sheet_runs(traj):
-                row = _CSV_ROWS[kind][upper]
-                f.write(row * (stop - start) % values[3 * start : 3 * stop])
-        else:
-            cols = (traj.t, traj.states) if kind == "original" else (curve,)
-            rows = np.column_stack(cols)
-            f.write(_CSV_ROWS[kind] * len(rows) % tuple(rows.ravel().tolist()))
+    """The orbits' rows, CSV_CHUNK_ROWS or more of whole orbits at a time,
+    every value as format(v, ".17g") prints it (_write_table).
+
+    For 1e-4 <= |v| < 1e16 that is fixed-point: the 17 digits of D =
+    round(|v| * 10**(16 - e)), e = floor(log10 |v|), a point after digit e
+    (or "0." and -e-1 zeros before them), trailing fraction zeros and a
+    bare point stripped.  10**k is exact in float64 for k <= 22, so
+    Dekker's TwoProduct (Numer. Math. 18, 1971) gives p + err = |v| * 10**k
+    exactly, nothing overflowing or underflowing in that range, and once
+    D >= 10**16 > 2**53 p is an integer: D = p + rint(err), correctly
+    rounded.  An exact tie (|err - rint(err)| = 1/2), a D outside
+    [10**16, 10**17) (log10 an ulp off, or rounding up to 10**(e + 1)),
+    zeros, non-finite values and every other |v| are format(v, ".17g")."""
+    chunk, rows = [], 0
+    for i, (traj, curve) in enumerate(zip(trajs, curves), 1):
+        chunk.append((traj, curve))
+        rows += len(traj)
+        if rows >= CSV_CHUNK_ROWS or i == len(trajs):
+            _write_table(f, kind, chunk)
+            chunk, rows = [], 0
 
 
 def _bounds(scenario: Scenario) -> list[int]:

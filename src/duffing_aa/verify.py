@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .actionangle import dH_dtheta, theta_dot_of, theta_of
+from .actionangle import _theta_dot_den, dH_dtheta, theta_dot_of, theta_of
 from .covering import _unwrap, covered_field, principal_root, sheet_sign, square
 from .dynamics import (Params, State, _number, duffing_field, energy_rate,
                        state_on_level)
@@ -295,8 +295,7 @@ def check_theta_angle(
     x1, y1 = square(x, y)
     rho = np.hypot(x1 - 1.0, y1)
     r1 = np.abs((x1 - 1.0) * np.sin(th) - y1 * np.cos(th)) / rho
-    den = x**4 + 2.0 * x**2 * y**2 + y**4 - 2.0 * x**2 + 2.0 * y**2 + 1.0
-    r2 = np.abs(den - rho * rho) / (rho * rho)
+    r2 = np.abs(_theta_dot_den(x * x, y * y) - rho * rho) / (rho * rho)
     return _report(
         "check_theta_angle", np.concatenate((r1, r2)), 1.0, tolerance, n=x.size
     )
@@ -369,6 +368,7 @@ FORMULA_COVERAGE = {
     "theta_of": ("check_theta_angle",),
     "_unwrap": ("check_winding",),
     "theta_dot_of": ("check_theta_dot", "check_dh_dtheta"),
+    "_theta_dot_den": ("check_theta_angle",),
     "dH_dtheta": ("check_dh_dtheta",),
     "find_period": ("check_period",),
 }

@@ -129,13 +129,14 @@ def test_theta_dot_sign(rng):
 
 
 def test_denominator_is_rho_squared(rng):
+    # the denominator theta_dot_of divides by, not a copy of its spelling
     n = 0
     while n < 10_000:
         x, y = rng.uniform(-3.0, 3.0, size=2)
         if (x - 1.0) ** 2 + y**2 < 1e-4 or (x + 1.0) ** 2 + y**2 < 1e-4:
             continue
         n += 1
-        den = x**4 + 2 * x**2 * y**2 + y**4 - 2 * x**2 + 2 * y**2 + 1
+        den = actionangle._theta_dot_den(x * x, y * y)
         x1, y1 = square(x, y)
         rho2 = (x1 - 1.0) ** 2 + y1**2
         assert abs(den - rho2) <= 1e-12 * rho2

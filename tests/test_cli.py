@@ -1,11 +1,13 @@
 import errno
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duffing_aa import Params, State, _kernels, cli, integrate, integrate_original
+from duffing_aa import (Params, State, _kernels, cli, energy_angle_curve, integrate,
+                        integrate_original)
 from duffing_aa.cli import (
     FORMATS,
     KINDS,
@@ -536,6 +539,98 @@ def test_csv_matches_per_value_format(tmp_path, monkeypatch):
                  (traj.t[i], traj.covered[i, 0], traj.covered[i, 1])]
                 + ["U" if traj.sheets[i] > 0 else "L"]))
     assert (tmp_path / "cov.csv").read_text().splitlines() == expected
+
+
+def _csv_of(values) -> bytes:
+    """values, as float64, through the CSV formatter: rows of two, the
+    second column the first reversed."""
+    v = np.asarray(values, dtype=np.float64)
+    f = io.BytesIO()
+    for lo in range(0, v.size, 1 << 16):  # bounded memory for a long sweep
+        part = v[lo : lo + (1 << 16)]
+        cli._write_table(f, "energy_angle", [(None, np.column_stack((part, part[::-1])))])
+    return f.getvalue()
+
+
+def _format_of(values) -> bytes:
+    """The reference: format(v, ".17g") of each value, laid out as _csv_of."""
+    v = np.asarray(values, dtype=np.float64)
+    return "".join(
+        f"{format(a, '.17g')},{format(b, '.17g')}\n"
+        for lo in range(0, v.size, 1 << 16)
+        for a, b in zip(v[lo : lo + (1 << 16)].tolist(),
+                        v[lo : lo + (1 << 16)][::-1].tolist())).encode()
+
+
+_BITS = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(_BITS, st.floats()), min_size=1, max_size=64))
+def test_csv_formatter_matches_format_on_any_float(values):
+    # any bit pattern: both signs, subnormals, +-0, inf and nan, besides
+    # hypothesis' own choice of floats
+    assert _csv_of(values) == _format_of(values)
+
+
+def test_csv_formatter_matches_format_on_a_seeded_sweep():
+    # 10**6 values, |v| log-uniform from 1e-6 to 1e18: the fast path's range
+    # [1e-4, 1e16) and both fallbacks beyond it
+    rng = np.random.default_rng(33)
+    v = 10.0 ** rng.uniform(-6.0, 18.0, 1_000_000) * rng.choice((-1.0, 1.0), 1_000_000)
+    assert _csv_of(v) == _format_of(v)
+
+
+def _ties() -> list[float]:
+    """m / 2**(17 - e) for odd m, in [10**e, 10**(e + 1)) for e = -4..15:
+    times 10**(16 - e) it is m * 5**(16 - e) / 2, an odd number of halves,
+    so its 17 digits are an exact tie."""
+    ties = []
+    for e in range(-4, 16):
+        lo = math.ceil(Fraction(10) ** e * 2 ** (17 - e)) | 1
+        ties += [(m / 2 ** (17 - e), e) for m in range(lo, lo + 40, 2)]
+    assert all((Fraction(v) * Fraction(10) ** (16 - e)).denominator == 2 for v, e in ties)
+    return [v for v, _ in ties]
+
+
+def test_csv_formatter_matches_format_on_edge_cases():
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    values = [1e-4, 9.9999999999999991e-05, 1e16, 9999999999999998.0, 1e17, 0.1, 0.5,
+              20.0, -0.0, 0.0, 5e-324, math.inf, -math.inf, math.nan, *_ties(),
+              *(float(2**53 + k) * 2.0**j for j in range(-62, 8) for k in range(40))]
+    for p in powers:
+        values += [p, -p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    assert _csv_of(values) == _format_of(values)
+    assert _csv_of([0.1, 20.0, -0.0, 5e-324]) == (
+        b"0.10000000000000001,4.9406564584124654e-324\n20,-0\n"
+        b"-0,20\n4.9406564584124654e-324,0.10000000000000001\n")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 100, cli.CSV_CHUNK_ROWS])
+@pytest.mark.parametrize("kind", KINDS)
+def test_write_rows_matches_format_row_by_row(kind, chunk_rows, monkeypatch):
+    # every kind, a chunk a single orbit, several, or the default size;
+    # the starts cross the cut (both sheets) and sit on the axes (zeros)
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+    p, cfg = Params(mu=0.1), integrate.IntegratorConfig(t_max=15.0)
+    trajs = [integrate_original(s0, p, cfg) for s0 in
+             (State(0.0, 1.5), State(-1.3, -0.0), State(0.5, 0.2), State(2.0, 0.0))]
+    curves = [energy_angle_curve(traj) for traj in trajs]
+    f = io.BytesIO()
+    cli._write_rows(f, kind, trajs, curves)
+    expected = []
+    for traj, curve in zip(trajs, curves):
+        if kind == "energy_angle":
+            rows = curve
+        else:
+            rows = np.column_stack((traj.t, traj.covered if kind == "covered" else traj.states))
+        for i, row in enumerate(rows.tolist()):
+            sheet = [("U" if traj.sheets[i] > 0 else "L")] if kind == "covered" else []
+            expected.append(",".join([format(x, ".17g") for x in row] + sheet))
+    assert f.getvalue().decode().splitlines() == expected
+    if kind == "covered":
+        assert {line[-1] for line in expected} == {"U", "L"}
 
 
 def _sha256(path) -> str:

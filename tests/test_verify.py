@@ -165,7 +165,8 @@ def test_registry_covers_every_formula():
     formulas = {
         "duffing_field", "hamiltonian", "energy_rate",
         "square", "sheet_sign", "principal_root", "covered_field",
-        "theta_of", "_unwrap", "theta_dot_of", "dH_dtheta", "find_period",
+        "theta_of", "_unwrap", "theta_dot_of", "_theta_dot_den", "dH_dtheta",
+        "find_period",
     }
     assert set(FORMULA_COVERAGE) == formulas
     for formula, checks in FORMULA_COVERAGE.items():
