@@ -352,34 +352,31 @@ def _write_rows(f, kind: str, trajs, curves) -> None:
 def _bounds(scenario: Scenario) -> list[int]:
     """Orbit indices 0 = b0 < ... < bn = orbits that cut the initial states
     into contiguous blocks of about equal estimated work: cut k of n at the
-    index nearest k/n of it where no class of ``_lanes`` straddles (a lane
-    is integrated once), n the most blocks, up to the usable CPUs, that each
-    carry MIN_BLOCK_WORK.  One block off Linux (no fork on Windows, sendfile
-    only to sockets elsewhere) or for a CSV output that is no regular file
-    (/dev/stdout, a pipe), whose directory may not take temporary files.
+    index nearest k/n of it, n the most blocks, up to the usable CPUs, that
+    each carry MIN_BLOCK_WORK.  One block off Linux (no fork on Windows,
+    sendfile only to sockets elsewhere) or for a CSV output that is no regular
+    file (/dev/stdout, a pipe), whose directory may not take temporary files.
 
     Work is in kernel steps: t_max * (24 + 20 sqrt(max(H, 0)) / (1 + 0.4
     mu t_max)) for each class's lane, plus 0.4 per output for each start's
     rows, one a step.  That fits adaptive_path's 21.7-25.9 steps a unit of
     time in the wells, 29.8, 38.5, 53.7, 64.0 at H = 0.1, 0.5, 2, 4 (t_max
-    20-100), damping leaving 0.95-0.14 of the excess at mu t_max 0.2-18; a
-    row took 0.6-0.7 steps in a CSV, 0.2-0.3 in an SVG (2-vCPU Xeon)."""
+    20-100), damping leaving 0.95-0.14 of the excess at mu t_max 0.2-18.  A
+    CSV row takes 0.17-0.25 steps, an SVG point 0.2-0.3 (2-vCPU Xeon); a row
+    weight of 0.2 cuts fig3 at [0, 1, 4], 32.8 ms against 30.0 at [0, 2, 4]."""
     starts, p = scenario.initial_states, scenario.params
     t_max = scenario.integrator.t_max
     cpus = 1 if sys.platform != "linux" or any(
         o.format == "csv" and os.path.exists(o.path) and not os.path.isfile(o.path)
         for o in scenario.outputs) else len(os.sched_getaffinity(0))
     first, lanes = _lanes(starts)
-    ks, lead = np.array([(k, s0 is first[k]) for s0, (k, _) in zip(starts, lanes)]).T
-    # i is allowed when every lane after it is new: min(ks[i:]) > max(ks[:i])
-    cuts = np.flatnonzero(np.minimum.accumulate(ks[:0:-1])[::-1]
-                          > np.maximum.accumulate(ks[:-1])) + 1
+    lead = np.array([s0 is first[k] for s0, (k, _) in zip(starts, lanes)])
     with np.errstate(all="ignore"):  # an energy that overflows: its start fails at once
         h = np.nan_to_num(hamiltonian(State(*np.array(starts).T), p), posinf=0.0)
     rate = 24.0 + 20.0 * np.sqrt(np.fmax(h, 0.0)) / (1.0 + 0.4 * p.mu * t_max)
     work = np.r_[0.0, np.cumsum(rate * (lead + 0.4 * len(scenario.outputs)))]
-    for n in range(min(cpus, cuts.size + 1), 1, -1):
-        picks = {cuts[abs(work[cuts] - work[-1] * k / n).argmin()] for k in range(1, n)}
+    for n in range(min(cpus, len(starts)), 1, -1):
+        picks = {1 + abs(work[1:-1] - work[-1] * k / n).argmin() for k in range(1, n)}
         bounds = [0, *sorted(picks), len(starts)]
         if np.diff(work[bounds]).min() * t_max >= MIN_BLOCK_WORK:
             return [int(b) for b in bounds]

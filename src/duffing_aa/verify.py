@@ -213,7 +213,7 @@ def _ellipk(m: float) -> float:
     with M the arithmetic-geometric mean of 1 and sqrt(1 - m), 0 <= m < 1."""
     a, b = 1.0, math.sqrt(1.0 - m)
     for _ in range(64):  # quadratic convergence: a handful of rounds
-        if a == b:
+        if abs(a - b) <= 2**-52 * a:  # |c_n| <= 2**-53 a_n, c_n = (a - b) / 2
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (2.0 * a)

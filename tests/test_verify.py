@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import numpy as np
@@ -116,6 +117,17 @@ def test_ellipk_matches_scipy():
 
     for m in (0.0, 1e-12, 0.1, 0.5, 0.9, 0.999999):
         assert abs(_ellipk(m) - ellipk(m)) <= 4e-16 * ellipk(m)
+
+
+def test_ellipk_stops_once_the_agm_has_converged(monkeypatch):
+    # a and b can settle an ulp apart, where a == b never holds: the
+    # relative stop ends the AGM after a handful of rounds, not 64
+    from duffing_aa.verify import _ellipk
+
+    calls, sqrt = [], math.sqrt
+    monkeypatch.setattr(math, "sqrt", lambda v: calls.append(v) or sqrt(v))
+    _ellipk(1.0 / 3.0)
+    assert len(calls) <= 9
 
 
 def test_period_check_on_both_sides_of_the_separatrix():
