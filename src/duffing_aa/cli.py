@@ -29,13 +29,13 @@ CSV schemas (each value as format(v, ".17g") prints it, '\\n' line endings):
   covered       t,x1,y1,sheet        (sheet is U or L)
   energy_angle  theta_unwrapped,h
 
-Rows are ordered by initial-state index, then time.  On Linux run cuts
-the orbits into contiguous blocks of about equal estimated work (_bounds)
-and forks a process per block but the first: each integrates its orbits,
-formats its CSV rows into unnamed temporary files in the outputs'
-directories and its SVG polylines, and run writes every output from the
-blocks in order once all have succeeded, so the bytes are those one
-process writes.
+Rows are ordered by initial-state index, then time.  run cuts the orbits
+into contiguous blocks of about equal estimated work (_bounds) and on
+Linux forks a process per block but the first.  Each block integrates its
+orbits, formats each CSV output's rows into its own unnamed temporary file
+in the system temporary directory and draws its SVG polylines.  Once
+every block has succeeded, run writes each CSV header and copies the
+blocks' files in order, so the bytes are the same for any cut.
 
 SVG outputs are self-contained: one polyline per orbit, viewBox fitted to
 the data with a 5% margin, and covered-plane orbits drawn in two stroke
@@ -56,6 +56,7 @@ import json
 import marshal
 import math
 import os
+import shutil
 import signal
 import sys
 import tempfile
@@ -231,6 +232,10 @@ def load_scenario(path: str) -> Scenario:
             raise ConfigError(
                 f"outputs[{i}].path: expected a non-empty string, got {out['path']!r}"
             )
+        folder = os.path.dirname(out["path"]) or "."
+        if os.path.isdir(out["path"]) or not os.path.isdir(folder):
+            raise ConfigError(f"outputs[{i}].path: {out['path']!r}: " + (
+                "is a directory" if os.path.isdir(folder) else "no such directory"))
         outputs.append(OutputSpec(out["kind"], out["format"], out["path"]))
 
     description = raw.get("description", "")
@@ -353,9 +358,8 @@ def _bounds(scenario: Scenario) -> list[int]:
     """Orbit indices 0 = b0 < ... < bn = orbits that cut the initial states
     into contiguous blocks of about equal estimated work: cut k of n at the
     index nearest k/n of it, n the most blocks, up to the usable CPUs, that
-    each carry MIN_BLOCK_WORK.  One block off Linux (no fork on Windows,
-    sendfile only to sockets elsewhere) or for a CSV output that is no regular
-    file (/dev/stdout, a pipe), whose directory may not take temporary files.
+    each carry MIN_BLOCK_WORK.  One block off Linux: run forks only where
+    CI tests it, and Windows has no fork.
 
     Work is in kernel steps: t_max * (24 + 20 sqrt(max(H, 0)) / (1 + 0.4
     mu t_max)) for each class's lane, plus 0.4 per output for each start's
@@ -366,9 +370,7 @@ def _bounds(scenario: Scenario) -> list[int]:
     weight of 0.2 cuts fig3 at [0, 1, 4], 32.8 ms against 30.0 at [0, 2, 4]."""
     starts, p = scenario.initial_states, scenario.params
     t_max = scenario.integrator.t_max
-    cpus = 1 if sys.platform != "linux" or any(
-        o.format == "csv" and os.path.exists(o.path) and not os.path.isfile(o.path)
-        for o in scenario.outputs) else len(os.sched_getaffinity(0))
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
     first, lanes = _lanes(starts)
     lead = np.array([s0 is first[k] for s0, (k, _) in zip(starts, lanes)])
     with np.errstate(all="ignore"):  # an energy that overflows: its start fails at once
@@ -385,9 +387,9 @@ def _bounds(scenario: Scenario) -> list[int]:
 
 def _run_block(scenario: Scenario, lo: int, hi: int, tmps) -> tuple:
     """Integrate orbits lo..hi-1 and format their part of every output:
-    (0, parts), parts[i] an SVG's _svg_part, or a CSV's (trajs, curves),
-    or None once its rows are in the temporary file tmps[i].  (3, message)
-    names the first orbit that fails, (2, message) a file it cannot write."""
+    (0, parts), parts[i] an SVG's _svg_part, or None once a CSV's rows are
+    in the temporary file tmps[i].  (3, message) names the first orbit that
+    fails, (2, message) the output whose rows it cannot write."""
     states = scenario.initial_states[lo:hi]
     needs_curve = any(o.kind == "energy_angle" for o in scenario.outputs)
     trajs, curves = [], []
@@ -400,20 +402,15 @@ def _run_block(scenario: Scenario, lo: int, hi: int, tmps) -> tuple:
         except DuffingError as e:
             return 3, (f"integration failed for initial state #{idx} "
                        f"({_fmt(s0.x)}, {_fmt(s0.y)}): {e}")
-    parts = []
-    for out, tmp in zip(scenario.outputs, tmps):
-        if out.format == "svg":
-            parts.append(_svg_part(out.kind, trajs, curves))
-        elif tmp is None:
-            parts.append((trajs, curves))
-        else:
-            try:
+    try:
+        for out, tmp in zip(scenario.outputs, tmps):
+            if out.format == "csv":
                 _write_rows(tmp, out.kind, trajs, curves)
                 tmp.flush()
-            except OSError as e:
-                return 2, f"config error: cannot write output: {out.path}: {e}"
-            parts.append(None)
-    return 0, parts
+    except OSError as e:
+        return 2, f"config error: cannot write output: {out.path}: {e}"
+    return 0, [_svg_part(out.kind, trajs, curves) if out.format == "svg" else None
+               for out in scenario.outputs]
 
 
 def _fork_block(scenario: Scenario, lo: int, hi: int, tmps) -> tuple[int, int]:
@@ -441,19 +438,14 @@ def _fork_block(scenario: Scenario, lo: int, hi: int, tmps) -> tuple[int, int]:
     return pid, r
 
 
-def _write_csv(path: str, kind: str, parts) -> None:
-    """The header, then each block's rows: a (trajs, curves) part formatted
-    here, a temporary file copied in the kernel by sendfile."""
+def _write_csv(path: str, kind: str, tmps) -> None:
+    """The header, then each block's rows from its temporary file, from the
+    start: a child's writes moved the offset it shares with this process."""
     with open(path, "wb") as f:
         f.write(_CSV_HEADERS[kind])
-        for part in parts:
-            if isinstance(part, tuple):
-                _write_rows(f, kind, *part)
-                continue
-            f.flush()
-            size, offset = os.fstat(part.fileno()).st_size, 0
-            while offset < size:
-                offset += os.sendfile(f.fileno(), part.fileno(), offset, size - offset)
+        for tmp in tmps:
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, f)
 
 
 def _svg_part(kind: str, trajs, curves):
@@ -551,17 +543,10 @@ def run_scenario(path: str, quiet: bool = False) -> int:
         return 2
     bounds = _bounds(scenario)
     with contextlib.ExitStack() as files:
-        # tmps[b][i]: the temporary file for block b's rows of CSV output i
-        tmps = [[None] * len(scenario.outputs)]
-        if bounds[2:]:
-            try:
-                tmps = [[files.enter_context(tempfile.TemporaryFile(
-                    dir=os.path.dirname(o.path) or ".")) if o.format == "csv" else None
-                    for o in scenario.outputs] for _ in bounds[1:]]
-            except OSError:  # one block, whose writes report what one process does
-                files.close()
-                bounds = [0, bounds[-1]]
         try:
+            # tmps[b][i]: the temporary file for block b's rows of CSV output i
+            tmps = [[files.enter_context(tempfile.TemporaryFile()) if o.format == "csv"
+                     else None for o in scenario.outputs] for _ in bounds[1:]]
             results = _run_blocks(scenario, bounds, tmps)
             failed = [result for result in results if result[0]]
             if failed:  # the lowest block's integration failure, else its write error
@@ -569,12 +554,10 @@ def run_scenario(path: str, quiet: bool = False) -> int:
                 print(message, file=sys.stderr)
                 return code
             for i, out in enumerate(scenario.outputs):
-                # a block's temporary file, else the part its result holds
-                parts = [tmp[i] or result[1][i] for tmp, result in zip(tmps, results)]
                 if out.format == "csv":
-                    _write_csv(out.path, out.kind, parts)
+                    _write_csv(out.path, out.kind, [tmp[i] for tmp in tmps])
                 else:
-                    _write_svg(out.path, parts)
+                    _write_svg(out.path, [result[1][i] for result in results])
                 if not quiet:
                     print(f"wrote {out.path}")
         except OSError as e:

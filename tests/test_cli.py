@@ -22,7 +22,6 @@ from duffing_aa.cli import (
     KINDS,
     MAX_GRID_STATES,
     _fmt,
-    _write_csv,
     _write_svg,
     load_scenario,
     main,
@@ -485,9 +484,12 @@ def test_oversize_grid_exits_2_before_expanding(tmp_path, monkeypatch, capsys):
     assert err.startswith("config error: grid") and str(MAX_GRID_STATES) in err
 
 
-@pytest.mark.parametrize("path", [None, 5, ""], ids=["null", "number", "empty"])
+@pytest.mark.parametrize("path", [None, 5, "", os.path.join("missing", "o.csv"), "."],
+                         ids=["null", "number", "empty", "missing-directory", "directory"])
 def test_bad_output_path_exits_2_before_integrating(tmp_path, monkeypatch, capsys,
                                                      path):
+    # a path that is no non-empty string, a directory, or in a missing
+    # directory is refused with the config: nothing integrates or is written
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "integrate_original_orbits",
                         lambda *a: pytest.fail("integrated"))
@@ -497,6 +499,7 @@ def test_bad_output_path_exits_2_before_integrating(tmp_path, monkeypatch, capsy
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: outputs[1].path: "), err
+    assert repr(path) in err  # as repr quotes it, also on Windows
     assert sorted(os.listdir(tmp_path)) == ["scn.json"]
 
 
@@ -653,8 +656,11 @@ def test_many_orbit_run_matches_per_orbit_csv(tmp_path, monkeypatch, rng):
     scn = load_scenario(cfg)
     trajs = [integrate_original(s0, Params(), scn.integrator)
              for s0 in scn.initial_states]
-    for kind, name in (("covered", "cov.csv"), ("original", "out.csv")):
-        _write_csv(f"ref_{name}", kind, [(trajs, [None] * n)])
+    for kind, name, header in (("covered", "cov.csv", b"t,x1,y1,sheet\n"),
+                               ("original", "out.csv", b"t,x,y\n")):
+        with open(f"ref_{name}", "wb") as f:
+            f.write(header)
+            cli._write_rows(f, kind, trajs, [None] * n)
         assert _sha256(tmp_path / name) == _sha256(tmp_path / f"ref_{name}")
 
 
@@ -744,14 +750,19 @@ def test_split_csv_is_byte_identical(tmp_path, monkeypatch, states, cpus, bounds
 
 
 @FORKED
-def test_output_that_is_no_regular_file_is_not_split(tmp_path, monkeypatch, capsys):
-    # the temporary files go beside the output, and /dev may not take them
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    _usable_cpus(monkeypatch, 4)
+def test_output_that_is_no_regular_file_is_split(tmp_path, monkeypatch, capsys):
+    # the blocks' rows wait in the system temporary directory, so an output
+    # that is no regular file (/dev/null, a pipe) splits like any other
+    _usable_cpus(monkeypatch, 2)
     cfg = small_scenario(tmp_path, outputs=[
         {"kind": "covered", "format": "csv", "path": os.devnull}])
+    bounds = cli._bounds(load_scenario(cfg))
+    assert bounds == [0, 1, 2]
+    forks = _counted_forks(monkeypatch)
     assert main(["run", cfg]) == 0
+    assert len(forks) == len(bounds) - 2
     assert capsys.readouterr().out == f"wrote {os.devnull}\n"
+    _no_child_left()
 
 
 @FORKED
@@ -846,41 +857,29 @@ def test_one_worker_off_linux(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["cov.csv", "out.csv", "out.svg", "scn.json"]
 
 
-def test_output_in_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
-    # with two blocks the temporary files cannot go there either: run falls
-    # back to one block, and the error names the output, not its directory
-    _usable_cpus(monkeypatch, 2)
-    out = tmp_path / "missing" / "cov.csv"
-    cfg = small_scenario(
-        tmp_path, outputs=[{"kind": "covered", "format": "csv", "path": str(out)}])
-    assert main(["run", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: cannot write output: ")
-    assert repr(str(out)) in err  # as OSError quotes it, also on Windows
-    assert os.listdir(tmp_path) == ["scn.json"]
-
-
 def _outputs_in(directory) -> list:
     return [{"kind": "covered", "format": "csv", "path": str(directory / "cov.csv")},
             {"kind": "original", "format": "svg", "path": str(directory / "o.svg")}]
 
 
 @FORKED
-@pytest.mark.parametrize("failing", ["child", "parent", "killed"])
+@pytest.mark.parametrize("failing", ["child", "parent", "killed", "one-block"])
 def test_failed_block_exits_2_and_reaps_every_child(tmp_path, monkeypatch, capsys,
                                                     failing):
+    # a block that cannot write its rows to its temporary file leaves every
+    # output as it was, with one block (1 CPU) as with four
     out = tmp_path / "out"
     out.mkdir()
     (out / "cov.csv").write_bytes(b"earlier run\n")
     cfg = small_scenario(
         tmp_path, initial_states=[[1.2, 0.0], [0.0, 1.0], [-1.3, -0.1], [0.5, 0.2]],
         outputs=_outputs_in(out))
-    _usable_cpus(monkeypatch, 4)
+    _usable_cpus(monkeypatch, 1 if failing == "one-block" else 4)
     parent = os.getpid()
     write_rows = cli._write_rows
 
     def write_or_fail(f, *args):
-        if (os.getpid() == parent) == (failing == "parent"):
+        if (os.getpid() == parent) == (failing in ("parent", "one-block")):
             if failing == "killed":
                 os._exit(7)  # a child that dies without a word
             raise OSError(errno.ENOSPC, "No space left on device")
@@ -892,7 +891,7 @@ def test_failed_block_exits_2_and_reaps_every_child(tmp_path, monkeypatch, capsy
     assert err == ("config error: cannot write output: " + (
         "a block process exited with status 7" if failing == "killed"
         else f"{out / 'cov.csv'}: [Errno 28] No space left on device") + "\n")
-    # nothing written, no temporary file left behind
+    # nothing written beside the earlier output
     assert os.listdir(out) == ["cov.csv"]
     assert (out / "cov.csv").read_bytes() == b"earlier run\n"
     _no_child_left()
