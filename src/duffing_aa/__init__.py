@@ -15,6 +15,8 @@ once.  Subpackage map:
   cli          scenario runner, figure export (CSV/SVG) and `verify`
 """
 
+import types
+
 from .actionangle import (
     action_covered,
     action_original,
@@ -59,40 +61,6 @@ __version__ = "0.1.0"
 # reads this name
 USING_NUMBA = False
 
-__all__ = [
-    "USING_NUMBA",
-    "action_covered",
-    "action_original",
-    "dH_dtheta",
-    "energy_angle_curve",
-    "theta_dot_of",
-    "theta_of",
-    "unwrap_theta",
-    "covered_field",
-    "principal_root",
-    "sheet_sign",
-    "square",
-    "Params",
-    "State",
-    "duffing_field",
-    "energy_rate",
-    "hamiltonian",
-    "state_on_level",
-    "CenterSingular",
-    "ConfigError",
-    "DuffingError",
-    "MaxStepsExceeded",
-    "NoReturn",
-    "OnSeparatrix",
-    "OriginSingular",
-    "StepFailure",
-    "UnwrapAmbiguous",
-    "DEFAULT_CONFIG",
-    "IntegratorConfig",
-    "Trajectory",
-    "find_period",
-    "integrate_original",
-    "CheckReport",
-    "run_all",
-    "run_check",
-]
+# the public names are the non-module names imported or defined above
+__all__ = [n for n, v in list(globals().items())
+           if not n.startswith("_") and not isinstance(v, types.ModuleType)]

@@ -4,10 +4,10 @@
 floats that steps one orbit of the field ``rhs``, spelled inline with the
 same operations in the same order: a call per stage would cost more than
 its arithmetic.  ``adaptive_lanes`` steps many orbits in numpy lockstep,
-bit for bit as ``adaptive_path`` would one at a time.  Both integrate the
-original plane: the covering is only a chart, applied to the samples
-afterwards.  With ``--trace 1`` the benchmark reports ``adaptive_path``'s
-time per accepted step, e.g.
+bit for bit as ``adaptive_path`` would one at a time; its live lanes share
+one attempted-step count.  Both integrate the original plane: the covering
+is only a chart, applied to the samples afterwards.  With ``--trace 1`` the
+benchmark reports ``adaptive_path``'s time per accepted step, e.g.
 ``python3 perfbench/run.py --workload grid --trace 1``: that covers the
 figures and a grid's stragglers, not the lockstep of ``adaptive_lanes``.
 
@@ -234,14 +234,15 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
     """adaptive_path of the original-plane field over [0, t_end] from every
     start (u0[k], v0[k]) at once, bit for bit.
 
-    Each start is a lane with its own t, h, FSAL stage, attempted-step
-    count and status.  numpy steps all live lanes together with the scalar
-    kernel's operations in its order; the step factors err ** -0.2 of all
-    lanes come from one np.float_power call, which uses the C library's
-    pow as the scalar kernel does (``_step_factors``).  Once fewer than
-    MIN_LANES lanes are live, adaptive_path finishes each of the rest from
-    its last sample with its h and its remaining step budget, so with
-    fewer than MIN_LANES starts every lane runs in adaptive_path.
+    Each start is a lane with its own t, h, FSAL stage and status; the
+    live lanes share one attempted-step count, each attempting a step per
+    iteration.  numpy steps them together with the scalar kernel's
+    operations in its order; the step factors err ** -0.2 of all lanes
+    come from one np.float_power call, which uses the C library's pow as
+    the scalar kernel does (``_step_factors``).  Once fewer than MIN_LANES
+    lanes are live, adaptive_path finishes each of the rest from its last
+    sample with its h and its remaining step budget, so with fewer than
+    MIN_LANES starts every lane runs in adaptive_path.
 
     Returns (t, z, bounds, status, h, steps): lane k's path is
     t[bounds[k]:bounds[k + 1]] and the same rows of the (N, 2) states z;
@@ -260,7 +261,7 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
     lane = np.arange(n, dtype=np.int32)
     t = np.zeros(n)
     h = np.full(n, min(h0, t_end))
-    steps = np.zeros(n, dtype=np.int64)
+    steps = 0  # every live lane attempts one step per iteration
     z = np.array([u0, v0], dtype=np.float64)
     nonfinite = np.zeros(n, dtype=bool)
     status = np.full(n, STATUS_OK)
@@ -281,16 +282,15 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
             if stop.any():  # retire lanes in the scalar loop's order of tests
                 k = lane[stop]
                 status[k] = np.select(
-                    [nonfinite[stop], done[stop], exhausted[stop]],
+                    [nonfinite[stop], done[stop], exhausted],
                     [STATUS_NONFINITE, STATUS_OK, STATUS_MAX_STEPS],
                     STATUS_STEP_UNDERFLOW,
                 )
                 h_end[k] = h[stop]
-                steps_end[k] = steps[stop]
+                steps_end[k] = steps
                 rows_end[k] = rows[stop]
                 keep = ~stop
-                lane, t, h, steps = lane[keep], t[keep], h[keep], steps[keep]
-                rows = rows[keep]
+                lane, t, h, rows = lane[keep], t[keep], h[keep], rows[keep]
                 z, k1 = z[:, keep], k1[:, keep]
             if lane.size == 0 or lane.size < MIN_LANES:
                 break
@@ -325,12 +325,11 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
             rows += accepted
 
         for j, k in enumerate(lane.tolist()):
-            budget = max_steps - int(steps[j])
             tt, uu, vv, status_k, h_k, used = adaptive_path(
                 float(z[0, j]), float(z[1, j]), mu, float(t[j]), t_end,
-                rel_tol, abs_tol, float(h[j]), budget,
+                rel_tol, abs_tol, float(h[j]), max_steps - steps,
             )
-            status[k], h_end[k], steps_end[k] = status_k, h_k, steps[j] + used
+            status[k], h_end[k], steps_end[k] = status_k, h_k, steps + used
             r = int(rows[j])
             rows_end[k] = r + len(tt) - 1
             parts.append((k, np.arange(r, rows_end[k]), tt[1:],

@@ -548,21 +548,26 @@ def run_scenario(path: str, quiet: bool = False) -> int:
             tmps = [[files.enter_context(tempfile.TemporaryFile()) if o.format == "csv"
                      else None for o in scenario.outputs] for _ in bounds[1:]]
             results = _run_blocks(scenario, bounds, tmps)
-            failed = [result for result in results if result[0]]
-            if failed:  # the lowest block's integration failure, else its write error
-                code, message = max(failed, key=lambda result: result[0])
-                print(message, file=sys.stderr)
-                return code
-            for i, out in enumerate(scenario.outputs):
+        except OSError as e:  # no temporary file or no fork
+            print(f"config error: cannot write output: {e}", file=sys.stderr)
+            return 2
+        failed = [result for result in results if result[0]]
+        if failed:  # the lowest block's integration failure, else its write error
+            code, message = max(failed, key=lambda result: result[0])
+            print(message, file=sys.stderr)
+            return code
+        for i, out in enumerate(scenario.outputs):
+            try:
                 if out.format == "csv":
                     _write_csv(out.path, out.kind, [tmp[i] for tmp in tmps])
                 else:
                     _write_svg(out.path, [result[1][i] for result in results])
-                if not quiet:
-                    print(f"wrote {out.path}")
-        except OSError as e:
-            print(f"config error: cannot write output: {e}", file=sys.stderr)
-            return 2
+            except OSError as e:
+                print(f"config error: cannot write output: {out.path}: {e}",
+                      file=sys.stderr)
+                return 2
+            if not quiet:
+                print(f"wrote {out.path}")
     return 0
 
 
@@ -630,7 +635,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--tolerance", type=float, help="override every "
                        "check's tolerance")
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="sampling seed (default: %(default)s)")
+                       help="sampling seed in [0, 2**64) (default: %(default)s)")
 
     p_fld = sub.add_parser("field", help="evaluate a vector field at a point")
     p_fld.add_argument("--at", required=True, metavar="X,Y")

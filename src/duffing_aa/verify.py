@@ -63,11 +63,8 @@ class CheckReport:
     passed: bool
     tolerance: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict())
+        return json.dumps(asdict(self))
 
 
 def lcg_uniform(seed: int, n: int) -> np.ndarray:
@@ -380,9 +377,12 @@ def run_check(
     """Run one registered check by name with optional tolerance override:
     None, or a finite number >= 0 that is not a bool (ValueError naming
     tolerance otherwise, by the rule every number given to the package
-    meets)."""
+    meets).  The seed is an integer in [0, 2**64), the generator's states
+    (ValueError naming seed otherwise): a wider one would alias."""
     if tolerance is not None:
         _number(tolerance, "tolerance", 0.0)
+    if _number(seed, "seed", 0, integer=True, bound=" in [0, 2**64)") > _LCG_MASK:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     try:
         runner = CHECKS[name]
     except KeyError:

@@ -225,6 +225,20 @@ def test_run_check_rejects_bad_tolerance(tolerance):
         run_check("check_roundtrip", tolerance=tolerance)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+def test_verify_seed_that_would_alias_exits_2(capsys, seed):
+    # the generator's states are mod 2**64: -1 would run 2**64 - 1 and
+    # 2**64 would run 0, so both are refused before any report
+    assert main(["verify", "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed" in captured.err
+
+
+def test_verify_largest_seed_runs(capsys):
+    assert main(["verify", "--only", "check_roundtrip", "--seed", str(2**64 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 def test_verify_unknown_check(capsys):
     assert main(["verify", "--only", "check_bogus"]) == 2
     assert "unknown check" in capsys.readouterr().err
@@ -895,6 +909,29 @@ def test_failed_block_exits_2_and_reaps_every_child(tmp_path, monkeypatch, capsy
     assert os.listdir(out) == ["cov.csv"]
     assert (out / "cov.csv").read_bytes() == b"earlier run\n"
     _no_child_left()
+
+
+@pytest.mark.parametrize("failing", ["csv", "svg"])
+def test_failed_output_write_exits_2_naming_the_output(tmp_path, monkeypatch, capsys,
+                                                        failing):
+    # the rows are ready; copying them into the CSV output, or writing the
+    # SVG output, fails with no space left
+    monkeypatch.chdir(tmp_path)
+
+    def no_space(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    if failing == "csv":
+        monkeypatch.setattr(cli.shutil, "copyfileobj", no_space)
+    else:
+        monkeypatch.setattr(cli, "_write_svg", no_space)
+    cfg = small_scenario(tmp_path, outputs=_outputs_in(tmp_path))
+    assert main(["run", cfg]) == 2
+    out, err = capsys.readouterr()
+    path = tmp_path / ("cov.csv" if failing == "csv" else "o.svg")
+    assert out == ("" if failing == "csv" else f"wrote {tmp_path / 'cov.csv'}\n")
+    assert err == (f"config error: cannot write output: {path}: "
+                   "[Errno 28] No space left on device\n")
 
 
 @FORKED

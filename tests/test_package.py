@@ -1,4 +1,29 @@
+import types
+
 import duffing_aa
+
+
+def test_exports_are_the_public_api():
+    # __all__ is derived from __init__'s names, so a helper imported there
+    # without an underscore would silently become API; this pins the set
+    assert sorted(duffing_aa.__all__) == sorted("""
+        CenterSingular CheckReport ConfigError DEFAULT_CONFIG DuffingError
+        IntegratorConfig MaxStepsExceeded NoReturn OnSeparatrix OriginSingular
+        Params State StepFailure Trajectory USING_NUMBA UnwrapAmbiguous
+        action_covered action_original covered_field dH_dtheta duffing_field
+        energy_angle_curve energy_rate find_period hamiltonian
+        integrate_original principal_root run_all run_check sheet_sign square
+        state_on_level theta_dot_of theta_of unwrap_theta""".split())
+
+
+def test_no_module_or_private_name_is_exported():
+    for name in duffing_aa.__all__:
+        assert not name.startswith("_"), name
+        assert not isinstance(getattr(duffing_aa, name), types.ModuleType), name
+    # the submodules (and the types module __init__ reads) are attributes
+    # of the package, but not its API
+    hidden = set(vars(duffing_aa)) - set(duffing_aa.__all__)
+    assert {"dynamics", "verify", "_kernels", "types", "__version__"} <= hidden
 
 
 def test_every_export_resolves():
