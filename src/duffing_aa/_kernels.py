@@ -56,13 +56,13 @@ TABLEAU = (
 STEP_CONTROL = (0.9, -0.2, 0.2, 5.0)  # safety, err_exp, fac_min, fac_max
 
 # adaptive_lanes steps its lanes together while at least this many are
-# live.  Measured on a 2-vCPU Xeon (a fit of the medians of 9 timings of
-# 200 iterations at 16 to 400 live lanes): a lockstep iteration costs
-# about 120 us plus 0.2 us per live lane, and each live lane would cost
-# one adaptive_path step of about 2.7 us, so lanes win above about
-# 120 / (2.7 - 0.2) = 48 live lanes.  Below that only a grid's last few
-# stragglers run, and 40 or 48 instead of 32 left the 400-orbit grid's
-# lockstep time within run-to-run spread.
+# live.  Measured on a 2-vCPU Xeon, numpy 2.4 (a fit of the medians of 9
+# timings of 200 iterations at 16 to 400 live lanes): a lockstep iteration
+# costs about 64 us plus 0.14-0.19 us per live lane, and each live lane
+# would cost one adaptive_path step of about 2.8-3.0 us, so lanes win
+# above about 64 / (2.9 - 0.19) = 24 live lanes.  Below 32 only a grid's
+# last few stragglers run, and 40 or 48 instead of 32 left the 400-orbit
+# grid's lockstep time within run-to-run spread.
 MIN_LANES = 32
 
 
@@ -215,17 +215,18 @@ def _field(z, mu):
     return np.array(rhs(z[0], z[1], mu))
 
 
-def _step_factors(err):
+def _step_factors(err, control=STEP_CONTROL):
     """adaptive_path's step factors for the error norms err, bit for bit:
-    safety * err ** err_exp, clamped to [fac_min, fac_max].  The float64
-    loop of np.float_power calls the C library's pow per element, as
-    CPython's float ** does; np.power may take a vectorised loop that
-    differs in the last bit.  A zero error gives inf (and warns unless
-    np.errstate ignores it), which the clamp takes to fac_max, the scalar
-    rule for err == 0.  One clamp serves both outcomes: an accepted step
-    (err <= 1) has fac >= safety > fac_min, a rejected one fac < safety < 1.
+    safety * err ** err_exp, clamped to [fac_min, fac_max], from control,
+    STEP_CONTROL or (in adaptive_lanes) its 0-d arrays.  The float64 loop
+    of np.float_power calls the C library's pow per element, as CPython's
+    float ** does; np.power may take a vectorised loop that differs in the
+    last bit.  A zero error gives inf (and warns unless np.errstate ignores
+    it), which the clamp takes to fac_max, the scalar rule for err == 0.
+    One clamp serves both outcomes: an accepted step (err <= 1) has fac >=
+    safety > fac_min, a rejected one fac < safety < 1.
     """
-    safety, err_exp, fac_min, fac_max = STEP_CONTROL
+    safety, err_exp, fac_min, fac_max = control
     fac = safety * np.float_power(err, err_exp)
     return np.minimum(np.maximum(fac, fac_min, out=fac), fac_max, out=fac)
 
@@ -255,8 +256,20 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
     Overflowing lanes stop with STATUS_NONFINITE and raise no
     floating-point warning.
     """
+    # an iteration is some 130 numpy calls on a few hundred values each, so
+    # a call's fixed cost sets the pace.  numpy 2 charges more for a Python
+    # float operand than for a 0-d array (0.79 against 0.45 us at 200
+    # lanes), and more for broadcasting (L,) against (2, L) than for a
+    # (2, L) operand (0.98 against 0.53 us): every constant is a 0-d float64
+    # array here, and each iteration makes one (2, L) copy of h.  The
+    # handoff to adaptive_path passes the caller's own numbers, which its
+    # scalar loop reads faster
     (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
-     b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = TABLEAU
+     b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = map(np.array, TABLEAU)
+    control = tuple(map(np.array, STEP_CONTROL))
+    f_mu, f_end, f_rel, f_abs, min_step, half = (
+        np.array(x, dtype=np.float64)
+        for x in (mu, t_end, rel_tol, abs_tol, MIN_STEP, 0.5))
     n = len(u0)
     lane = np.arange(n, dtype=np.int32)
     t = np.zeros(n)
@@ -274,54 +287,55 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
     rows_end = np.empty(n, dtype=np.int64)
     parts = [(lane, np.zeros(n, dtype=place_type), t, z)]
     with np.errstate(all="ignore"):
-        k1 = _field(z, mu)
+        k1 = _field(z, f_mu)
         while True:
-            done = t >= t_end
+            done = t >= f_end
             exhausted = steps >= max_steps
-            stop = nonfinite | done | exhausted | (h < MIN_STEP)
+            stop = nonfinite | done | exhausted | (h < min_step)
             if stop.any():  # retire lanes in the scalar loop's order of tests
-                k = lane[stop]
-                status[k] = np.select(
-                    [nonfinite[stop], done[stop], exhausted],
-                    [STATUS_NONFINITE, STATUS_OK, STATUS_MAX_STEPS],
-                    STATUS_STEP_UNDERFLOW,
-                )
-                h_end[k] = h[stop]
-                steps_end[k] = steps
-                rows_end[k] = rows[stop]
-                keep = ~stop
+                k = np.flatnonzero(stop)
+                gone = lane[k]
+                status[gone] = np.where(nonfinite[k], STATUS_NONFINITE, np.where(
+                    done[k], STATUS_OK,
+                    STATUS_MAX_STEPS if exhausted else STATUS_STEP_UNDERFLOW))
+                h_end[gone] = h[k]
+                steps_end[gone] = steps
+                rows_end[gone] = rows[k]
+                keep = np.flatnonzero(~stop)
                 lane, t, h, rows = lane[keep], t[keep], h[keep], rows[keep]
-                z, k1 = z[:, keep], k1[:, keep]
+                z, k1 = z.take(keep, axis=1), k1.take(keep, axis=1)
             if lane.size == 0 or lane.size < MIN_LANES:
                 break
 
-            last = t + h >= t_end
-            h = np.where(last, t_end - t, h)
-            k2 = _field(z + h * a21 * k1, mu)
-            k3 = _field(z + h * (a31 * k1 + a32 * k2), mu)
-            k4 = _field(z + h * (a41 * k1 + a42 * k2 + a43 * k3), mu)
-            k5 = _field(z + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), mu)
+            last = t + h >= f_end
+            h = np.where(last, f_end - t, h)
+            hh = np.array((h, h))
+            k2 = _field(z + hh * a21 * k1, f_mu)
+            k3 = _field(z + hh * (a31 * k1 + a32 * k2), f_mu)
+            k4 = _field(z + hh * (a41 * k1 + a42 * k2 + a43 * k3), f_mu)
+            k5 = _field(z + hh * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), f_mu)
             k6 = _field(
-                z + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), mu
+                z + hh * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), f_mu
             )
-            zn = z + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-            k7 = _field(zn, mu)
-            e = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
-            r = e / (abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(zn)))
-            err = np.sqrt(0.5 * (r[0] * r[0] + r[1] * r[1]))
+            zn = z + hh * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+            k7 = _field(zn, f_mu)
+            e = hh * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
+            r = e / (f_abs + f_rel * np.maximum(np.abs(z), np.abs(zn)))
+            err = np.sqrt(half * (r[0] * r[0] + r[1] * r[1]))
 
             steps += 1
             accepted = err <= 1.0
-            fac = _step_factors(err)
+            fac = _step_factors(err, control)
             nonfinite = np.isnan(err)
             if nonfinite.any():
                 fac[nonfinite] = 1.0  # the scalar loop stops with h as it was
-            t = np.where(accepted, np.where(last, t_end, t + h), t)
+            t = np.where(accepted, np.where(last, f_end, t + h), t)
             z = np.where(accepted, zn, z)
             k1 = np.where(accepted, k7, k1)
             h = h * fac
-            parts.append((lane[accepted], rows[accepted], t[accepted],
-                          z[:, accepted]))
+            kept = np.flatnonzero(accepted)
+            parts.append((lane.take(kept), rows.take(kept), t.take(kept),
+                          z.take(kept, axis=1)))
             rows += accepted
 
         for j, k in enumerate(lane.tolist()):

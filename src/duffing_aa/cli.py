@@ -21,7 +21,8 @@ the config error names the field.  Fields:
   integrator         optional {"step","rel_tol","abs_tol","max_steps"} of
                      the adaptive Dormand-Prince 5(4) stepper
   outputs            list of {"kind","format","path"}; kind is one of
-                     original | covered | energy_angle, format csv | svg
+                     original | covered | energy_angle, format csv | svg;
+                     no two paths name one file
   description        optional free text documenting the choice of orbits
 
 CSV schemas (each value as format(v, ".17g") prints it, '\\n' line endings):
@@ -216,7 +217,7 @@ def load_scenario(path: str) -> Scenario:
     outs_raw = raw["outputs"]
     if not isinstance(outs_raw, list):
         raise ConfigError("scenario.outputs: expected a list")
-    outputs = []
+    outputs, files = [], {}  # each output's file, as normcase(abspath(path))
     for i, out in enumerate(outs_raw):
         _object(out, f"outputs[{i}]", _OUTPUT_KEYS)
         if out["kind"] not in KINDS:
@@ -236,6 +237,10 @@ def load_scenario(path: str) -> Scenario:
         if os.path.isdir(out["path"]) or not os.path.isdir(folder):
             raise ConfigError(f"outputs[{i}].path: {out['path']!r}: " + (
                 "is a directory" if os.path.isdir(folder) else "no such directory"))
+        j = files.setdefault(os.path.normcase(os.path.abspath(out["path"])), i)
+        if j != i:  # the later write would replace the earlier one's file
+            raise ConfigError(f"outputs[{i}].path: {out['path']!r}: the same file "
+                              f"as outputs[{j}].path")
         outputs.append(OutputSpec(out["kind"], out["format"], out["path"]))
 
     description = raw.get("description", "")
@@ -297,13 +302,13 @@ def _write_table(f, kind: str, chunk) -> None:
         fast = (a >= 1e-4) & (a < 1e16) & (d >= 10**16) & (d < 10**17) & (abs(err - r) != 0.5)
     del a, b, p, ah, bh, al, bl, err, r  # the chunk's memory peaks above
     digits = np.empty((17, v.size), np.uint8)
-    last, trailing = np.full(v.size, 16), np.ones(v.size, bool)
     for k in range(16, -1, -1):  # D's digits, the last first
         q = d // 10
         digits[k] = d - q * 10 + ord("0")
-        trailing &= digits[k] == ord("0")
-        last -= trailing
         d = q
+    # the last nonzero digit: the largest k whose digit is nonzero (D's
+    # first digit is, on the fast path)
+    last = ((digits != ord("0")) * np.arange(17, dtype=np.uint8)[:, None]).max(axis=0)
     pick = ((v < 0.0) * 20 + e + 4) * 17 + last  # each value's row of _KEEP
     cells = np.tile(_CELL, (v.size, 1))
     cells[:, 6:23] = cells[:, 24:41] = digits.T

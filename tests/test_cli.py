@@ -1,12 +1,14 @@
 import errno
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 
@@ -517,6 +519,27 @@ def test_bad_output_path_exits_2_before_integrating(tmp_path, monkeypatch, capsy
     assert sorted(os.listdir(tmp_path)) == ["scn.json"]
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "absolute"])
+def test_outputs_naming_one_file_exit_2_before_integrating(tmp_path, monkeypatch,
+                                                            capsys, spelling):
+    # the later write would silently replace the earlier output's file
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "integrate_original_orbits",
+                        lambda *a: pytest.fail("integrated"))
+    path = {"same": "a.csv", "dotted": os.path.join(".", "a.csv"),
+            "absolute": str(tmp_path / "a.csv")}[spelling]
+    cfg = small_scenario(
+        tmp_path, outputs=[{"kind": "original", "format": "csv", "path": "a.csv"},
+                           {"kind": "original", "format": "svg", "path": "a.svg"},
+                           {"kind": "covered", "format": "csv", "path": path}])
+    assert main(["run", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: outputs[2].path: {path!r}: the same "
+                            "file as outputs[0].path\n")
+    assert sorted(os.listdir(tmp_path)) == ["scn.json"]
+
+
 @pytest.mark.parametrize("description", [None, 5, ["a"]],
                          ids=["null", "number", "list"])
 def test_bad_description_exits_2(tmp_path, capsys, description):
@@ -622,6 +645,59 @@ def test_csv_formatter_matches_format_on_edge_cases():
     assert _csv_of([0.1, 20.0, -0.0, 5e-324]) == (
         b"0.10000000000000001,4.9406564584124654e-324\n20,-0\n"
         b"-0,20\n4.9406564584124654e-324,0.10000000000000001\n")
+
+
+def _digit_row(v: float) -> int:
+    """The row of cli._KEEP that lays out format(v, ".17g") for 1e-4 <= |v|
+    < 1e16: (s*20 + e+4)*17 + l for sign s, exponent e and last nonzero
+    digit l of the 17 digits printed."""
+    sign, digits, exponent = Decimal(format(v, ".17g")).normalize().as_tuple()
+    return (sign * 20 + len(digits) + exponent - 1 + 4) * 17 + len(digits) - 1
+
+
+def _digit_row_values() -> list[float]:
+    """One value for each digit row of cli._KEEP, both signs: for every
+    exponent e in -4..15 and last nonzero digit l in 0..16, an integer
+    (10**l + 1 or 1) * 10**(e - l) if l <= e; else the dyadic rational
+    m / 2**k = m * 5**k / 10**k with k = l - e and m the least odd number
+    giving l + 1 digits, an exact decimal; else the first short decimal
+    n * 10**(e - l) (n of l + 1 digits, the last nonzero) whose double
+    prints as itself.  No dyadic has the digits of 12 rows (e = -4 and l
+    = 0..5, -3 and 0..3, -2 and 0..1): no odd m gives l + 1 digits there,
+    for m * 5**k has more; a short decimal does, 1e-4 or 1.1e-4 say."""
+    values = []
+    for e, l in itertools.product(range(-4, 16), range(17)):
+        k, m = l - e, math.ceil(Fraction(10) ** e * 2 ** max(l - e, 0)) | 1
+        if k <= 0:
+            v = float((10**l + (l > 0)) * 10**-k)
+        elif m * 5**k < 10 ** (l + 1):
+            v = m / 2**k
+        else:
+            v = next(v for n in range(10**l, 10 ** (l + 1)) if n % 10
+                     for v in [float(f"{n}e{e - l}")]
+                     if _digit_row(v) == (e + 4) * 17 + l)
+        assert _digit_row(v) == (e + 4) * 17 + l
+        values += [v, -v]
+    return values
+
+
+def test_csv_formatter_lays_out_every_digit_row(monkeypatch):
+    # the sweeps above rarely print trailing zeros, and each value's last
+    # nonzero digit picks its row of _KEEP: here every one of the 680 digit
+    # rows (2 signs x 20 exponents x 17 last digits) formats a value, and
+    # no value falls back to format itself
+    picked = set()
+
+    class Recorded(np.ndarray):
+        def take(self, rows, *args, **kwargs):
+            picked.update(np.unique(rows).tolist())
+            return np.asarray(self).take(rows, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_KEEP", cli._KEEP.view(Recorded))
+    values = _digit_row_values()
+    assert sorted(map(_digit_row, values)) == list(range(680))
+    assert _csv_of(values) == _format_of(values)
+    assert picked == set(range(680))
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 100, cli.CSV_CHUNK_ROWS])

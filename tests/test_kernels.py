@@ -430,6 +430,34 @@ def test_failing_lanes_stop_where_the_scalar_kernel_does(
         _assert_same_paths(lanes, [scalar[k] for k in ks])
 
 
+@pytest.mark.parametrize(
+    "max_steps, shrunk",
+    [(1, _kernels.STATUS_MAX_STEPS), (2, _kernels.STATUS_STEP_UNDERFLOW)],
+    ids=["budget-spent", "budget-left"],
+)
+def test_one_retire_mixes_statuses_as_the_scalar_kernel_does(
+    monkeypatch, rng, max_steps, shrunk
+):
+    # every lane stops after the first iteration, which steps 4e-14 to
+    # t_end = 4e-14: an equilibrium's error norm is 0, so it reaches t_end;
+    # an overflowing start's is NaN; at a tolerance of 1e-300 the others'
+    # is huge, so their step shrinks below MIN_STEP.  With a budget of one
+    # step the scalar loop tests the budget before the step, so those stop
+    # with STATUS_MAX_STEPS, while t_end and a NaN outrank the budget
+    u0, v0, _, _ = _grid_starts(rng, 40)
+    u0 += [0.0, 1.0, -1.0, 1e200, 0.0]
+    v0 += [0.0, 0.0, 0.0, 0.0, -1e300]
+    scalar = _scalar_paths(u0, v0, 0.0, 4e-14, 1e-300, 1e-300, max_steps, 4e-14)
+    assert {path[5] for path in scalar} == {1}
+    status = [path[3] for path in scalar]  # a few grid lanes' norm is 0 too
+    assert set(status[:40]) == {shrunk, _kernels.STATUS_OK}
+    assert status[40:] == [_kernels.STATUS_OK] * 3 + [_kernels.STATUS_NONFINITE] * 2
+    lanes, handed_off = _lanes(monkeypatch, 1, u0, v0, 0.0, 4e-14, 1e-300, 1e-300,
+                               max_steps, 4e-14)
+    assert handed_off == []
+    _assert_same_paths(lanes, scalar)
+
+
 def test_lanes_place_rows_beyond_any_int32_budget(monkeypatch):
     # the count of rows reaches max_steps + 1, so places are int32 up to a
     # budget of 2**31 - 2 and int64 from 2**31 - 1: the same bits on both
