@@ -292,7 +292,7 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
             done = t >= f_end
             exhausted = steps >= max_steps
             stop = nonfinite | done | exhausted | (h < min_step)
-            if stop.any():  # retire lanes in the scalar loop's order of tests
+            if np.count_nonzero(stop):  # retire lanes in the scalar loop's order of tests
                 k = np.flatnonzero(stop)
                 gone = lane[k]
                 status[gone] = np.where(nonfinite[k], STATUS_NONFINITE, np.where(
@@ -327,7 +327,7 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
             accepted = err <= 1.0
             fac = _step_factors(err, control)
             nonfinite = np.isnan(err)
-            if nonfinite.any():
+            if np.count_nonzero(nonfinite):
                 fac[nonfinite] = 1.0  # the scalar loop stops with h as it was
             t = np.where(accepted, np.where(last, f_end, t + h), t)
             z = np.where(accepted, zn, z)

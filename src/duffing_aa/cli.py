@@ -67,10 +67,10 @@ from importlib import resources
 import numpy as np
 
 from .actionangle import energy_angle_curve
-from .covering import covered_field
+from .covering import covered_field, sheet_sign, square
 from .dynamics import Params, State, _number, duffing_field, hamiltonian
 from .exceptions import ConfigError, DuffingError
-from .integrate import IntegratorConfig, Trajectory, _lanes, integrate_original_orbits
+from .integrate import IntegratorConfig, _lanes, integrate_original_orbits
 from .verify import CHECKS, DEFAULT_SEED, run_check
 
 KINDS = ("original", "covered", "energy_angle")
@@ -101,9 +101,9 @@ MAX_GRID_STATES = 10_000
 MIN_BLOCK_WORK = 2000.0
 
 # _write_rows formats at least this many rows of whole orbits at once: the
-# benchmark grid's wall_s at 512 | 1,024 | 2,048 | 4,096 rows 0.31 | 0.29 |
-# 0.28 | 0.28 s, its peak RSS 0.3 | 0.6 | 0.7 | 1.5 MiB above the per-value
-# %-templates' 0.44 s and 45.8 MiB (medians of 3, 2-vCPU Xeon)
+# benchmark grid's wall_s at 512 | 1,024 | 2,048 | 4,096 rows 0.264 | 0.242
+# | 0.246 | 0.243 s, its peak RSS 46.1 | 46.0 | 46.3 | 46.9 MiB (medians of
+# 4 runs, seeds 4301-4304 in rotating order, 2-vCPU Xeon)
 CSV_CHUNK_ROWS = 1024
 
 _STROKE = "#1f4e9c"
@@ -284,10 +284,18 @@ _KEEP = np.frombuffer(b"".join(r + b"\1\0\0" for r in [
 
 def _write_table(f, kind: str, chunk) -> None:
     """Write the rows of chunk, (traj, curve) pairs, as _write_rows does: a
-    cell a value, holding its digits or fallback, and its row of _KEEP."""
-    table = np.vstack([curve if kind == "energy_angle" else np.column_stack(
-        (traj.t, traj.covered if kind == "covered" else traj.states))
-        for traj, curve in chunk])
+    cell a value, holding its digits or fallback, and its row of _KEEP.
+    D's digits are those of its int32 halves hi = D // 10**9 (a 0, then 8)
+    and lo (9); a fallback's garbage D may wrap in the cast."""
+    if kind == "energy_angle":
+        table = np.vstack([curve for _, curve in chunk])
+    else:  # filled in place: t, then the states (squared below, if covered)
+        table = np.empty((sum(len(traj) for traj, _ in chunk), 3))
+        np.concatenate([traj.t for traj, _ in chunk], out=table[:, 0])
+        np.concatenate([traj.states for traj, _ in chunk], out=table[:, 1:])
+    if kind == "covered":  # a row ends ",U\n" or ",L\n", else "\n"
+        upper = sheet_sign(table[:, 1], table[:, 2]) > 0
+        table[:, 1], table[:, 2] = square(table[:, 1], table[:, 2])
     v = table.ravel()
     a = np.abs(v)
     with np.errstate(all="ignore"):  # garbage where the fallback applies
@@ -301,11 +309,14 @@ def _write_table(f, kind: str, chunk) -> None:
         d = p.astype(np.int64) + r.astype(np.int64)
         fast = (a >= 1e-4) & (a < 1e16) & (d >= 10**16) & (d < 10**17) & (abs(err - r) != 0.5)
     del a, b, p, ah, bh, al, bl, err, r  # the chunk's memory peaks above
-    digits = np.empty((17, v.size), np.uint8)
-    for k in range(16, -1, -1):  # D's digits, the last first
+    hi = d // 10**9
+    d = np.array((hi, d - hi * 10**9), np.int32)
+    digits = np.empty((2, 9, v.size), np.uint8)
+    for k in range(8, -1, -1):  # each half's digits, the last first
         q = d // 10
-        digits[k] = d - q * 10 + ord("0")
+        digits[:, k] = d - q * 10 + ord("0")
         d = q
+    digits = digits.reshape(18, -1)[1:]
     # the last nonzero digit: the largest k whose digit is nonzero (D's
     # first digit is, on the fast path)
     last = ((digits != ord("0")) * np.arange(17, dtype=np.uint8)[:, None]).max(axis=0)
@@ -318,22 +329,12 @@ def _write_table(f, kind: str, chunk) -> None:
         cells[slow, 1:24] = np.frombuffer("".join(
             s.lstrip("-").ljust(23) for s in text).encode(), np.uint8).reshape(-1, 23)
     cells, pick = cells.reshape(*table.shape, -1), pick.reshape(table.shape)
-    if kind == "covered":  # a row ends ",U\n" or ",L\n", else "\n"
-        sheets = np.concatenate([traj.sheets for traj, _ in chunk])
-        cells[:, -1, -2] = np.where(sheets > 0, ord("U"), ord("L"))
+    if kind == "covered":
+        cells[:, -1, -2] = np.where(upper, ord("U"), ord("L"))
     for lo in range(0, len(table), 512):  # the kept bytes, a bool a byte
         kept = np.take(_KEEP, pick[lo : lo + 512], axis=0)
         kept[:, -1, -3:] = [kind == "covered"] * 2 + [True]
         f.write(cells[lo : lo + 512][kept])
-
-
-def _sheet_runs(traj: Trajectory):
-    """(start, stop, upper) of every run of samples on one sheet, in order;
-    upper is True on the Upper sheet."""
-    sheets = traj.sheets
-    starts = [0] + (np.flatnonzero(np.diff(sheets)) + 1).tolist()
-    upper = (sheets[starts] > 0).tolist()
-    return zip(starts, starts[1:] + [len(traj)], upper)
 
 
 def _write_rows(f, kind: str, trajs, curves) -> None:
@@ -371,8 +372,9 @@ def _bounds(scenario: Scenario) -> list[int]:
     rows, one a step.  That fits adaptive_path's 21.7-25.9 steps a unit of
     time in the wells, 29.8, 38.5, 53.7, 64.0 at H = 0.1, 0.5, 2, 4 (t_max
     20-100), damping leaving 0.95-0.14 of the excess at mu t_max 0.2-18.  A
-    CSV row takes 0.17-0.25 steps, an SVG point 0.2-0.3 (2-vCPU Xeon); a row
-    weight of 0.2 cuts fig3 at [0, 1, 4], 32.8 ms against 30.0 at [0, 2, 4]."""
+    CSV row takes 0.15-0.23 steps, an SVG point 0.2-0.3 (2-vCPU Xeon); a row
+    weight of 0.2 cuts fig3 at [0, 1, 4], 17.7-21.8 ms against 16.2-19.6 at
+    [0, 2, 4] (medians of 40 alternating runs, three times)."""
     starts, p = scenario.initial_states, scenario.params
     t_max = scenario.integrator.t_max
     cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
@@ -443,14 +445,34 @@ def _fork_block(scenario: Scenario, lo: int, hi: int, tmps) -> tuple[int, int]:
     return pid, r
 
 
+def _write_output(path: str, head: bytes, tmps=()) -> None:
+    """head, then each block's rows from its temporary file, from the start
+    (a child's writes moved the offset it shares with this process), into
+    a new file beside the output (symlinks resolved), created "xb" under a
+    unique name so that the umask sets its mode, and renamed over it once
+    complete; a failure removes it.  An existing output that is no regular
+    file (a pipe, /dev/stdout) cannot be renamed over: it is written to."""
+    real = os.path.realpath(path)
+    direct = os.path.exists(path) and not os.path.isfile(path)
+    new = path if direct else f"{real}.{os.urandom(6).hex()}.tmp"
+    f = open(new, "wb" if direct else "xb")
+    try:
+        with f:
+            f.write(head)
+            for tmp in tmps:
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, f)
+        if not direct:
+            os.replace(new, real)
+    except BaseException:
+        if not direct:
+            os.remove(new)
+        raise
+
+
 def _write_csv(path: str, kind: str, tmps) -> None:
-    """The header, then each block's rows from its temporary file, from the
-    start: a child's writes moved the offset it shares with this process."""
-    with open(path, "wb") as f:
-        f.write(_CSV_HEADERS[kind])
-        for tmp in tmps:
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, f)
+    """The kind's header, then the blocks' rows (_write_output)."""
+    _write_output(path, _CSV_HEADERS[kind], tmps)
 
 
 def _svg_part(kind: str, trajs, curves):
@@ -463,12 +485,11 @@ def _svg_part(kind: str, trajs, curves):
             lines.append((traj.states, _STROKE))
         elif kind == "energy_angle":
             lines.append((curve, _STROKE))
-        else:
-            covered = traj.covered
-            for start, stop, upper in _sheet_runs(traj):
-                color = _STROKE_UPPER if upper else _STROKE_LOWER
-                # one sample of overlap keeps the curve joined
-                lines.append((covered[start : stop + 1], color))
+        else:  # a polyline a run on one sheet, overlapping the next by a sample
+            covered, sheets = traj.covered, traj.sheets
+            starts = [0] + (np.flatnonzero(np.diff(sheets)) + 1).tolist()
+            lines += ((covered[a : b + 1], _STROKE_UPPER if sheets[a] > 0 else _STROKE_LOWER)
+                      for a, b in zip(starts, starts[1:] + [len(traj)]))
     pts = np.vstack([p for p, _ in lines])
     # one %-operation per polyline; %.9g prints as format(v, ".9g")
     return [*pts.min(axis=0).tolist(), *pts.max(axis=0).tolist()], [
@@ -481,12 +502,8 @@ def _write_svg(path: str, parts) -> None:
     to the union of their extents with a 5% margin."""
     x_min, y_min = (min(extents[k] for extents, _ in parts) for k in (0, 1))
     x_max, y_max = (max(extents[k] for extents, _ in parts) for k in (2, 3))
-    w = x_max - x_min or 1.0
-    h = y_max - y_min or 1.0
-    x_min -= 0.05 * w
-    y_min -= 0.05 * h
-    w *= 1.1
-    h *= 1.1
+    w, h = x_max - x_min or 1.0, y_max - y_min or 1.0
+    x_min, y_min, w, h = x_min - 0.05 * w, y_min - 0.05 * h, w * 1.1, h * 1.1
     stroke = 0.004 * max(w, h)
 
     vb_y = -(y_min + h)
@@ -499,16 +516,13 @@ def _write_svg(path: str, parts) -> None:
     if x_min < 0.0 < x_min + w:
         out.append(f'<line x1="0" y1="{vb_y:.9g}" x2="0" y2="{vb_y + h:.9g}" {axis}/>')
     if y_min < 0.0 < y_min + h:
-        out.append(
-            f'<line x1="{x_min:.9g}" y1="0" x2="{x_min + w:.9g}" y2="0" {axis}/>'
-        )
+        out.append(f'<line x1="{x_min:.9g}" y1="0" x2="{x_min + w:.9g}" y2="0" {axis}/>')
     for _, lines in parts:
         out += (f'<polyline fill="none" stroke="{color}" '
                 f'stroke-width="{stroke:.9g}" points="{coords}"/>'
                 for color, coords in lines)
     out.append("</svg>")
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("\n".join(out) + "\n")
+    _write_output(path, ("\n".join(out) + "\n").encode())
 
 
 def _run_blocks(scenario: Scenario, bounds, tmps) -> list[tuple]:

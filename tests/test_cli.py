@@ -642,9 +642,42 @@ def test_csv_formatter_matches_format_on_edge_cases():
     for p in powers:
         values += [p, -p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
     assert _csv_of(values) == _format_of(values)
+    split = _split_values()
+    assert _csv_of(split) == _format_of(split)
+    # one chunk: fast-path values among those whose garbage D wraps in the
+    # int32 halves (1e300's D is int64's least, NaN's and inf's too)
+    mixed = [*split[:8], 0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+             -5e-324, 1e300, -1e300, 0.1, -20.0]
+    assert _csv_of(mixed) == _format_of(mixed)
     assert _csv_of([0.1, 20.0, -0.0, 5e-324]) == (
         b"0.10000000000000001,4.9406564584124654e-324\n20,-0\n"
         b"-0,20\n4.9406564584124654e-324,0.10000000000000001\n")
+
+
+def _split_values() -> list[float]:
+    """Values whose 17 digits D sit on the formatter's int32 split of D into
+    hi = D // 10**9 and lo = D - hi * 10**9, both signs, for every exponent
+    e in -4..15: the first of 100 candidates whose digits end in nine 0s
+    (lo = 0), and in nine 9s (lo = 10**9 - 1) where one does; 10**e (D =
+    10**16, hi = 10**7; 0.1 prints one more digit); and the largest double
+    below 10**(e + 1) (hi = 10**8 - 1).  No double has D = 10**17 - 1: the
+    gap below 10**(e + 1) is at least 2**-53 of it, more than the 1.5e-17
+    that D needs."""
+    def digits(v):  # D, as 17 characters
+        return format(v, ".16e")[:18].replace(".", "")
+
+    values, tails = [], {"0" * 9: 0, "9" * 9: 0}
+    for e in range(-4, 16):
+        for tail in tails:
+            found = [v for hi in range(12345678, 12345778)
+                     for v in [float(f"{hi}{tail}e{e - 16}")] if digits(v).endswith(tail)]
+            tails[tail] += bool(found)
+            values += found[:1]
+        values += [float(f"1e{e}"), math.nextafter(float(f"1e{e + 1}"), 0.0)]
+        assert digits(values[-2]) == ("10000000000000001" if e == -1 else "1" + "0" * 16)
+        assert digits(values[-1]).startswith("9" * 8)
+    assert tails == {"0" * 9: 20, "9" * 9: 12}
+    return [x for v in values for x in (v, -v)]
 
 
 def _digit_row(v: float) -> int:
@@ -990,8 +1023,9 @@ def test_failed_block_exits_2_and_reaps_every_child(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("failing", ["csv", "svg"])
 def test_failed_output_write_exits_2_naming_the_output(tmp_path, monkeypatch, capsys,
                                                         failing):
-    # the rows are ready; copying them into the CSV output, or writing the
-    # SVG output, fails with no space left
+    # the rows are ready; copying them into the CSV output, or renaming the
+    # complete SVG over its output, fails with no space left.  The output
+    # from an earlier run keeps its bytes and the new file is removed
     monkeypatch.chdir(tmp_path)
 
     def no_space(*args):
@@ -1000,14 +1034,58 @@ def test_failed_output_write_exits_2_naming_the_output(tmp_path, monkeypatch, ca
     if failing == "csv":
         monkeypatch.setattr(cli.shutil, "copyfileobj", no_space)
     else:
-        monkeypatch.setattr(cli, "_write_svg", no_space)
+        rename = os.replace
+        monkeypatch.setattr(cli.os, "replace", lambda new, old: (
+            no_space() if old.endswith("o.svg") else rename(new, old)))
     cfg = small_scenario(tmp_path, outputs=_outputs_in(tmp_path))
+    for name in ("cov.csv", "o.svg"):
+        (tmp_path / name).write_bytes(b"earlier run\n")
+    files = sorted(os.listdir(tmp_path))
     assert main(["run", cfg]) == 2
     out, err = capsys.readouterr()
     path = tmp_path / ("cov.csv" if failing == "csv" else "o.svg")
     assert out == ("" if failing == "csv" else f"wrote {tmp_path / 'cov.csv'}\n")
     assert err == (f"config error: cannot write output: {path}: "
                    "[Errno 28] No space left on device\n")
+    assert path.read_bytes() == b"earlier run\n"
+    assert sorted(os.listdir(tmp_path)) == files
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX symlinks and modes")
+def test_an_output_is_replaced_whole_through_its_symlink(tmp_path):
+    # the new file is made beside the symlink's target and renamed over it:
+    # the link stays a link, and the file gets the umask's mode
+    target = tmp_path / "data"
+    target.mkdir()
+    (target / "cov.csv").write_bytes(b"earlier run\n")
+    (target / "cov.csv").chmod(0o600)
+    (tmp_path / "cov.csv").symlink_to(target / "cov.csv")
+    cfg = small_scenario(tmp_path, outputs=_outputs_in(tmp_path)[:1])
+    old_mask = os.umask(0o022)
+    try:
+        assert main(["run", cfg, "--quiet"]) == 0
+    finally:
+        os.umask(old_mask)
+    assert (tmp_path / "cov.csv").is_symlink()
+    assert (target / "cov.csv").read_bytes().startswith(b"t,x1,y1,sheet\n0,")
+    assert (target / "cov.csv").stat().st_mode & 0o777 == 0o644
+    assert os.listdir(target) == ["cov.csv"]
+
+
+def test_a_new_file_that_cannot_be_made_exits_2_and_removes_nothing(
+        tmp_path, monkeypatch, capsys):
+    # the output's new file is created exclusively; a file already under
+    # its name is not the run's, so it stays, as does the output
+    monkeypatch.setattr(cli.os, "urandom", lambda n: b"\0" * n)
+    cfg = small_scenario(tmp_path, outputs=_outputs_in(tmp_path)[:1])
+    taken = tmp_path / f"cov.csv.{'00' * 6}.tmp"
+    taken.write_bytes(b"someone else's\n")
+    (tmp_path / "cov.csv").write_bytes(b"earlier run\n")
+    assert main(["run", cfg, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot write output: {tmp_path / 'cov.csv'}: [Errno 17] ")
+    assert taken.read_bytes() == b"someone else's\n"
+    assert (tmp_path / "cov.csv").read_bytes() == b"earlier run\n"
 
 
 @FORKED
