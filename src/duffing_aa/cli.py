@@ -59,6 +59,7 @@ import math
 import os
 import shutil
 import signal
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -70,7 +71,7 @@ from .actionangle import energy_angle_curve
 from .covering import covered_field, sheet_sign, square
 from .dynamics import Params, State, _number, duffing_field, hamiltonian
 from .exceptions import ConfigError, DuffingError
-from .integrate import IntegratorConfig, _lanes, integrate_original_orbits
+from .integrate import IntegratorConfig, Trajectory, _lanes, integrate_original_orbits
 from .verify import CHECKS, DEFAULT_SEED, run_check
 
 KINDS = ("original", "covered", "energy_angle")
@@ -337,6 +338,15 @@ def _write_table(f, kind: str, chunk) -> None:
         f.write(cells[lo : lo + 512][kept])
 
 
+def _sheet_runs(traj: Trajectory):
+    """(start, stop, upper) of every run of samples on one sheet, in order;
+    upper is True on the Upper sheet."""
+    sheets = traj.sheets
+    starts = [0] + (np.flatnonzero(np.diff(sheets)) + 1).tolist()
+    upper = (sheets[starts] > 0).tolist()
+    return zip(starts, starts[1:] + [len(traj)], upper)
+
+
 def _write_rows(f, kind: str, trajs, curves) -> None:
     """The orbits' rows, CSV_CHUNK_ROWS or more of whole orbits at a time,
     every value as format(v, ".17g") prints it (_write_table).
@@ -445,27 +455,53 @@ def _fork_block(scenario: Scenario, lo: int, hi: int, tmps) -> tuple[int, int]:
     return pid, r
 
 
+def _renamed_path(path: str) -> str | None:
+    """The file that output path's new file is renamed over: its real path,
+    when it is not there yet or is a regular file of one link, named
+    through ordinary links.  None for any other output, which is written
+    into as it is: a pipe or device, a file with other links, or one named
+    through a /proc or /dev/fd link such as /dev/stdout, because a rename
+    would leave those links, or this process's descriptor, on the old file."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return os.path.realpath(path)
+    except OSError:
+        return None  # opening the output reports it
+    if not stat.S_ISREG(st.st_mode) or st.st_nlink > 1:
+        return None
+    link = os.path.abspath(path)
+    while True:  # each link on the way (finite, as os.stat followed them)
+        where = os.path.realpath(os.path.dirname(link))
+        if (where + os.sep).startswith(("/proc/", "/dev/fd/")):
+            return None
+        if not os.path.islink(link):
+            return os.path.realpath(path)
+        link = os.path.join(where, os.readlink(link))
+
+
 def _write_output(path: str, head: bytes, tmps=()) -> None:
     """head, then each block's rows from its temporary file, from the start
-    (a child's writes moved the offset it shares with this process), into
-    a new file beside the output (symlinks resolved), created "xb" under a
-    unique name so that the umask sets its mode, and renamed over it once
-    complete; a failure removes it.  An existing output that is no regular
-    file (a pipe, /dev/stdout) cannot be renamed over: it is written to."""
-    real = os.path.realpath(path)
-    direct = os.path.exists(path) and not os.path.isfile(path)
-    new = path if direct else f"{real}.{os.urandom(6).hex()}.tmp"
-    f = open(new, "wb" if direct else "xb")
+    (a child's writes moved the offset it shares with this process).  They
+    go into a new file beside the file _renamed_path names, created "xb"
+    under a unique name, given the earlier output's mode if there is one
+    (else the umask sets it) and renamed over it once complete; a failure
+    removes it.  Any other output is written into directly."""
+    real = _renamed_path(path)
+    new = path if real is None else f"{real}.{os.urandom(6).hex()}.tmp"
+    f = open(new, "wb" if real is None else "xb")
     try:
         with f:
             f.write(head)
             for tmp in tmps:
                 tmp.seek(0)
                 shutil.copyfileobj(tmp, f)
-        if not direct:
+        if real is not None:
+            with contextlib.suppress(FileNotFoundError):
+                shutil.copymode(real, new)
             os.replace(new, real)
     except BaseException:
-        if not direct:
+        if real is not None:
             os.remove(new)
         raise
 
@@ -485,11 +521,12 @@ def _svg_part(kind: str, trajs, curves):
             lines.append((traj.states, _STROKE))
         elif kind == "energy_angle":
             lines.append((curve, _STROKE))
-        else:  # a polyline a run on one sheet, overlapping the next by a sample
-            covered, sheets = traj.covered, traj.sheets
-            starts = [0] + (np.flatnonzero(np.diff(sheets)) + 1).tolist()
-            lines += ((covered[a : b + 1], _STROKE_UPPER if sheets[a] > 0 else _STROKE_LOWER)
-                      for a, b in zip(starts, starts[1:] + [len(traj)]))
+        else:
+            covered = traj.covered
+            for start, stop, upper in _sheet_runs(traj):
+                color = _STROKE_UPPER if upper else _STROKE_LOWER
+                # one sample of overlap keeps the curve joined
+                lines.append((covered[start : stop + 1], color))
     pts = np.vstack([p for p, _ in lines])
     # one %-operation per polyline; %.9g prints as format(v, ".9g")
     return [*pts.min(axis=0).tolist(), *pts.max(axis=0).tolist()], [
@@ -502,8 +539,12 @@ def _write_svg(path: str, parts) -> None:
     to the union of their extents with a 5% margin."""
     x_min, y_min = (min(extents[k] for extents, _ in parts) for k in (0, 1))
     x_max, y_max = (max(extents[k] for extents, _ in parts) for k in (2, 3))
-    w, h = x_max - x_min or 1.0, y_max - y_min or 1.0
-    x_min, y_min, w, h = x_min - 0.05 * w, y_min - 0.05 * h, w * 1.1, h * 1.1
+    w = x_max - x_min or 1.0
+    h = y_max - y_min or 1.0
+    x_min -= 0.05 * w
+    y_min -= 0.05 * h
+    w *= 1.1
+    h *= 1.1
     stroke = 0.004 * max(w, h)
 
     vb_y = -(y_min + h)
@@ -516,7 +557,9 @@ def _write_svg(path: str, parts) -> None:
     if x_min < 0.0 < x_min + w:
         out.append(f'<line x1="0" y1="{vb_y:.9g}" x2="0" y2="{vb_y + h:.9g}" {axis}/>')
     if y_min < 0.0 < y_min + h:
-        out.append(f'<line x1="{x_min:.9g}" y1="0" x2="{x_min + w:.9g}" y2="0" {axis}/>')
+        out.append(
+            f'<line x1="{x_min:.9g}" y1="0" x2="{x_min + w:.9g}" y2="0" {axis}/>'
+        )
     for _, lines in parts:
         out += (f'<polyline fill="none" stroke="{color}" '
                 f'stroke-width="{stroke:.9g}" points="{coords}"/>'

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from decimal import Decimal
@@ -1054,13 +1055,14 @@ def test_failed_output_write_exits_2_naming_the_output(tmp_path, monkeypatch, ca
 @pytest.mark.skipif(sys.platform == "win32", reason="POSIX symlinks and modes")
 def test_an_output_is_replaced_whole_through_its_symlink(tmp_path):
     # the new file is made beside the symlink's target and renamed over it:
-    # the link stays a link, and the file gets the umask's mode
+    # the link stays a link, the earlier output's mode stays, and an
+    # output not there before gets the umask's mode
     target = tmp_path / "data"
     target.mkdir()
     (target / "cov.csv").write_bytes(b"earlier run\n")
     (target / "cov.csv").chmod(0o600)
     (tmp_path / "cov.csv").symlink_to(target / "cov.csv")
-    cfg = small_scenario(tmp_path, outputs=_outputs_in(tmp_path)[:1])
+    cfg = small_scenario(tmp_path, outputs=_outputs_in(tmp_path))
     old_mask = os.umask(0o022)
     try:
         assert main(["run", cfg, "--quiet"]) == 0
@@ -1068,8 +1070,53 @@ def test_an_output_is_replaced_whole_through_its_symlink(tmp_path):
         os.umask(old_mask)
     assert (tmp_path / "cov.csv").is_symlink()
     assert (target / "cov.csv").read_bytes().startswith(b"t,x1,y1,sheet\n0,")
-    assert (target / "cov.csv").stat().st_mode & 0o777 == 0o644
+    assert (target / "cov.csv").stat().st_mode & 0o777 == 0o600
+    assert (tmp_path / "o.svg").stat().st_mode & 0o777 == 0o644
     assert os.listdir(target) == ["cov.csv"]
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX hard links")
+def test_an_output_with_another_link_is_written_in_place(tmp_path):
+    # a rename would cut the hard link: the file is written into, and both
+    # names show the new bytes
+    cfg = small_scenario(tmp_path, outputs=_outputs_in(tmp_path)[:1])
+    (tmp_path / "cov.csv").write_bytes(b"earlier run\n")
+    os.link(tmp_path / "cov.csv", tmp_path / "twin.csv")
+    inode = (tmp_path / "cov.csv").stat().st_ino
+    assert main(["run", cfg, "--quiet"]) == 0
+    assert (tmp_path / "cov.csv").stat().st_ino == inode
+    assert (tmp_path / "twin.csv").read_bytes().startswith(b"t,x1,y1,sheet\n0,")
+    assert sorted(os.listdir(tmp_path)) == ["cov.csv", "scn.json", "twin.csv"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("named", [False, True], ids=["unnamed", "named"])
+def test_stdout_output_reaches_the_file_stdout_writes(tmp_path, named):
+    # /dev/stdout on a regular file is written through stdout's own file,
+    # not replaced by rename: an unnamed file (no name to rename over) and
+    # a named one (whose descriptor would keep the old file) get the rows,
+    # and no file is left beside either
+    cov = _outputs_in(tmp_path)[:1]
+    assert main(["run", small_scenario(tmp_path, outputs=cov), "--quiet"]) == 0
+    expected = (tmp_path / "cov.csv").read_bytes()
+    cfg = small_scenario(tmp_path, outputs=[{**cov[0], "path": "/dev/stdout"}])
+    (tmp_path / "cov.csv").unlink()
+    files = sorted(os.listdir(tmp_path) + ["cov.csv"] * named)
+    with (open(tmp_path / "cov.csv", "w+b") if named
+          else tempfile.TemporaryFile(dir=tmp_path)) as out:
+        inode = os.fstat(out.fileno()).st_ino
+        saved = os.dup(1)
+        os.dup2(out.fileno(), 1)
+        try:
+            code = main(["run", cfg, "--quiet"])
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
+        out.seek(0)
+        assert (code, out.read()) == (0, expected)
+    assert sorted(os.listdir(tmp_path)) == files
+    if named:
+        assert (tmp_path / "cov.csv").stat().st_ino == inode
 
 
 def test_a_new_file_that_cannot_be_made_exits_2_and_removes_nothing(
