@@ -36,13 +36,16 @@ Linux forks a process per block but the first.  Each block integrates its
 orbits, formats each CSV output's rows into its own unnamed temporary file
 in the system temporary directory and draws its SVG polylines.  Once
 every block has succeeded, run writes each CSV header and copies the
-blocks' files in order, so the bytes are the same for any cut.
+blocks' files in order, so the bytes are the same for any cut.  An output
+that names stdout's file (/dev/stdout, or where stdout is redirected) is
+written through stdout's descriptor, after the 'wrote' lines before it.
 
 SVG outputs are self-contained: one polyline per orbit, viewBox fitted to
 the data with a 5% margin, and covered-plane orbits drawn in two stroke
 colors (red for the Upper sheet, green for Lower).
 
-Exit codes: run 0/2/3 (ok / config error / integration failure), verify
+Exit codes: run 0/2/3 (ok / config error, an output that cannot be
+written or a stdout its reader closed / integration failure), verify
 0/1/2 (all passed / failures listed on stderr / unknown check, bad seed,
 or a tolerance that is not a finite number >= 0), field 0/2 (printed /
 a bad point or --mu, or a field value that overflows).  --seed sets the
@@ -482,14 +485,21 @@ def _renamed_path(path: str) -> str | None:
 
 def _write_output(path: str, head: bytes, tmps=()) -> None:
     """head, then each block's rows from its temporary file, from the start
-    (a child's writes moved the offset it shares with this process).  They
-    go into a new file beside the file _renamed_path names, created "xb"
-    under a unique name, given the earlier output's mode if there is one
-    (else the umask sets it) and renamed over it once complete; a failure
-    removes it.  Any other output is written into directly."""
-    real = _renamed_path(path)
+    (a child's writes moved the offset it shares with this process).  An
+    output that names stdout's file (/dev/stdout, or where stdout is
+    redirected) is written through stdout's descriptor, at its offset.
+    Others go into a new file beside the file _renamed_path names, created
+    "xb" under a unique name, given the earlier output's mode if there is
+    one (else the umask sets it) and renamed over it once complete; a
+    failure removes it.  Any other output is written into directly."""
+    try:
+        stdout = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no such file, or stdout has none
+        stdout = False
+    real = None if stdout else _renamed_path(path)
     new = path if real is None else f"{real}.{os.urandom(6).hex()}.tmp"
-    f = open(new, "wb" if real is None else "xb")
+    f = open(sys.stdout.fileno() if stdout else new, "wb" if real is None else "xb",
+             closefd=not stdout)
     try:
         with f:
             f.write(head)
@@ -619,17 +629,23 @@ def run_scenario(path: str, quiet: bool = False) -> int:
             print(message, file=sys.stderr)
             return code
         for i, out in enumerate(scenario.outputs):
+            where = out.path
             try:
                 if out.format == "csv":
                     _write_csv(out.path, out.kind, [tmp[i] for tmp in tmps])
                 else:
                     _write_svg(out.path, [result[1][i] for result in results])
+                where = "stdout"
+                if not quiet:  # flushed, so that an output through stdout follows it
+                    print(f"wrote {out.path}", flush=True)
             except OSError as e:
-                print(f"config error: cannot write output: {out.path}: {e}",
+                if where == "stdout":  # the line it holds goes to os.devnull,
+                    null = os.open(os.devnull, os.O_WRONLY)  # not to a failing
+                    os.dup2(null, sys.stdout.fileno())  # flush at exit
+                    os.close(null)
+                print(f"config error: cannot write output: {where}: {e}",
                       file=sys.stderr)
                 return 2
-            if not quiet:
-                print(f"wrote {out.path}")
     return 0
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import hashlib
 import io
@@ -5,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
@@ -1095,28 +1097,61 @@ def test_stdout_output_reaches_the_file_stdout_writes(tmp_path, named):
     # /dev/stdout on a regular file is written through stdout's own file,
     # not replaced by rename: an unnamed file (no name to rename over) and
     # a named one (whose descriptor would keep the old file) get the rows,
-    # and no file is left beside either
+    # and no file is left beside either.  Without --quiet, with sys.stdout
+    # on that file too, its 'wrote' line follows the rows
     cov = _outputs_in(tmp_path)[:1]
     assert main(["run", small_scenario(tmp_path, outputs=cov), "--quiet"]) == 0
     expected = (tmp_path / "cov.csv").read_bytes()
     cfg = small_scenario(tmp_path, outputs=[{**cov[0], "path": "/dev/stdout"}])
     (tmp_path / "cov.csv").unlink()
     files = sorted(os.listdir(tmp_path) + ["cov.csv"] * named)
-    with (open(tmp_path / "cov.csv", "w+b") if named
-          else tempfile.TemporaryFile(dir=tmp_path)) as out:
-        inode = os.fstat(out.fileno()).st_ino
-        saved = os.dup(1)
-        os.dup2(out.fileno(), 1)
-        try:
-            code = main(["run", cfg, "--quiet"])
-        finally:
-            os.dup2(saved, 1)
-            os.close(saved)
-        out.seek(0)
-        assert (code, out.read()) == (0, expected)
-    assert sorted(os.listdir(tmp_path)) == files
-    if named:
-        assert (tmp_path / "cov.csv").stat().st_ino == inode
+    for quiet in (True, False):
+        with (open(tmp_path / "cov.csv", "w+b") if named
+              else tempfile.TemporaryFile(dir=tmp_path)) as out:
+            inode = os.fstat(out.fileno()).st_ino
+            saved = os.dup(1)
+            os.dup2(out.fileno(), 1)
+            try:
+                if quiet:
+                    code = main(["run", cfg, "--quiet"])
+                else:
+                    with (open(1, "w", closefd=False) as stdout,
+                          contextlib.redirect_stdout(stdout)):
+                        code = main(["run", cfg])
+            finally:
+                os.dup2(saved, 1)
+                os.close(saved)
+            out.seek(0)
+            assert (code, out.read()) == (
+                0, expected + b"wrote /dev/stdout\n" * (not quiet))
+        assert sorted(os.listdir(tmp_path)) == files
+        if named:
+            assert (tmp_path / "cov.csv").stat().st_ino == inode
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="a POSIX pipe with no reader")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("output", ["file", "stdout"])
+def test_a_closed_stdout_exits_2_naming_stdout(tmp_path, output, unbuffered):
+    # run's stdout is a pipe whose reader has gone, so its 'wrote' line, or
+    # a CSV output at /dev/stdout, cannot be written: run exits 2 with one
+    # line naming stdout, and neither a traceback nor Python's flush of
+    # stdout at exit adds another
+    path = "/dev/stdout" if output == "stdout" else str(tmp_path / "cov.csv")
+    cfg = small_scenario(tmp_path, outputs=[{**_outputs_in(tmp_path)[0], "path": path}])
+    paths = (os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-m", "duffing_aa.cli", "run", cfg],
+                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    where = "/dev/stdout" if output == "stdout" else "stdout"
+    assert (done.returncode, done.stderr.decode()) == (
+        2, f"config error: cannot write output: {where}: [Errno 32] Broken pipe\n")
 
 
 def test_a_new_file_that_cannot_be_made_exits_2_and_removes_nothing(

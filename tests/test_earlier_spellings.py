@@ -1,5 +1,9 @@
-"""The steps of a period or action query that follow the kernel, bit for bit
-as their earlier numpy spellings computed them.
+"""The steps of a period or action query that follow the kernel, and the
+kernel's undamped stages, bit for bit as their earlier spellings computed
+them.
+
+At mu = 0 the stepping loops evaluate the v-slope x - x*x*x without the
+term - mu*k, which is then +-0.0 and leaves the slope as it is.
 
 The angle check (``covering._unwrap`` and its center guard), the loop sums
 (``actionangle._loop_action``), the sign walk (``integrate._sign_flips``)
@@ -106,6 +110,85 @@ def one_period_reference(s0, p, cfg):
             f"period {period:.6g}, not {want}"
         )
     return period, x, y, x1, y1
+
+
+def adaptive_path_reference(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0,
+                            max_steps, flips=0):
+    """_kernels.adaptive_path with - mu * k at every stage, mu = 0 too, and
+    |u| and |v| of the node taken anew at every step."""
+    (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
+     b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = _kernels.TABLEAU
+    safety, err_exp, fac_min, fac_max = _kernels.STEP_CONTROL
+    ts, us, vs = [t0], [u0], [v0]
+    t, u, v = t0, u0, v0
+    k1v = u - u * u * u - mu * v
+    h = min(h0, t_end)
+    status = _kernels.STATUS_OK
+    steps = 0
+    side = v0
+    while t < t_end:
+        if steps >= max_steps:
+            status = _kernels.STATUS_MAX_STEPS
+            break
+        if h < _kernels.MIN_STEP:
+            status = _kernels.STATUS_STEP_UNDERFLOW
+            break
+        last = False
+        if t + h >= t_end:
+            h = t_end - t
+            last = True
+        ha = h * a21
+        w = u + ha * v
+        k2u = v + ha * k1v
+        k2v = w - w * w * w - mu * k2u
+        w = u + h * (a31 * v + a32 * k2u)
+        k3u = v + h * (a31 * k1v + a32 * k2v)
+        k3v = w - w * w * w - mu * k3u
+        w = u + h * (a41 * v + a42 * k2u + a43 * k3u)
+        k4u = v + h * (a41 * k1v + a42 * k2v + a43 * k3v)
+        k4v = w - w * w * w - mu * k4u
+        w = u + h * (a51 * v + a52 * k2u + a53 * k3u + a54 * k4u)
+        k5u = v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
+        k5v = w - w * w * w - mu * k5u
+        w = u + h * (a61 * v + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u)
+        k6u = v + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
+        k6v = w - w * w * w - mu * k6u
+        un = u + h * (b1 * v + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+        vn = v + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+        k7v = un - un * un * un - mu * vn
+        eu = h * (e1 * v + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * vn)
+        ev = h * (e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
+        p, q = abs(u), abs(un)
+        su = abs_tol + rel_tol * (q if q > p else p)
+        p, q = abs(v), abs(vn)
+        sv = abs_tol + rel_tol * (q if q > p else p)
+        ru = eu / su
+        rv = ev / sv
+        err = math.sqrt(0.5 * (ru * ru + rv * rv))
+        steps += 1
+        if err <= 1.0:
+            t = t_end if last else t + h
+            u, v, k1v = un, vn, k7v
+            ts.append(t)
+            us.append(u)
+            vs.append(v)
+            if err == 0.0:
+                fac = fac_max
+            else:
+                fac = min(max(safety * err ** err_exp, fac_min), fac_max)
+            h = h * fac
+            if flips and v != 0.0:
+                if side != 0.0 and (v > 0.0) != (side > 0.0):
+                    flips -= 1
+                    if flips == 0:
+                        break
+                side = v
+        else:
+            if math.isnan(err):
+                status = _kernels.STATUS_NONFINITE
+                break
+            h = h * min(max(safety * err ** err_exp, fac_min), 1.0)
+    return np.array(ts), np.array(us), np.array(vs), status, h, steps
 
 
 def bits(a):
@@ -253,3 +336,46 @@ def test_sign_flips_is_its_earlier_spelling(paths):
         got = integrate._sign_flips(g)
         assert got.dtype == np.intp
         assert got.tolist() == sign_flips_reference(g).tolist()
+
+
+# starts that overflow a stage or the first step, non-finite and signed-zero
+# starts, the equilibria and the smallest values, then ordinary starts that
+# fill the lockstep past MIN_LANES
+KERNEL_STARTS = [
+    (1e102, 0.0), (6e102, -0.0), (-1e103, 1.0), (1e154, 1e154), (0.5, 1e154),
+    (0.0, 1e200), (1e200, 0.0), (-1e200, -1e200), (1e308, 1e308), (-1.7e308, 0.5),
+    (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf),
+    (math.inf, -math.inf), (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0),
+    (1.0, 0.0), (-1.0, -0.0), (1e-300, 0.0), (5e-324, -5e-324), (-0.0, 1.0),
+] + [(0.25 * i - 2.0, 0.375 * (i % 5) - 0.75) for i in range(17)]
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.0, 0.1], ids=["0", "-0", "0.1"])
+@pytest.mark.parametrize("tol", [1e-14, 1e-10, 1e-3])
+@pytest.mark.parametrize("max_steps", [37, 10**7], ids=["37", "1e7"])
+def test_kernels_are_their_every_stage_damping_spelling(mu, tol, max_steps):
+    # (t, u, v) as int64 views, status, h and steps of every start, from
+    # adaptive_path with flips 0 and 3, and from adaptive_lanes, whose
+    # starts are many enough to step in lockstep
+    t_end = 4.0
+    want = [adaptive_path_reference(u, v, mu, 0.0, t_end, tol, tol, 0.01, max_steps)
+            for u, v in KERNEL_STARTS]
+
+    def same(got, ref):
+        assert [bits(a) for a in got[:3]] == [bits(a) for a in ref[:3]]
+        assert (got[3], float(got[4]).hex(), got[5]) == (ref[3], ref[4].hex(), ref[5])
+
+    for (u, v), ref in zip(KERNEL_STARTS, want):
+        same(_kernels.adaptive_path(u, v, mu, 0.0, t_end, tol, tol, 0.01, max_steps),
+             ref)
+        same(_kernels.adaptive_path(u, v, mu, 0.0, t_end, tol, tol, 0.01, max_steps, 3),
+             adaptive_path_reference(u, v, mu, 0.0, t_end, tol, tol, 0.01,
+                                     max_steps, 3))
+    u0, v0 = np.array(KERNEL_STARTS).T
+    t, z, bounds, status, h, steps = _kernels.adaptive_lanes(
+        u0, v0, mu, t_end, tol, tol, 0.01, max_steps)
+    for k, ref in enumerate(want):
+        rows = slice(bounds[k], bounds[k + 1])
+        same((t[rows], z[rows, 0], z[rows, 1], int(status[k]), float(h[k]),
+              int(steps[k])), ref)
+    assert {ref[3] for ref in want} >= {_kernels.STATUS_OK, _kernels.STATUS_NONFINITE}
