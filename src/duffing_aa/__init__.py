@@ -17,42 +17,16 @@ once.  Subpackage map:
 
 import types
 
-from .actionangle import (
-    action_covered,
-    action_original,
-    dH_dtheta,
-    energy_angle_curve,
-    theta_dot_of,
-    theta_of,
-    unwrap_theta,
-)
+from .actionangle import (action_covered, action_original, dH_dtheta,
+                          energy_angle_curve, theta_dot_of, theta_of, unwrap_theta)
 from .covering import covered_field, principal_root, sheet_sign, square
-from .dynamics import (
-    Params,
-    State,
-    duffing_field,
-    energy_rate,
-    hamiltonian,
-    state_on_level,
-)
-from .exceptions import (
-    CenterSingular,
-    ConfigError,
-    DuffingError,
-    MaxStepsExceeded,
-    NoReturn,
-    OnSeparatrix,
-    OriginSingular,
-    StepFailure,
-    UnwrapAmbiguous,
-)
-from .integrate import (
-    DEFAULT_CONFIG,
-    IntegratorConfig,
-    Trajectory,
-    find_period,
-    integrate_original,
-)
+from .dynamics import (Params, State, duffing_field, energy_rate, hamiltonian,
+                       state_on_level)
+from .exceptions import (CenterSingular, ConfigError, DuffingError, MaxStepsExceeded,
+                         NoReturn, OnSeparatrix, OriginSingular, StepFailure,
+                         UnwrapAmbiguous)
+from .integrate import (DEFAULT_CONFIG, IntegratorConfig, Trajectory, find_period,
+                        integrate_original)
 from .verify import CheckReport, run_all, run_check
 
 __version__ = "0.1.0"

@@ -19,11 +19,9 @@ Kernels return raw arrays of the accepted nodes (t, x, y) plus an integer
 status; the ``integrate`` module wraps them in typed trajectories and
 exceptions.  They keep no field values: with FSAL each one is exactly
 ``rhs`` at its node, so the dense output evaluates it where it needs it.
-``adaptive_lanes`` keeps each lockstep iteration's accepted rows in the
-arrays it made and scatters them into the output once: its traced peak
-is 32 bytes per recorded row (t, u, v, a lane and a place), plus 24 per
-output row, plus a few hundred bytes per lockstep iteration (four array
-headers and a tuple); the C heap keeps the rows' pages after the scatter.
+``adaptive_lanes`` writes each row once, in place, into its lane's slot
+of one pool, and returns views of it: 24 bytes a row, plus the slots'
+unwritten slack.
 """
 
 import array
@@ -61,13 +59,20 @@ STEP_CONTROL = (0.9, -0.2, 0.2, 5.0)  # safety, err_exp, fac_min, fac_max
 
 # adaptive_lanes steps its lanes together while at least this many are
 # live.  Measured on a 2-vCPU Xeon, numpy 2.4 (a fit of the medians of 9
-# timings of 200 iterations at 16 to 400 live lanes): a lockstep iteration
-# costs about 64 us plus 0.14-0.19 us per live lane, and each live lane
-# would cost one adaptive_path step of about 2.8-3.0 us, so lanes win
-# above about 64 / (2.9 - 0.19) = 24 live lanes.  Below 32 only a grid's
-# last few stragglers run, and 40 or 48 instead of 32 left the 400-orbit
-# grid's lockstep time within run-to-run spread.
+# interleaved timings of 200 iterations at 16 to 400 live lanes, mu = 0):
+# a lockstep iteration costs about 53-59 us plus 0.15-0.16 us per live
+# lane, and each live lane would cost one adaptive_path step of about
+# 1.85-1.95 us, so lanes win above about 56 / (1.9 - 0.15) = 32 live
+# lanes.  Below 32 only a grid's last few stragglers run, and 40 or 48
+# instead of 32 left the 400-orbit grid's lockstep time within spread.
 MIN_LANES = 32
+
+# adaptive_lanes' slots: FIRST_SLOT rows each at first, then SLOT_MARGIN
+# times a lane's extrapolated rows.  The benchmark grid peaked at 42.2-42.5
+# MiB RSS with 128 and 1.2, 43.0-43.1 with 128 and 1.5, 43.3-43.6 with 64
+# (seeds 3, 4): 128 rows span about a period, so their rate is steadier
+FIRST_SLOT = 128
+SLOT_MARGIN = 1.2
 
 
 def rhs(u, v, mu):
@@ -202,21 +207,15 @@ def adaptive_path(u0, v0, mu, t0, t_end, rel_tol, abs_tol, h0, max_steps, flips=
     return np.frombuffer(ts), np.frombuffer(us), np.frombuffer(vs), status, h, steps
 
 
-def _assemble(parts, counts):
-    """(t, z, bounds) from the parts (lane, place, t, z) and the rows per
-    lane: lane k's rows at t[bounds[k]:bounds[k + 1]] and the same rows of
-    the (N, 2) states z.  A part's row i is row place[i] of lane[i] (or of
-    its one lane), with state z[:, i]; each part is popped, scattered once
-    and freed."""
-    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    t, z = np.empty(bounds[-1]), np.empty((bounds[-1], 2))
-    while parts:
-        lane, place, ts, zs = parts.pop()
-        rows = bounds[lane] + place
-        t[rows] = ts
-        z[rows] = zs.T
-    return t, z, bounds
+def _move(tp, zp, lo, hi, size):
+    """Lane k's rows lo[k]:hi[k] of the pool (tp, zp), copied to the start
+    of a slot of size[k] rows in a new pool: (tp, zp, lo, hi, top) there."""
+    top = np.cumsum(size)
+    new = top - size
+    nt, nz = np.empty(top[-1]), np.empty((top[-1], 2))
+    for a, b, c in zip(lo.tolist(), hi.tolist(), new.tolist()):
+        nt[c:c + b - a], nz[c:c + b - a] = tp[a:b], zp[a:b]
+    return nt, nz, new, new + (hi - lo), top
 
 
 def _field(z, mu):
@@ -254,16 +253,22 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
     sample with its h and its remaining step budget, so with fewer than
     MIN_LANES starts every lane runs in adaptive_path.
 
-    Returns (t, z, bounds, status, h, steps): lane k's path is
-    t[bounds[k]:bounds[k + 1]] and the same rows of the (N, 2) states z;
-    status, h and steps per lane are what adaptive_path returns.  Rows
-    stay in the arrays that made them, parts (lane, place, t, z): the
-    starts, each iteration's accepted lanes and each path adaptive_path
-    finished, a place being a row's index in its lane's path.  So the
-    peak is 32 bytes per recorded row, 24 per output row and a few
-    hundred bytes per lockstep iteration.
-    Overflowing lanes stop with STATUS_NONFINITE and raise no
-    floating-point warning.
+    Returns (paths, status, h, steps): paths[k] = (t, z) holds lane k's
+    times and (N, 2) states; status, h and steps per lane are what
+    adaptive_path returns.  Overflowing lanes stop with STATUS_NONFINITE
+    and raise no floating-point warning.
+
+    Each row is written once, in place: lane k's rows lie in a slot of
+    its own in one pool (tp, zp), and each iteration writes every live
+    lane's (t, u, v) into its slot's next row, kept if the step was
+    accepted.  Slots hold FIRST_SLOT rows until one fills; then every
+    lane moves once, to a slot of SLOT_MARGIN times the rows its rate so
+    far gives at t_end (rows * t_end / t, one more at least), within
+    what the step budget left can add, and of twice its slot while t is
+    0.  A slot that fills after that spills its rows and starts again.
+    A path is a view of the pool unless it spilled or its adaptive_path
+    tail outgrew its slot: then its parts are concatenated once.  So a
+    row costs 24 bytes, plus the slots' slack.
     """
     # an iteration is some 130 numpy calls on a few hundred values each, so
     # a call's fixed cost sets the pace.  numpy 2 charges more for a Python
@@ -280,7 +285,7 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
         np.array(x, dtype=np.float64)
         for x in (mu, t_end, rel_tol, abs_tol, MIN_STEP, 0.5))
     n = len(u0)
-    lane = np.arange(n, dtype=np.int32)
+    lane = np.arange(n)
     t = np.zeros(n)
     h = np.full(n, min(h0, t_end))
     steps = 0  # every live lane attempts one step per iteration
@@ -289,12 +294,14 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
     status = np.full(n, STATUS_OK)
     h_end = np.empty(n)
     steps_end = np.empty(n, dtype=np.int64)
-    # the rows recorded per live lane, the next place; a path holds at most
-    # max_steps + 1 rows, so places take 4 bytes while that count fits
-    place_type = np.int32 if max_steps + 1 < 2**31 else np.int64
-    rows = np.ones(n, dtype=place_type)
-    rows_end = np.empty(n, dtype=np.int64)
-    parts = [(lane, np.zeros(n, dtype=place_type), t, z)]
+    # lane k's rows are lo[k]:hi[k] of the pool, its slot lo[k]:top[k];
+    # pos is each live lane's hi, the row it writes next
+    lo = np.arange(0, n * FIRST_SLOT, FIRST_SLOT)
+    top, hi, pos = lo + FIRST_SLOT, lo + 1, lo + 1
+    tp, zp = np.zeros(n * FIRST_SLOT), np.empty((n * FIRST_SLOT, 2))
+    zp[lo] = z.T
+    check = FIRST_SLOT - 1  # no slot can fill before this many steps
+    moved, spilled = False, {}  # spilled[k]: lane k's spilled (t, z)
     with np.errstate(all="ignore"):
         k1 = _field(z, f_mu)
         while True:
@@ -309,12 +316,30 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
                     STATUS_MAX_STEPS if exhausted else STATUS_STEP_UNDERFLOW))
                 h_end[gone] = h[k]
                 steps_end[gone] = steps
-                rows_end[gone] = rows[k]
+                hi[gone] = pos[k]
                 keep = np.flatnonzero(~stop)
-                lane, t, h, rows = lane[keep], t[keep], h[keep], rows[keep]
+                lane, t, h, pos = lane[keep], t[keep], h[keep], pos[keep]
                 z, k1 = z.take(keep, axis=1), k1.take(keep, axis=1)
             if lane.size == 0 or lane.size < MIN_LANES:
                 break
+            if steps >= check:  # a slot may be full
+                full = np.flatnonzero(pos == top[lane])
+                if full.size and moved:  # it spills its rows and starts again
+                    for j, k in zip(full.tolist(), lane[full].tolist()):
+                        rows = slice(lo[k], pos[j])
+                        spilled.setdefault(k, []).append((tp[rows].copy(), zp[rows].copy()))
+                    pos[full] = lo[lane[full]]
+                elif full.size:  # every lane moves to a slot sized from its rate
+                    hi[lane] = pos
+                    size = hi - lo
+                    rows = size[lane]
+                    grown = np.where(t > 0.0, rows * (f_end / t) * SLOT_MARGIN,
+                                     2 * (top - lo)[lane])
+                    size[lane] = np.minimum(np.maximum(grown, rows + 1),
+                                            rows + float(max_steps - steps))
+                    tp, zp, lo, hi, top = _move(tp, zp, lo, hi, size)
+                    pos, moved = hi[lane], True
+                check = steps + (top[lane] - pos).min()
 
             last = t + h >= f_end
             h = np.where(last, f_end - t, h)
@@ -342,22 +367,25 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
             z = np.where(accepted, zn, z)
             k1 = np.where(accepted, k7, k1)
             h = h * fac
-            kept = np.flatnonzero(accepted)
-            parts.append((lane.take(kept), rows.take(kept), t.take(kept),
-                          z.take(kept, axis=1)))
-            rows += accepted
+            tp[pos] = t
+            zp[pos] = z.T
+            pos += accepted
 
+        hi[lane] = pos
+        paths = [(tp[a:b], zp[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
         for j, k in enumerate(lane.tolist()):
             tt, uu, vv, status_k, h_k, used = adaptive_path(
                 float(z[0, j]), float(z[1, j]), mu, float(t[j]), t_end,
                 rel_tol, abs_tol, float(h[j]), max_steps - steps,
             )
             status[k], h_end[k], steps_end[k] = status_k, h_k, steps + used
-            r = int(rows[j])
-            rows_end[k] = r + len(tt) - 1
-            parts.append((k, np.arange(r, rows_end[k]), tt[1:],
-                          np.array((uu[1:], vv[1:]))))
-
-        t, z, bounds = _assemble(parts, rows_end)
-    return t, z, bounds, status, h_end, steps_end
-
+            a, b = hi[k], hi[k] + len(tt) - 1
+            if b <= top[k]:  # the tail fits in the lane's slot
+                tp[a:b], zp[a:b, 0], zp[a:b, 1] = tt[1:], uu[1:], vv[1:]
+                paths[k] = tp[lo[k]:b], zp[lo[k]:b]
+            else:
+                spilled.setdefault(k, []).append(paths[k])
+                paths[k] = tt[1:], np.column_stack((uu[1:], vv[1:]))
+        for k, pieces in spilled.items():
+            paths[k] = tuple(np.concatenate(p) for p in zip(*pieces, paths[k]))
+    return paths, status, h_end, steps_end

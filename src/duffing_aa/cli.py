@@ -47,9 +47,10 @@ colors (red for the Upper sheet, green for Lower).
 Exit codes: run 0/2/3 (ok / config error, an output that cannot be
 written or a stdout its reader closed / integration failure), verify
 0/1/2 (all passed / failures listed on stderr / unknown check, bad seed,
-or a tolerance that is not a finite number >= 0), field 0/2 (printed /
-a bad point or --mu, or a field value that overflows).  --seed sets the
-verification seed, 42 by default.
+a tolerance that is not a finite number >= 0, or a stdout its reader
+closed), field 0/2 (printed / a bad point or --mu, a field value that
+overflows, or a stdout its reader closed).  --seed sets the verification
+seed, 42 by default.
 """
 
 from __future__ import annotations
@@ -86,15 +87,14 @@ _OUTPUT_KEYS = ("kind", "format", "path")
 
 # each process of run holds the orbits of its block in memory until their
 # outputs are formatted, so the grid size bounds its memory: 400 orbits at
-# t_max = 20 (287k samples) in one block peak at 46.7-46.9 MiB RSS, 29.9
+# t_max = 20 (287k samples) in one block peak at 39.7-39.9 MiB RSS, 30.0
 # MiB of it the interpreter, numpy and this package.  Each orbit keeps 24
-# bytes per sample (views of the batch t and states; covered images and
-# sheets are computed while it is formatted); the lockstep records each
-# sample once more, in 32 bytes of C heap that stay resident after its
-# scatter (_kernels' memory rule).  A mirror or duplicate start shares its
-# lane's t and owns its states, 16 bytes per sample.  _write_rows holds
-# about 100 bytes per value of the chunk it formats.  Cut in two blocks of
-# 200 (_bounds) run peaked at 39.9 MiB and the child at 33.9 MiB
+# bytes per sample, views of the rows the lockstep wrote once into its
+# lane's slot of one pool (_kernels' memory rule), whose slack is never
+# written.  A mirror or duplicate start shares its lane's t and owns its
+# states, 16 bytes per sample.  _write_rows holds about 100 bytes per
+# value of the chunk it formats.  Cut in two blocks of 200 (_bounds) run
+# peaked at 35.7-35.9 MiB and the child at 29.6-29.8 MiB
 # (RUSAGE_CHILDREN), much of it shared copy-on-write with run
 MAX_GRID_STATES = 10_000
 
@@ -629,24 +629,34 @@ def run_scenario(path: str, quiet: bool = False) -> int:
             print(message, file=sys.stderr)
             return code
         for i, out in enumerate(scenario.outputs):
-            where = out.path
             try:
                 if out.format == "csv":
                     _write_csv(out.path, out.kind, [tmp[i] for tmp in tmps])
                 else:
                     _write_svg(out.path, [result[1][i] for result in results])
-                where = "stdout"
-                if not quiet:  # flushed, so that an output through stdout follows it
-                    print(f"wrote {out.path}", flush=True)
             except OSError as e:
-                if where == "stdout":  # the line it holds goes to os.devnull,
-                    null = os.open(os.devnull, os.O_WRONLY)  # not to a failing
-                    os.dup2(null, sys.stdout.fileno())  # flush at exit
-                    os.close(null)
-                print(f"config error: cannot write output: {where}: {e}",
+                print(f"config error: cannot write output: {out.path}: {e}",
                       file=sys.stderr)
                 return 2
+            if not quiet and _print(f"wrote {out.path}"):
+                return 2
     return 0
+
+
+def _print(line: str) -> int:
+    """Print line to stdout, flushed, so that an output through stdout
+    follows it: 0, or 2 with one line on stderr where stdout cannot be
+    written, such as a pipe whose reader has closed it.  What stdout
+    holds then goes to os.devnull, not to a failing flush at exit."""
+    try:
+        print(line, flush=True)
+        return 0
+    except OSError as e:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        print(f"config error: cannot write output: stdout: {e}", file=sys.stderr)
+        return 2
 
 
 def verify_all(
@@ -661,7 +671,8 @@ def verify_all(
         except ValueError as e:
             print(str(e), file=sys.stderr)
             return 2
-        print(report.to_json())
+        if _print(report.to_json()):
+            return 2
         if not report.passed:
             failed.append(report.name)
     if failed:
@@ -690,8 +701,7 @@ def _cmd_field(args) -> int:
     if not (math.isfinite(u) and math.isfinite(v)):
         print(f"the field at ({_fmt(x)}, {_fmt(y)}) is not finite", file=sys.stderr)
         return 2
-    print(f"{_fmt(u)} {_fmt(v)}")
-    return 0
+    return _print(f"{_fmt(u)} {_fmt(v)}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -38,7 +38,7 @@ one integration.
 ``integrate_original`` is that with one start: one
 ``_kernels.adaptive_lanes`` call steps their paths in lockstep, bit for
 bit the paths ``_kernels.adaptive_path`` takes one at a time, and each
-trajectory holds views of its arrays -- except a mirror: the field is
+trajectory holds its lane's arrays -- except a mirror: the field is
 odd, so the path from -s is the path from s negated, and a start whose
 negative (or itself) came earlier reuses that lane and owns its states.
 
@@ -59,20 +59,9 @@ from functools import partial
 import numpy as np
 
 from . import _kernels
-from .covering import (
-    TWO_PI,
-    _check_away_from_centers,
-    _unwrap,
-    sheet_sign,
-    square,
-)
+from .covering import TWO_PI, _check_away_from_centers, _unwrap, sheet_sign, square
 from .dynamics import Params, State, _number, _require_finite, hamiltonian
-from .exceptions import (
-    MaxStepsExceeded,
-    NoReturn,
-    OnSeparatrix,
-    StepFailure,
-)
+from .exceptions import MaxStepsExceeded, NoReturn, OnSeparatrix, StepFailure
 
 SECTION_REFINE_TOL = 1e-10
 SEPARATRIX_TOL = 1e-9
@@ -273,20 +262,19 @@ def integrate_original_orbits(
     """
     starts = [State(float(s0[0]), float(s0[1])) for s0 in states]
     first, lanes = _lanes(starts)
-    t, z, bounds, status, _, _ = _kernels.adaptive_lanes(
+    paths, status, _, _ = _kernels.adaptive_lanes(
         [s0.x for s0 in first], [s0.y for s0 in first], p.mu, cfg.t_max,
         cfg.rel_tol, cfg.abs_tol, cfg.step, int(cfg.max_steps),
     )
     for s0, (k, mirrored) in zip(starts, lanes):
-        rows = slice(bounds[k], bounds[k + 1])
+        t, zk = paths[k]
         if status[k] != _kernels.STATUS_OK:
             _require_finite(s0)  # a non-finite start always fails its lane
-            _check_status(status[k], t[rows], cfg)
-        zk = z[rows]
+            _check_status(status[k], t, cfg)
         if s0 is not first[k]:  # a mirror or a duplicate
             zk = 0.0 - zk if mirrored else zk.copy()
             zk[0] = s0
-        yield Trajectory(t[rows], zk, p, cfg)
+        yield Trajectory(t, zk, p, cfg)
 
 
 def _require_closed_orbit(s0: State, p: Params) -> None:

@@ -30,13 +30,8 @@ from .covering import _unwrap, covered_field, principal_root, sheet_sign, square
 from .dynamics import (Params, State, _number, duffing_field, energy_rate,
                        state_on_level)
 from .exceptions import OnSeparatrix
-from .integrate import (
-    DEFAULT_CONFIG,
-    SEPARATRIX_TOL,
-    _one_period,
-    find_period,
-    integrate_original,
-)
+from .integrate import (DEFAULT_CONFIG, SEPARATRIX_TOL, _one_period, find_period,
+                        integrate_original)
 
 DEFAULT_N = 10_000
 DEFAULT_SEED = 42

@@ -1154,6 +1154,30 @@ def test_a_closed_stdout_exits_2_naming_stdout(tmp_path, output, unbuffered):
         2, f"config error: cannot write output: {where}: [Errno 32] Broken pipe\n")
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="a POSIX pipe with no reader")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [["verify", "--seed", "1"],
+                                     ["field", "--at", "0.3,-0.7"]],
+                         ids=["verify", "field"])
+def test_verify_and_field_exit_2_naming_a_closed_stdout(command, unbuffered):
+    # as run does: the first report, or the field's line, cannot be
+    # written to a pipe whose reader has gone, so the command exits 2 with
+    # one line naming stdout, and neither a traceback nor Python's flush
+    # of stdout at exit adds another
+    paths = (os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-m", "duffing_aa.cli", *command],
+                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr.decode()) == (
+        2, "config error: cannot write output: stdout: [Errno 32] Broken pipe\n")
+
+
 def test_a_new_file_that_cannot_be_made_exits_2_and_removes_nothing(
         tmp_path, monkeypatch, capsys):
     # the output's new file is created exclusively; a file already under

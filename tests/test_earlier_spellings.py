@@ -372,10 +372,8 @@ def test_kernels_are_their_every_stage_damping_spelling(mu, tol, max_steps):
              adaptive_path_reference(u, v, mu, 0.0, t_end, tol, tol, 0.01,
                                      max_steps, 3))
     u0, v0 = np.array(KERNEL_STARTS).T
-    t, z, bounds, status, h, steps = _kernels.adaptive_lanes(
+    paths, status, h, steps = _kernels.adaptive_lanes(
         u0, v0, mu, t_end, tol, tol, 0.01, max_steps)
-    for k, ref in enumerate(want):
-        rows = slice(bounds[k], bounds[k + 1])
-        same((t[rows], z[rows, 0], z[rows, 1], int(status[k]), float(h[k]),
-              int(steps[k])), ref)
+    for k, ((t, z), ref) in enumerate(zip(paths, want)):
+        same((t, z[:, 0], z[:, 1], int(status[k]), float(h[k]), int(steps[k])), ref)
     assert {ref[3] for ref in want} >= {_kernels.STATUS_OK, _kernels.STATUS_NONFINITE}

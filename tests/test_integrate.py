@@ -508,11 +508,33 @@ def test_mirrors_and_duplicates_are_integrate_original_one_at_a_time(
             firsts.append(s0)
     assert len(lanes) == 1 and lanes[0] == firsts
     assert len(firsts) == 4 + n  # the centres, the origin, (0, 1), (1.3, 0)
-    # the first start of a lane holds views of the batch arrays
-    batch = got[states.index(firsts[0])].states.base
-    assert batch is not None
-    for s0 in firsts:
-        assert got[states.index(s0)].states.base is batch
+    # the first start of a lane holds views of the kernel's one pool, or
+    # the arrays its path was concatenated into (a lane whose rows outgrew
+    # their slot): the pool is never copied for it
+    pools = {id(got[states.index(s0)].states.base) for s0 in firsts}
+    assert len(pools - {id(None)}) == 1
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.1])
+def test_orbits_whose_lanes_spill_are_integrate_original_one_at_a_time(
+        monkeypatch, rng, mu):
+    # 2-row first slots and a margin of 1e-4 make every lockstep lane move
+    # at the first iteration and spill its rows every few after: mirrors
+    # and duplicates read off those lanes are still what each start gives
+    # alone (computed before the slots are shrunk)
+    n = _kernels.MIN_LANES + 8
+    free = [State(x, y) for x, y in rng.uniform(-2.0, 2.0, (n, 2)).tolist()]
+    states = free + [_mirror(s0) for s0 in free[::3]] + free[1:4] + [State(1.0, 0.0)]
+    rng.shuffle(states)
+    p, cfg = Params(mu=mu), IntegratorConfig(t_max=5.0)
+    want, _ = _one_at_a_time(states, p, cfg)
+    monkeypatch.setattr(_kernels, "FIRST_SLOT", 2)
+    monkeypatch.setattr(_kernels, "SLOT_MARGIN", 1e-4)
+    got, error = _run_orbits(integrate_original_orbits(states, p, cfg), len(states))
+    assert error is None and len(got) == len(states)
+    for a, b in zip(got, want):
+        _assert_same_trajectory(a, b)
+    assert sum(traj.t.base is None for traj in got) > n // 2  # spilled
 
 
 @pytest.mark.parametrize(

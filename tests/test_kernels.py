@@ -273,18 +273,16 @@ def _lanes(monkeypatch, min_lanes, u0, v0, mu, t_end, rel_tol, abs_tol, max_step
 
     monkeypatch.setattr(_kernels, "adaptive_path", recorded)
     with np.errstate(all="raise"):
-        t, z, bounds, status, h, steps = _kernels.adaptive_lanes(
+        paths, status, h, steps = _kernels.adaptive_lanes(
             u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps
         )
     monkeypatch.setattr(_kernels, "adaptive_path", scalar)
-    assert (t.dtype, z.dtype, bounds.dtype, h.dtype, steps.dtype) == (
-        np.float64, np.float64, np.int64, np.float64, np.int64
-    )
-    paths = []
-    for k in range(len(u0)):
-        rows = slice(bounds[k], bounds[k + 1])
-        paths.append((t[rows], z[rows, 0], z[rows, 1], status[k], h[k], steps[k]))
-    return paths, handed_off
+    assert (h.dtype, steps.dtype) == (np.float64, np.int64)
+    assert len(paths) == len(u0)
+    for t, z in paths:
+        assert (t.dtype, z.dtype, z.shape) == (np.float64, np.float64, (len(t), 2))
+    return [(t, z[:, 0], z[:, 1], status[k], h[k], steps[k])
+            for k, (t, z) in enumerate(paths)], handed_off
 
 
 def _assert_same_paths(lanes, scalar):
@@ -458,17 +456,120 @@ def test_one_retire_mixes_statuses_as_the_scalar_kernel_does(
     _assert_same_paths(lanes, scalar)
 
 
+def _arrays(run):
+    """Every array adaptive_lanes returned, each path's t and z in turn."""
+    paths, *rest = run
+    return [a for path in paths for a in path] + rest
+
+
 def test_lanes_place_rows_beyond_any_int32_budget(monkeypatch):
-    # the count of rows reaches max_steps + 1, so places are int32 up to a
-    # budget of 2**31 - 2 and int64 from 2**31 - 1: the same bits on both
-    # sides of the switch, with lockstep and scalar rows
+    # a path holds up to max_steps + 1 rows, and a slot up to the rows the
+    # budget left can add: budgets of 2**31 - 1 and 2**31, past any int32
+    # count, give the bits of 2**31 - 2, with lockstep and scalar rows and
+    # a move of every lane's slot
     monkeypatch.setattr(_kernels, "MIN_LANES", 5)
     u0, v0, mu, t_end = _fig_starts("fig1")
     runs = [_kernels.adaptive_lanes(u0, v0, mu, t_end, 1e-10, 1e-10, 0.01, m)
             for m in (2**31 - 2, 2**31 - 1, 2**31)]
+    assert min(len(t) for t, _ in runs[0][0]) > _kernels.FIRST_SLOT
     for run in runs[1:]:
-        for a, b in zip(runs[0], run):
+        for a, b in zip(_arrays(runs[0]), _arrays(run), strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _slots(monkeypatch, first_slot, margin):
+    """Give the lockstep first slots of first_slot rows and the margin;
+    returns a list that receives, at each move, the rows each lane has
+    and the size of the slot it moves to."""
+    monkeypatch.setattr(_kernels, "FIRST_SLOT", first_slot)
+    monkeypatch.setattr(_kernels, "SLOT_MARGIN", margin)
+    moves = []
+    move = _kernels._move
+
+    def recorded(tp, zp, lo, hi, size):
+        moves.append(((hi - lo).tolist(), size.tolist()))
+        return move(tp, zp, lo, hi, size)
+
+    monkeypatch.setattr(_kernels, "_move", recorded)
+    return moves
+
+
+@pytest.mark.parametrize("handoff", [False, True], ids=["lockstep", "handoff"])
+@pytest.mark.parametrize("case", ["grid", "grid-damped-1e-6"])
+def test_lanes_that_spill_are_bitwise_the_scalar_paths(monkeypatch, rng, case,
+                                                       handoff):
+    # 2-row first slots move at the first iteration, and a margin of 1e-4
+    # sizes each new slot at one row more than its lane has: from then on
+    # every slot fills and spills its rows every other iteration or so,
+    # and each path is its spilled rows, its pool rows and, with a
+    # handoff, its adaptive_path tail, concatenated
+    u0, v0, _, t_end = _grid_starts(rng)
+    mu, tol = (0.1, 1e-6) if "damped" in case else (0.0, 1e-10)
+    scalar = _scalar_paths(u0, v0, mu, t_end, tol, tol, 10**7)
+    moves = _slots(monkeypatch, 2, 1e-4)
+    lanes, _ = _lanes(monkeypatch, len(u0) // 2 if handoff else 1, u0, v0, mu,
+                      t_end, tol, tol, 10**7)
+    _assert_same_paths(lanes, scalar)
+    (rows, size), = moves
+    assert [s - r for r, s in zip(rows, size)] == [1] * len(u0)
+    assert all(path[0].base is None for path in lanes)  # every lane spilled
+
+
+def test_a_lane_that_retires_as_the_slots_move(monkeypatch, rng):
+    # the centre (1, 0) has an error norm of 0, so its step grows five-fold
+    # each time and it reaches t_end after s steps; with first slots of s + 1
+    # rows the lanes that accepted every step fill them in that iteration,
+    # after it retired: it moves with exactly its rows, the others into
+    # larger slots
+    u0, v0, mu, t_end = _grid_starts(rng)
+    u0, v0 = [1.0] + u0, [0.0] + v0
+    scalar = _scalar_paths(u0, v0, mu, t_end, 1e-10, 1e-10, 10**7)
+    s = scalar[0][5]
+    assert scalar[0][3] == _kernels.STATUS_OK and s < 10
+    assert any(len(_whole(u, v, mu, t_end, 1e-10, 1e-10, 0.01, s)[0]) == s + 1
+               for u, v in zip(u0[1:], v0[1:]))
+    moves = _slots(monkeypatch, s + 1, _kernels.SLOT_MARGIN)
+    lanes, _ = _lanes(monkeypatch, 1, u0, v0, mu, t_end, 1e-10, 1e-10, 10**7)
+    _assert_same_paths(lanes, scalar)
+    (rows, size), = moves
+    assert rows[0] == size[0] == s + 1
+    assert all(b > a for a, b in zip(rows[1:], size[1:]))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.1])
+def test_lanes_still_at_t_0_when_the_slots_move(monkeypatch, rng, mu):
+    # a first step of 5 fails on every grid lane, but the centre (1, 0)
+    # takes it (its error norm is 0) and fills a 2-row first slot: the
+    # lanes still at t = 0 move to slots of twice their rows' room
+    u0, v0, _, t_end = _grid_starts(rng)
+    u0, v0 = [1.0] + u0, [0.0] + v0
+    assert [len(_whole(u, v, mu, t_end, 1e-10, 1e-10, 5.0, 1)[0])
+            for u, v in zip(u0, v0)] == [2] + [1] * len(u0[1:])
+    scalar = _scalar_paths(u0, v0, mu, t_end, 1e-10, 1e-10, 10**7, 5.0)
+    moves = _slots(monkeypatch, 2, _kernels.SLOT_MARGIN)
+    lanes, _ = _lanes(monkeypatch, 1, u0, v0, mu, t_end, 1e-10, 1e-10, 10**7, 5.0)
+    _assert_same_paths(lanes, scalar)
+    (rows, size), = moves
+    assert rows == [2] + [1] * len(u0[1:])
+    assert size[1:] == [4] * len(u0[1:]) and size[0] > 2
+
+
+def test_the_step_budget_caps_a_moved_slot(monkeypatch, rng):
+    # with first slots of 8 rows the lanes that accepted their first 7
+    # steps fill them after step 7, when a budget of 20 has 13 steps left:
+    # no slot gets more than 13 rows beyond those it holds, though the
+    # rate of any lane asks for more, and every lane stops where the
+    # scalar kernel does
+    u0, v0, mu, t_end = _grid_starts(rng)
+    scalar = _scalar_paths(u0, v0, mu, t_end, 1e-10, 1e-10, 20)
+    assert {path[3] for path in scalar} == {_kernels.STATUS_MAX_STEPS}
+    assert any(len(_whole(u, v, mu, t_end, 1e-10, 1e-10, 0.01, 7)[0]) == 8
+               for u, v in zip(u0, v0))
+    moves = _slots(monkeypatch, 8, _kernels.SLOT_MARGIN)
+    lanes, _ = _lanes(monkeypatch, 1, u0, v0, mu, t_end, 1e-10, 1e-10, 20)
+    _assert_same_paths(lanes, scalar)
+    (rows, size), = moves
+    assert [s - r for r, s in zip(rows, size)] == [13] * len(u0)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.1])
@@ -489,12 +590,13 @@ def test_lanes_with_iterations_that_accept_no_lane(monkeypatch, rng, mu, h0):
 def test_lanes_peak_memory_stays_near_their_output(rng):
     # a 12 x 12 jittered grid of starts over [-2, 2] x [-1.5, 1.5]; the
     # traced peak over the bytes returned was 3.32 with one buffer grown by
-    # doubling, a stable argsort and two gathers, and is 2.59 with each
-    # row kept in the arrays of the iteration that accepted it and
-    # scattered once: 32 bytes a recorded row and 24 an output row, plus
-    # about 600 bytes for each of its 906 parts (numpy 2.4, 2-vCPU Xeon).
-    # The bound leaves 0.11 for platform differences; a tenth of the
-    # recorded rows copied once more would cross it
+    # doubling, a stable argsort and two gathers, 2.55 with each row kept
+    # in the arrays of the iteration that accepted it and scattered once
+    # into the output (32 bytes a recorded row and 24 an output row), and
+    # is 1.43 with each row written once into its lane's slot of one pool:
+    # 24 bytes a row, the slots' slack and the first pool, freed when the
+    # slots move (numpy 2.4, 2-vCPU Xeon).  The bound is the earlier
+    # one: a second copy of every row would cross it
     cell = np.arange(144)
     u0 = (-2.0 + 4.0 * (cell // 12 + rng.uniform(size=144)) / 12).tolist()
     v0 = (-1.5 + 3.0 * (cell % 12 + rng.uniform(size=144)) / 12).tolist()
@@ -509,7 +611,7 @@ def test_lanes_peak_memory_stays_near_their_output(rng):
     finally:
         if started:
             tracemalloc.stop()
-    assert peak / sum(a.nbytes for a in out) < 2.7
+    assert peak / sum(a.nbytes for a in _arrays(out)) < 2.7
 
 
 # both centres and the origin, with every sign of zero, starts on the axes
