@@ -326,8 +326,8 @@ def adaptive_lanes(u0, v0, mu, t_end, rel_tol, abs_tol, h0, max_steps):
                 full = np.flatnonzero(pos == top[lane])
                 if full.size and moved:  # it spills its rows and starts again
                     for j, k in zip(full.tolist(), lane[full].tolist()):
-                        rows = slice(lo[k], pos[j])
-                        spilled.setdefault(k, []).append((tp[rows].copy(), zp[rows].copy()))
+                        held = slice(lo[k], pos[j])
+                        spilled.setdefault(k, []).append((tp[held].copy(), zp[held].copy()))
                     pos[full] = lo[lane[full]]
                 elif full.size:  # every lane moves to a slot sized from its rate
                     hi[lane] = pos
