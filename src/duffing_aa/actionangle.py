@@ -45,7 +45,6 @@ from .integrate import (
     IntegratorConfig,
     Trajectory,
     _one_period,
-    _turns,
 )
 
 ORIGIN_EXCLUSION = 1e-9
@@ -105,13 +104,13 @@ def action_covered(
     period, as ``integrate._one_period`` keeps it from its angle check.
     One period is one revolution in a well and two outside the separatrix,
     where the image traces the loop twice; the integral over the period
-    is divided by those revolutions (``integrate._turns``), which
-    ``_one_period`` has checked the unwrapped angle to make.  Right after
-    ``find_period`` or ``action_original`` on the same start, params and
-    config, it reads their path and integrates nothing.
+    is divided by those revolutions, which ``_one_period`` has checked the
+    unwrapped angle to make.  Right after ``find_period`` or
+    ``action_original`` on the same start, params and config, it reads
+    their path and integrates nothing.
     """
-    s0 = State(float(s0[0]), float(s0[1]))
-    return _loop_action(*_one_period(s0, p, cfg)[3:]) / _turns(s0, p)
+    x1, y1, turns = _one_period(s0, p, cfg)[3:]
+    return _loop_action(x1, y1) / turns
 
 
 def action_original(

@@ -161,7 +161,7 @@ def _pair(v, where: str) -> tuple[float, float]:
     """v, a list of two numbers, as floats."""
     if not (isinstance(v, list) and len(v) == 2):
         raise ConfigError(f"{where}: expected a list of two numbers, got {v!r}")
-    return float(_checked(v[0], f"{where}[0]")), float(_checked(v[1], f"{where}[1]"))
+    return _checked(v[0], f"{where}[0]"), _checked(v[1], f"{where}[1]")
 
 
 def _expand_grid(grid: dict) -> tuple[State, ...]:
@@ -183,6 +183,8 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
@@ -221,7 +223,7 @@ def load_scenario(path: str) -> Scenario:
     outs_raw = raw["outputs"]
     if not isinstance(outs_raw, list):
         raise ConfigError("scenario.outputs: expected a list")
-    outputs, files = [], {}  # each output's file, as normcase(abspath(path))
+    outputs, files = [], {}  # each output's file: its real path and, if any, inode
     for i, out in enumerate(outs_raw):
         _object(out, f"outputs[{i}]", _OUTPUT_KEYS)
         if out["kind"] not in KINDS:
@@ -233,15 +235,17 @@ def load_scenario(path: str) -> Scenario:
             raise ConfigError(
                 f"outputs[{i}].format: expected csv or svg, got {out['format']!r}"
             )
-        if not (isinstance(out["path"], str) and out["path"]):
-            raise ConfigError(
-                f"outputs[{i}].path: expected a non-empty string, got {out['path']!r}"
-            )
+        if not (isinstance(out["path"], str) and out["path"] and "\0" not in out["path"]):
+            raise ConfigError(f"outputs[{i}].path: expected a non-empty string "
+                              f"without NUL, got {out['path']!r}")
         folder = os.path.dirname(out["path"]) or "."
         if os.path.isdir(out["path"]) or not os.path.isdir(folder):
             raise ConfigError(f"outputs[{i}].path: {out['path']!r}: " + (
                 "is a directory" if os.path.isdir(folder) else "no such directory"))
-        j = files.setdefault(os.path.normcase(os.path.abspath(out["path"])), i)
+        keys = [os.path.normcase(os.path.realpath(out["path"]))]
+        with contextlib.suppress(OSError):  # a file that exists: (inode, device)
+            keys.append(os.stat(out["path"])[1:3])  # too, which its hard links share
+        j = min(files.setdefault(key, i) for key in keys)
         if j != i:  # the later write would replace the earlier one's file
             raise ConfigError(f"outputs[{i}].path: {out['path']!r}: the same file "
                               f"as outputs[{j}].path")

@@ -30,17 +30,18 @@ from . import _kernels
 
 def _number(v, name: str, lo: float = -math.inf, *,
             above: bool = False, integer: bool = False, bound: str | None = None):
-    """v, a number given from outside the program, if it is a Real and not
-    a bool (an Integral if ``integer``), finite, and >= lo (> lo if
-    ``above``); else ValueError "<name> must be ...", the bound worded as
-    ``bound`` or from lo.  The one rule for every such number."""
+    """v, a number given from outside the program, as a Python float (an
+    int if ``integer``) if it is a Real and not a bool (an Integral if
+    ``integer``), finite, and >= lo (> lo if ``above``); else ValueError
+    "<name> must be ...", the bound worded as ``bound`` or from lo.  The
+    one rule for every such number, so a numpy float32 computes in float64."""
     ok = isinstance(v, Integral if integer else Real) and not isinstance(v, bool)
-    try:  # compared as a float: a float32 would cast a Python bound and warn
+    try:
         x = float(v) if ok else math.nan
     except OverflowError:  # an integer beyond the float range
         x = math.inf
     if math.isfinite(x) and (x > lo if above else x >= lo):
-        return v
+        return int(v) if integer else x
     if bound is None:
         bound = f" {'>' if above else '>='} {lo:g}" if lo > -math.inf else ""
     kind = "an integer" if integer else "a finite number"
@@ -57,12 +58,12 @@ class State(NamedTuple):
 @dataclass(frozen=True)
 class Params:
     """System parameters: damping mu >= 0, a finite number that is not a
-    bool (ValueError naming the field otherwise)."""
+    bool, kept as a Python float (ValueError naming the field otherwise)."""
 
     mu: float = 0.0
 
     def __post_init__(self):
-        _number(self.mu, "mu", 0.0)
+        object.__setattr__(self, "mu", _number(self.mu, "mu", 0.0))
 
 
 def _require_finite(s) -> None:
@@ -120,5 +121,5 @@ def state_on_level(h: float) -> State:
     rightmost point of the right-well orbit; for h > 0 it is the rightmost
     point of the outer orbit; h = 0 gives the separatrix apex (sqrt(2), 0).
     """
-    _number(h, "h", -0.25, bound=" >= -1/4: no orbit exists below the well minimum")
-    return State(float(np.sqrt(1.0 + 2.0 * np.sqrt(h + 0.25))), 0.0)
+    h = _number(h, "h", -0.25, bound=" >= -1/4: no orbit exists below the well minimum")
+    return State(math.sqrt(1.0 + 2.0 * math.sqrt(h + 0.25)), 0.0)

@@ -53,7 +53,7 @@ another, never a mix.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -75,8 +75,8 @@ class IntegratorConfig:
     ``step`` is the initial step.  ``max_steps`` bounds attempted steps
     (accepted + rejected) and therefore every loop in this module.
     ``step`` and ``t_max`` are at least the kernel's smallest step,
-    ``_kernels.MIN_STEP``, the tolerances > 0, all finite numbers that are
-    not bools (dynamics._number; ValueError naming the field otherwise).
+    ``_kernels.MIN_STEP``, the tolerances > 0: finite numbers, not bools, kept
+    as floats and max_steps an int (dynamics._number; ValueError naming the field).
     """
 
     step: float = 0.01
@@ -86,12 +86,12 @@ class IntegratorConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        smallest = f" at least the smallest step {_kernels.MIN_STEP:g}"
-        for name in ("step", "t_max"):
-            _number(getattr(self, name), name, _kernels.MIN_STEP, bound=smallest)
-        for name in ("rel_tol", "abs_tol"):
-            _number(getattr(self, name), name, 0.0, above=True)
-        _number(self.max_steps, "max_steps", 1, integer=True)
+        smallest = _kernels.MIN_STEP
+        least, above = {"bound": f" at least the smallest step {smallest:g}"}, {"above": True}
+        for name, lo, rule in (("step", smallest, least), ("t_max", smallest, least),
+                               ("rel_tol", 0.0, above), ("abs_tol", 0.0, above),
+                               ("max_steps", 1, {"integer": True})):
+            object.__setattr__(self, name, _number(getattr(self, name), name, lo, **rule))
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -264,7 +264,7 @@ def integrate_original_orbits(
     first, lanes = _lanes(starts)
     paths, status, _, _ = _kernels.adaptive_lanes(
         [s0.x for s0 in first], [s0.y for s0 in first], p.mu, cfg.t_max,
-        cfg.rel_tol, cfg.abs_tol, cfg.step, int(cfg.max_steps),
+        cfg.rel_tol, cfg.abs_tol, cfg.step, cfg.max_steps,
     )
     for s0, (k, mirrored) in zip(starts, lanes):
         t, zk = paths[k]
@@ -277,12 +277,12 @@ def integrate_original_orbits(
         yield Trajectory(t, zk, p, cfg)
 
 
-def _require_closed_orbit(s0: State, p: Params) -> None:
-    """Periods and actions need a closed orbit: ValueError for mu != 0,
-    StepFailure where the start's energy overflows, OnSeparatrix within
-    SEPARATRIX_TOL of the separatrix level, NoReturn at a center (+-1, 0),
-    a fixed point, and CenterSingular within covering.CENTER_EXCLUSION of
-    one, where the orbit is too small to measure."""
+def _require_closed_orbit(s0: State, p: Params) -> float:
+    """The energy at s0 if a closed orbit, which periods and actions need,
+    starts there: ValueError for mu != 0, StepFailure where that energy
+    overflows, OnSeparatrix within SEPARATRIX_TOL of the separatrix level,
+    NoReturn at a center (+-1, 0), a fixed point, and CenterSingular within
+    covering.CENTER_EXCLUSION of one, where the orbit is too small to measure."""
     if p.mu != 0.0:
         raise ValueError("closed orbits need the conservative flow (mu = 0)")
     try:
@@ -299,13 +299,7 @@ def _require_closed_orbit(s0: State, p: Params) -> None:
     if s0.y == 0.0 and s0.x - s0.x**3 == 0.0:
         raise NoReturn("initial state is a fixed point; no section return")
     _check_away_from_centers(s0.x, s0.y)
-
-
-def _turns(s0: State, p: Params) -> int:
-    """Turns of the covered angle in one period of the closed orbit
-    through s0, a float start ``_require_closed_orbit`` accepts: 1 in a
-    well (H < 0), 2 outside the separatrix."""
-    return 1 if hamiltonian(s0, p) < 0.0 else 2
+    return level
 
 
 def find_period(
@@ -337,26 +331,19 @@ def find_period(
     return _one_period(s0, p, cfg)[0]
 
 
-def _exact(obj) -> tuple:
-    """obj's type and its fields' types and values, floats by their bits:
-    a key that tells 0.0 from -0.0, and 1 from 1.0, as a query can."""
-    return (type(obj), *(
-        (type(v), v.hex() if isinstance(v, float) else repr(v))
-        for v in (getattr(obj, f.name) for f in fields(obj))
-    ))
-
-
-# ((start's bits, params, config), (period, x, y, x1, y1)) of the last
-# orbit _one_period measured, replaced by one assignment, so that a reader
-# sees one whole entry or the other.  The same (frozen) params and config
-# match as they are; only an equal copy is told apart by _exact keys
+# ((start's bits, params, config), (period, x, y, x1, y1, turns)) of the
+# last orbit _one_period measured, replaced by one assignment, so that a
+# reader sees one whole entry or the other.  Params and configs hold Python
+# floats, so equal ones compute alike (mu = -0.0 as 0.0: kernels test `if mu`)
 _last_orbit = None
 
 
 def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
-    """(period, x, y, x1, y1): find_period's period, the orbit's points
-    over [0, period] (the path's samples before it, then the dense output
-    at it), and their covered images, which ``covering._unwrap`` squared.
+    """(period, x, y, x1, y1, turns): find_period's period, the orbit's
+    points over [0, period] (the path's samples before it, then the dense
+    output at it), their covered images, which ``covering._unwrap``
+    squared, and the turns of the covered angle in the period: 1 in a
+    well (H < 0), 2 outside the separatrix.
 
     A start on the section is return 0, at t = 0.  The kernel stops at
     the first sample past return 2, the 3 - [start on the section]-th
@@ -365,27 +352,23 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     flips are counted, and only returns 0 and 2 among them refined.
 
     The path must resolve the orbit: over [0, period] the unwrapped
-    covered angle (``covering._unwrap``) falls by 2pi per turn
-    (``_turns``), or StepFailure names the step.  The last result is
-    kept, its arrays read-only, and returned again for the same start
-    (bit for bit), params and config; a failure is never kept.  So the
-    queries on one orbit in a row share one integration.
+    covered angle (``covering._unwrap``) falls by 2pi per turn, or
+    StepFailure names the step.  The last result is kept, its arrays
+    read-only, and returned again for the same start (bit for bit) and
+    equal params and config; a failure is never kept.  So the queries on
+    one orbit in a row share one integration.
     """
     global _last_orbit
     s0 = State(float(s0[0]), float(s0[1]))
-    start = s0.x.hex(), s0.y.hex()
+    key = (s0.x.hex(), s0.y.hex()), p, cfg
     last = _last_orbit
-    if last is not None:
-        (start_, p_, cfg_), orbit = last
-        if (start_ == start
-                and (p_ is p or (p_ == p and _exact(p_) == _exact(p)))
-                and (cfg_ is cfg or (cfg_ == cfg and _exact(cfg_) == _exact(cfg)))):
-            return orbit
-    _require_closed_orbit(s0, p)
+    if last is not None and last[0] == key:
+        return last[1]
+    turns = 1 if _require_closed_orbit(s0, p) < 0.0 else 2
     on = int(s0.y == 0.0)  # a start on the section is return 0
     t, x, y, status, _, _ = _kernels.adaptive_path(
         s0.x, s0.y, p.mu, 0.0, cfg.t_max, cfg.rel_tol, cfg.abs_tol, cfg.step,
-        int(cfg.max_steps), 3 - on,
+        cfg.max_steps, 3 - on,
     )
     _check_status(status, t, cfg)
     flips = _sign_flips(y)
@@ -401,15 +384,15 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     x_end, y_end = dense(k - 1)(period)
     x, y = np.concatenate((x[:k], (x_end,))), np.concatenate((y[:k], (y_end,)))
     x1, y1, theta = _unwrap(x, y)
-    turns, want = (theta[0] - theta[-1]) / TWO_PI, _turns(s0, p)
-    if not abs(turns - want) < 0.25:
+    turned = (theta[0] - theta[-1]) / TWO_PI
+    if not abs(turned - turns) < 0.25:
         raise StepFailure(
             f"the rk45 path with step={cfg.step!r} does not resolve "
-            f"the orbit: its covered angle turns {turns:.3g} times in the "
-            f"period {period:.6g}, not {want}"
+            f"the orbit: its covered angle turns {turned:.3g} times in the "
+            f"period {period:.6g}, not {turns}"
         )
     for a in (x, y, x1, y1):
         a.setflags(write=False)
-    orbit = period, x, y, x1, y1
-    _last_orbit = (start, p, cfg), orbit
+    orbit = period, x, y, x1, y1, turns
+    _last_orbit = key, orbit
     return orbit

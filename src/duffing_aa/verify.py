@@ -374,9 +374,9 @@ def run_check(
     tolerance otherwise, by the rule every number given to the package
     meets).  The seed is an integer in [0, 2**64), the generator's states
     (ValueError naming seed otherwise): a wider one would alias."""
-    if tolerance is not None:
-        _number(tolerance, "tolerance", 0.0)
-    if _number(seed, "seed", 0, integer=True, bound=" in [0, 2**64)") > _LCG_MASK:
+    tolerance = tolerance if tolerance is None else _number(tolerance, "tolerance", 0.0)
+    seed = _number(seed, "seed", 0, integer=True, bound=" in [0, 2**64)")
+    if seed > _LCG_MASK:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     try:
         runner = CHECKS[name]

@@ -2,6 +2,7 @@ import math
 import re
 import threading
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -321,8 +322,8 @@ CLOSED_ORBIT_QUERIES = (find_period, action_original, action_covered)
 def _orbit_bits(s0, p, cfg):
     """_one_period's result as bytes, and whether it came from the memo."""
     hit = integrate._last_orbit
-    period, *arrays = got = integrate._one_period(s0, p, cfg)
-    return (period.hex(), *(a.tobytes() for a in arrays)), (
+    period, *arrays, turns = got = integrate._one_period(s0, p, cfg)
+    return (period.hex(), *(a.tobytes() for a in arrays), turns), (
         hit is not None and got is hit[1]
     )
 
@@ -338,43 +339,23 @@ def test_memo_returns_what_fresh_calls_return(monkeypatch, p0):
         assert [repr(q(s0, p0)) for q in CLOSED_ORBIT_QUERIES] == fresh[s0]
 
 
-def test_memo_hit_on_the_same_objects_builds_no_key(monkeypatch, p0):
-    # the frozen params and config that were kept are the ones asked about:
-    # only equal copies are told apart by their _exact keys
-    s0 = State(1.0, 0.3)
-    monkeypatch.setattr(integrate, "_last_orbit", None)
-    kept = integrate._one_period(s0, p0, DEFAULT_CONFIG)
-    keyed = []
-    exact = integrate._exact
-    monkeypatch.setattr(integrate, "_exact", lambda obj: keyed.append(obj) or exact(obj))
-    for q in CLOSED_ORBIT_QUERIES:
-        q(s0, p0)
-    assert integrate._one_period(s0, p0, DEFAULT_CONFIG) is kept and keyed == []
-    copies = Params(mu=p0.mu), replace(DEFAULT_CONFIG)
-    assert integrate._one_period(s0, *copies) is kept
-    # each equal copy is told apart by the keys of the kept object and its own
-    assert keyed == [p0, copies[0], DEFAULT_CONFIG, copies[1]]
-
-
 MEMO_BASE = (State(0.0, 1.0), Params(), DEFAULT_CONFIG)
 
 
 MEMO_CHANGES = {
     "x=-0.0": {"s0": State(-0.0, 1.0)},
-    "mu=-0.0": {"p": Params(mu=-0.0)},
     "step": {"cfg": replace(DEFAULT_CONFIG, step=0.02)},
     "rel_tol": {"cfg": replace(DEFAULT_CONFIG, rel_tol=1e-9)},
     "abs_tol": {"cfg": replace(DEFAULT_CONFIG, abs_tol=1e-9)},
     "t_max": {"cfg": replace(DEFAULT_CONFIG, t_max=50.0)},
-    "t_max-int": {"cfg": replace(DEFAULT_CONFIG, t_max=100)},
     "max_steps": {"cfg": replace(DEFAULT_CONFIG, max_steps=10**6)},
 }
 
 
 @pytest.mark.parametrize("change", MEMO_CHANGES.values(), ids=MEMO_CHANGES.keys())
 def test_memo_keys_tell_every_input_apart(monkeypatch, change):
-    # each input changed by itself, even to an equal value of other bits
-    # or type, gets a fresh integration, which a memo hit would not be
+    # each input changed by itself, the start even to -0.0, gets a fresh
+    # integration, which a memo hit would not be
     args = {**dict(zip(("s0", "p", "cfg"), MEMO_BASE)), **change}
     monkeypatch.setattr(integrate, "_last_orbit", None)
     want, _ = _orbit_bits(**args)
@@ -383,6 +364,33 @@ def test_memo_keys_tell_every_input_apart(monkeypatch, change):
     assert _orbit_bits(**args) == (want, False)
     assert _orbit_bits(**args) == (want, True)
     assert _orbit_bits(*MEMO_BASE)[1] is False
+
+
+# (spelled, plain): an input spelled otherwise, and an equal one in Python floats
+MEMO_SPELLINGS = {
+    "mu=-0.0": ({"p": Params(mu=-0.0)}, {}),
+    "mu-float32": ({"p": Params(mu=np.float32(0.0))}, {}),
+    "t_max-int": ({"cfg": replace(DEFAULT_CONFIG, t_max=100)}, {}),
+    "t_max-Fraction": ({"cfg": replace(DEFAULT_CONFIG, t_max=Fraction(100))}, {}),
+    "step-float32": ({"cfg": replace(DEFAULT_CONFIG, step=np.float32(0.5))},
+                     {"cfg": replace(DEFAULT_CONFIG, step=0.5)}),
+    "max_steps-int64": ({"cfg": replace(DEFAULT_CONFIG, max_steps=np.int64(10**7))}, {}),
+}
+
+
+@pytest.mark.parametrize("spelled, plain", MEMO_SPELLINGS.values(),
+                         ids=MEMO_SPELLINGS.keys())
+def test_memo_shares_equal_inputs_spelled_differently(monkeypatch, spelled, plain):
+    # params and configs keep Python floats, so an equal input computes the
+    # bits of a fresh query on the plain one, and shares its entry both ways
+    base = dict(zip(("s0", "p", "cfg"), MEMO_BASE))
+    spelled, plain = {**base, **spelled}, {**base, **plain}
+    monkeypatch.setattr(integrate, "_last_orbit", None)
+    want, _ = _orbit_bits(**plain)
+    for first, second in ((spelled, plain), (plain, spelled)):
+        monkeypatch.setattr(integrate, "_last_orbit", None)
+        assert _orbit_bits(**first) == (want, False)
+        assert _orbit_bits(**second) == (want, True)
 
 
 def test_memo_never_keeps_a_failure(p0):
@@ -399,7 +407,7 @@ def test_memo_never_keeps_a_failure(p0):
 def test_memo_arrays_are_read_only(monkeypatch, p0):
     monkeypatch.setattr(integrate, "_last_orbit", None)
     for _ in range(2):  # the fresh result, then the kept one
-        _, *arrays = integrate._one_period(State(1.0, 0.3), p0, DEFAULT_CONFIG)
+        _, *arrays, _ = integrate._one_period(State(1.0, 0.3), p0, DEFAULT_CONFIG)
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0

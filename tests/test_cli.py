@@ -183,6 +183,17 @@ def test_malformed_json_names_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_a_scenario_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    # a valid scenario and one byte 0xff: a config error, not a traceback
+    path = small_scenario(tmp_path)
+    with open(path, "ab") as f:
+        f.write(b"\xff")
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: not UTF-8: "), err
+    assert sorted(os.listdir(tmp_path)) == ["scn.json"]
+
+
 def test_missing_config(capsys):
     assert main(["run", "no_such_scenario"]) == 2
     assert "no_such_scenario" in capsys.readouterr().err
@@ -503,12 +514,15 @@ def test_oversize_grid_exits_2_before_expanding(tmp_path, monkeypatch, capsys):
     assert err.startswith("config error: grid") and str(MAX_GRID_STATES) in err
 
 
-@pytest.mark.parametrize("path", [None, 5, "", os.path.join("missing", "o.csv"), "."],
-                         ids=["null", "number", "empty", "missing-directory", "directory"])
+@pytest.mark.parametrize("path", [None, 5, "", os.path.join("missing", "o.csv"), ".",
+                                  "a\u0000b.csv"],
+                         ids=["null", "number", "empty", "missing-directory", "directory",
+                              "nul"])
 def test_bad_output_path_exits_2_before_integrating(tmp_path, monkeypatch, capsys,
                                                      path):
-    # a path that is no non-empty string, a directory, or in a missing
-    # directory is refused with the config: nothing integrates or is written
+    # a path that is no non-empty string, holds a NUL (no file can be named
+    # by it), is a directory, or is in a missing directory is refused with
+    # the config: nothing integrates or is written
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "integrate_original_orbits",
                         lambda *a: pytest.fail("integrated"))
@@ -541,6 +555,43 @@ def test_outputs_naming_one_file_exit_2_before_integrating(tmp_path, monkeypatch
     assert captured.err == (f"config error: outputs[2].path: {path!r}: the same "
                             "file as outputs[0].path\n")
     assert sorted(os.listdir(tmp_path)) == ["scn.json"]
+
+
+@pytest.mark.parametrize("link", ["file-symlink", "directory-symlink", "hard-link"])
+def test_outputs_linked_to_one_file_exit_2_before_integrating(tmp_path, monkeypatch,
+                                                               capsys, link):
+    # two paths of one file through a link: the later write would silently
+    # replace the earlier output's file, as with equal paths.  The symlinks
+    # name a file not written yet; the hard link shares an existing one's inode
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "integrate_original_orbits",
+                        lambda *a: pytest.fail("integrated"))
+    os.mkdir("d")
+    first = os.path.join("d", "a.csv")
+    try:
+        if link == "file-symlink":
+            os.symlink(tmp_path / first, second := "link.csv")
+        elif link == "directory-symlink":
+            os.symlink(tmp_path / "d", "dl", target_is_directory=True)
+            second = os.path.join("dl", "a.csv")
+        else:
+            (tmp_path / first).write_bytes(b"kept\n")
+            os.link(first, second := "hard.csv")
+    except (OSError, NotImplementedError) as e:  # links need a privilege on Windows
+        pytest.skip(f"the OS refuses the link: {e}")
+    listed = sorted(os.listdir(tmp_path)), sorted(os.listdir("d"))
+    cfg = small_scenario(
+        tmp_path, outputs=[{"kind": "original", "format": "csv", "path": first},
+                           {"kind": "covered", "format": "csv", "path": second}])
+    assert main(["run", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: outputs[1].path: {second!r}: the same "
+                            "file as outputs[0].path\n")
+    assert (sorted(os.listdir(tmp_path)), sorted(os.listdir("d"))) == (
+        sorted(listed[0] + ["scn.json"]), listed[1])
+    if link == "hard-link":
+        assert (tmp_path / first).read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize("description", [None, 5, ["a"]],

@@ -1,10 +1,13 @@
 import importlib
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from duffing_aa import (
     Params,
@@ -17,6 +20,7 @@ from duffing_aa import (
     state_on_level,
     verify,
 )
+from duffing_aa.dynamics import _number
 
 
 def test_field_examples(p0, p_damped):
@@ -150,6 +154,32 @@ def test_params_accept_signed_zero_and_numpy_numbers():
     assert Params(mu=np.float64(0.1)).mu == 0.1
     assert Params(mu=np.float32(0.5)).mu == 0.5
     assert Params(mu=np.int64(2)).mu == 2
+
+
+REALS = st.one_of(
+    st.integers(), st.floats(), st.floats().map(np.float64), st.fractions(),
+    st.floats(width=32).map(np.float32), st.floats(width=16).map(np.float16),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+)
+
+
+@given(v=REALS, integer=st.booleans())
+def test_number_gives_back_a_python_float_or_int(v, integer):
+    # whatever Real it accepts is computed with in float64 from then on
+    try:
+        got = _number(v, "v", integer=integer)
+    except ValueError:  # not finite, or not an integer under integer=True
+        return
+    if integer:
+        assert type(got) is int and got == v
+    else:
+        assert type(got) is float and got.hex() == float(v).hex()
+
+
+def test_a_float32_level_is_computed_in_float64(p0):
+    # the level as a float64 holds it, and so does its state's energy
+    h = np.float32(-0.2)
+    assert hamiltonian(state_on_level(h), p0) == float(h)
 
 
 @pytest.mark.parametrize("h", [True, "0", None, math.nan, math.inf, 10**400],

@@ -224,6 +224,16 @@ def test_json_round_trip():
     assert CheckReport(**data) == rep
 
 
+def test_numpy_numbers_run_checks_as_python_numbers():
+    # a float64 tolerance made `passed` a numpy bool, which JSON refused,
+    # and an int64 seed overflowed the generator's uint64 arithmetic
+    rep = run_check("check_period", tolerance=np.float64(1e-7))
+    assert type(rep.passed) is bool and type(rep.tolerance) is float
+    assert json.loads(rep.to_json())["passed"] is True
+    assert run_check("check_theta_dot", seed=np.int64(5)) == run_check(
+        "check_theta_dot", seed=5)
+
+
 def test_run_all_passes_and_is_ordered():
     reports = run_all()
     assert [r.name for r in reports] == list(CHECKS)
