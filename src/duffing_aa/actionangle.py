@@ -15,8 +15,8 @@ exclusion disk of radius 1e-9 around those points rather than clamp.
 Two action integrals are provided, both over the points of one original
 period that ``find_period`` measures (``integrate._one_period``).  That
 path must resolve the orbit (StepFailure otherwise), and the last one is
-kept, so ``find_period`` and both actions on one start share one
-integration:
+kept (``functools.lru_cache``), so ``find_period`` and both actions on
+one start share one integration:
 
   * ``action_covered``: (1/2pi) * loop integral of y1 dx1 along the
     covered image over one full global revolution (theta decreasing by

@@ -6,12 +6,12 @@ Subcommands:
   verify             run registered checks, one JSON report per line
   field --at x,y     evaluate either vector field at one point
 
-Scenario files are strict JSON: unknown fields are errors, so a config
-reproduces the same figure or not at all.  Every number is a finite
-number that is not a bool (an integer for nx, ny and max_steps), checked
-by the package's one rule (dynamics._number) with the bound of its field:
-a NaN or Infinity token reads as a float and is refused like 1e999, and
-the config error names the field.  Fields:
+Scenario files are strict JSON: unknown fields and repeated keys are
+errors, so a config reproduces the same figure or not at all.  Every
+number is a finite number that is not a bool (an integer for nx, ny and
+max_steps), checked by the package's one rule (dynamics._number) with
+the bound of its field: a NaN or Infinity token reads as a float and is
+refused like 1e999, and the config error names the field.  Fields:
 
   mu                 damping, a number >= 0
   initial_states     list of [x, y] pairs -- or instead:
@@ -176,11 +176,19 @@ def _expand_grid(grid: dict) -> tuple[State, ...]:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and validate a scenario file (strict: unknown fields fail)."""
+    """Parse and validate a scenario file (strict: unknown or repeated keys fail)."""
+    def unique(pairs):  # an object's dict: a key given twice is refused
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f'{path}: duplicate key "{key}"')
+            obj[key] = value
+        return obj
+
     resolved = _resolve_config_path(path)
     try:
         with open(resolved, encoding="utf-8") as f:
-            raw = json.load(f)
+            raw = json.load(f, object_pairs_hook=unique)
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
@@ -260,7 +268,7 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _resolve_config_path(path: str) -> str:
-    if os.path.exists(path):
+    if os.path.exists(path) and not os.path.isdir(path):
         return path
     name = path if path.endswith(".json") else path + ".json"
     bundled = resources.files("duffing_aa") / "scenarios" / name
@@ -437,31 +445,6 @@ def _run_block(scenario: Scenario, lo: int, hi: int, tmps) -> tuple:
                for out in scenario.outputs]
 
 
-def _fork_block(scenario: Scenario, lo: int, hi: int, tmps) -> tuple[int, int]:
-    """Start a child that sends _run_block's result (marshalled, never CSV
-    rows) through a pipe; returns (pid, the pipe's read end)."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        # the child leaves through _exit: it never returns into the caller's
-        # stack and never flushes the stdio it inherited
-        code = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                marshal.dump(_run_block(scenario, lo, hi, tmps), pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
 def _renamed_path(path: str) -> str | None:
     """The file that output path's new file is renamed over: its real path,
     when it is not there yet or is a regular file of one link, named
@@ -582,29 +565,37 @@ def _write_svg(path: str, parts) -> None:
     _write_output(path, ("\n".join(out) + "\n").encode())
 
 
-def _run_blocks(scenario: Scenario, bounds, tmps) -> list[tuple]:
+def _run_blocks(scenario: Scenario, bounds, tmps, sent) -> list[tuple]:
     """_run_block's result for each block in order: the first run here,
-    every other in a child (_fork_block) reaped in turn.  On an error here
-    every child left is stopped and reaped."""
-    children = []  # (pid, pipe) of each child not yet reaped
+    every other in a child that marshals it into its file of sent, reaped
+    in turn.  On an error here every child left is stopped and reaped."""
+    children = []  # the pid of each child not yet reaped
     try:
-        for b in range(1, len(bounds) - 1):
-            children.append(_fork_block(scenario, *bounds[b : b + 2], tmps[b]))
+        for b, f in enumerate(sent, 1):
+            pid = os.fork()
+            if pid == 0:
+                # the child leaves through _exit: it never returns into the
+                # caller's stack and never flushes the stdio it inherited
+                code = 1
+                try:
+                    marshal.dump(_run_block(scenario, *bounds[b : b + 2], tmps[b]), f)
+                    f.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(pid)
         results = [_run_block(scenario, *bounds[:2], tmps[0])]
-        while children:
-            pid, pipe = children[0]
-            with open(pipe, "rb", closefd=False) as f:
-                sent = f.read()
-            status = os.waitpid(pid, 0)[1]
-            os.close(children.pop(0)[1])
+        for f in sent:  # from the start: the child moved the offset they share
+            status = os.waitpid(children[0], 0)[1]
+            del children[0]
+            f.seek(0)
             results.append((2, (
                 "config error: cannot write output: a block process exited "
                 f"with status {os.waitstatus_to_exitcode(status)}"
-            )) if status else marshal.loads(sent))
+            )) if status else marshal.load(f))
         return results
     finally:
-        for pid, pipe in children:
-            os.close(pipe)
+        for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
@@ -623,7 +614,9 @@ def run_scenario(path: str, quiet: bool = False) -> int:
             # tmps[b][i]: the temporary file for block b's rows of CSV output i
             tmps = [[files.enter_context(tempfile.TemporaryFile()) if o.format == "csv"
                      else None for o in scenario.outputs] for _ in bounds[1:]]
-            results = _run_blocks(scenario, bounds, tmps)
+            # sent[b - 1]: the one a child fills with block b's result, b > 0
+            sent = [files.enter_context(tempfile.TemporaryFile()) for _ in bounds[2:]]
+            results = _run_blocks(scenario, bounds, tmps, sent)
         except OSError as e:  # no temporary file or no fork
             print(f"config error: cannot write output: {e}", file=sys.stderr)
             return 2
@@ -667,7 +660,7 @@ def verify_all(
     seed: int, tolerance: float | None = None, only: str | None = None
 ) -> int:
     """Stream one JSON report per check to stdout; 0 iff all passed."""
-    names = [only] if only else list(CHECKS)
+    names = list(CHECKS) if only is None else [only]
     failed = []
     for name in names:
         try:

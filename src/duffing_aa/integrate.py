@@ -31,8 +31,8 @@ bit-identical to it.  Only the returns the period uses are refined:
 return 2, and return 0 for a start off the section.  The path must
 resolve the orbit: the covered angle must turn once per period in a well
 and twice outside, or StepFailure names the step.  The last orbit
-measured is kept, so ``find_period`` and both actions on one start share
-one integration.
+measured is kept (``functools.lru_cache``), so ``find_period`` and both
+actions on one start share one integration.
 
 ``integrate_original_orbits`` integrates many starts at once, and
 ``integrate_original`` is that with one start: one
@@ -45,16 +45,14 @@ negative (or itself) came earlier reuses that lane and owns its states.
 Each integration is an independent single-threaded computation over
 immutable inputs; returned trajectories are frozen (array buffers are
 marked read-only) and safe to share between threads.  So is the kept
-closed orbit: its arrays are read-only, and it is replaced by one
-assignment of a (key, orbit) pair, so a thread reads one whole entry or
-another, never a mix.
+closed orbit: its arrays are read-only.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -331,13 +329,6 @@ def find_period(
     return _one_period(s0, p, cfg)[0]
 
 
-# ((start's bits, params, config), (period, x, y, x1, y1, turns)) of the
-# last orbit _one_period measured, replaced by one assignment, so that a
-# reader sees one whole entry or the other.  Params and configs hold Python
-# floats, so equal ones compute alike (mu = -0.0 as 0.0: kernels test `if mu`)
-_last_orbit = None
-
-
 def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     """(period, x, y, x1, y1, turns): find_period's period, the orbit's
     points over [0, period] (the path's samples before it, then the dense
@@ -355,15 +346,15 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
     covered angle (``covering._unwrap``) falls by 2pi per turn, or
     StepFailure names the step.  The last result is kept, its arrays
     read-only, and returned again for the same start (bit for bit) and
-    equal params and config; a failure is never kept.  So the queries on
-    one orbit in a row share one integration.
+    equal (==) params and config; a failure is never kept.  So the
+    queries on one orbit in a row share one integration.
     """
-    global _last_orbit
-    s0 = State(float(s0[0]), float(s0[1]))
-    key = (s0.x.hex(), s0.y.hex()), p, cfg
-    last = _last_orbit
-    if last is not None and last[0] == key:
-        return last[1]
+    return _closed_orbit(float(s0[0]).hex(), float(s0[1]).hex(), p, cfg)
+
+
+@lru_cache(maxsize=1)
+def _closed_orbit(x0: str, y0: str, p: Params, cfg: IntegratorConfig):
+    s0 = State(float.fromhex(x0), float.fromhex(y0))
     turns = 1 if _require_closed_orbit(s0, p) < 0.0 else 2
     on = int(s0.y == 0.0)  # a start on the section is return 0
     t, x, y, status, _, _ = _kernels.adaptive_path(
@@ -393,6 +384,4 @@ def _one_period(s0: State, p: Params, cfg: IntegratorConfig):
         )
     for a in (x, y, x1, y1):
         a.setflags(write=False)
-    orbit = period, x, y, x1, y1, turns
-    _last_orbit = key, orbit
-    return orbit
+    return period, x, y, x1, y1, turns

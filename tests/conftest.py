@@ -48,5 +48,5 @@ def kernel_samples(monkeypatch):
         return out
 
     monkeypatch.setattr(_kernels, "adaptive_path", counted)
-    monkeypatch.setattr(integrate, "_last_orbit", None)
+    integrate._closed_orbit.cache_clear()
     return counts

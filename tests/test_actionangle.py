@@ -321,20 +321,20 @@ CLOSED_ORBIT_QUERIES = (find_period, action_original, action_covered)
 
 def _orbit_bits(s0, p, cfg):
     """_one_period's result as bytes, and whether it came from the memo."""
-    hit = integrate._last_orbit
-    period, *arrays, turns = got = integrate._one_period(s0, p, cfg)
+    hits = integrate._closed_orbit.cache_info().hits
+    period, *arrays, turns = integrate._one_period(s0, p, cfg)
     return (period.hex(), *(a.tobytes() for a in arrays), turns), (
-        hit is not None and got is hit[1]
+        integrate._closed_orbit.cache_info().hits > hits
     )
 
 
-def test_memo_returns_what_fresh_calls_return(monkeypatch, p0):
+def test_memo_returns_what_fresh_calls_return(p0):
     a, b = State(1.0, 0.3), state_on_level(0.5)
     fresh = {}
     for s0 in (a, b):
-        monkeypatch.setattr(integrate, "_last_orbit", None)
+        integrate._closed_orbit.cache_clear()
         fresh[s0] = [repr(q(s0, p0)) for q in CLOSED_ORBIT_QUERIES]
-    monkeypatch.setattr(integrate, "_last_orbit", None)
+    integrate._closed_orbit.cache_clear()
     for s0 in (a, b, a, a, b):
         assert [repr(q(s0, p0)) for q in CLOSED_ORBIT_QUERIES] == fresh[s0]
 
@@ -353,13 +353,13 @@ MEMO_CHANGES = {
 
 
 @pytest.mark.parametrize("change", MEMO_CHANGES.values(), ids=MEMO_CHANGES.keys())
-def test_memo_keys_tell_every_input_apart(monkeypatch, change):
+def test_memo_keys_tell_every_input_apart(change):
     # each input changed by itself, the start even to -0.0, gets a fresh
     # integration, which a memo hit would not be
     args = {**dict(zip(("s0", "p", "cfg"), MEMO_BASE)), **change}
-    monkeypatch.setattr(integrate, "_last_orbit", None)
+    integrate._closed_orbit.cache_clear()
     want, _ = _orbit_bits(**args)
-    monkeypatch.setattr(integrate, "_last_orbit", None)
+    integrate._closed_orbit.cache_clear()
     _orbit_bits(*MEMO_BASE)
     assert _orbit_bits(**args) == (want, False)
     assert _orbit_bits(**args) == (want, True)
@@ -380,15 +380,15 @@ MEMO_SPELLINGS = {
 
 @pytest.mark.parametrize("spelled, plain", MEMO_SPELLINGS.values(),
                          ids=MEMO_SPELLINGS.keys())
-def test_memo_shares_equal_inputs_spelled_differently(monkeypatch, spelled, plain):
+def test_memo_shares_equal_inputs_spelled_differently(spelled, plain):
     # params and configs keep Python floats, so an equal input computes the
     # bits of a fresh query on the plain one, and shares its entry both ways
     base = dict(zip(("s0", "p", "cfg"), MEMO_BASE))
     spelled, plain = {**base, **spelled}, {**base, **plain}
-    monkeypatch.setattr(integrate, "_last_orbit", None)
+    integrate._closed_orbit.cache_clear()
     want, _ = _orbit_bits(**plain)
     for first, second in ((spelled, plain), (plain, spelled)):
-        monkeypatch.setattr(integrate, "_last_orbit", None)
+        integrate._closed_orbit.cache_clear()
         assert _orbit_bits(**first) == (want, False)
         assert _orbit_bits(**second) == (want, True)
 
@@ -404,8 +404,8 @@ def test_memo_never_keeps_a_failure(p0):
     assert integrate._one_period(s0, p0, DEFAULT_CONFIG) is kept
 
 
-def test_memo_arrays_are_read_only(monkeypatch, p0):
-    monkeypatch.setattr(integrate, "_last_orbit", None)
+def test_memo_arrays_are_read_only(p0):
+    integrate._closed_orbit.cache_clear()
     for _ in range(2):  # the fresh result, then the kept one
         _, *arrays, _ = integrate._one_period(State(1.0, 0.3), p0, DEFAULT_CONFIG)
         for arr in arrays:
@@ -413,7 +413,7 @@ def test_memo_arrays_are_read_only(monkeypatch, p0):
                 arr[0] = 0.0
 
 
-def test_memo_is_thread_safe(monkeypatch, p0):
+def test_memo_is_thread_safe(p0):
     # two threads alternate between their own two orbits, asking each twice;
     # each must always get its own orbit's bits, whatever the other thread
     # left in the memo or is storing there
@@ -421,7 +421,7 @@ def test_memo_is_thread_safe(monkeypatch, p0):
              (State(0.0, 1.0), state_on_level(-0.2)))
     want = {}
     for s0 in (s for pair in pairs for s in pair):
-        monkeypatch.setattr(integrate, "_last_orbit", None)
+        integrate._closed_orbit.cache_clear()
         want[s0] = _orbit_bits(s0, p0, DEFAULT_CONFIG)[0]
     done = [0, 0]
 

@@ -194,9 +194,51 @@ def test_a_scenario_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["scn.json"]
 
 
+@pytest.mark.parametrize("given_twice, key", [
+    ('"mu": 0.0', "mu"), ('"path": "cov.csv"', "path")], ids=["mu", "outputs-path"])
+def test_a_key_given_twice_exits_2_naming_it(tmp_path, monkeypatch, capsys,
+                                             given_twice, key):
+    # JSON keeps a repeated key's last value, which would run mu 0.5 or
+    # write the second path; a scenario refuses it and writes nothing
+    monkeypatch.chdir(tmp_path)
+    path = small_scenario(tmp_path)
+    text = (tmp_path / "scn.json").read_text()
+    assert given_twice in text
+    (tmp_path / "scn.json").write_text(text.replace(given_twice,
+                                                    f'{given_twice}, "{key}": 0.5'))
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err == f'config error: {path}: duplicate key "{key}"\n'
+    assert sorted(os.listdir(tmp_path)) == ["scn.json"]
+
+
 def test_missing_config(capsys):
     assert main(["run", "no_such_scenario"]) == 2
     assert "no_such_scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ["directory", "pipe"])
+def test_a_config_path_names_a_file_or_pipe_not_a_directory(tmp_path, monkeypatch,
+                                                            capsys, what):
+    # a directory named fig1 is no scenario file, so fig1 runs the bundled
+    # one; a pipe (run /dev/stdin, or <(cat s.json) in a shell) is read
+    monkeypatch.chdir(tmp_path)
+    if what == "directory":
+        (tmp_path / "fig1").mkdir()
+        assert main(["run", "fig1"]) == 0
+        written = ["fig1_original.csv", "fig1_portrait.svg"]
+    else:
+        if sys.platform != "linux":
+            pytest.skip("a pipe named by /dev/fd")
+        small_scenario(tmp_path)
+        r, w = os.pipe()
+        with open(w, "wb") as f:
+            f.write((tmp_path / "scn.json").read_bytes())
+        try:
+            assert main(["run", f"/dev/fd/{r}"]) == 0
+        finally:
+            os.close(r)
+        written = ["out.csv", "cov.csv", "out.svg"]
+    assert capsys.readouterr().out == "".join(f"wrote {name}\n" for name in written)
 
 
 def test_integration_failure_names_state(tmp_path, capsys):
@@ -258,6 +300,13 @@ def test_verify_largest_seed_runs(capsys):
 def test_verify_unknown_check(capsys):
     assert main(["verify", "--only", "check_bogus"]) == 2
     assert "unknown check" in capsys.readouterr().err
+
+
+def test_verify_only_an_empty_name_exits_2(capsys):
+    # "" names no check: it is unknown, not a request for every check
+    assert main(["verify", "--only", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("unknown check ''")
 
 
 def test_verify_seed_is_42_whatever_the_environment(monkeypatch, capsys):
@@ -1010,7 +1059,7 @@ def test_bounds_rise_with_a_block_per_cpu_at_most(picks, cpus, t_max, least_work
 
 @FORKED
 def test_two_orbit_run_forks_nothing(tmp_path, monkeypatch):
-    # a fork, its pipe and its reap cost more than half of this run
+    # a fork, the file of its result and its reap cost more than half of this run
     # (MIN_BLOCK_WORK): 2 CPUs and the real threshold leave one process
     monkeypatch.chdir(tmp_path)
     _usable_cpus(monkeypatch, 2, cli.MIN_BLOCK_WORK)
@@ -1071,6 +1120,47 @@ def test_failed_block_exits_2_and_reaps_every_child(tmp_path, monkeypatch, capsy
     # nothing written beside the earlier output
     assert os.listdir(out) == ["cov.csv"]
     assert (out / "cov.csv").read_bytes() == b"earlier run\n"
+    _no_child_left()
+
+
+@FORKED
+@pytest.mark.parametrize("failing", ["none", "killed", "write", "integration"])
+def test_run_leaks_no_descriptor_and_leaves_no_child(tmp_path, monkeypatch, capsys,
+                                                      failing):
+    # a raw descriptor left open is no file object, so no ResourceWarning
+    # shows it: the process holds the same descriptors after a run over 4
+    # blocks, whether it succeeds or a child dies, cannot write its rows
+    # or fails to integrate
+    states = [[1.2, 0.0], [0.0, 1.0], [-1.3, -0.1], [0.5, 0.2]]
+    if failing == "integration":
+        states[2] = [1e200, 2.0]
+    cfg = small_scenario(tmp_path, initial_states=states, outputs=_outputs_in(tmp_path))
+    _usable_cpus(monkeypatch, 4)
+    assert cli._bounds(load_scenario(cfg)) == [0, 1, 2, 3, 4]
+    parent = os.getpid()
+    write_rows = cli._write_rows
+
+    def write_or_fail(f, *args):
+        if os.getpid() != parent and failing == "killed":
+            os._exit(7)
+        if os.getpid() != parent and failing == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_rows(f, *args)
+
+    monkeypatch.setattr(cli, "_write_rows", write_or_fail)
+    code, err = {
+        "none": (0, ""),
+        "killed": (2, "config error: cannot write output: a block process exited "
+                      "with status 7\n"),
+        "write": (2, f"config error: cannot write output: {tmp_path / 'cov.csv'}: "
+                     "[Errno 28] No space left on device\n"),
+        "integration": (3, "integration failed for initial state #2 "),
+    }[failing]
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert main(["run", "--quiet", cfg]) == code
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    got = capsys.readouterr().err
+    assert got.startswith(err) if failing == "integration" else got == err
     _no_child_left()
 
 

@@ -75,7 +75,7 @@ def test_a_float32_config_integrates_in_float64(p0):
     # (it ran in float32, 2.8e-7 off, above check_period's 1e-7)
     s0 = state_on_level(0.3)
     want = find_period(s0, p0, replace(DEFAULT_CONFIG, step=0.5))
-    integrate._last_orbit = None
+    integrate._closed_orbit.cache_clear()
     cfg = replace(DEFAULT_CONFIG, step=np.float32(0.5))
     assert type(cfg.step) is float
     assert find_period(s0, p0, cfg).hex() == want.hex()
@@ -336,7 +336,7 @@ def test_step_budget_ends_at_the_stop(closed_orbit_start, p0, monkeypatch):
         return out
 
     monkeypatch.setattr(_kernels, "adaptive_path", recorded)
-    monkeypatch.setattr(integrate, "_last_orbit", None)
+    integrate._closed_orbit.cache_clear()
     period = find_period(s0, p0)
     [steps] = used
     assert find_period(s0, p0, replace(DEFAULT_CONFIG, max_steps=steps)) == period
@@ -597,7 +597,7 @@ def brackets(monkeypatch):
         return locate_roots(g, a, b, ga, gb, tol)
 
     monkeypatch.setattr(integrate, "locate_roots", counted)
-    monkeypatch.setattr(integrate, "_last_orbit", None)
+    integrate._closed_orbit.cache_clear()
     return sizes
 
 
@@ -799,7 +799,7 @@ def test_one_period_matches_the_vectorised_locator(x, y, rel_tol, abs_tol, step,
     # the period and the points bit for bit, or the same failure and message
     s0, p = State(x, y), Params()
     cfg = IntegratorConfig(step=step, rel_tol=rel_tol, abs_tol=abs_tol, t_max=t_max)
-    integrate._last_orbit = None
+    integrate._closed_orbit.cache_clear()
     got = _outcome(integrate._one_period, s0, p, cfg)
     assert _period_bits(got) == _period_bits(_outcome(one_period_reference, s0, p, cfg))
 
